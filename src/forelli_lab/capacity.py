@@ -341,9 +341,20 @@ def normality_check(directions, *, max_centers: int = 128,
     capacity of the chart image by monotonicity, which is the
     sufficiency direction of the normality criterion.  Verdicts are
     never claimed below the reported resolution.  Needs at least 100
-    directions for the resolution estimate to mean anything.
+    directions for the resolution estimate to mean anything.  In n = 1
+    the chart space is a single point, which any nonempty direction set
+    covers; the check then passes with radius and resolution 0.
     """
-    if len(np.atleast_2d(np.asarray(directions))) < 100:
+    U = np.atleast_2d(np.asarray(directions))
+    if U.shape[1] == 1:
+        B, dropped = chart_points(U)
+        return NormalityCheck(
+            is_normal_sufficient=True, center=(), radius=0.0, resolution=0.0,
+            dropped=dropped,
+            diagnostics={"chart_samples": len(B), "capacity_lower_bound": 0.0,
+                         "detail": "n = 1: the chart space is a point, "
+                                   "covered by any nonempty direction set"})
+    if len(U) < 100:
         raise ValueError("normality check needs >= 100 sampled directions")
     B, dropped = chart_points(directions)
     if len(B) < 2:

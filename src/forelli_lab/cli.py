@@ -9,8 +9,7 @@ degenerate normalization).
 stdout carries the report (plain-text summary by default, the full JSON
 document with --json); stderr carries diagnostics.  JSON output contains
 no timings or timestamps: with a fixed --seed, reports are byte
-identical across runs.  FORELLI_LAB_THREADS caps worker parallelism; the
-current implementation runs single-threaded and echoes the cap.
+identical across runs.
 """
 
 from __future__ import annotations
@@ -48,14 +47,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("FORELLI_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_directions(spec: str, n: int, seed: int) -> np.ndarray:
@@ -129,7 +120,6 @@ def _cmd_analyze(args) -> int:
     result = forelli_analyze(f, U, cfg)
     elapsed = time.perf_counter() - t0
     payload = result.to_dict()
-    payload["config"]["threads"] = _threads()
     report = build_report(
         "analyze", payload["config"],
         payload["stages"],
@@ -159,7 +149,7 @@ def _cmd_jet(args) -> int:
         "jet",
         {"dim": n, "order": args.order, "tol": args.tol, "rho0": args.rho0,
          "sigma": args.sigma, "rho_max": args.rho_max, "grid": args.grid,
-         "center": args.center, "threads": _threads()},
+         "center": args.center},
         [{"name": "jet", "status": "pass" if jet.full else "fail",
           "details": {"verdict": jet.verdict_text(),
                       "per_order_residuals": jet.per_order_residuals}}],
@@ -187,7 +177,7 @@ def _cmd_slice(args) -> int:
               if sl.coeffs[p, q] != 0]
     report = build_report(
         "slice", {"series_file": args.series_file,
-                  "a": [[c.real, c.imag] for c in a], "threads": _threads()},
+                  "a": [[c.real, c.imag] for c in a]},
         [{"name": "slice", "status": "pass", "details": {}}],
         {"passed": True, "coefficients": coeffs})
     lines = [f"slice along a={a} of {args.series_file}:"]
@@ -222,14 +212,13 @@ def _cmd_capacity(args) -> int:
         est = cap_siciak(samples, degree=args.degree, trials=args.trials,
                          seed=args.seed, closed_form=rho)
         cfg = {"siciak_ball": rho, "degree": args.degree,
-               "trials": args.trials, "seed": args.seed,
-               "threads": _threads()}
+               "trials": args.trials, "seed": args.seed}
     else:
         if not args.set:
             raise ConfigError("--set or --siciak-ball is required")
         E = _parse_set(args.set)
         est = cap1d_transfinite(E, args.m)
-        cfg = {"set": args.set, "m": args.m, "threads": _threads()}
+        cfg = {"set": args.set, "m": args.m}
     summary = {"passed": True, "value": est.value, "method": est.method,
                "points_used": est.points_used}
     closed = est.diagnostics.get("closed_form")
@@ -286,7 +275,7 @@ def _cmd_psh(args) -> int:
         lines.append(f"  u_1^r(0) = {avg.value:.6g} (clipped {avg.clipped})")
     report = build_report(
         "psh", {"family": args.family, "r": args.r, "K": K,
-                "grid": args.grid, "threads": _threads()}, stages, summary)
+                "grid": args.grid}, stages, summary)
     _emit(args, report, lines)
     return EXIT_PASS
 
@@ -307,7 +296,7 @@ def _cmd_pencil_check(args) -> int:
     report = build_report(
         "pencil-check",
         {"pencil": args.pencil or args.directions, "tol": args.tol,
-         "radii": list(radii), "threads": _threads()},
+         "radii": list(radii)},
         [{"name": "disc_residuals",
           "status": "pass" if result.passed else "fail",
           "details": {"worst_residual": worst,
@@ -328,7 +317,7 @@ def _cmd_subpencil(args) -> int:
     report = build_report(
         "subpencil",
         {"pencil": args.pencil or args.directions, "tol": args.tol,
-         "ell_max": args.ell_max, "threads": _threads()},
+         "ell_max": args.ell_max},
         [{"name": "subpencil", "status": "pass" if ok else "fail",
           "details": {"patch_size": int(result.direction_indices.size),
                       "m": result.m}}],
@@ -371,8 +360,8 @@ def _cmd_normalize(args) -> int:
     report = build_report(
         "normalize",
         {"pencil": args.pencil or args.directions,
-         "v0": [[c.real, c.imag] for c in v0], "eps": args.eps,
-         "threads": _threads()}, stages, summary)
+         "v0": [[c.real, c.imag] for c in v0], "eps": args.eps},
+        stages, summary)
     _emit(args, report, lines)
     return _exit_code(passed)
 
@@ -397,7 +386,7 @@ def _cmd_certify(args) -> int:
     except CertificateError as exc:
         report = build_report(
             "certify", {"source": source, "r0": args.r0, "K": K,
-                        "seed": args.seed, "threads": _threads()},
+                        "seed": args.seed},
             [{"name": "certificate", "status": "fail",
               "details": {"error": str(exc)}}],
             {"passed": False})
@@ -405,7 +394,7 @@ def _cmd_certify(args) -> int:
         return EXIT_FAIL
     report = build_report(
         "certify", {"source": source, "r0": args.r0, "K": K,
-                    "seed": args.seed, "threads": _threads()},
+                    "seed": args.seed},
         [{"name": "certificate", "status": "pass",
           "details": {"M": cert.M, "r_prime": list(cert.r_prime),
                       "margin": cert.margin}}],

@@ -311,6 +311,55 @@ def to_string(e: Expr) -> str:
 Point = Union[Sequence[complex], Tuple[np.ndarray, ...]]
 
 
+def _ev(node, comps):
+    # module-level rather than a closure: a recursive closure forms a
+    # reference cycle that keeps the input arrays alive until the
+    # cyclic garbage collector runs
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.index >= len(comps):
+            raise EvalError(
+                f"variable {node.name} out of range for a point in C^{len(comps)}")
+        return comps[node.index]
+    if isinstance(node, Neg):
+        return -_ev(node.arg, comps)
+    if isinstance(node, BinOp):
+        a = _ev(node.left, comps)
+        b = _ev(node.right, comps)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        den = np.asarray(b)
+        if np.any(den == 0):
+            raise EvalError("division by zero", to_string(node.right))
+        return a / b
+    if isinstance(node, Pow):
+        return _ev(node.base, comps) ** node.exponent
+    if isinstance(node, Call):
+        if node.func == "normsq":
+            if isinstance(node.arg, WholeVector):
+                total = comps[0] * np.conj(comps[0])
+                for c in comps[1:]:
+                    total = total + c * np.conj(c)
+                return total
+            a = _ev(node.arg, comps)
+            return a * np.conj(a)
+        a = _ev(node.arg, comps)
+        if node.func == "conj":
+            return np.conj(a)
+        if node.func == "exp":
+            return np.exp(a)
+        if node.func == "re":
+            return np.real(a) + 0j
+        if node.func == "im":
+            return np.imag(a) + 0j
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
 def evaluate(e: Expr, z: Point):
     """Evaluate ``e`` at ``z`` (sequence of scalars or numpy arrays).
 
@@ -318,53 +367,7 @@ def evaluate(e: Expr, z: Point):
     variable index; the error names the offending subexpression.
     """
     comps = [np.asarray(c, dtype=complex) for c in z]
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            if node.index >= len(comps):
-                raise EvalError(
-                    f"variable {node.name} out of range for a point in C^{len(comps)}")
-            return comps[node.index]
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, BinOp):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            den = np.asarray(b)
-            if np.any(den == 0):
-                raise EvalError("division by zero", to_string(node.right))
-            return a / b
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
-        if isinstance(node, Call):
-            if node.func == "normsq":
-                if isinstance(node.arg, WholeVector):
-                    total = comps[0] * np.conj(comps[0])
-                    for c in comps[1:]:
-                        total = total + c * np.conj(c)
-                    return total
-                a = ev(node.arg)
-                return a * np.conj(a)
-            a = ev(node.arg)
-            if node.func == "conj":
-                return np.conj(a)
-            if node.func == "exp":
-                return np.exp(a)
-            if node.func == "re":
-                return np.real(a) + 0j
-            if node.func == "im":
-                return np.imag(a) + 0j
-        raise TypeError(f"not an Expr node: {node!r}")
-
-    result = ev(e)
+    result = _ev(e, comps)
     arr = np.asarray(result, dtype=complex)
     if arr.shape == ():
         return complex(arr)

@@ -15,6 +15,13 @@ that solve is the consistency certificate: a function admitting the jet
 fits every mode to quadrature accuracy, while homogeneous non-polynomial
 behaviour (for instance quotients by normsq) leaves a misfit whose decay
 order locates the first inconsistent jet order.
+
+The design matrix of mode mu depends only on the componentwise |mu|, so
+the 2^k sign variants of a |mu| class share one factorisation and are
+solved as one multi-right-hand-side product.  Classes with the same
+dmax = (order - |mu|_1) // 2 give systems of the same shape, and each
+such stack is factored by a single batched SVD: about order/2 + 1 SVD
+calls per jet instead of one per mode.
 """
 
 from __future__ import annotations
@@ -81,11 +88,9 @@ def radius_schedule(num: int, rho0: float = 0.2, sigma: float = 1.25,
 
 def _mode_list(n: int, order: int) -> List[tuple]:
     """All mu in Z^n with |mu_1| + ... + |mu_n| <= order."""
-    out = []
-    for mu in itertools.product(range(-order, order + 1), repeat=n):
-        if sum(abs(m) for m in mu) <= order:
-            out.append(mu)
-    return out
+    # rows of np.indices in C order run like itertools.product
+    mus = np.indices((2 * order + 1,) * n).reshape(n, -1).T - order
+    return [tuple(mu) for mu in mus[np.abs(mus).sum(axis=1) <= order].tolist()]
 
 
 def extract_jet(f, n: int, order: int, *,
@@ -126,12 +131,14 @@ def extract_jet(f, n: int, order: int, *,
         base = func
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 
-    # sample all product tori and keep the needed Fourier modes
+    # sample one product torus at a time and gather the needed Fourier
+    # modes from its FFT with one flat index array
     theta = 2.0 * np.pi * np.arange(grid) / grid
     angle_grids = np.meshgrid(*([theta] * n), indexing="ij")
     phases = [np.exp(1j * g) for g in angle_grids]
     modes = _mode_list(n, order)
-    mode_pos = {mu: idx for idx, mu in enumerate(modes)}
+    mus = np.array(modes, dtype=int).reshape(len(modes), n)
+    fft_index = np.ravel_multi_index(tuple((mus % grid).T), (grid,) * n)
     rows = list(itertools.product(range(len(radii)), repeat=n))
     mode_vals = np.empty((len(rows), len(modes)), dtype=complex)
     for ri, row in enumerate(rows):
@@ -146,94 +153,117 @@ def extract_jet(f, n: int, order: int, *,
         if not np.all(np.isfinite(vals)):
             raise JetExtractionError(
                 f"non-finite samples on torus rho={tuple(radii[t] for t in row)}")
-        F = np.fft.fftn(vals) / grid ** n
-        for mu, idx in mode_pos.items():
-            mode_vals[ri, idx] = F[tuple(mk % grid for mk in mu)]
+        mode_vals[ri] = np.fft.fftn(vals).ravel()[fft_index] / grid ** n
 
-    row_radii = np.array([[radii[t] for t in row] for row in rows])
+    row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     diag_rows = [ri for ri, row in enumerate(rows)
                  if all(t == row[0] for t in row)]
 
-    coeffs = {}
-    worst_cond = 1.0
     global_scale = float(np.abs(mode_vals).max()) if mode_vals.size else 0.0
     # quadrature values carry O(eps_mach * scale) noise; misfits below that
     # are indistinguishable from zero
     noise_floor = 1e-13 * max(1.0, global_scale)
 
-    # pass 1: per-mode tensor-Vandermonde solves
-    solved = []
-    for mu, idx in mode_pos.items():
-        mu_arr = np.array(mu)
-        mu_plus = np.maximum(mu_arr, 0)
-        mu_minus = np.maximum(-mu_arr, 0)
-        base_order = int(mu_plus.sum() + mu_minus.sum())
-        dmax = (order - base_order) // 2
-        Ls = [L for L in itertools.product(range(dmax + 1), repeat=n)
-              if sum(L) <= dmax]
-        expo = mu_plus + mu_minus + 2 * np.array(Ls)      # (#L, n)
-        A = np.prod(row_radii[:, None, :] ** expo[None, :, :], axis=2)
-        b = mode_vals[:, idx]
-        col_scale = np.linalg.norm(A, axis=0)
-        col_scale[col_scale == 0] = 1.0
-        Aeq = A / col_scale
-        Um, sv, Vt = np.linalg.svd(Aeq, full_matrices=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        worst_cond = max(worst_cond, cond)
-        if cond > cond_limit:
-            raise JetExtractionError(
-                f"ill-conditioned radius schedule: mode {mu} condition "
-                f"{cond:.3g} exceeds {cond_limit:.3g}")
-        x_eq = Vt.T @ ((Um.conj().T @ b) / sv)
-        x = x_eq / col_scale
-        resid = A @ x - b
-        bmax = float(np.abs(b).max())
-        res_abs = float(np.abs(resid).max())
-        if res_abs <= noise_floor:
-            res_abs = 0.0
+    # pass 1: tensor-Vandermonde solves.  The design matrix of mode mu
+    # depends only on |mu|, so each |mu| class is factored once for all of
+    # its sign variants, and classes with the same dmax = (order - |mu|_1)//2
+    # have the same shape and are factored by one stacked SVD.
+    classes, mode_class = np.unique(np.abs(mus), axis=0, return_inverse=True)
+    mode_class = mode_class.reshape(-1)
+    class_dmax = (order - classes.sum(axis=1)) // 2
+    # a mode's sign variant within its class: the bitmask of its negative
+    # entries
+    variant = (mus < 0) @ (1 << np.arange(n))
+    power = radii[:, None] ** np.arange(order + 1)     # power[t, e] = rho_t^e
 
-        # per-coefficient uncertainty: input noise (quadrature/aliasing) and
-        # solve rounding filtered through the pseudoinverse rows; entries the
-        # data cannot determine above that level are zeroed
-        pinv_rows = np.sqrt(np.sum((Vt / sv[:, None]) ** 2, axis=0))
-        data_unc = (10.0 * np.finfo(float).eps * np.linalg.norm(b)
-                    + math.sqrt(len(b)) * noise_floor)
-        noise = data_unc * pinv_rows / col_scale
-        for L, c, nz in zip(Ls, x, noise):
-            I = tuple(int(v) for v in (mu_plus + np.array(L)))
-            J = tuple(int(v) for v in (mu_minus + np.array(L)))
-            if abs(c) > max(coeff_floor, nz):
-                coeffs[(I, J)] = complex(c)
-        solved.append({"mode": mu, "base_order": base_order,
-                       "res_abs": res_abs, "magnitude": bmax,
-                       "resid": resid})
+    mu_plus = np.maximum(mus, 0)
+    mu_minus = np.maximum(-mus, 0)
+    base_orders = np.abs(mus).sum(axis=1)
+    magnitude = np.abs(mode_vals).max(axis=0)
+    # per-coefficient uncertainty: input noise (quadrature/aliasing) and
+    # solve rounding filtered through the pseudoinverse rows; entries the
+    # data cannot determine above that level are zeroed
+    data_unc = (10.0 * np.finfo(float).eps * np.linalg.norm(mode_vals, axis=0)
+                + math.sqrt(len(rows)) * noise_floor)
+    resid = np.empty((len(modes), len(rows)), dtype=complex)
+    class_cond = np.empty(len(classes))
+    kept = []                   # (mode, L index, I, J, coefficient) arrays
+    for dmax in np.unique(class_dmax):
+        Ls = np.array([L for L in itertools.product(range(dmax + 1), repeat=n)
+                       if sum(L) <= dmax], dtype=int).reshape(-1, n)
+        cls = np.flatnonzero(class_dmax == dmax)
+        expo = classes[cls][:, None, :] + 2 * Ls[None, :, :]   # (K, #L, n)
+        A = np.prod(power[row_idx[None, :, None, :], expo[:, None, :, :]],
+                    axis=3)                                    # (K, rows, #L)
+        col_scale = np.linalg.norm(A, axis=1)
+        col_scale[col_scale == 0] = 1.0
+        Um, sv, Vt = np.linalg.svd(A / col_scale[:, None, :],
+                                   full_matrices=False)
+        cond = np.full(len(cls), np.inf)
+        np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 0)
+        class_cond[cls] = cond
+        if np.any(cond > cond_limit):
+            continue            # reported below, at the first such mode
+
+        sel = np.flatnonzero(class_dmax[mode_class] == dmax)
+        k, v = np.searchsorted(cls, mode_class[sel]), variant[sel]
+        # right-hand sides as (class, rows, sign variant), zero-padded
+        B = np.zeros((len(cls), len(rows), 2 ** n), dtype=complex)
+        B[k, :, v] = mode_vals[:, sel].T
+        x_eq = Vt.transpose(0, 2, 1) @ (
+            (Um.transpose(0, 2, 1) @ B) / sv[:, :, None])
+        X = x_eq / col_scale[:, :, None]
+        resid[sel] = (A @ X - B)[k, :, v]
+        x = X[k, :, v]                                         # (modes, #L)
+        pinv_rows = np.sqrt(np.sum((Vt / sv[:, :, None]) ** 2, axis=1))
+        noise = data_unc[sel, None] * pinv_rows[k] / col_scale[k]
+        mi, li = np.nonzero(np.abs(x) > np.maximum(coeff_floor, noise))
+        m = sel[mi]
+        kept.append((m, li, mu_plus[m] + Ls[li], mu_minus[m] + Ls[li],
+                     x[mi, li]))
+
+    mode_cond = class_cond[mode_class]
+    bad = np.flatnonzero(mode_cond > cond_limit)
+    if bad.size:
+        raise JetExtractionError(
+            f"ill-conditioned radius schedule: mode {modes[bad[0]]} condition "
+            f"{mode_cond[bad[0]]:.3g} exceeds {cond_limit:.3g}")
+    worst_cond = max(1.0, float(mode_cond.max()))
+
+    # insert coefficients in mode order, then L order within a mode:
+    # consumers that sum over the term map follow its insertion order
+    m, li, I, J, c = (np.concatenate(parts) for parts in zip(*kept))
+    order_ix = np.lexsort((li, m))
+    coeffs = {(tuple(i), tuple(j)): v for i, j, v in zip(
+        I[order_ix].tolist(), J[order_ix].tolist(), c[order_ix].tolist())}
+
+    res_abs = np.abs(resid).max(axis=1)
+    res_abs[res_abs <= noise_floor] = 0.0
 
     # pass 2: normalize misfits by the largest mode magnitude at each total
     # order (absolute floor 1e-12 covers identically-zero orders) and charge
     # dirty modes to their failure order
     order_mag = np.zeros(order + 1)
-    for entry in solved:
-        d = entry["base_order"]
-        order_mag[d] = max(order_mag[d], entry["magnitude"])
+    np.maximum.at(order_mag, base_orders, magnitude)
+    misfit = res_abs / np.maximum(order_mag[base_orders], 1e-12)
+    clean = misfit <= tol
     order_noise = np.zeros(order + 1)
+    np.maximum.at(order_noise, base_orders[clean], misfit[clean])
     fail_eps = np.zeros(order + 1)
-    mode_table = []
-    for entry in solved:
-        d = entry["base_order"]
-        eps = entry["res_abs"] / max(order_mag[d], 1e-12)
-        row = {"mode": entry["mode"], "base_order": d, "misfit": eps,
-               "magnitude": entry["magnitude"]}
-        if eps <= tol:
-            order_noise[d] = max(order_noise[d], eps)
+    mode_table = [{"mode": mu, "base_order": d, "misfit": eps, "magnitude": mag}
+                  for mu, d, eps, mag in zip(modes, base_orders.tolist(),
+                                             misfit.tolist(),
+                                             magnitude.tolist())]
+    for idx in np.flatnonzero(~clean):
+        row = mode_table[idx]
+        d = row["base_order"]
+        k_fail = _failure_order(resid[idx], diag_rows, radii,
+                                row["magnitude"], global_scale, d)
+        row["failure_order"] = k_fail
+        if k_fail <= order:
+            fail_eps[k_fail] = max(fail_eps[k_fail], row["misfit"])
         else:
-            k_fail = _failure_order(entry["resid"], diag_rows, radii,
-                                    entry["magnitude"], global_scale, d)
-            row["failure_order"] = k_fail
-            if k_fail <= order:
-                fail_eps[k_fail] = max(fail_eps[k_fail], eps)
-            else:
-                row["truncation_only"] = True
-        mode_table.append(row)
+            row["truncation_only"] = True
 
     residuals = []
     running = 0.0

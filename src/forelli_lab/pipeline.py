@@ -199,7 +199,7 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                 entry["chart"] = None
                 entry["R_estimate"] = None
             else:
-                b = np.array(chart) if family.nvars > 1 else chart[0]
+                b = chart[0] if family.nvars == 1 else np.array(chart)
                 rt = radius_root_test(family.abs_values_at(b), K, window)
                 entry["chart"] = [[v.real, v.imag] for v in chart]
                 entry["R_estimate"] = rt.radius
@@ -215,12 +215,16 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
     # capacity positivity of the chart image of U
     try:
         norm = normality_check(U)
+        details = {"inscribed_radius": norm.radius,
+                   "resolution": norm.resolution,
+                   "capacity_lower_bound":
+                       norm.diagnostics["capacity_lower_bound"],
+                   "chart_dropped": norm.dropped}
+        if "detail" in norm.diagnostics:
+            details["detail"] = norm.diagnostics["detail"]
         stages.append(Stage(
             "direction_capacity", PASS if norm.is_normal_sufficient else FAIL,
-            {"inscribed_radius": norm.radius, "resolution": norm.resolution,
-             "capacity_lower_bound":
-                 norm.diagnostics["capacity_lower_bound"],
-             "chart_dropped": norm.dropped}))
+            details))
         if not norm.is_normal_sufficient:
             failures.append("no inscribed chart ball at the sampling "
                             "resolution; normality not certified")

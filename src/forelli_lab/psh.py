@@ -244,10 +244,8 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
 def envelope_to_csv(field: EnvelopeField) -> str:
     """CSV dump (x, y, u, u_star) of an envelope field."""
     lines = ["x,y,u,u_star"]
-    nodes = field.nodes
-    for i in range(nodes.shape[0]):
-        for j in range(nodes.shape[1]):
-            z = nodes[i, j]
-            lines.append("%r,%r,%r,%r" % (z.real, z.imag,
-                                          field.u[i, j], field.u_star[i, j]))
+    columns = (field.nodes.real, field.nodes.imag, field.u, field.u_star)
+    # tolist() yields Python floats, whose repr is the plain decimal
+    for row in zip(*(np.ravel(c).tolist() for c in columns)):
+        lines.append("%r,%r,%r,%r" % row)
     return "\n".join(lines) + "\n"

@@ -164,6 +164,13 @@ class TestNormalityCheck:
         res = normality_check(U)
         assert res.diagnostics["capacity_lower_bound"] == res.radius
 
+    def test_one_variable_chart_is_a_point(self):
+        U = sphere_directions(1, 5, seed=0)
+        res = normality_check(U)
+        assert res.is_normal_sufficient
+        assert res.center == () and res.radius == 0.0
+        assert res.diagnostics["chart_samples"] == 5
+
     def test_three_variable_directions(self):
         # chart lives in C^2 (R^4); coverage queries must still work
         U = cap_directions(3, 0.3, 400, seed=1)

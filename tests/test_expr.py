@@ -94,6 +94,21 @@ class TestEval:
         for i in range(2):
             assert out[i] == pytest.approx(evaluate(e, (z1[i], z2[i])))
 
+    def test_inputs_released_without_garbage_collection(self):
+        # the jet sampler evaluates hundreds of large tori; inputs held by
+        # a reference cycle would pile up until the cyclic collector ran
+        import gc
+        import weakref
+        z1 = np.ones(8, dtype=complex)
+        ref = weakref.ref(z1)
+        gc.disable()
+        try:
+            evaluate(parse("exp(z1) + z1^2"), (z1,))
+            del z1
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 def _random_expr(rng, depth, nvars):
     roll = rng.integers(0, 8 if depth > 0 else 2)

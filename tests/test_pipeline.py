@@ -30,6 +30,23 @@ class TestCounterexample:
         assert "hypothesis (1) fails" in rep.final_verdict
 
 
+class TestOneVariable:
+    def test_exp_analyze_passes_every_stage(self, capsys):
+        import json
+        from forelli_lab.cli import run
+        code = run(["analyze", "--expr", "exp(z1)", "--dim", "1",
+                    "--order", "12", "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Infinity" not in out and "NaN" not in out
+        report = json.loads(out)
+        for stage in report["stages"]:
+            assert stage["status"] == "pass", stage
+        capacity = [s for s in report["stages"]
+                    if s["name"] == "direction_capacity"][0]
+        assert "chart space is a point" in capacity["details"]["detail"]
+
+
 class TestSeriesInput:
     def test_non_holomorphic_type_halts(self):
         S = (FormalSeries.variable(1, 2, 8)

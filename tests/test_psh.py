@@ -184,3 +184,17 @@ class TestEnvelope:
         text = envelope_to_csv(field)
         assert text.splitlines()[0] == "x,y,u,u_star"
         assert len(text.splitlines()) == 26
+
+    def test_csv_fields_are_plain_numbers(self):
+        from forelli_lab.psh import envelope_to_csv
+        fam = monomial_family(lambda k: 1.0, 40)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), 40, num=9)
+        lines = envelope_to_csv(field).splitlines()[1:]
+        rows = [[float(t) for t in line.split(",")] for line in lines]
+        assert len(rows) == 81 and all(len(r) == 4 for r in rows)
+        assert rows[0][:2] == [-1.0, -1.0]
+        assert rows[1][:2] == [-0.75, -1.0]
+        for x, y, u, _ in rows:
+            if abs(complex(x, y)) > 0.1:
+                assert u == pytest.approx(math.log(abs(complex(x, y))),
+                                          abs=1e-12)
