@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .pencil import _realify
 from .slices import CHART_EPS
 
 
@@ -324,10 +325,6 @@ def chart_points(directions) -> Tuple[np.ndarray, int]:
             "all directions lie on the excluded locus v_1 = 0; "
             "the chart-based check cannot decide")
     return V[:, 1:] / V[:, 0:1], dropped
-
-
-def _realify(pts: np.ndarray) -> np.ndarray:
-    return np.column_stack([pts.real, pts.imag]).reshape(len(pts), -1)
 
 
 def normality_check(directions, *, max_centers: int = 128,

@@ -28,9 +28,9 @@ from .capacity import (ChartUndecidableError, CompactSet1D, cap1d_transfinite,
 from .expr import EvalError, ParseError, parse
 from .jets import JetExtractionError, extract_jet
 from .pencil import (DegenerateNormalizationError, NewtonInversionError,
-                     PencilCheckError, cap_directions, check_holo_along_pencil,
-                     compute_H_G, find_subpencil, load_pencil,
-                     sphere_directions, standard_pencil, tilde_normalize)
+                     PencilCheckError, check_holo_along_pencil, compute_H_G,
+                     find_subpencil, load_pencil, preset_directions,
+                     standard_pencil, tilde_normalize)
 from .pipeline import AnalyzeConfig, forelli_analyze
 from .psh import (PshFamily, average_on_torus, classify_trichotomy,
                   envelope_to_csv, upper_envelope)
@@ -50,23 +50,15 @@ class ConfigError(ValueError):
 
 
 def _load_directions(spec: str, n: int, seed: int) -> np.ndarray:
-    parts = spec.split(":")
-    if parts[0] == "sphere":
-        count = int(parts[1]) if len(parts) > 1 else 200
-        s = int(parts[2]) if len(parts) > 2 else seed
-        return sphere_directions(n, count, s)
-    if parts[0] == "cap":
-        if len(parts) < 2:
-            raise ConfigError("cap preset needs an angular radius: cap:theta[:count]")
-        theta = float(parts[1])
-        count = int(parts[2]) if len(parts) > 2 else 200
-        s = int(parts[3]) if len(parts) > 3 else seed
-        return cap_directions(n, theta, count, seed=s)
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return np.array([[complex(re, im) for re, im in vec] for vec in data])
-    raise ConfigError(f"unknown directions preset or missing file: {spec!r}")
+    """A ``preset_directions`` string seeded by --seed, or a JSON file."""
+    try:
+        return preset_directions(spec, n, seed)
+    except ValueError:
+        if not os.path.exists(spec):
+            raise
+    with open(spec, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return np.array([[complex(re, im) for re, im in vec] for vec in data])
 
 
 def _parse_point(text: str) -> tuple:
@@ -406,13 +398,12 @@ def _cmd_certify(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
-def _add_common(sp, *, seed=True, out=True):
+def _add_common(sp, *, seed=True):
     if seed:
         sp.add_argument("--seed", type=int, default=42)
-    if out:
-        sp.add_argument("--json", action="store_true",
-                        help="print the full JSON report to stdout")
-        sp.add_argument("--out", help="also write the JSON report to a file")
+    sp.add_argument("--json", action="store_true",
+                    help="print the full JSON report to stdout")
+    sp.add_argument("--out", help="also write the JSON report to a file")
 
 
 def _add_function_args(sp):
@@ -453,14 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--center", help="expansion center, e.g. '1,0 0,0'")
     sp.add_argument("--series-out", help="write the jet in series text format")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_jet)
 
     sp = sub.add_parser("slice", help="restrict a series to a ray")
     sp.add_argument("--series-file", required=True)
     sp.add_argument("--a", required=True,
                     help="ray point, e.g. '1,0 2,0' for (1, 2)")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_slice)
 
     sp = sub.add_parser("capacity", help="logarithmic capacity estimates")
@@ -482,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--envelope", help="grid region 'x0 x1 y0 y1'")
     sp.add_argument("--envelope-num", type=int, default=101)
     sp.add_argument("--csv-out")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_psh)
 
     sp = sub.add_parser("pencil-check", help="disc holomorphy residuals")

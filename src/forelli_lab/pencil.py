@@ -72,6 +72,25 @@ def cap_directions(n: int, theta: float, count: int,
         out[i] = math.cos(alpha) * c + math.sin(alpha) * w
     return out
 
+def preset_directions(spec: str, n: int, seed: int) -> np.ndarray:
+    """Directions named by ``sphere[:count[:seed]]`` or ``cap:theta[:count[:seed]]``.
+
+    ``count`` defaults to 200, and ``seed`` applies when the string has none.
+    """
+    name, *args = spec.split(":")
+    if name not in ("sphere", "cap"):
+        raise ValueError(f"unknown directions preset or missing file: {spec!r}")
+    if name == "cap":
+        if not args:
+            raise ValueError("cap preset needs an angular radius: cap:theta[:count]")
+        theta = float(args.pop(0))
+    count = int(args[0]) if args else 200
+    s = int(args[1]) if len(args) > 1 else seed
+    if name == "sphere":
+        return sphere_directions(n, count, s)
+    return cap_directions(n, theta, count, seed=s)
+
+
 def angular_distance(u, v) -> float:
     inner = float(np.clip(np.real(np.vdot(np.asarray(u), np.asarray(v))),
                           -1.0, 1.0))
@@ -240,9 +259,9 @@ def _validate_pencil(spec: PencilSpec, holo_tol: float, mesh_tol: float):
 def load_pencil(source) -> PencilSpec:
     """Load a pencil from the JSON file format.
 
-    Keys: n; map (list of expressions in l, u1..un); directions (preset
-    string "sphere:count[:seed]" or "cap:theta:count[:seed]", or an
-    explicit list of [re, im] component pairs); optional p (base point).
+    Keys: n; map (list of expressions in l, u1..un); directions (a
+    ``preset_directions`` string, seeded with 0 when it names no seed, or
+    an explicit list of [re, im] component pairs); optional p (base point).
     """
     if isinstance(source, (str,)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -250,20 +269,9 @@ def load_pencil(source) -> PencilSpec:
     else:
         data = dict(source)
     n = int(data["n"])
-    dirs = data.get("directions", f"sphere:200")
+    dirs = data.get("directions", "sphere:200")
     if isinstance(dirs, str):
-        parts = dirs.split(":")
-        if parts[0] == "sphere":
-            count = int(parts[1]) if len(parts) > 1 else 200
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            U = sphere_directions(n, count, seed)
-        elif parts[0] == "cap":
-            theta = float(parts[1])
-            count = int(parts[2]) if len(parts) > 2 else 200
-            seed = int(parts[3]) if len(parts) > 3 else 0
-            U = cap_directions(n, theta, count, seed=seed)
-        else:
-            raise PencilCheckError(f"unknown direction preset {dirs!r}")
+        U = preset_directions(dirs, n, 0)
     else:
         U = np.array([[complex(re, im) for re, im in vec] for vec in dirs])
     p = None
@@ -332,8 +340,7 @@ def check_holo_along_pencil(f, P: PencilSpec,
             entry = DiscResidual(i, tuple(P.directions[i]), float(rho),
                                  math.nan)
             try:
-                g = lambda lam: func(tuple(
-                    P.disc(lam, i)[..., k] for k in range(P.n)))
+                g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
                 entry.residual = disc_holo_residual(g, rho, modes)
                 if not entry.residual <= tol:
                     ok = False

@@ -188,10 +188,14 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                             {"reason": f"family too short for the root test "
                                        f"(K={K}, window={window})"}))
     else:
+        dirs = [Direction.from_vector(row) for row in U]
+        charts = [d.chart for d in dirs if d.chart is not None]
+        B = np.array(charts, dtype=complex).reshape(len(charts), family.nvars)
+        columns = iter(family.abs_values_at(
+            B[:, 0] if family.nvars == 1 else B).T)
         excluded = 0
         min_radius = float("inf")
-        for row in U:
-            d = Direction.from_vector(row)
+        for d in dirs:
             chart = d.chart
             entry = {"direction": [[v.real, v.imag] for v in d.unit]}
             if chart is None:
@@ -199,8 +203,7 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                 entry["chart"] = None
                 entry["R_estimate"] = None
             else:
-                b = chart[0] if family.nvars == 1 else np.array(chart)
-                rt = radius_root_test(family.abs_values_at(b), K, window)
+                rt = radius_root_test(next(columns), K, window)
                 entry["chart"] = [[v.real, v.imag] for v in chart]
                 entry["R_estimate"] = rt.radius
                 min_radius = min(min_radius, rt.radius)

@@ -125,14 +125,6 @@ class TrichotomyVerdict:
     case: str                   # MinusInfinity | PlusInfinity | Finite
     evidence: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        thr = self.evidence.get("threshold", 50.0)
-        expect = (MINUS_INFINITY if self.alpha_r <= -thr else
-                  PLUS_INFINITY if self.alpha_r >= thr else FINITE)
-        if self.case != expect:
-            raise ValueError(f"case {self.case} inconsistent with "
-                             f"alpha_r={self.alpha_r}")
-
 
 def classify_trichotomy(family: PshFamily, r, K: Optional[int] = None,
                         grid: int = 64, *, threshold: float = 50.0,

@@ -15,12 +15,16 @@ so on canonical series the kernel of Ebar is exactly the set of series
 free of zbar (holomorphic type).  Coefficients are complex doubles and
 "zero" means exactly 0.0 in both components; there is no epsilon
 comparison at this layer.
+
+Each series builds its graded array view (``FormalSeries.graded``) once;
+ordered iteration, order blocks and the zbar check read it.  Every
+polynomial evaluation in the lab goes through the one kernel ``monomials``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,10 +55,27 @@ def _check_index(alpha, n: int) -> MultiIndex:
     return alpha
 
 
-def _term_sort_key(key: TermKey):
-    # graded lexicographic on the concatenated (I, J)
-    I, J = key
-    return (order(I) + order(J), I + J)
+def monomials(points, exponents) -> np.ndarray:
+    """prod_j points[..., j] ** exponents[t, j] as an array (..., T).
+
+    Shapes: points (..., d), exponents (T, d); each used power is computed once.
+    """
+    points = np.asarray(points)
+    out = np.ones(points.shape[:-1] + (len(exponents),),
+                  dtype=np.result_type(points, float))
+    for j, e in enumerate(np.asarray(exponents, dtype=int).T):
+        used, at = np.unique(e, return_inverse=True)
+        out *= (points[..., j, None] ** used)[..., at]
+    return out
+
+
+class GradedTerms(NamedTuple):
+    """A series' terms in graded-lexicographic order, as read-only arrays."""
+
+    keys: Tuple[TermKey, ...]
+    exponents: np.ndarray     # (T, 2n) int: row t is I + J
+    coeffs: np.ndarray        # (T,) complex
+    orders: np.ndarray        # (T,) int, |I| + |J|, nondecreasing
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +105,7 @@ class FormalSeries:
     and serialized output is deterministic.  Equality is structural.
     """
 
-    __slots__ = ("n", "max_order", "_terms")
+    __slots__ = ("n", "max_order", "_terms", "_graded")
 
     def __init__(self, n: int, max_order: int,
                  terms: Optional[Iterable[Tuple[TermKey, complex]]] = None):
@@ -111,6 +132,7 @@ class FormalSeries:
                 else:
                     canon[(I, J)] = c
         object.__setattr__(self, "_terms", canon)
+        object.__setattr__(self, "_graded", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
@@ -122,9 +144,25 @@ class FormalSeries:
         """Copy of the term map {(I, J): coefficient}."""
         return dict(self._terms)
 
+    @property
+    def graded(self) -> GradedTerms:
+        """The graded array view of the terms, built once per instance."""
+        if self._graded is None:
+            # graded lexicographic on the concatenated (I, J)
+            keys = tuple(sorted(self._terms, key=lambda k: (
+                order(k[0]) + order(k[1]), k[0] + k[1])))
+            exps = np.array([I + J for I, J in keys], dtype=int)
+            exps = exps.reshape(len(keys), 2 * self.n)
+            coeffs = np.array([self._terms[k] for k in keys], dtype=complex)
+            view = GradedTerms(keys, exps, coeffs, exps.sum(axis=1))
+            for a in view[1:]:
+                a.flags.writeable = False
+            object.__setattr__(self, "_graded", view)
+        return self._graded
+
     def items(self) -> Iterator[Tuple[TermKey, complex]]:
         """Terms in graded-lexicographic order."""
-        for key in sorted(self._terms, key=_term_sort_key):
+        for key in self.graded.keys:
             yield key, self._terms[key]
 
     def coefficient(self, I, J=None) -> complex:
@@ -272,10 +310,11 @@ class FormalSeries:
 
     def is_holomorphic_type(self) -> HolomorphicTypeVerdict:
         """True iff no stored term carries a zbar factor (J != 0)."""
-        for key in sorted(self._terms, key=_term_sort_key):
-            I, J = key
-            if order(J) > 0:
-                return HolomorphicTypeVerdict(False, (I, J, self._terms[key]))
+        g = self.graded
+        zbar = np.flatnonzero(g.exponents[:, self.n:].any(axis=1))
+        if zbar.size:
+            I, J = g.keys[zbar[0]]
+            return HolomorphicTypeVerdict(False, (I, J, self._terms[(I, J)]))
         return HolomorphicTypeVerdict(True)
 
     # -- evaluation --------------------------------------------------------
@@ -290,21 +329,10 @@ class FormalSeries:
         if len(z) != self.n:
             raise DimensionMismatchError(
                 f"point has {len(z)} components, expected {self.n}")
-        comps = [np.asarray(c, dtype=complex) for c in z]
-        conjs = [np.conj(c) for c in comps]
-        total = np.zeros(np.broadcast(*comps).shape, dtype=complex) \
-            if comps[0].shape or len(comps) > 1 else np.zeros((), dtype=complex)
-        for (I, J), c in self.items():
-            term = np.asarray(c, dtype=complex)
-            for k in range(self.n):
-                if I[k]:
-                    term = term * comps[k] ** I[k]
-                if J[k]:
-                    term = term * conjs[k] ** J[k]
-            total = total + term
-        if total.shape == ():
-            return complex(total)
-        return total
+        comps = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in z))
+        points = np.stack([*comps, *np.conj(comps)], axis=-1)
+        total = monomials(points, self.graded.exponents) @ self.graded.coeffs
+        return complex(total) if total.shape == () else total
 
     def __call__(self, z):
         return self.evaluate(z)
@@ -316,8 +344,9 @@ class FormalSeries:
 
     def terms_of_order(self, k: int) -> dict:
         """Terms with |I| + |J| == k, as {(I, J): coefficient}."""
-        return {key: c for key, c in self._terms.items()
-                if order(key[0]) + order(key[1]) == k}
+        g = self.graded
+        lo, hi = np.searchsorted(g.orders, (k, k + 1))
+        return {key: self._terms[key] for key in g.keys[lo:hi]}
 
     # -- text format -------------------------------------------------------
 

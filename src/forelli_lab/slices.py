@@ -10,6 +10,11 @@ the slice polynomial family
 which drives the root-test radius estimate along (1, b) and, through
 Cauchy estimates on |P_k| over a chart polydisc, an explicit polydisc of
 convergence with polyradius (1/(2M), r0/(2M), ..., r0/(2M)).
+
+Slices, chart polynomials and the certificate's block sums are all
+evaluated by the series module's monomial kernel on whole point arrays,
+reading the series' graded term view; no evaluation here loops over
+terms or over points.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .series import FormalSeries, order
+from .series import FormalSeries, monomials, order
 
 CHART_EPS = 1e-9   # directions with |v_1| below this have no chart
 
@@ -85,17 +91,21 @@ def slice_series(S: FormalSeries, a) -> SliceSeries:
     if len(a) != S.n:
         raise ValueError(f"ray point has {len(a)} components, expected {S.n}")
     N = S.max_order
+    g = S.graded
+    terms = g.coeffs * monomials(np.concatenate([a, np.conj(a)]), g.exponents)
     coeffs = np.zeros((N + 1, N + 1), dtype=complex)
-    abar = np.conj(a)
-    for (I, J), c in S.items():
-        w = complex(c)
-        for k in range(S.n):
-            if I[k]:
-                w *= a[k] ** I[k]
-            if J[k]:
-                w *= abar[k] ** J[k]
-        coeffs[order(I), order(J)] += w
+    np.add.at(coeffs, (g.exponents[:, :S.n].sum(axis=1),
+                       g.exponents[:, S.n:].sum(axis=1)), terms)
     return SliceSeries(N, coeffs)
+
+
+def _chart_points(b, nvars: int) -> np.ndarray:
+    """b as points (..., nvars); with one chart variable each entry is a point."""
+    b = np.asarray(b, dtype=complex)
+    b = b[..., None] if nvars == 1 else b
+    if b.shape[-1:] != (nvars,):
+        raise ValueError(f"points must have last axis {nvars}, got {b.shape}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -115,27 +125,16 @@ class ChartPoly:
     def degree(self) -> int:
         return max((sum(beta) for beta, _ in self.coeffs), default=0)
 
+    @cached_property
+    def _table(self):
+        exponents = np.array([beta for beta, _ in self.coeffs], dtype=int)
+        values = np.array([c for _, c in self.coeffs], dtype=complex)
+        return exponents.reshape(len(self.coeffs), self.nvars), values
+
     def __call__(self, b):
-        if self.nvars == 0:
-            val = sum(c for _, c in self.coeffs) if self.coeffs else 0j
-            return complex(val)
-        b = np.asarray(b, dtype=complex)
-        if self.nvars == 1:
-            dense = np.zeros(self.degree + 1, dtype=complex)
-            for beta, c in self.coeffs:
-                dense[beta[0]] = c
-            return np.polynomial.polynomial.polyval(b, dense)
-        if b.shape[-1] != self.nvars:
-            raise ValueError(
-                f"points must have last axis {self.nvars}, got {b.shape}")
-        total = np.zeros(b.shape[:-1], dtype=complex)
-        for beta, c in self.coeffs:
-            term = np.full(b.shape[:-1], c, dtype=complex)
-            for k, e in enumerate(beta):
-                if e:
-                    term = term * b[..., k] ** e
-            total = total + term
-        return total
+        """P at chart points b of shape (..., nvars); bare points if nvars == 1."""
+        exponents, values = self._table
+        return monomials(_chart_points(b, self.nvars), exponents) @ values
 
 
 @dataclass
@@ -171,9 +170,8 @@ def chart_poly_family(S: FormalSeries, K: int) -> SlicePolyFamily:
         raise ValueError(f"K={K} outside [0, {S.max_order}]")
     buckets = [dict() for _ in range(K + 1)]
     for (I, _J), c in S.items():
-        k = order(I)
-        if k <= K:
-            buckets[k][I[1:]] = c
+        if order(I) <= K:
+            buckets[order(I)][I[1:]] = c
     polys = [ChartPoly.from_dict(S.n - 1, bucket) for bucket in buckets]
     for k, p in enumerate(polys):
         assert p.degree <= k
@@ -296,72 +294,54 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     nv = family.nvars
     rng = np.random.default_rng(seed)
 
-    if nv == 0:
-        samples = [()]
-    else:
-        angles = 2.0 * np.pi * np.arange(angular_grid) / angular_grid
-        boundary = [np.array([2.0 * r0 * np.exp(1j * t) for t in combo])
-                    for combo in itertools.product(angles, repeat=nv)]
-        radii = 2.0 * r0 * np.sqrt(rng.random((sample_count, nv)))
-        phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
-        interior = list(radii * phases)
-        samples = boundary + interior
-        if nv == 1:
-            samples = [s[0] for s in samples]
+    angles = 2.0 * np.pi * np.arange(angular_grid) / angular_grid
+    boundary = 2.0 * r0 * np.exp(
+        1j * np.array(list(itertools.product(angles, repeat=nv))))
+    radii = 2.0 * r0 * np.sqrt(rng.random((sample_count, nv)))
+    phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
+    samples = np.concatenate([boundary, radii * phases])     # (count, nv)
 
-    sup_ratio = 1.0 + margin
-    for k in range(1, K + 1):
-        pk = family.polys[k]
-        if not pk.coeffs:
-            continue
-        vals = np.abs(np.array([pk(b) for b in samples]))
-        vmax = float(vals.max())
+    M = 1.0 + margin
+    for k, pk in enumerate(family.polys[1:], start=1):
+        # with one chart variable the (count, 1) samples are bare points
+        vmax = float(np.abs(pk(samples)).max())
         if vmax > 0:
-            sup_ratio = max(sup_ratio, vmax ** (1.0 / k))
-    M = sup_ratio
+            M = max(M, vmax ** (1.0 / k))
     r_prime = (1.0 / (2.0 * M),) + (r0 / (2.0 * M),) * (n - 1)
 
+    # S is zbar-free, so a term's order is |I| and its chart degree |I| - I_1
+    g = S.graded
+    ks = np.arange(1, K + 1)
+    in_range = (g.orders >= 1) & (g.orders <= K)
+
     # (a) Cauchy bounds on every stored coefficient
-    for (I, _J), c in S.items():
-        k = order(I)
-        if k == 0 or k > K:
-            continue
-        beta_order = k - I[0]
-        bound = M ** k * r0 ** (-beta_order)
-        if abs(c) > bound:
-            raise CertificateError(
-                f"Cauchy bound violated at z^{I}: |{abs(c):.6g}| > "
-                f"M^{k} r0^-{beta_order} = {bound:.6g}; "
-                "increase K or the boundary sampling")
+    beta_orders = g.orders - g.exponents[:, 0]
+    bounds = M ** g.orders * float(r0) ** (-beta_orders)
+    violated = np.flatnonzero(in_range & (np.abs(g.coeffs) > bounds))
+    if violated.size:
+        t = violated[0]
+        raise CertificateError(
+            f"Cauchy bound violated at z^{g.keys[t][0]}: "
+            f"|{abs(g.coeffs[t]):.6g}| > M^{g.orders[t]} r0^-{beta_orders[t]}"
+            f" = {bounds[t]:.6g}; increase K or the boundary sampling")
 
     # (b) order-block tail bounds at random points of the open polydisc
-    pts = []
-    for _ in range(check_points):
-        radii = np.array(r_prime) * np.sqrt(rng.random(n))
-        phases = np.exp(2j * np.pi * rng.random(n))
-        pts.append(radii * phases)
-    max_ratio = 0.0
-    for z in pts:
-        absz = np.abs(z)
-        for k in range(1, K + 1):
-            block = S.terms_of_order(k)
-            if not block:
-                continue
-            total = 0.0
-            for (I, _J), c in block.items():
-                total += abs(c) * float(np.prod(absz ** np.array(I)))
-            bound = k ** n * 2.0 ** (-k)
-            max_ratio = max(max_ratio, total / bound)
-            if total >= bound:
-                raise CertificateError(
-                    f"order-{k} block sum {total:.6g} >= k^n 2^-k = {bound:.6g} "
-                    f"at z={z}; certificate refused")
+    u = rng.random((check_points, 2, n))
+    pts = np.array(r_prime) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    weights = np.abs(g.coeffs[in_range]) * monomials(
+        np.abs(pts), g.exponents[in_range, :n])
+    totals = weights @ (g.orders[in_range, None] == ks)    # (points, K)
+    block_bounds = ks ** n * 2.0 ** (-ks)
+    max_ratio = float((totals / block_bounds).max(initial=0.0))
+    refused = np.argwhere(totals >= block_bounds)       # points, then orders
+    if refused.size:
+        p, j = refused[0]
+        raise CertificateError(
+            f"order-{j + 1} block sum {totals[p, j]:.6g} >= k^n 2^-k = "
+            f"{block_bounds[j]:.6g} at z={pts[p]}; certificate refused")
 
-    diagnostics = {
-        "boundary_samples": len(samples),
-        "check_points": check_points,
-        "max_block_ratio": max_ratio,
-        "seed": seed,
-    }
+    diagnostics = {"boundary_samples": len(samples),
+                   "check_points": check_points,
+                   "max_block_ratio": max_ratio, "seed": seed}
     return ConvergenceCertificate(M=M, r0=r0, r_prime=r_prime, K_used=K,
                                   margin=margin, diagnostics=diagnostics)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -69,6 +70,45 @@ class TestExitCodes:
                                "--directions", "sphere:40")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestDirectionPresets:
+    @pytest.mark.parametrize("preset", ["cap", "torus:30"])
+    def test_bad_pencil_preset_is_usage_error(self, capsys, tmp_path, preset):
+        # a pencil file's preset fails as the same --directions value does
+        pencil = tmp_path / "bad.json"
+        pencil.write_text(json.dumps({"n": 2, "directions": preset}))
+        code, _, err = run_cli(capsys, "pencil-check", "--pencil",
+                               str(pencil), "--expr", "exp(z1+z2)")
+        want_code, _, want_err = run_cli(capsys, "pencil-check",
+                                         "--directions", preset, "--expr",
+                                         "exp(z1+z2)")
+        assert code == want_code == 2
+        assert err == want_err
+        assert err.startswith("error: ")
+
+    def test_default_seeds(self):
+        # a preset without a seed: 0 in a pencil file, --seed on the CLI
+        from forelli_lab import (cap_directions, load_pencil,
+                                 sphere_directions, standard_pencil)
+        from forelli_lab.cli import _load_directions
+        P = load_pencil({"n": 2, "directions": "cap:0.5:30"})
+        want = standard_pencil(2, cap_directions(2, 0.5, 30, seed=0))
+        assert np.array_equal(P.directions, want.directions)
+        assert np.array_equal(_load_directions("sphere:30", 2, 42),
+                              sphere_directions(2, 30, 42))
+        assert np.array_equal(_load_directions("sphere:30:5", 2, 42),
+                              sphere_directions(2, 30, 5))
+
+    @pytest.mark.parametrize("argv", [
+        ("jet", "--expr", "z1*z2", "--order", "4"),
+        ("slice", "--series-file", "S.txt", "--a", "1,0 0,0"),
+        ("psh", "--family", "S.txt"),
+    ], ids=lambda a: a[0])
+    def test_seed_rejected_where_unused(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 2
+        assert "--seed" in err
 
 
 class TestDeterminism:

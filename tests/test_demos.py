@@ -1,0 +1,19 @@
+"""Every narrative demo runs to completion in-process and prints its tour."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos")
+               .glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 7
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

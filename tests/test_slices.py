@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from forelli_lab import (CertificateError, Direction, FormalSeries,
+from forelli_lab import (CertificateError, ChartPoly, Direction, FormalSeries,
                          NotHolomorphicTypeError, certify_polydisc,
                          chart_poly_family, radius_root_test, slice_series)
 
@@ -202,3 +203,188 @@ class TestCertificate:
         a = certify_polydisc(S, 0.5, 10, seed=7)
         b = certify_polydisc(S, 0.5, 10, seed=7)
         assert a.M == b.M and a.r_prime == b.r_prime
+
+
+# -- reference loops -------------------------------------------------------
+# Plain term-by-term, point-by-point evaluations to check the monomial
+# kernel against.  The kernel multiplies and sums in another order, so values
+# agree to a rounding bound fixed in advance: (terms + degree + 2) * eps
+# times the sum of the moduli of the terms.
+
+EPS = np.finfo(float).eps
+
+
+def ref_terms(coeffs, point):
+    """[c * prod x_j^e_j for each (exponent, c)] at one point."""
+    out = []
+    for beta, c in coeffs:
+        term = complex(c)
+        for x, e in zip(point, beta):
+            if e:
+                term *= complex(x) ** e
+        out.append(term)
+    return out
+
+
+def ref_chart_poly(p, b):
+    """P(b) one point at a time; one chart variable takes bare points."""
+    b = np.asarray(b, dtype=complex)
+    lead = b.shape if p.nvars == 1 else b.shape[:-1]
+    pts = b.reshape(lead + (p.nvars,))
+    vals = np.zeros(lead, dtype=complex)
+    bound = np.zeros(lead)
+    for idx in np.ndindex(*lead):
+        terms = ref_terms(p.coeffs, pts[idx])
+        vals[idx] = sum(terms, 0j)
+        bound[idx] = sum(abs(t) for t in terms)
+    return vals, (len(p.coeffs) + p.degree + 2) * EPS * bound
+
+
+def ref_slice(S, a):
+    N = S.max_order
+    coeffs = np.zeros((N + 1, N + 1), dtype=complex)
+    scale = np.zeros((N + 1, N + 1))
+    point = tuple(a) + tuple(np.conj(a))
+    for (I, J), c in S.items():
+        (w,) = ref_terms([(I + J, c)], point)
+        coeffs[sum(I), sum(J)] += w
+        scale[sum(I), sum(J)] += abs(w)
+    return coeffs, (len(S) + 2 * N + 2) * EPS * scale
+
+
+def ref_certificate(S, r0, K, sample_count=64, margin=0.05, angular_grid=48,
+                    check_points=20, seed=42):
+    """(M, r_prime, max_block_ratio) by the sampled per-point loops."""
+    family = chart_poly_family(S, K)
+    n, nv = S.n, S.n - 1
+    rng = np.random.default_rng(seed)
+    samples = [()]
+    if nv:
+        angles = 2.0 * np.pi * np.arange(angular_grid) / angular_grid
+        samples = [tuple(2.0 * r0 * np.exp(1j * t) for t in combo)
+                   for combo in itertools.product(angles, repeat=nv)]
+        radii = 2.0 * r0 * np.sqrt(rng.random((sample_count, nv)))
+        phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
+        samples += [tuple(z) for z in radii * phases]
+    M = 1.0 + margin
+    for k in range(1, K + 1):
+        pk = family.polys[k]
+        vmax = max(abs(sum(ref_terms(pk.coeffs, b), 0j)) for b in samples)
+        if pk.coeffs and vmax > 0:
+            M = max(M, vmax ** (1.0 / k))
+    r_prime = (1.0 / (2.0 * M),) + (r0 / (2.0 * M),) * (n - 1)
+    for (I, _J), c in S.items():
+        k = sum(I)
+        beta_order = k - I[0]
+        bound = M ** k * r0 ** (-beta_order)
+        if 1 <= k <= K and abs(c) > bound:
+            raise CertificateError(
+                f"Cauchy bound violated at z^{I}: |{abs(c):.6g}| > "
+                f"M^{k} r0^-{beta_order} = {bound:.6g}; "
+                "increase K or the boundary sampling")
+    pts = []
+    for _ in range(check_points):
+        radii = np.array(r_prime) * np.sqrt(rng.random(n))
+        pts.append(radii * np.exp(2j * np.pi * rng.random(n)))
+    max_ratio = 0.0
+    for z in pts:
+        for k in range(1, K + 1):
+            total = sum(abs(c) * float(np.prod(np.abs(z) ** np.array(I)))
+                        for (I, _J), c in S.terms_of_order(k).items())
+            bound = k ** n * 2.0 ** (-k)
+            if total >= bound:
+                raise CertificateError(
+                    f"order-{k} block sum {total:.6g} >= k^n 2^-k = "
+                    f"{bound:.6g} at z={z}; certificate refused")
+            max_ratio = max(max_ratio, total / bound)
+    return M, r_prime, max_ratio
+
+
+def exp_sum_series(n, N):
+    """Truncation of exp(z_1 + ... + z_n)."""
+    terms = {(I, (0,) * n): 1.0 / math.prod(math.factorial(i) for i in I)
+             for I in itertools.product(range(N + 1), repeat=n)
+             if sum(I) <= N}
+    return FormalSeries(n, N, terms)
+
+
+class TestKernelAgainstLoops:
+    @staticmethod
+    def poly(rng, nvars, degree=6):
+        betas = [b for b in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(b) <= degree]
+        return ChartPoly.from_dict(nvars, {
+            b: complex(rng.standard_normal(), rng.standard_normal())
+            for b in betas})
+
+    @pytest.mark.parametrize("nvars, point, batch", [
+        (0, (), (5, 0)),
+        (1, 0.7 - 0.4j, (4, 3)),
+        (2, (0.5 + 0.5j, -1.2), (2, 3, 2)),
+    ])
+    def test_chart_poly(self, rng, nvars, point, batch):
+        p = self.poly(rng, nvars)
+        pts = (rng.standard_normal(batch)
+               + 1j * rng.standard_normal(batch)) if nvars else np.zeros(batch)
+        for b in (point, pts):
+            got = p(b)
+            want, tol = ref_chart_poly(p, b)
+            assert np.shape(got) == want.shape
+            assert np.all(np.abs(got - want) <= tol)
+
+    def test_empty_chart_poly_is_zero(self):
+        p = ChartPoly.from_dict(2, {})
+        assert np.array_equal(p(np.ones((3, 2))), np.zeros(3))
+
+    def test_chart_poly_rejects_wrong_last_axis(self, rng):
+        with pytest.raises(ValueError):
+            self.poly(rng, 2)(np.ones((4, 3)))
+
+    def test_slice_of_mixed_series(self, rng):
+        S = random_series(rng, 3, 7, num_terms=40)
+        assert not S.is_holomorphic_type()
+        a = (0.8 - 0.3j, -0.5 + 1.1j, 0.25j)
+        want, tol = ref_slice(S, a)
+        got = slice_series(S, a).coeffs
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.array_equal(got == 0, want == 0)
+
+    def test_values_at_point_array(self, rng):
+        S = random_series(rng, 3, 8, num_terms=60, holomorphic=True)
+        fam = chart_poly_family(S, 8)
+        B = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
+        vals = fam.values_at(B)
+        assert vals.shape == (fam.K + 1, 25)
+        for k, p in enumerate(fam.polys):
+            want, tol = ref_chart_poly(p, B)
+            assert np.all(np.abs(vals[k] - want) <= tol)
+
+    @pytest.mark.parametrize("S, r0, K", [
+        (exp_sum_series(1, 10), 0.5, 10),
+        (exp_sum_series(2, 10), 0.5, 10),
+        (geometric_product_series(n_max=8, max_order=8), 1, 8),
+        (exp_sum_series(3, 7), 0.4, 7),
+    ], ids=["n1-exp", "n2-exp", "n2-geometric-int-r0", "n3-exp"])
+    def test_certificate(self, S, r0, K):
+        M, r_prime, max_ratio = ref_certificate(S, r0, K, seed=11)
+        cert = certify_polydisc(S, r0, K, seed=11)
+        assert cert.M == pytest.approx(M, rel=1e-12)
+        assert cert.r_prime == pytest.approx(r_prime, rel=1e-12)
+        assert max_ratio > 0
+        assert cert.diagnostics["max_block_ratio"] == pytest.approx(
+            max_ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["cauchy", "block"])
+    def test_refusal_message(self, case):
+        # (z2 - z1)^6 fails the Cauchy check (a); z1 - z2 vanishes at the
+        # single boundary sample, so M = 1 passes (a) and check (b) refuses
+        z1, z2 = (FormalSeries.variable(k, 2, 8) for k in (1, 2))
+        S = (z2 - z1) ** 6 if case == "cauchy" else z1 - z2
+        kwargs = dict(sample_count=0, angular_grid=1, margin=0.0)
+        with pytest.raises(CertificateError) as want:
+            ref_certificate(S, 0.5, 8, **kwargs)
+        with pytest.raises(CertificateError) as got:
+            certify_polydisc(S, 0.5, 8, **kwargs)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "Cauchy bound" if case == "cauchy" else "order-1 block sum")
