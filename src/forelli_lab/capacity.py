@@ -211,6 +211,65 @@ def cap1d_transfinite(E: CompactSet1D, m: int) -> CapacityEstimate:
 # -- several variables: extremal-function machinery ---------------------------
 
 
+def _trial_family(E: np.ndarray, degree: int, trials: int, seed: int):
+    """The z-independent trial polynomials of ``siciak_lower_bound``.
+
+    Returns d and two lists of (polynomial, sup over E) pairs: affine
+    forms (a, c0) and the degree-<= d family (coefficients in one
+    variable, rows of linear forms in several).  Polynomials whose sup
+    over E is 0 are kept, so that the draws stay in order.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(degree)
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    nv = E.shape[1]
+    forms = []
+    for _ in range(trials // 2):
+        a = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
+        c0 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.3
+        forms.append(((a, c0), float(np.abs(E @ a + c0).max())))
+    polys = []
+    for _ in range(trials - trials // 2):
+        if nv == 1:
+            deg = int(rng.integers(1, d + 1))
+            p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], p))
+        else:
+            p = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
+            on_E = np.abs(np.prod(E @ p.T, axis=1))
+        polys.append((p, float(on_E.max())))
+    return d, forms, polys
+
+
+def _growth_bound(E: np.ndarray, z: np.ndarray, family) -> float:
+    """``siciak_lower_bound`` at z from a precomputed ``_trial_family``."""
+    d, forms, polys = family
+    best = -math.inf
+    nz = float(np.linalg.norm(z))
+    # trial family 1: d-th powers of affine-linear forms; for p = lin^d the
+    # normalization (1/d)(log|p| - log sup|p|) collapses to the linear ratio
+    if nz > 0:
+        a = np.conj(z) / nz
+        forms = [((a, 0j), float(np.abs(E @ a + 0j).max()))] + forms
+    for (a, c0), supE in forms:
+        at_z = abs(complex(z @ a) + c0)
+        if supE == 0 or at_z == 0:
+            continue
+        best = max(best, math.log(at_z) - math.log(supE))
+    # trial family 2: random-coefficient polynomials of degree <= d
+    # (univariate) or products of d random linear forms (several variables)
+    for p, supE in polys:
+        if p.ndim == 1:
+            at_z = abs(np.polynomial.polynomial.polyval(complex(z[0]), p))
+        else:
+            at_z = abs(complex(np.prod(z @ p.T)))
+        if supE == 0 or at_z == 0:
+            continue
+        best = max(best, (math.log(at_z) - math.log(supE)) / d)
+    return best if np.isfinite(best) else -math.inf
+
+
 def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
                        seed: int = 42) -> float:
     """Lower bound for the extremal growth function V_E(z).
@@ -222,49 +281,9 @@ def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
     """
     E = np.atleast_2d(np.asarray(E_samples, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    nv = E.shape[1]
-    if z.shape[0] != nv:
+    if z.shape[0] != E.shape[1]:
         raise ValueError("z and E live in different dimensions")
-    rng = np.random.default_rng(seed)
-    d = int(degree)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-
-    best = -math.inf
-    nz = float(np.linalg.norm(z))
-    # trial family 1: d-th powers of affine-linear forms; for p = lin^d the
-    # normalization (1/d)(log|p| - log sup|p|) collapses to the linear ratio
-    forms = []
-    if nz > 0:
-        forms.append((np.conj(z) / nz, 0j))
-    for _ in range(trials // 2):
-        a = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
-        c0 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.3
-        forms.append((a, c0))
-    for a, c0 in forms:
-        on_E = np.abs(E @ a + c0)
-        at_z = abs(complex(z @ a) + c0)
-        supE = float(on_E.max())
-        if supE == 0 or at_z == 0:
-            continue
-        best = max(best, math.log(at_z) - math.log(supE))
-    # trial family 2: random-coefficient polynomials of degree <= d
-    # (univariate) or products of d random linear forms (several variables)
-    for _ in range(trials - trials // 2):
-        if nv == 1:
-            deg = int(rng.integers(1, d + 1))
-            coef = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], coef))
-            at_z = abs(np.polynomial.polynomial.polyval(complex(z[0]), coef))
-        else:
-            A = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
-            on_E = np.abs(np.prod(E @ A.T, axis=1))
-            at_z = abs(complex(np.prod(z @ A.T)))
-        supE = float(on_E.max())
-        if supE == 0 or at_z == 0:
-            continue
-        best = max(best, (math.log(at_z) - math.log(supE)) / d)
-    return best if np.isfinite(best) else -math.inf
+    return _growth_bound(E, z, _trial_family(E, degree, trials, seed))
 
 
 def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
@@ -275,7 +294,8 @@ def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
 
     gamma is estimated as the max over probe shells ||z|| = R and sampled
     directions of (V_lb(z) - log ||z||).  Estimates are one-sided in the
-    V_E sense; downstream uses only need positivity.
+    V_E sense; downstream uses only need positivity.  The trial
+    polynomials and their sups over E are built once for all probes.
     """
     probe_radii = tuple(float(r) for r in probe_radii)
     if not probe_radii or max(probe_radii) < 10.0:
@@ -288,11 +308,11 @@ def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
     dirs = rng.standard_normal((directions, nv)) + 1j * rng.standard_normal(
         (directions, nv))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    family = _trial_family(E, degree, trials, seed) if len(dirs) else None
     gamma = -math.inf
     for R in probe_radii:
         for w in dirs:
-            z = R * w
-            vlb = siciak_lower_bound(E, z, degree, trials, seed=seed)
+            vlb = _growth_bound(E, R * w, family)
             gamma = max(gamma, vlb - math.log(R))
     value = math.exp(-gamma) if np.isfinite(gamma) else 0.0
     return CapacityEstimate(value, "SiciakExtremal", E.shape[0],
@@ -327,6 +347,32 @@ def chart_points(directions) -> Tuple[np.ndarray, int]:
     return V[:, 1:] / V[:, 0:1], dropped
 
 
+#: Largest number of shell steps, in units of the resolution h.
+MAX_SHELL_STEPS = 64
+#: Most shell points one KD-tree query holds; larger temporaries (about
+#: 0.5 MB and up) make glibc raise its mmap threshold when freed, which
+#: changes how the rest of the process allocates.
+SHELL_QUERY_POINTS = 4096
+
+
+def _covered(tree, centers: np.ndarray, shell: np.ndarray, cover: float
+             ) -> np.ndarray:
+    """Per center c, whether every point c + shell has a sample within cover.
+
+    Queries at most SHELL_QUERY_POINTS points at a time.  The search is
+    cut a hair above cover: a point with no sample that near gets an
+    infinite distance, which the test reads the same as any beyond cover.
+    """
+    per_query = max(1, SHELL_QUERY_POINTS // max(1, len(shell)))
+    out = []
+    for s in range(0, len(centers), per_query):
+        points = centers[s:s + per_query, None, :] + shell
+        dist = tree.query(points.reshape(-1, shell.shape[-1]),
+                          distance_upper_bound=cover * (1 + 1e-9))[0]
+        out.append(~np.any(dist.reshape(points.shape[:2]) > cover, axis=1))
+    return np.concatenate(out)
+
+
 def normality_check(directions, *, max_centers: int = 128,
                     shell_directions: int = 16, cover_factor: float = 2.0
                     ) -> NormalityCheck:
@@ -341,6 +387,13 @@ def normality_check(directions, *, max_centers: int = 128,
     directions for the resolution estimate to mean anything.  In n = 1
     the chart space is a single point, which any nonempty direction set
     covers; the check then passes with radius and resolution 0.
+
+    The shells grow in steps of the resolution h, up to MAX_SHELL_STEPS,
+    for all centers at once: each step queries the shells of the centers
+    still live, at most SHELL_QUERY_POINTS points per KD-tree query, and
+    a center leaves at its first shell that is not covered.  Its radius
+    is then the last step all of whose shells were covered; the result
+    names the first center with the largest radius.
     """
     U = np.atleast_2d(np.asarray(directions))
     if U.shape[1] == 1:
@@ -372,18 +425,21 @@ def normality_check(directions, *, max_centers: int = 128,
 
     centers = X[:: max(1, len(X) // max_centers)]
     cover = cover_factor * h
+    radii = np.zeros(len(centers))
+    live = np.arange(len(centers))     # centers whose shells are all covered
+    for j in range(1, MAX_SHELL_STEPS + 1):
+        R = j * h
+        live = live[_covered(tree, centers[live], R * dirs, cover)]
+        # for even j, 0.5 * R equals (j // 2) * h exactly, and every live
+        # center passed that shell at step j // 2
+        if j % 2 and live.size:
+            live = live[_covered(tree, centers[live], 0.5 * R * dirs, cover)]
+        if not live.size:
+            break
+        radii[live] = R
     best_radius = 0.0
     best_center = None
-    max_steps = 64
-    for c in centers:
-        radius = 0.0
-        for j in range(1, max_steps + 1):
-            R = j * h
-            shells = np.concatenate([c + 0.5 * R * dirs, c + R * dirs])
-            dist = tree.query(shells)[0]
-            if np.any(dist > cover):
-                break
-            radius = R
+    for c, radius in zip(centers, radii.tolist()):
         if radius > best_radius:
             best_radius = radius
             best_center = c

@@ -292,7 +292,7 @@ def _cmd_pencil_check(args) -> int:
         [{"name": "disc_residuals",
           "status": "pass" if result.passed else "fail",
           "details": {"worst_residual": worst,
-                      "discs": len(result.residuals)}}],
+                      "discs": len(result.residuals), **result.evidence()}}],
         {"passed": result.passed, "worst_residual": worst})
     lines = [f"checked {len(result.residuals)} discs; worst residual "
              f"{worst:.3g} (tol {args.tol:g})",

@@ -170,12 +170,13 @@ def _angular_graph(directions: np.ndarray, k: int = 8) -> List[np.ndarray]:
     X = _realify(directions)
     kk = min(k + 1, M)
     _, idx = cKDTree(X).query(X, k=kk)
-    neigh = [set() for _ in range(M)]
-    for i in range(M):
-        for j in idx[i][1:]:
-            neigh[i].add(int(j))
-            neigh[int(j)].add(i)
-    return [np.array(sorted(s), dtype=int) for s in neigh]
+    i = np.repeat(np.arange(M), kk - 1)
+    j = idx[:, 1:].ravel()
+    # each k-NN pair in both orders, as sorted unique codes row * M + column
+    code = np.unique(np.concatenate([i * M + j, j * M + i]))
+    rows, cols = np.divmod(code, M)
+    ends = np.cumsum(np.bincount(rows, minlength=M))
+    return np.split(cols, ends[:-1])
 
 
 def standard_pencil(n: int, U) -> PencilSpec:
@@ -322,32 +323,106 @@ class PencilHoloResult:
     passed: bool
 
     def worst(self) -> float:
-        vals = [r.residual for r in self.residuals if r.error is None]
-        return max(vals, default=math.nan)
+        disc = self.worst_disc()
+        return math.nan if disc is None else disc.residual
+
+    def worst_disc(self) -> Optional[DiscResidual]:
+        """The first error-free disc with the largest residual, if any."""
+        clean = [r for r in self.residuals if r.error is None]
+        if not clean:
+            return None
+        return clean[int(np.argmax([r.residual for r in clean]))]
+
+    def evidence(self) -> dict:
+        """Report details: where the worst disc is, and how many failed."""
+        disc = self.worst_disc()
+        return {"worst_direction_index":
+                    None if disc is None else disc.direction_index,
+                "worst_radius": None if disc is None else disc.radius,
+                "discs_with_error":
+                    sum(r.error is not None for r in self.residuals)}
+
+
+#: Most samples (discs x points per disc) that one batched disc
+#: evaluation holds.  Freeing a block of about 0.5 MB or more makes glibc
+#: raise its mmap threshold, which changes how the rest of the process
+#: allocates; 4096 complex samples per array stay well below that.
+DISC_CHUNK_SAMPLES = 4096
+
+
+def _single_disc(func, P: PencilSpec, i: int, rho, modes: int) -> DiscResidual:
+    """One disc through ``disc_holo_residual``; a failure becomes its error."""
+    entry = DiscResidual(i, tuple(P.directions[i]), float(rho), math.nan)
+    try:
+        g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
+        entry.residual = disc_holo_residual(g, rho, modes)
+    except Exception as exc:       # per-disc failures are non-fatal
+        entry.error = str(exc)
+    return entry
+
+
+def _chunk_residuals(func, P: PencilSpec, di: np.ndarray, lam: np.ndarray):
+    """``disc_holo_residual`` of the discs (directions di, samples lam).
+
+    Returns the residuals and a per-disc all-finite mask, or None when
+    the batched evaluation raises.
+    """
+    U = np.broadcast_to(P.directions[di][:, None, :], lam.shape + (P.n,))
+    try:
+        vals = np.asarray(func(tuple(np.moveaxis(P.map_batch(lam, U), -1, 0))),
+                          dtype=complex)
+        vals = np.broadcast_to(vals, lam.shape)
+    except Exception:              # the caller redoes the chunk disc by disc
+        return None
+    finite = np.isfinite(vals).all(axis=-1)
+    if not finite.all():
+        # the caller redoes these discs; keep their inf and nan out of the FFT
+        vals = np.where(finite[:, None], vals, 0)
+    count = lam.shape[-1]
+    c = np.fft.fft(vals, axis=-1) / count
+    res = (np.abs(c[:, count // 2:]).max(axis=-1)
+           / np.fmax(1.0, np.abs(c).max(axis=-1)))
+    return res, finite
 
 
 def check_holo_along_pencil(f, P: PencilSpec,
                             rho_schedule: Sequence[float] = (0.3, 0.6, 0.9),
                             tol: float = 1e-8, modes: int = 16
                             ) -> PencilHoloResult:
-    """Residual of lambda -> f(map(lambda, u)) per direction and radius."""
+    """Residual of lambda -> f(map(lambda, u)) per direction and radius.
+
+    Every entry is what ``disc_holo_residual`` gives on that disc alone,
+    but the discs are evaluated in chunks of at most DISC_CHUNK_SAMPLES
+    samples: one map call, one f call and one row FFT per chunk.  f must
+    therefore act pointwise on coordinate arrays of any shape.  A chunk
+    whose evaluation raises, and a disc with non-finite samples, go
+    through the one-disc path, so an error stays with its own disc and
+    keeps its message.
+    """
     from .expr import as_callable
     func = as_callable(f, P.n)
-    out = []
-    ok = True
-    for i in range(P.num_directions):
-        for rho in rho_schedule:
-            entry = DiscResidual(i, tuple(P.directions[i]), float(rho),
-                                 math.nan)
-            try:
-                g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
-                entry.residual = disc_holo_residual(g, rho, modes)
-                if not entry.residual <= tol:
-                    ok = False
-            except Exception as exc:       # per-disc failures are non-fatal
-                entry.error = str(exc)
-                ok = False
-            out.append(entry)
+    radii = list(rho_schedule)
+    discs = [(i, r) for i in range(P.num_directions) for r in range(len(radii))]
+    if modes < 16:                 # every disc reports the modes error
+        out = [_single_disc(func, P, i, radii[r], modes) for i, r in discs]
+    else:
+        count = 4 * modes
+        lam_table = (np.asarray(radii, dtype=float)[:, None]
+                     * np.exp(2j * np.pi * np.arange(count) / count))
+        step = max(1, DISC_CHUNK_SAMPLES // count)
+        units = [tuple(u) for u in P.directions]
+        out = []
+        for start in range(0, len(discs), step):
+            part = discs[start:start + step]
+            di, ri = np.array(part, dtype=int).T
+            batch = _chunk_residuals(func, P, di, lam_table[ri])
+            res, finite = ((None, [False] * len(part)) if batch is None
+                           else (batch[0].tolist(), batch[1].tolist()))
+            for k, (i, r) in enumerate(part):
+                out.append(DiscResidual(i, units[i], float(radii[r]), res[k])
+                           if finite[k] else
+                           _single_disc(func, P, i, radii[r], modes))
+    ok = all(e.error is None and e.residual <= tol for e in out)
     return PencilHoloResult(out, tol, ok)
 
 

@@ -134,7 +134,7 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
         stages.append(Stage(
             "disc_holomorphy", PASS if holo.passed else FAIL,
             {"worst_residual": worst, "tol": cfg.disc_tol,
-             "discs_checked": len(holo.residuals)}))
+             "discs_checked": len(holo.residuals), **holo.evidence()}))
         if not holo.passed:
             failures.append("hypothesis (2) fails: some disc has "
                             f"antiholomorphic residual {worst:.3g}")

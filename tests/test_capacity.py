@@ -7,6 +7,8 @@ from forelli_lab import (CapacityEstimate, ChartUndecidableError,
                          CompactSet1D, cap1d_transfinite, cap_siciak, energy,
                          leja_points, normality_check, siciak_lower_bound,
                          sphere_directions, cap_directions)
+from forelli_lab.capacity import chart_points
+from forelli_lab.pencil import _realify
 
 
 class TestEnergy:
@@ -125,6 +127,86 @@ class TestSiciak:
             cap_siciak(self.disc_samples(1.0), probe_radii=(2.0, 5.0))
 
 
+def siciak_one_probe(E_samples, z, degree, trials=200, *, seed=42):
+    """The per-probe body of siciak_lower_bound before its trial
+    polynomials were shared between probes."""
+    E = np.atleast_2d(np.asarray(E_samples, dtype=complex))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    nv = E.shape[1]
+    rng = np.random.default_rng(seed)
+    d = int(degree)
+    best = -math.inf
+    nz = float(np.linalg.norm(z))
+    forms = []
+    if nz > 0:
+        forms.append((np.conj(z) / nz, 0j))
+    for _ in range(trials // 2):
+        a = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
+        c0 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.3
+        forms.append((a, c0))
+    for a, c0 in forms:
+        on_E = np.abs(E @ a + c0)
+        at_z = abs(complex(z @ a) + c0)
+        supE = float(on_E.max())
+        if supE == 0 or at_z == 0:
+            continue
+        best = max(best, math.log(at_z) - math.log(supE))
+    for _ in range(trials - trials // 2):
+        if nv == 1:
+            deg = int(rng.integers(1, d + 1))
+            coef = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], coef))
+            at_z = abs(np.polynomial.polynomial.polyval(complex(z[0]), coef))
+        else:
+            A = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
+            on_E = np.abs(np.prod(E @ A.T, axis=1))
+            at_z = abs(complex(np.prod(z @ A.T)))
+        supE = float(on_E.max())
+        if supE == 0 or at_z == 0:
+            continue
+        best = max(best, (math.log(at_z) - math.log(supE)) / d)
+    return best if np.isfinite(best) else -math.inf
+
+
+class TestSiciakSharedTrials:
+    """Sharing the trial polynomials between probes changes no bit."""
+
+    @staticmethod
+    def cloud(nv, m=120, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, nv)) + 1j * rng.standard_normal((m, nv))
+
+    @pytest.mark.parametrize("nv", [1, 2, 3])
+    def test_lower_bound_matches_per_probe_body(self, nv):
+        E = self.cloud(nv)
+        for z in (E[3], 5.0 * E[7], np.zeros(nv), np.full(nv, 40.0 + 3j)):
+            for degree, trials in ((16, 60), (4, 1)):
+                assert siciak_lower_bound(E, z, degree, trials) \
+                    == siciak_one_probe(E, z, degree, trials)
+
+    @pytest.mark.parametrize("nv", [1, 2, 3])
+    def test_cap_siciak_matches_per_probe_loop(self, nv):
+        E = self.cloud(nv)
+        degree, trials, probe_radii, seed = 12, 40, (10.0, 30.0, 100.0), 42
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((8, nv)) + 1j * rng.standard_normal((8, nv))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        gamma = -math.inf
+        for R in probe_radii:
+            for w in dirs:
+                vlb = siciak_one_probe(E, R * w, degree, trials, seed=seed)
+                gamma = max(gamma, vlb - math.log(R))
+        est = cap_siciak(E, degree=degree, trials=trials)
+        assert est.diagnostics["gamma"] == gamma
+        assert est.value == math.exp(-gamma)
+
+    def test_degree_checked_only_when_probing(self):
+        E = self.cloud(2)
+        with pytest.raises(ValueError, match="degree"):
+            cap_siciak(E, degree=0)
+        assert cap_siciak(E, degree=0, directions=0).value == 0.0
+
+
 class TestNormalityCheck:
     def test_full_sphere(self):
         U = sphere_directions(2, 400, seed=1)
@@ -177,3 +259,69 @@ class TestNormalityCheck:
         res = normality_check(U)
         assert res.is_normal_sufficient
         assert res.radius > 0
+
+
+def normality_one_center_at_a_time(directions, *, max_centers=128,
+                                   shell_directions=16, cover_factor=2.0):
+    """The per-center loop that the batched shell steps replaced
+    (returns center, radius, resolution)."""
+    from scipy.spatial import cKDTree
+    B, _ = chart_points(directions)
+    X = _realify(B)
+    dim = X.shape[1]
+    tree = cKDTree(X)
+    nn = tree.query(X[:min(len(X), 512)], k=2)[0][:, 1]
+    h = float(np.median(nn))
+    if h == 0:
+        h = float(np.mean(nn)) or 1e-12
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((shell_directions * dim, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    centers = X[:: max(1, len(X) // max_centers)]
+    cover = cover_factor * h
+    best_radius, best_center = 0.0, None
+    for c in centers:
+        radius = 0.0
+        for j in range(1, 65):
+            R = j * h
+            shells = np.concatenate([c + 0.5 * R * dirs, c + R * dirs])
+            if np.any(tree.query(shells)[0] > cover):
+                break
+            radius = R
+        if radius > best_radius:
+            best_radius, best_center = radius, c
+    center = (None if best_center is None else
+              tuple(complex(a, b) for a, b in best_center.reshape(-1, 2)))
+    return center, best_radius, h
+
+
+class TestNormalityAgainstCenterLoop:
+    @pytest.mark.parametrize("n,M,seed", [(2, 100, 0), (2, 400, 1), (2, 1000, 2),
+                                          (3, 100, 3), (3, 300, 4), (3, 1000, 5)])
+    def test_sphere(self, n, M, seed):
+        U = sphere_directions(n, M, seed=seed)
+        res = normality_check(U)
+        assert (res.center, res.radius, res.resolution) \
+            == normality_one_center_at_a_time(U)
+        assert res.diagnostics["capacity_lower_bound"] == (
+            res.radius if res.is_normal_sufficient else 0.0)
+
+    @pytest.mark.parametrize("n,theta,M", [(2, 0.2, 500), (2, 0.6, 150),
+                                           (3, 0.3, 400)])
+    def test_cap_and_settings(self, n, theta, M):
+        U = cap_directions(n, theta, M, seed=M)
+        for kw in ({}, {"max_centers": 7}, {"shell_directions": 3},
+                   {"cover_factor": 1.2}, {"cover_factor": 4.0}):
+            res = normality_check(U, **kw)
+            assert (res.center, res.radius, res.resolution) \
+                == normality_one_center_at_a_time(U, **kw), kw
+
+    def test_shell_point_exactly_at_cover_is_covered(self):
+        from scipy.spatial import cKDTree
+        from forelli_lab.capacity import _covered
+        tree = cKDTree(np.array([[0.0, 0.0], [10.0, 0.0]]))
+        shell = np.array([[0.75, 0.0], [0.0, -0.75]])
+        center = np.zeros((1, 2))
+        assert _covered(tree, center, shell, 0.75).tolist() == [True]
+        assert _covered(tree, center, shell,
+                        np.nextafter(0.75, 0.0)).tolist() == [False]

@@ -72,6 +72,34 @@ class TestExitCodes:
         assert "FAIL" in out
 
 
+class TestDiscEvidence:
+    """The disc stages name their worst disc and count failed discs."""
+
+    def test_pencil_check_names_worst_disc(self, capsys):
+        code, out, _ = run_cli(capsys, "pencil-check", "--expr",
+                               "1/(z1-0.3)", "--directions", "sphere:40",
+                               "--json")
+        assert code == 1
+        validate(out)
+        details = json.loads(out)["stages"][0]["details"]
+        assert details["discs"] == 120 and details["discs_with_error"] == 0
+        assert 0 <= details["worst_direction_index"] < 40
+        assert details["worst_radius"] in (0.3, 0.6, 0.9)
+        assert details["worst_residual"] >= 0.5
+
+    def test_analyze_disc_stage_evidence(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "conj(z1)+z2",
+                               "--order", "4", "--directions", "sphere:100",
+                               "--json")
+        assert code == 1
+        stage = [s for s in json.loads(out)["stages"]
+                 if s["name"] == "disc_holomorphy"][0]
+        assert stage["status"] == "fail"
+        assert stage["details"]["worst_radius"] == 0.9
+        assert stage["details"]["discs_with_error"] == 0
+        assert isinstance(stage["details"]["worst_direction_index"], int)
+
+
 class TestDirectionPresets:
     @pytest.mark.parametrize("preset", ["cap", "torus:30"])
     def test_bad_pencil_preset_is_usage_error(self, capsys, tmp_path, preset):

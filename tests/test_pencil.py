@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from forelli_lab import (DegenerateNormalizationError, KData,
                          parse, pencil_from_exprs, sphere_directions,
                          standard_pencil, standard_subpencil_radius,
                          tilde_normalize)
-from forelli_lab.pencil import wirtinger_dbar
+from forelli_lab.expr import as_callable
+from forelli_lab.pencil import DISC_CHUNK_SAMPLES, _angular_graph, wirtinger_dbar
 
 TWIST = ["l*u1", "l*u2 + l^2*conj(u1)*u2"]
 
@@ -92,6 +95,150 @@ class TestCheckAlongPencil:
                                       tol=1e-9).worst()
         assert sq <= base + 1e-9
         assert aff <= base + 1e-9
+
+
+def one_disc_at_a_time(f, P, rho_schedule=(0.3, 0.6, 0.9), modes=16):
+    """The per-disc loop that the batched disc check replaced."""
+    func = as_callable(f, P.n)
+    out = []
+    for i in range(P.num_directions):
+        for rho in rho_schedule:
+            try:
+                g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
+                out.append((i, float(rho), disc_holo_residual(g, rho, modes),
+                            None))
+            except Exception as exc:
+                out.append((i, float(rho), math.nan, str(exc)))
+    return out
+
+
+def assert_same_discs(result, reference, P):
+    got = [(d.direction_index, d.radius, d.residual, d.error)
+           for d in result.residuals]
+    assert len(got) == len(reference)
+    for g, r in zip(got, reference):
+        assert g[0] == r[0] and g[1] == r[1] and g[3] == r[3]
+        assert g[2] == r[2] or (math.isnan(g[2]) and math.isnan(r[2])), (g, r)
+    for d in result.residuals:
+        assert d.direction == tuple(P.directions[d.direction_index])
+    assert result.passed == all(e is None and res <= result.tol
+                                for _, _, res, e in reference)
+
+
+@pytest.fixture(scope="module")
+def with_e1(sphere150):
+    """The sphere sample with (1, 0) inserted at index 17."""
+    return np.insert(sphere150, 17, [1.0, 0.0], axis=0)
+
+
+class TestBatchedAgainstOneDisc:
+    """Batched chunks must give each disc exactly its one-disc result."""
+
+    @pytest.mark.parametrize("expr", ["exp(z1+z2)", "conj(z1)", "1/(z1-0.3)",
+                                      "z1^2*z2*conj(z1)/normsq(z)",
+                                      "exp(800*z1)"])
+    @pytest.mark.parametrize("kind", ["standard", "twisted"])
+    def test_bit_identical(self, with_e1, kind, expr):
+        P = (standard_pencil(2, with_e1) if kind == "standard"
+             else pencil_from_exprs(2, TWIST, with_e1))
+        # 151 directions x 3 radii: several chunks, one boundary inside a
+        # direction's radii
+        assert 3 * P.num_directions > DISC_CHUNK_SAMPLES // 64
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = check_holo_along_pencil(parse(expr), P)
+            ref = one_disc_at_a_time(parse(expr), P)
+        assert_same_discs(res, ref, P)
+
+    def test_exact_zero_errors_only_its_disc(self, with_e1):
+        P = standard_pencil(2, with_e1)
+        res = check_holo_along_pencil(parse("1/(z1-0.3)"), P)
+        errors = [(d.direction_index, d.radius, d.error)
+                  for d in res.residuals if d.error is not None]
+        assert errors == [(17, 0.3, "division by zero in 'z1-0.3'")]
+        assert res.evidence()["discs_with_error"] == 1
+
+    def test_overflow_is_a_non_finite_error(self, with_e1):
+        P = standard_pencil(2, with_e1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = check_holo_along_pencil(parse("exp(800*z1)"), P)
+        errors = [(d.direction_index, d.error)
+                  for d in res.residuals if d.error is not None]
+        assert (17, "non-finite disc samples at radius 0.9") in errors
+        assert not res.passed
+
+    def test_too_few_modes_errors_every_disc(self, standard):
+        res = check_holo_along_pencil(parse("z1"), standard, modes=8)
+        assert all(d.error == "modes must be >= 16" for d in res.residuals)
+        assert len(res.residuals) == 3 * standard.num_directions
+        assert res.worst_disc() is None and math.isnan(res.worst())
+        assert_same_discs(res, one_disc_at_a_time(parse("z1"), standard,
+                                                  modes=8), standard)
+
+    def test_other_modes_and_radii(self, twisted):
+        f = parse("exp(z1)*z2 + conj(z2)^2")
+        radii = (0.2, 1.0, 2.5, 0.7)
+        res = check_holo_along_pencil(f, twisted, radii, modes=40)
+        assert_same_discs(res, one_disc_at_a_time(f, twisted, radii, 40),
+                          twisted)
+
+    def test_plain_callable(self, standard):
+        f = lambda z: np.exp(z[0]) * z[1] ** 2 + 0.5 * np.conj(z[1])
+        assert_same_discs(check_holo_along_pencil(f, standard),
+                          one_disc_at_a_time(f, standard), standard)
+
+    def test_callable_that_only_takes_one_disc(self, standard):
+        def f(z):
+            if np.ndim(z[0]) != 1:
+                raise TypeError("one disc at a time")
+            return np.sin(z[0]) + z[1]
+        assert_same_discs(check_holo_along_pencil(f, standard),
+                          one_disc_at_a_time(f, standard), standard)
+
+    def test_worst_disc_evidence(self, with_e1):
+        P = standard_pencil(2, with_e1)
+        res = check_holo_along_pencil(parse("conj(z1)"), P)
+        vals = [d.residual for d in res.residuals]
+        k = int(np.argmax(vals))
+        assert res.worst() == max(vals)
+        assert res.evidence() == {
+            "worst_direction_index": res.residuals[k].direction_index,
+            "worst_radius": res.residuals[k].radius, "discs_with_error": 0}
+        # the largest |u1| direction at the largest radius
+        assert res.evidence()["worst_direction_index"] == 17
+        assert res.evidence()["worst_radius"] == 0.9
+
+
+def angular_graph_by_sets(directions, k=8):
+    """The set loop that the array-built angular graph replaced."""
+    from scipy.spatial import cKDTree
+    from forelli_lab.pencil import _realify
+    M = len(directions)
+    if M == 1:
+        return [np.array([], dtype=int)]
+    X = _realify(directions)
+    _, idx = cKDTree(X).query(X, k=min(k + 1, M))
+    neigh = [set() for _ in range(M)]
+    for i in range(M):
+        for j in idx[i][1:]:
+            neigh[i].add(int(j))
+            neigh[int(j)].add(i)
+    return [np.array(sorted(s), dtype=int) for s in neigh]
+
+
+class TestAngularGraph:
+    @pytest.mark.parametrize("n,M", [(1, 1), (1, 2), (2, 5), (2, 9), (2, 10),
+                                     (2, 150), (3, 1000)])
+    def test_matches_set_loop(self, n, M):
+        U = sphere_directions(n, M, seed=M)
+        got, want = _angular_graph(U), angular_graph_by_sets(U)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_duplicate_directions(self, sphere150):
+        U = np.vstack([sphere150[:40], sphere150[:6]])
+        for g, w in zip(_angular_graph(U), angular_graph_by_sets(U)):
+            assert np.array_equal(g, w)
 
 
 class TestPencilValidation:
