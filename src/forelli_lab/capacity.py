@@ -187,9 +187,7 @@ def cap1d_transfinite(E: CompactSet1D, m: int) -> CapacityEstimate:
         return CapacityEstimate(0.0, "TransfiniteDiameter", m,
                                 {"reason": "m exceeds cardinality",
                                  "closed_form": closed})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pts = leja_points(E, m)
+    pts = leja_points(E, m)
     delta_full = _pairwise_delta(pts)
     half = m // 2
     delta_half = _pairwise_delta(pts[:half])

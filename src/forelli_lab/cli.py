@@ -15,10 +15,12 @@ identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -43,6 +45,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 class ConfigError(ValueError):
@@ -117,7 +121,8 @@ def _cmd_analyze(args) -> int:
         payload["stages"],
         {"passed": result.passed, "final_verdict": result.final_verdict,
          "certificate": payload["certificate"],
-         "per_direction": payload["per_direction"]})
+         "per_direction": payload["per_direction"]},
+        warnings=args.warnings)
     lines = [f"forelli-lab analyze v{__version__}"]
     for st in result.stages:
         lines.append(f"  [{st.status:>7}] {st.name}")
@@ -146,7 +151,8 @@ def _cmd_jet(args) -> int:
           "details": {"verdict": jet.verdict_text(),
                       "per_order_residuals": jet.per_order_residuals}}],
         {"passed": jet.full, "verdict": jet.verdict_text(),
-         "series": jet.series.to_text()})
+         "series": jet.series.to_text()},
+        warnings=args.warnings)
     if args.series_out:
         jet.series.save(args.series_out)
     lines = [jet.series.to_text().rstrip()]
@@ -171,7 +177,8 @@ def _cmd_slice(args) -> int:
         "slice", {"series_file": args.series_file,
                   "a": [[c.real, c.imag] for c in a]},
         [{"name": "slice", "status": "pass", "details": {}}],
-        {"passed": True, "coefficients": coeffs})
+        {"passed": True, "coefficients": coeffs},
+        warnings=args.warnings)
     lines = [f"slice along a={a} of {args.series_file}:"]
     for c in coeffs:
         lines.append(f"  t^{c['p']} tbar^{c['q']}: {c['coeff']}")
@@ -218,7 +225,8 @@ def _cmd_capacity(args) -> int:
         summary["closed_form"] = closed
     report = build_report("capacity", cfg,
                           [{"name": "capacity", "status": "pass",
-                            "details": est.diagnostics}], summary)
+                            "details": est.diagnostics}], summary,
+                          warnings=args.warnings)
     lines = [f"capacity estimate: {est.value:.6g} ({est.method}, "
              f"points_used={est.points_used})"]
     if closed is not None:
@@ -267,7 +275,8 @@ def _cmd_psh(args) -> int:
         lines.append(f"  u_1^r(0) = {avg.value:.6g} (clipped {avg.clipped})")
     report = build_report(
         "psh", {"family": args.family, "r": args.r, "K": K,
-                "grid": args.grid}, stages, summary)
+                "grid": args.grid}, stages, summary,
+        warnings=args.warnings)
     _emit(args, report, lines)
     return EXIT_PASS
 
@@ -293,7 +302,8 @@ def _cmd_pencil_check(args) -> int:
           "status": "pass" if result.passed else "fail",
           "details": {"worst_residual": worst,
                       "discs": len(result.residuals), **result.evidence()}}],
-        {"passed": result.passed, "worst_residual": worst})
+        {"passed": result.passed, "worst_residual": worst},
+        warnings=args.warnings)
     lines = [f"checked {len(result.residuals)} discs; worst residual "
              f"{worst:.3g} (tol {args.tol:g})",
              "PASS" if result.passed else "FAIL"]
@@ -314,7 +324,8 @@ def _cmd_subpencil(args) -> int:
           "details": {"patch_size": int(result.direction_indices.size),
                       "m": result.m}}],
         {"passed": ok, "patch_size": int(result.direction_indices.size),
-         "m": result.m})
+         "m": result.m},
+        warnings=args.warnings)
     lines = [(f"subpencil: {result.direction_indices.size} directions at "
               f"disc radius 1/{result.m}") if ok
              else "subpencil: empty (no direction passes)"]
@@ -353,7 +364,8 @@ def _cmd_normalize(args) -> int:
         "normalize",
         {"pencil": args.pencil or args.directions,
          "v0": [[c.real, c.imag] for c in v0], "eps": args.eps},
-        stages, summary)
+        stages, summary,
+        warnings=args.warnings)
     _emit(args, report, lines)
     return _exit_code(passed)
 
@@ -381,7 +393,8 @@ def _cmd_certify(args) -> int:
                         "seed": args.seed},
             [{"name": "certificate", "status": "fail",
               "details": {"error": str(exc)}}],
-            {"passed": False})
+            {"passed": False},
+            warnings=args.warnings)
         _emit(args, report, [f"certificate refused: {exc}"])
         return EXIT_FAIL
     report = build_report(
@@ -390,7 +403,8 @@ def _cmd_certify(args) -> int:
         [{"name": "certificate", "status": "pass",
           "details": {"M": cert.M, "r_prime": list(cert.r_prime),
                       "margin": cert.margin}}],
-        {"passed": True, "M": cert.M, "r_prime": list(cert.r_prime)})
+        {"passed": True, "M": cert.M, "r_prime": list(cert.r_prime)},
+        warnings=args.warnings)
     rp = ", ".join(f"{r:.6g}" for r in cert.r_prime)
     _emit(args, report, [f"certificate: M={cert.M:.6g}, r'=({rp})"])
     return EXIT_PASS
@@ -522,6 +536,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Collect the UserWarnings that forelli_lab raises, for the report.
+
+    Yields the list of distinct messages in first-seen order.  Each is
+    still shown once on stderr; other warnings, such as numpy's
+    floating-point RuntimeWarnings, pass through untouched and stay out
+    of the report.
+    """
+    messages = []
+    with warnings.catch_warnings():
+        # past the once-per-location registry, so a repeated run records too
+        warnings.filterwarnings("always", category=UserWarning,
+                                module=r"forelli_lab(\.|$)")
+        show = warnings.showwarning
+
+        def record(message, category, filename, lineno, file=None, line=None):
+            ours = os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
+            if ours and issubclass(category, UserWarning):
+                text = str(message)
+                if text in messages:
+                    return
+                messages.append(text)
+            show(message, category, filename, lineno, file, line)
+
+        warnings.showwarning = record
+        yield messages
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -530,7 +573,8 @@ def run(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _recorded_warnings() as args.warnings:
+            return args.func(args)
     except (JetExtractionError, NewtonInversionError,
             DegenerateNormalizationError, EvalError,
             ChartUndecidableError, np.linalg.LinAlgError) as exc:

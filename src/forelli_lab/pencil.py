@@ -664,6 +664,13 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6, ell_max: int = 8, *,
     connected set of graph-interior directions passing at the smallest
     workable ell.  Empty result (with the residual table) when no
     direction passes at ell_max.
+
+    The directions are evaluated in chunks of at most DISC_CHUNK_SAMPLES
+    disc samples: one map call and one ``wirtinger_dbar`` per chunk, so f
+    must act pointwise on coordinate arrays of any shape.  A chunk whose
+    evaluation raises is redone one direction at a time, and a direction
+    that fails there keeps residual inf; every table entry is what the
+    direction gives on its own.
     """
     from .expr import as_callable
     func = as_callable(f, P.n)
@@ -673,33 +680,54 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6, ell_max: int = 8, *,
     rings = np.array([0.93 / j for j in range(1, ell_max + 1)] + [0.02])
     phase = np.exp(2j * np.pi * np.arange(phases) / phases)
     lam = (rings[:, None] * phase[None, :]).ravel()
+    masks = [np.abs(lam) <= 1.0 / ell for ell in range(1, ell_max + 1)]
 
     table = np.full((M, ell_max), np.inf)
-    for i in range(M):
+
+    def one_direction(i):
         U = np.broadcast_to(P.directions[i], lam.shape + (P.n,))
         try:
             pts = P.map_batch(lam, U)
             res = cr_residual_on_points(func, pts, delta)
         except Exception:
-            continue
-        for ell in range(1, ell_max + 1):
-            mask = np.abs(lam) <= 1.0 / ell
-            table[i, ell - 1] = float(res[mask].max())
+            return
+        for e, mask in enumerate(masks):
+            table[i, e] = float(res[mask].max())
 
-    ell_star = np.zeros(M, dtype=int)
-    for i in range(M):
-        passing = np.nonzero(table[i] <= tol)[0]
-        ell_star[i] = passing[0] + 1 if passing.size else 0
+    step = max(1, DISC_CHUNK_SAMPLES // lam.size)
+    for start in range(0, M, step):
+        rows = np.arange(start, min(start + step, M))
+        shape = (rows.size, lam.size)
+        U = np.broadcast_to(P.directions[rows][:, None, :], shape + (P.n,))
+        try:
+            pts = P.map_batch(np.broadcast_to(lam, shape), U)
+            res = np.abs(wirtinger_dbar(func, pts, delta)).max(axis=-1)
+        except Exception:          # redo the chunk direction by direction
+            for i in rows:
+                one_direction(i)
+            continue
+        res = np.where(np.isfinite(res), res, np.inf)
+        for e, mask in enumerate(masks):
+            table[rows, e] = res[:, mask].max(axis=1)
+
+    passing = table <= tol
+    ell_star = np.where(passing.any(axis=1), passing.argmax(axis=1) + 1, 0)
 
     for m in range(1, ell_max + 1):
         in_set = (ell_star > 0) & (ell_star <= m)
-        interior = np.array([
-            in_set[i] and all(in_set[j] for j in P.neighbors[i])
-            for i in range(M)])
+        interior = in_set & ~_has_neighbour_in(P, ~in_set)
         if interior.any():
             V = _largest_component(interior, P.neighbors)
             return SubpencilResult(V, m, ell_star, table, tol)
     return SubpencilResult(np.array([], dtype=int), None, ell_star, table, tol)
+
+
+def _has_neighbour_in(P: PencilSpec, mask: np.ndarray) -> np.ndarray:
+    """Per direction: whether some graph neighbour of it lies in ``mask``."""
+    sizes = [len(nb) for nb in P.neighbors]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    nbr = np.concatenate([np.asarray(nb, dtype=int) for nb in P.neighbors])
+    return np.bincount(owner[mask[nbr]], minlength=len(sizes)) > 0
 
 
 def _largest_component(mask: np.ndarray, neighbors) -> np.ndarray:
@@ -736,22 +764,29 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
     image of the pencil restricted to V.
 
     Straight-ray mesh points are inverted through the pencil map by
-    damped Gauss-Newton (starting from the straight-line preimage); a
-    candidate r passes when every inversion converges inside the unit
-    disc with preimage direction in V.  Divergence counts as "outside
-    the image", shrinking r; dropping below ``r_floor`` raises.
+    damped Gauss-Newton (``_invert_map``, starting from the straight-line
+    preimage); a candidate r passes when every inversion converges inside
+    the unit disc with preimage direction in V.  Divergence counts as
+    "outside the image", shrinking r; dropping below ``r_floor`` raises.
+    Membership in V is one boolean mask over the directions, read both by
+    the 2-ring margin check on W and by the test of each candidate r.
     """
     W = np.asarray(W, dtype=int)
-    V_set = set(range(P.num_directions)) if V is None else set(int(v) for v in V)
+    M = P.num_directions
+    if V is None:
+        in_V = np.ones(M, dtype=bool)
+    else:
+        v = np.array([int(j) for j in V], dtype=int)
+        in_V = np.zeros(M, dtype=bool)
+        in_V[v[(v >= 0) & (v < M)]] = True
     if W.size == 0:
         raise ValueError("W must be nonempty")
     # angular margin >= 2 graph cells: the 2-ring of W stays in V
+    near_out = ~in_V
+    for _ in range(2):
+        near_out = near_out | _has_neighbour_in(P, near_out)
     for w in W:
-        ring = set(P.neighbors[w].tolist()) | {int(w)}
-        ring2 = set()
-        for i in ring:
-            ring2 |= set(P.neighbors[i].tolist())
-        if not (ring | ring2) <= V_set:
+        if w < 0 or near_out[w]:             # a negative w is not in V
             raise PencilCheckError(
                 f"direction {w} is within 2 mesh cells of the boundary of V")
 
@@ -772,7 +807,7 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
         bad = ~ok
         bad |= np.abs(mu) >= 1.0 - 1e-9
         _, nearest = dir_tree.query(_realify(V_dir))
-        bad |= ~np.array([int(j) in V_set for j in nearest])
+        bad |= ~in_V[nearest]
         chord = np.linalg.norm(_realify(V_dir) - _realify(
             P.directions[nearest]), axis=1)
         bad |= chord > 2.0 * res + 1e-9
@@ -802,50 +837,89 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
 
     Unknowns per point: mu in C and v on the sphere, parametrized by a
     real tangent frame at the current v.  Returns (mu, v, converged).
+
+    The points are independent, so each iteration works on the live
+    points only, those whose residual is not yet within tol * scale; a
+    converged point is frozen.  The Jacobian is central differences, one
+    column per map call, and the step is the minimum-norm Gauss-Newton
+    step of ``_gauss_newton_step``.  Each point whose residual grows has
+    its step halved, up to three times.
     """
     B, n = targets.shape
     mu = np.array(lam0, dtype=complex)
     V = np.array(dirs0, dtype=complex)
     h = 1e-6
+    p = 2 * n + 1                            # unknowns: mu, tangent of v
 
-    def resid(mu_v, V_v):
-        return _realify(P.map_batch(mu_v, V_v) - targets)
+    def resid(mu_v, V_v, tgt):
+        return _realify(P.map_batch(mu_v, V_v) - tgt)
 
     scale = np.maximum(1.0, np.linalg.norm(_realify(targets), axis=1))
+    R = resid(mu, V, targets)
+    live = np.arange(B)
     for _ in range(iters):
-        R = resid(mu, V)
-        rnorm = np.linalg.norm(R, axis=1)
-        if np.all(rnorm <= tol * scale):
+        rnorm = np.linalg.norm(R[live], axis=1)
+        keep = ~(rnorm <= tol * scale[live])     # a nan residual stays live
+        live, rnorm = live[keep], rnorm[keep]
+        if live.size == 0:
             break
-        frames = _tangent_frames(V)                  # (B, 2n-1, n) complex
-        p = 2 * n + 1
-        J = np.empty((B, 2 * n, p))
-        for q in range(p):
-            dmu = np.zeros(B, dtype=complex)
-            dV = np.zeros_like(V)
-            if q == 0:
-                dmu = np.full(B, h, dtype=complex)
-            elif q == 1:
-                dmu = np.full(B, 1j * h, dtype=complex)
-            else:
-                dV = h * frames[:, q - 2, :]
-            Vp = _renormalize(V + dV)
-            Vm = _renormalize(V - dV)
-            J[:, :, q] = (resid(mu + dmu, Vp) - resid(mu - dmu, Vm)) / (2 * h)
-        step = -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
-        alpha = np.ones(B)
-        for _damp in range(4):
-            mu_new = mu + alpha * (step[:, 0] + 1j * step[:, 1])
-            V_new = _renormalize(V + np.einsum(
-                "b,bkn,bk->bn", alpha, frames, step[:, 2:]))
-            worse = np.linalg.norm(resid(mu_new, V_new), axis=1) > rnorm
-            if not worse.any():
+        b = live.size
+        mu_l, V_l, tgt = mu[live], V[live], targets[live]
+        frames = _tangent_frames(V_l)                # (b, 2n-1, n) complex
+        J = np.empty((b, 2 * n, p))
+        V_unit = _renormalize(V_l)
+        for q, dmu in enumerate((h, 1j * h)):
+            J[:, :, q] = (resid(mu_l + dmu, V_unit, tgt)
+                          - resid(mu_l - dmu, V_unit, tgt)) / (2 * h)
+        for q in range(2, p):
+            dV = h * frames[:, q - 2, :]
+            J[:, :, q] = (resid(mu_l, _renormalize(V_l + dV), tgt)
+                          - resid(mu_l, _renormalize(V_l - dV), tgt)) / (2 * h)
+        step = _gauss_newton_step(J, R[live])
+        alpha = np.ones(b)
+
+        def trial(rows):
+            a = alpha[rows]
+            mu_t = mu_l[rows] + a * (step[rows, 0] + 1j * step[rows, 1])
+            V_t = _renormalize(V_l[rows] + np.einsum(
+                "b,bkn,bk->bn", a, frames[rows], step[rows, 2:]))
+            return mu_t, V_t, resid(mu_t, V_t, tgt[rows])
+
+        rows = np.arange(b)
+        mu_new, V_new, R_new = trial(rows)
+        for _damp in range(3):
+            rows = rows[np.linalg.norm(R_new[rows], axis=1) > rnorm[rows]]
+            if rows.size == 0:
                 break
-            alpha = np.where(worse, alpha * 0.5, alpha)
-        mu, V = mu_new, V_new
-    R = resid(mu, V)
+            alpha[rows] *= 0.5
+            mu_new[rows], V_new[rows], R_new[rows] = trial(rows)
+        mu[live], V[live], R[live] = mu_new, V_new, R_new
     ok = np.linalg.norm(R, axis=1) <= 10 * tol * scale
     return mu, V, ok
+
+
+def _gauss_newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of J step = -R for a stack of wide Jacobians.
+
+    J has shape (b, m, p) with m < p.  When J has full row rank,
+    pinv(J) R = J^T (J J^T)^-1 R, so one stacked solve of the (b, m, m)
+    Gram matrices replaces one SVD per row.  The Gram matrix squares
+    cond(J), so a row whose step is non-finite or misses J step = -R by
+    more than 1e-6 |R| takes the pinv step instead, and every row does
+    when the stacked solve raises.
+    """
+    Jt = np.swapaxes(J, 1, 2)
+    try:
+        y = np.linalg.solve(J @ Jt, R[..., None])
+    except np.linalg.LinAlgError:
+        return -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
+    step = -(Jt @ y)[..., 0]
+    miss = np.linalg.norm(np.einsum("bij,bj->bi", J, step) + R, axis=1)
+    bad = ~(np.isfinite(step).all(axis=1)
+            & (miss <= 1e-6 * np.linalg.norm(R, axis=1)))
+    if bad.any():
+        step[bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[bad]), R[bad])
+    return step
 
 
 def _renormalize(V: np.ndarray) -> np.ndarray:

@@ -195,7 +195,8 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
             B[:, 0] if family.nvars == 1 else B).T)
         excluded = 0
         min_radius = float("inf")
-        for d in dirs:
+        min_index = None              # first direction with the smallest R
+        for index, d in enumerate(dirs):
             chart = d.chart
             entry = {"direction": [[v.real, v.imag] for v in d.unit]}
             if chart is None:
@@ -206,11 +207,13 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                 rt = radius_root_test(next(columns), K, window)
                 entry["chart"] = [[v.real, v.imag] for v in chart]
                 entry["R_estimate"] = rt.radius
-                min_radius = min(min_radius, rt.radius)
+                if min_index is None or rt.radius < min_radius:
+                    min_radius, min_index = rt.radius, index
             per_direction.append(entry)
         stages.append(Stage("directional_radii",
                             PASS if min_radius > 0 else FAIL,
                             {"min_R_estimate": min_radius,
+                             "min_R_direction_index": min_index,
                              "chart_excluded": excluded, "window": window}))
         if min_radius <= 0:
             failures.append("some directional radius estimate is zero")

@@ -139,6 +139,64 @@ class TestDirectionPresets:
         assert "--seed" in err
 
 
+class TestReportWarnings:
+    """Library UserWarnings reach the report's warnings array."""
+
+    def test_off_sphere_directions(self, capsys, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([[[2, 0], [0, 0]], [[0, 0], [0, 1]],
+                                    [[0.6, 0], [0.8, 0]]]))
+        args = ("pencil-check", "--expr", "exp(z1+z2)", "--directions",
+                str(path), "--json")
+        code, out1, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert json.loads(out1)["warnings"] == [
+            "directions off the unit sphere by up to 1; normalizing"]
+        validate(out1)
+        # recorded again on a second run in the same process, byte for byte
+        _, out2, _ = run_cli(capsys, *args)
+        assert out1.encode() == out2.encode()
+
+    def test_degenerate_capacity_set(self, capsys, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text("0.5 0.5\n" * 8)
+        code, out, _ = run_cli(capsys, "capacity", "--set", f"points {path}",
+                               "--m", "8", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["summary"]["value"] == 0.0
+        assert report["warnings"] == [
+            "degenerate set: single distinct point, capacity 0"]
+
+    def test_still_printed_to_stderr(self, tmp_path):
+        # a separate interpreter: pytest records warnings instead of
+        # printing them
+        import subprocess
+        import sys
+        path = tmp_path / "points.txt"
+        path.write_text("0.5 0.5\n" * 8)
+        proc = subprocess.run(
+            [sys.executable, "-m", "forelli_lab.cli", "capacity", "--set",
+             f"points {path}", "--m", "8"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "UserWarning: degenerate set" in proc.stderr
+        assert "degenerate set" not in proc.stdout
+
+    def test_floating_point_warnings_stay_out(self, capsys):
+        # exp overflows on some discs, and inf * 0 is invalid
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, _ = run_cli(capsys, "pencil-check", "--expr",
+                                   "exp(900*z1)*conj(z1)", "--directions",
+                                   "sphere:20", "--json")
+        assert code == 1
+        assert json.loads(out)["warnings"] == []
+
+    def test_clean_run_has_no_warnings(self, capsys):
+        _, out, _ = run_cli(capsys, "capacity", "--set", "segment -1 1",
+                            "--json")
+        assert json.loads(out)["warnings"] == []
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ("analyze", "--expr", "exp(z1+z2)", "--order", "8",

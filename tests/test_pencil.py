@@ -9,8 +9,12 @@ from forelli_lab import (DegenerateNormalizationError, KData,
                          parse, pencil_from_exprs, sphere_directions,
                          standard_pencil, standard_subpencil_radius,
                          tilde_normalize)
+from forelli_lab import pencil
 from forelli_lab.expr import as_callable
-from forelli_lab.pencil import DISC_CHUNK_SAMPLES, _angular_graph, wirtinger_dbar
+from forelli_lab.pencil import (DISC_CHUNK_SAMPLES, _angular_graph,
+                                _gauss_newton_step, _largest_component,
+                                _realify, _renormalize, _tangent_frames,
+                                cr_residual_on_points, wirtinger_dbar)
 
 TWIST = ["l*u1", "l*u2 + l^2*conj(u1)*u2"]
 
@@ -416,3 +420,265 @@ class TestSubpencilRadius:
         V = list(range(40))              # a strict direction subset
         with pytest.raises(PencilCheckError, match="boundary"):
             standard_subpencil_radius(P, [39], V=V, mesh=50)
+
+
+# -- reference copies of the per-row and per-direction code -------------------
+
+def pinv_invert_map(P, targets, lam0, dirs0, iters, tol):
+    """The Gauss-Newton inversion before live rows and the Gram step:
+    ``pinv`` on every row, every iteration."""
+    B, n = targets.shape
+    mu = np.array(lam0, dtype=complex)
+    V = np.array(dirs0, dtype=complex)
+    h = 1e-6
+
+    def resid(mu_v, V_v):
+        return _realify(P.map_batch(mu_v, V_v) - targets)
+
+    scale = np.maximum(1.0, np.linalg.norm(_realify(targets), axis=1))
+    for _ in range(iters):
+        R = resid(mu, V)
+        rnorm = np.linalg.norm(R, axis=1)
+        if np.all(rnorm <= tol * scale):
+            break
+        frames = _tangent_frames(V)
+        p = 2 * n + 1
+        J = np.empty((B, 2 * n, p))
+        for q in range(p):
+            dmu = np.zeros(B, dtype=complex)
+            dV = np.zeros_like(V)
+            if q == 0:
+                dmu = np.full(B, h, dtype=complex)
+            elif q == 1:
+                dmu = np.full(B, 1j * h, dtype=complex)
+            else:
+                dV = h * frames[:, q - 2, :]
+            Vp = _renormalize(V + dV)
+            Vm = _renormalize(V - dV)
+            J[:, :, q] = (resid(mu + dmu, Vp) - resid(mu - dmu, Vm)) / (2 * h)
+        step = -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
+        alpha = np.ones(B)
+        for _damp in range(4):
+            mu_new = mu + alpha * (step[:, 0] + 1j * step[:, 1])
+            V_new = _renormalize(V + np.einsum(
+                "b,bkn,bk->bn", alpha, frames, step[:, 2:]))
+            worse = np.linalg.norm(resid(mu_new, V_new), axis=1) > rnorm
+            if not worse.any():
+                break
+            alpha = np.where(worse, alpha * 0.5, alpha)
+        mu, V = mu_new, V_new
+    R = resid(mu, V)
+    ok = np.linalg.norm(R, axis=1) <= 10 * tol * scale
+    return mu, V, ok
+
+
+def ring_loop_offender(P, W, V):
+    """The first w of W whose 2-ring leaves V, by the set loop it replaced."""
+    V_set = set(range(P.num_directions)) if V is None else set(int(v) for v in V)
+    for w in W:
+        ring = set(P.neighbors[w].tolist()) | {int(w)}
+        ring2 = set()
+        for i in ring:
+            ring2 |= set(P.neighbors[i].tolist())
+        if not (ring | ring2) <= V_set:
+            return int(w)
+    return None
+
+
+def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8, delta=1e-5):
+    """The direction-by-direction subpencil search the chunked one replaced."""
+    func = as_callable(f, P.n)
+    M = P.num_directions
+    rings = np.array([0.93 / j for j in range(1, ell_max + 1)] + [0.02])
+    phase = np.exp(2j * np.pi * np.arange(phases) / phases)
+    lam = (rings[:, None] * phase[None, :]).ravel()
+    table = np.full((M, ell_max), np.inf)
+    for i in range(M):
+        U = np.broadcast_to(P.directions[i], lam.shape + (P.n,))
+        try:
+            pts = P.map_batch(lam, U)
+            res = cr_residual_on_points(func, pts, delta)
+        except Exception:
+            continue
+        for ell in range(1, ell_max + 1):
+            mask = np.abs(lam) <= 1.0 / ell
+            table[i, ell - 1] = float(res[mask].max())
+    ell_star = np.zeros(M, dtype=int)
+    for i in range(M):
+        passing = np.nonzero(table[i] <= tol)[0]
+        ell_star[i] = passing[0] + 1 if passing.size else 0
+    for m in range(1, ell_max + 1):
+        in_set = (ell_star > 0) & (ell_star <= m)
+        interior = np.array([
+            in_set[i] and all(in_set[j] for j in P.neighbors[i])
+            for i in range(M)])
+        if interior.any():
+            return _largest_component(interior, P.neighbors), m, ell_star, table
+    return np.array([], dtype=int), None, ell_star, table
+
+
+CUBIC = ["l*u1 + l^3*u2*conj(u2)", "l*u2"]
+
+
+def seeded_pencil(kind, seed, count=200):
+    U = sphere_directions(2, count, seed=seed)
+    if kind == "standard":
+        return standard_pencil(2, U)
+    return pencil_from_exprs(2, TWIST if kind == "twisted" else CUBIC, U)
+
+
+class TestInversionAgainstPinv:
+    """Live rows and the Gram step give the radius of the pinv inversion."""
+
+    def radius_pair(self, monkeypatch, P, W, **kw):
+        calls = []
+        fast = pencil._invert_map
+
+        def both(*args):
+            ref = pinv_invert_map(*args)
+            calls.append((ref, fast(*args)))
+            return ref
+
+        got = standard_subpencil_radius(P, W, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(pencil, "_invert_map", both)
+            want = standard_subpencil_radius(P, W, **kw)
+        assert got == want
+        for (mu0, V0, ok0), (mu1, V1, ok1) in calls:
+            assert np.array_equal(ok0, ok1)
+            assert np.abs(mu1 - mu0)[ok0].max(initial=0.0) <= 1e-8
+            assert np.abs(V1 - V0)[ok0].max(initial=0.0) <= 1e-8
+        return got
+
+    @pytest.mark.parametrize("kind,seed,mesh", [
+        ("twisted", 1, 1000), ("twisted", 2, 400), ("twisted", 3, 400),
+        ("cubic", 1, 1000), ("cubic", 4, 400), ("standard", 2, 1000)])
+    def test_same_radius(self, monkeypatch, kind, seed, mesh):
+        P = seeded_pencil(kind, seed)
+        W = np.sort(np.random.default_rng(seed).choice(200, 20, replace=False))
+        r = self.radius_pair(monkeypatch, P, W, mesh=mesh)
+        assert 0.0 < r <= 1.0
+
+    def test_same_radius_inside_a_direction_patch(self, monkeypatch):
+        # V: a cap around e1, W: every direction two cells inside it; some
+        # preimages land outside V and shrink the radius
+        P = seeded_pencil("twisted", 6, 400)
+        V = np.nonzero(np.abs(P.directions[:, 0]) > 0.7)[0]
+        W = [w for w in V if ring_loop_offender(P, [w], V) is None]
+        assert len(W) == 2
+        r = self.radius_pair(monkeypatch, P, W, V=V, mesh=400)
+        assert r < self.radius_pair(monkeypatch, P, W, mesh=400)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_boundary_offender(self, sphere150, seed):
+        P = standard_pencil(2, sphere150)
+        rng = np.random.default_rng(seed)
+        V = rng.choice(150, 120, replace=False)
+        W = rng.choice(150, 10, replace=False)
+        w = ring_loop_offender(P, W, V)
+        assert w is not None
+        with pytest.raises(PencilCheckError,
+                           match=f"^direction {w} is within 2 mesh cells"):
+            standard_subpencil_radius(P, W, V=V, mesh=50)
+
+
+class TestGaussNewtonStep:
+    @staticmethod
+    def pinv_step(J, R):
+        return -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
+
+    @staticmethod
+    def stack(rng, b=7):
+        return rng.standard_normal((b, 4, 5)), rng.standard_normal((b, 4))
+
+    def test_matches_pinv_on_full_rank_rows(self, rng):
+        J, R = self.stack(rng, 200)
+        step = _gauss_newton_step(J, R)
+        ref = self.pinv_step(J, R)
+        err = np.linalg.norm(step - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert err.max() <= 1e-12
+
+    def test_rank_deficient_row_takes_pinv(self, rng, monkeypatch):
+        J, R = self.stack(rng)
+        J[3] = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 5))  # rank 3
+        seen = []
+        pinv = np.linalg.pinv
+
+        def spy(A, *args, **kwargs):
+            seen.append(A.copy())
+            return pinv(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        step = _gauss_newton_step(J, R)
+        monkeypatch.undo()
+        assert len(seen) == 1 and np.array_equal(seen[0], J[3:4])
+        ref = self.pinv_step(J, R)
+        assert np.array_equal(step[3], self.pinv_step(J[3:4], R[3:4])[0])
+        rest = np.arange(len(J)) != 3
+        err = (np.linalg.norm(step[rest] - ref[rest], axis=1)
+               / np.linalg.norm(ref[rest], axis=1))
+        assert err.max() <= 1e-12
+
+    def test_singular_gram_stack_is_all_pinv(self, rng):
+        J, R = self.stack(rng)
+        J[2, 1] = 0.0                                  # an exact zero row
+        assert np.array_equal(_gauss_newton_step(J, R), self.pinv_step(J, R))
+
+    def test_non_finite_row_raises_like_pinv(self, rng):
+        J, R = self.stack(rng)
+        J[4, 1, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            self.pinv_step(J, R)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _gauss_newton_step(J, R)
+        assert str(got.value) == str(want.value)
+
+
+def only_one_direction(z):
+    """exp(z1+z2), refusing coordinate arrays of more than one dimension."""
+    if np.ndim(z[0]) > 1:
+        raise TypeError("one direction at a time")
+    return np.exp(z[0] + z[1])
+
+
+class TestChunkedSubpencil:
+    """Chunked directions give the per-direction search, bit for bit."""
+
+    @pytest.mark.parametrize("f,tol,ell_max", [
+        (parse("exp(z1+z2)"), 1e-6, 8),
+        (parse("1/(z1-0.3)"), 1e-6, 8),
+        (parse("exp(800*z1)"), 1e-6, 8),
+        (parse("z1^2*z2*conj(z1)/normsq(z)"), 1e-6, 5),
+        (only_one_direction, 1e-6, 8),
+        (parse("exp(z1+z2)"), 1e-30, 4),              # empty patch
+    ], ids=["exp", "pole", "overflow", "counterexample", "one-direction",
+            "empty"])
+    @pytest.mark.parametrize("kind", ["standard", "twisted"])
+    def test_bit_identical(self, with_e1, kind, f, tol, ell_max):
+        P = (standard_pencil(2, with_e1) if kind == "standard"
+             else pencil_from_exprs(2, TWIST, with_e1))
+        # 151 directions: three chunks of 72-point master samples
+        assert P.num_directions > DISC_CHUNK_SAMPLES // 72
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = find_subpencil(f, P, tol=tol, ell_max=ell_max)
+            V, m, ell_star, table = per_direction_subpencil(
+                f, P, tol=tol, ell_max=ell_max)
+        assert np.array_equal(got.residual_table, table)
+        assert np.array_equal(got.ell_star, ell_star)
+        assert np.array_equal(got.direction_indices, V)
+        assert got.m == m
+        if tol == 1e-30:
+            assert got.empty
+
+    def test_failing_direction_keeps_inf(self, with_e1):
+        # z2 vanishes only on the disc through e1 (index 17): its chunk
+        # raises and is redone, and only direction 17 fails there
+        def f(z):
+            if np.any(z[1] == 0):
+                raise ValueError("z2 = 0")
+            return np.exp(z[0] + z[1])
+
+        got = find_subpencil(f, standard_pencil(2, with_e1))
+        assert np.isinf(got.residual_table[17]).all()
+        assert np.isfinite(np.delete(got.residual_table, 17, axis=0)).all()
+        assert got.ell_star[17] == 0

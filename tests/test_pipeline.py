@@ -74,6 +74,27 @@ class TestSeriesInput:
         assert rep.certificate.M == pytest.approx(2.0, rel=1e-6)
 
 
+class TestRadiiEvidence:
+    def test_names_the_first_smallest_radius(self):
+        U = cap_directions(2, 0.3, 120, seed=5)
+        # the pole set z1 + 2 z2 = 3 is nearest along u1 + 2 u2 largest
+        rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
+                              AnalyzeConfig(order=12))
+        details = rep.stage("directional_radii").details
+        radii = [e["R_estimate"] for e in rep.per_direction]
+        index = details["min_R_direction_index"]
+        assert radii[index] == details["min_R_estimate"] == min(radii)
+        assert index == radii.index(min(radii))
+        assert max(radii) > 2 * min(radii)
+
+    def test_null_when_every_direction_is_chart_excluded(self):
+        U = [(0.0, 1.0), (0.0, 1j), (0.0, -1.0)]
+        rep = forelli_analyze(parse("exp(z1+z2)"), U, AnalyzeConfig(order=12))
+        details = rep.stage("directional_radii").details
+        assert details["chart_excluded"] == 3
+        assert details["min_R_direction_index"] is None
+
+
 class TestReportShape:
     def test_to_dict_is_json_ready(self):
         import json
