@@ -25,6 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .pencil import _realify
+from .series import torus
 from .slices import CHART_EPS
 
 
@@ -84,8 +85,7 @@ class CompactSet1D:
         if self.kind == "disc":
             center, radius = self.params
             nb = count // 2
-            theta = 2.0 * np.pi * np.arange(nb) / nb
-            boundary = center + radius * np.exp(1j * theta)
+            boundary = center + torus((radius,), nb)[0]
             # sunflower spiral fills the interior without randomness
             ni = count - nb
             idx = np.arange(1, ni + 1)

@@ -37,7 +37,7 @@ from .pipeline import AnalyzeConfig, forelli_analyze
 from .psh import (PshFamily, average_on_torus, classify_trichotomy,
                   envelope_to_csv, upper_envelope)
 from .report import build_report, to_json
-from .series import FormalSeries, SeriesFormatError
+from .series import FormalSeries, SeriesFormatError, torus
 from .slices import (CertificateError, NotHolomorphicTypeError,
                      certify_polydisc, chart_poly_family, slice_series)
 
@@ -206,8 +206,7 @@ def _parse_set(spec: str) -> CompactSet1D:
 def _cmd_capacity(args) -> int:
     if args.siciak_ball is not None:
         rho = args.siciak_ball
-        theta = 2 * np.pi * np.arange(256) / 256
-        samples = (rho * np.exp(1j * theta))[:, None]
+        samples = torus((rho,), 256)[0][:, None]
         est = cap_siciak(samples, degree=args.degree, trials=args.trials,
                          seed=args.seed, closed_form=rho)
         cfg = {"siciak_ball": rho, "degree": args.degree,
@@ -268,8 +267,7 @@ def _cmd_psh(args) -> int:
                 fh.write(envelope_to_csv(field))
             lines.append(f"  wrote grid to {args.csv_out}")
     if not stages:
-        avg = average_on_torus(family, min(K, 1) if K >= 1 else 1,
-                               0j, (args.r,), grid=args.grid)
+        avg = average_on_torus(family, 1, 0j, (args.r,), grid=args.grid)
         stages.append({"name": "average", "status": "pass",
                        "details": {"value": avg.value, "clipped": avg.clipped}})
         lines.append(f"  u_1^r(0) = {avg.value:.6g} (clipped {avg.clipped})")

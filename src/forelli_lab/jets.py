@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .expr import as_callable
-from .series import FormalSeries
+from .series import FormalSeries, torus, torus_modes
 
 FULL_JET = "FullJet"
 JET_UP_TO = "JetUpTo"
@@ -131,29 +131,27 @@ def extract_jet(f, n: int, order: int, *,
         base = func
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 
-    # sample one product torus at a time and gather the needed Fourier
-    # modes from its FFT with one flat index array
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    angle_grids = np.meshgrid(*([theta] * n), indexing="ij")
-    phases = [np.exp(1j * g) for g in angle_grids]
+    # sample one product torus at a time, scaling the unit torus, and
+    # gather the needed Fourier modes with one flat index array
+    unit = torus((1.0,) * n, grid)
     modes = _mode_list(n, order)
     mus = np.array(modes, dtype=int).reshape(len(modes), n)
     fft_index = np.ravel_multi_index(tuple((mus % grid).T), (grid,) * n)
     rows = list(itertools.product(range(len(radii)), repeat=n))
     mode_vals = np.empty((len(rows), len(modes)), dtype=complex)
     for ri, row in enumerate(rows):
-        zs = tuple(radii[row[k]] * phases[k] for k in range(n))
+        zs = tuple(radii[row[k]] * unit[k] for k in range(n))
         try:
             vals = np.asarray(func(zs), dtype=complex)
         except Exception as exc:
             raise JetExtractionError(
                 f"evaluation failed on torus rho={tuple(radii[t] for t in row)}: {exc}"
             ) from exc
-        vals = np.broadcast_to(vals, phases[0].shape)
+        vals = np.broadcast_to(vals, unit[0].shape)
         if not np.all(np.isfinite(vals)):
             raise JetExtractionError(
                 f"non-finite samples on torus rho={tuple(radii[t] for t in row)}")
-        mode_vals[ri] = np.fft.fftn(vals).ravel()[fft_index] / grid ** n
+        mode_vals[ri] = torus_modes(vals, n).ravel()[fft_index]
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     diag_rows = [ri for ri, row in enumerate(rows)

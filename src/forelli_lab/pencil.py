@@ -10,9 +10,11 @@ residual checks measure.
 
 Residuals are Fourier based: a function of one complex variable sampled
 on a circle is holomorphic iff its negative-index Fourier content
-vanishes.  Cauchy-Riemann residuals of ambient functions use central
-finite differences for the Wirtinger derivatives (the functions are only
-assumed C^1, so complex-step tricks are not available).
+vanishes; the circles and their modes come from ``series.torus`` and
+``series.torus_modes``.  Cauchy-Riemann residuals of ambient functions
+use central finite differences for the Wirtinger derivatives (the
+functions are only assumed C^1, so complex-step tricks are not
+available).
 
 The direction sample carries an angular nearest-neighbour graph; "open
 subsets" of U are connected graph patches with their neighbourhoods, and
@@ -32,6 +34,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .expr import EvalError, Expr, evaluate, parse
+from .series import torus, torus_modes
 
 
 class PencilCheckError(ValueError):
@@ -143,10 +146,15 @@ class PencilSpec:
                 for e in self.map_exprs]
         return np.stack(cols, axis=-1)
 
-    def disc(self, lam, index: int) -> np.ndarray:
-        """Points of the disc through direction ``index`` at parameters lam."""
+    def disc(self, lam, index) -> np.ndarray:
+        """Points of the disc through direction ``index`` at parameters lam.
+
+        An index array gives one disc per entry; its shape leads lam's.
+        """
         lam = np.asarray(lam, dtype=complex)
-        U = np.broadcast_to(self.directions[index], lam.shape + (self.n,))
+        lead = tuple(range(np.ndim(index), lam.ndim))
+        U = np.broadcast_to(np.expand_dims(self.directions[index], lead),
+                            lam.shape + (self.n,))
         return self.map_batch(lam, U)
 
     def resolution(self) -> float:
@@ -179,8 +187,8 @@ def _angular_graph(directions: np.ndarray, k: int = 8) -> List[np.ndarray]:
     return np.split(cols, ends[:-1])
 
 
-def standard_pencil(n: int, U) -> PencilSpec:
-    """The straight-ray pencil (lambda, u) -> lambda u at the origin."""
+def _unit_directions(n: int, U) -> np.ndarray:
+    """U as unit rows in C^n; warns when it normalizes, rejects bad sets."""
     U = np.atleast_2d(np.asarray(U, dtype=complex))
     if U.size == 0:
         raise PencilCheckError("direction set must be nonempty")
@@ -193,8 +201,13 @@ def standard_pencil(n: int, U) -> PencilSpec:
     if deviation > 1e-8:
         warnings.warn(f"directions off the unit sphere by up to {deviation:.3g};"
                       " normalizing")
+    return U / norms[:, None]
+
+
+def standard_pencil(n: int, U) -> PencilSpec:
+    """The straight-ray pencil (lambda, u) -> lambda u at the origin."""
     return PencilSpec(n=n, base_point=np.zeros(n, dtype=complex),
-                      directions=U / norms[:, None], kind="standard")
+                      directions=_unit_directions(n, U), kind="standard")
 
 
 def pencil_from_exprs(n: int, map_exprs, directions,
@@ -214,9 +227,7 @@ def pencil_from_exprs(n: int, map_exprs, directions,
                   for e in map_exprs)
     if len(exprs) != n:
         raise PencilCheckError(f"{len(exprs)} map components for C^{n}")
-    U = np.atleast_2d(np.asarray(directions, dtype=complex))
-    norms = np.linalg.norm(U, axis=1)
-    U = U / norms[:, None]
+    U = _unit_directions(n, directions)
     p = (np.zeros(n, dtype=complex) if base_point is None
          else np.asarray(base_point, dtype=complex))
     spec = PencilSpec(n=n, base_point=p, directions=U, kind="general",
@@ -285,6 +296,26 @@ def load_pencil(source) -> PencilSpec:
 
 # -- disc holomorphy residuals -------------------------------------------------
 
+def _holo_residuals(g: Callable, rho, modes: int):
+    """The disc residual of g on the circles |lambda| = rho, one per rho.
+
+    ``rho`` is a scalar or an array of radii; g gets the samples as an
+    array rho.shape + (4*modes,).  Returns the residuals and a per-circle
+    all-finite mask; a circle with non-finite samples enters the FFT as
+    zeros, so its residual means nothing.
+    """
+    if modes < 16:
+        raise ValueError("modes must be >= 16")
+    count = 4 * modes
+    lam = np.asarray(rho, dtype=float)[..., None] * torus((1.0,), count)[0]
+    vals = np.broadcast_to(np.asarray(g(lam), dtype=complex), lam.shape)
+    finite = np.isfinite(vals).all(axis=-1)
+    c = torus_modes(np.where(finite[..., None], vals, 0), 1)
+    neg = c[..., count // 2:]      # indices -count/2 .. -1
+    return (np.abs(neg).max(axis=-1) / np.fmax(1.0, np.abs(c).max(axis=-1)),
+            finite)
+
+
 def disc_holo_residual(g: Callable, rho: float, modes: int = 16) -> float:
     """Antiholomorphic Fourier content of lambda -> g(lambda) on |lambda|=rho.
 
@@ -293,18 +324,10 @@ def disc_holo_residual(g: Callable, rho: float, modes: int = 16) -> float:
     coefficient).  Zero (to quadrature accuracy) iff the samples come
     from a holomorphic function of lambda.
     """
-    if modes < 16:
-        raise ValueError("modes must be >= 16")
-    count = 4 * modes
-    lam = rho * np.exp(2j * np.pi * np.arange(count) / count)
-    vals = np.asarray(g(lam), dtype=complex)
-    if vals.shape != lam.shape:
-        vals = np.broadcast_to(vals, lam.shape)
-    if not np.all(np.isfinite(vals)):
+    res, finite = _holo_residuals(g, rho, modes)
+    if not finite:
         raise EvalError(f"non-finite disc samples at radius {rho}")
-    c = np.fft.fft(vals) / count
-    neg = c[count // 2:]          # indices -count/2 .. -1
-    return float(np.abs(neg).max() / max(1.0, np.abs(c).max()))
+    return float(res)
 
 
 @dataclass
@@ -350,78 +373,49 @@ class PencilHoloResult:
 DISC_CHUNK_SAMPLES = 4096
 
 
-def _single_disc(func, P: PencilSpec, i: int, rho, modes: int) -> DiscResidual:
-    """One disc through ``disc_holo_residual``; a failure becomes its error."""
-    entry = DiscResidual(i, tuple(P.directions[i]), float(rho), math.nan)
-    try:
-        g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
-        entry.residual = disc_holo_residual(g, rho, modes)
-    except Exception as exc:       # per-disc failures are non-fatal
-        entry.error = str(exc)
-    return entry
-
-
-def _chunk_residuals(func, P: PencilSpec, di: np.ndarray, lam: np.ndarray):
-    """``disc_holo_residual`` of the discs (directions di, samples lam).
-
-    Returns the residuals and a per-disc all-finite mask, or None when
-    the batched evaluation raises.
-    """
-    U = np.broadcast_to(P.directions[di][:, None, :], lam.shape + (P.n,))
-    try:
-        vals = np.asarray(func(tuple(np.moveaxis(P.map_batch(lam, U), -1, 0))),
-                          dtype=complex)
-        vals = np.broadcast_to(vals, lam.shape)
-    except Exception:              # the caller redoes the chunk disc by disc
-        return None
-    finite = np.isfinite(vals).all(axis=-1)
-    if not finite.all():
-        # the caller redoes these discs; keep their inf and nan out of the FFT
-        vals = np.where(finite[:, None], vals, 0)
-    count = lam.shape[-1]
-    c = np.fft.fft(vals, axis=-1) / count
-    res = (np.abs(c[:, count // 2:]).max(axis=-1)
-           / np.fmax(1.0, np.abs(c).max(axis=-1)))
-    return res, finite
-
-
 def check_holo_along_pencil(f, P: PencilSpec,
                             rho_schedule: Sequence[float] = (0.3, 0.6, 0.9),
                             tol: float = 1e-8, modes: int = 16
                             ) -> PencilHoloResult:
     """Residual of lambda -> f(map(lambda, u)) per direction and radius.
 
-    Every entry is what ``disc_holo_residual`` gives on that disc alone,
-    but the discs are evaluated in chunks of at most DISC_CHUNK_SAMPLES
-    samples: one map call, one f call and one row FFT per chunk.  f must
-    therefore act pointwise on coordinate arrays of any shape.  A chunk
-    whose evaluation raises, and a disc with non-finite samples, go
-    through the one-disc path, so an error stays with its own disc and
-    keeps its message.
+    Every entry is what ``disc_holo_residual`` gives on that disc alone.
+    The discs are evaluated in chunks of at most DISC_CHUNK_SAMPLES
+    samples, one map call, one f call and one row FFT per chunk, so f
+    must act pointwise on coordinate arrays of any shape.  A disc whose
+    chunk raises, or whose samples are not all finite, is redone on its
+    own, so an error stays with its own disc and keeps its message.
     """
     from .expr import as_callable
     func = as_callable(f, P.n)
+
+    def on_discs(di):
+        """lambda -> f(map(lambda, u)) on the discs through directions di."""
+        return lambda lam: func(tuple(np.moveaxis(P.disc(lam, di), -1, 0)))
+
     radii = list(rho_schedule)
+    rho = np.asarray(radii, dtype=float)
     discs = [(i, r) for i in range(P.num_directions) for r in range(len(radii))]
-    if modes < 16:                 # every disc reports the modes error
-        out = [_single_disc(func, P, i, radii[r], modes) for i, r in discs]
-    else:
-        count = 4 * modes
-        lam_table = (np.asarray(radii, dtype=float)[:, None]
-                     * np.exp(2j * np.pi * np.arange(count) / count))
-        step = max(1, DISC_CHUNK_SAMPLES // count)
-        units = [tuple(u) for u in P.directions]
-        out = []
-        for start in range(0, len(discs), step):
-            part = discs[start:start + step]
-            di, ri = np.array(part, dtype=int).T
-            batch = _chunk_residuals(func, P, di, lam_table[ri])
-            res, finite = ((None, [False] * len(part)) if batch is None
-                           else (batch[0].tolist(), batch[1].tolist()))
-            for k, (i, r) in enumerate(part):
-                out.append(DiscResidual(i, units[i], float(radii[r]), res[k])
-                           if finite[k] else
-                           _single_disc(func, P, i, radii[r], modes))
+    step = max(1, DISC_CHUNK_SAMPLES // max(1, 4 * modes))
+    units = [tuple(u) for u in P.directions]
+    out = []
+    for start in range(0, len(discs), step):
+        part = discs[start:start + step]
+        di, ri = np.array(part, dtype=int).T
+        try:
+            res, finite = _holo_residuals(on_discs(di), rho[ri], modes)
+        except Exception:          # every disc of the chunk is redone
+            res, finite = [math.nan] * len(part), [False] * len(part)
+        for (i, r), value, ok in zip(part, res, finite):
+            entry = DiscResidual(i, units[i], float(radii[r]),
+                                 float(value) if ok else math.nan)
+            if not ok:
+                try:
+                    entry.residual = disc_holo_residual(on_discs(i), radii[r],
+                                                        modes)
+                except Exception as exc:   # per-disc failures are non-fatal
+                    entry.error = str(exc)
+            out.append(entry)
     ok = all(e.error is None and e.residual <= tol for e in out)
     return PencilHoloResult(out, tol, ok)
 
@@ -678,37 +672,28 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6, ell_max: int = 8, *,
     # master disc sample: one ring per ell plus deep interior points, so the
     # points with |lam| <= 1/ell sample every smaller disc as well
     rings = np.array([0.93 / j for j in range(1, ell_max + 1)] + [0.02])
-    phase = np.exp(2j * np.pi * np.arange(phases) / phases)
-    lam = (rings[:, None] * phase[None, :]).ravel()
+    lam = (rings[:, None] * torus((1.0,), phases)[0][None, :]).ravel()
     masks = [np.abs(lam) <= 1.0 / ell for ell in range(1, ell_max + 1)]
 
+    def residuals(rows):
+        """Per-ell worst CR residuals of the directions rows (or one index)."""
+        pts = P.disc(np.broadcast_to(lam, np.shape(rows) + lam.shape), rows)
+        res = np.abs(wirtinger_dbar(func, pts, delta)).max(axis=-1)
+        res = np.where(np.isfinite(res), res, np.inf)
+        return np.array([res[..., mask].max(axis=-1) for mask in masks]).T
+
     table = np.full((M, ell_max), np.inf)
-
-    def one_direction(i):
-        U = np.broadcast_to(P.directions[i], lam.shape + (P.n,))
-        try:
-            pts = P.map_batch(lam, U)
-            res = cr_residual_on_points(func, pts, delta)
-        except Exception:
-            return
-        for e, mask in enumerate(masks):
-            table[i, e] = float(res[mask].max())
-
     step = max(1, DISC_CHUNK_SAMPLES // lam.size)
     for start in range(0, M, step):
         rows = np.arange(start, min(start + step, M))
-        shape = (rows.size, lam.size)
-        U = np.broadcast_to(P.directions[rows][:, None, :], shape + (P.n,))
         try:
-            pts = P.map_batch(np.broadcast_to(lam, shape), U)
-            res = np.abs(wirtinger_dbar(func, pts, delta)).max(axis=-1)
+            table[rows] = residuals(rows)
         except Exception:          # redo the chunk direction by direction
             for i in rows:
-                one_direction(i)
-            continue
-        res = np.where(np.isfinite(res), res, np.inf)
-        for e, mask in enumerate(masks):
-            table[rows, e] = res[:, mask].max(axis=1)
+                try:
+                    table[i] = residuals(i)
+                except Exception:  # the direction keeps residual inf
+                    pass
 
     passing = table <= tol
     ell_star = np.where(passing.any(axis=1), passing.argmax(axis=1) + 1, 0)

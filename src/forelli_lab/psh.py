@@ -21,6 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .series import torus
 from .slices import ChartPoly, SlicePolyFamily
 
 MINUS_INFINITY = "MinusInfinity"
@@ -61,19 +62,6 @@ class TorusAverage(NamedTuple):
     clipped: int
 
 
-def _torus_points(z, r, grid: int):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    nv = len(z)
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    grids = np.meshgrid(*([theta] * nv), indexing="ij")
-    pts = np.stack([z[k] + r[k] * np.exp(1j * grids[k]) for k in range(nv)],
-                   axis=-1)
-    if nv == 1:
-        return pts[..., 0]
-    return pts
-
-
 def average_on_torus(family: PshFamily, k: int, z, r, grid: int = 64, *,
                      clip_floor: float = -1e3) -> TorusAverage:
     """Trapezoidal average of u_k over the distinguished torus of P(z; r).
@@ -84,7 +72,11 @@ def average_on_torus(family: PshFamily, k: int, z, r, grid: int = 64, *,
     """
     if grid < 16:
         raise ValueError("grid must be >= 16 per angle")
-    vals = family.u(k, _torus_points(z, r, grid))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    nodes = torus(r[:len(z)], grid)
+    pts = np.stack([z[k] + nodes[k] for k in range(len(z))], axis=-1)
+    vals = family.u(k, pts[..., 0] if len(z) == 1 else pts)
     clipped = int(np.sum(~np.isfinite(vals)))
     vals = np.maximum(vals, clip_floor)
     return TorusAverage(float(np.mean(vals)), clipped)

@@ -19,6 +19,12 @@ comparison at this layer.
 Each series builds its graded array view (``FormalSeries.graded``) once;
 ordered iteration, order blocks and the zbar check read it.  Every
 polynomial evaluation in the lab goes through the one kernel ``monomials``.
+
+Every trapezoidal sample in the lab, on circles and on product tori, is
+built by ``torus`` and transformed by ``torus_modes``.  On a grid of size
+G the torus of radii (r_1..r_n) has the nodes z_k = r_k exp(1j (2.0 pi
+j_k / G)), j_k = 0..G-1, held as arrays of shape (G,) * n in C order of
+(j_1..j_n); its Fourier mode m in Z^n sits at index m mod G of the modes.
 """
 
 from __future__ import annotations
@@ -67,6 +73,23 @@ def monomials(points, exponents) -> np.ndarray:
         used, at = np.unique(e, return_inverse=True)
         out *= (points[..., j, None] ** used)[..., at]
     return out
+
+
+def torus(radii, grid: int) -> Tuple[np.ndarray, ...]:
+    """The n C-contiguous components of the nodes of |z_k| = radii[k]."""
+    n = len(radii)
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid))
+    # component k varies along axis k only
+    return tuple(
+        np.broadcast_to((r * circle).reshape((grid,) + (1,) * (n - 1 - k)),
+                        (grid,) * n).copy()
+        for k, r in enumerate(radii))
+
+
+def torus_modes(values, n: int) -> np.ndarray:
+    """Fourier modes of samples on tori spanning the last n axes of values."""
+    # "forward" divides by grid^n inside the transform, with no extra pass
+    return np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
 
 
 class GradedTerms(NamedTuple):

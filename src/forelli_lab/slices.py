@@ -19,7 +19,6 @@ terms or over points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .series import FormalSeries, monomials, order
+from .series import FormalSeries, monomials, order, torus
 
 CHART_EPS = 1e-9   # directions with |v_1| below this have no chart
 
@@ -294,9 +293,9 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     nv = family.nvars
     rng = np.random.default_rng(seed)
 
-    angles = 2.0 * np.pi * np.arange(angular_grid) / angular_grid
-    boundary = 2.0 * r0 * np.exp(
-        1j * np.array(list(itertools.product(angles, repeat=nv))))
+    # one row per grid node; with nv = 0 the grid is one empty point
+    boundary = np.array(torus((2.0 * r0,) * nv, angular_grid),
+                        dtype=complex).reshape(nv, angular_grid ** nv).T
     radii = 2.0 * r0 * np.sqrt(rng.random((sample_count, nv)))
     phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
     samples = np.concatenate([boundary, radii * phases])     # (count, nv)

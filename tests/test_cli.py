@@ -139,6 +139,37 @@ class TestDirectionPresets:
         assert "--seed" in err
 
 
+class TestPencilFileDirections:
+    """A general pencil file's direction list is checked as --directions is."""
+
+    @pytest.mark.parametrize("dirs,message", [
+        ([[[2, 0], [0, 0]], [[0, 0], [0, 1]]], None),
+        ([[[0, 0], [0, 0]], [[0, 0], [0, 1]]], "zero vector in direction set"),
+        ([[[1, 0], [0, 0], [0, 0]]], "directions live in C^3, expected C^2"),
+    ], ids=["off-sphere", "zero", "wrong-dimension"])
+    def test_same_as_directions(self, capsys, tmp_path, dirs, message):
+        dir_file = tmp_path / "dirs.json"
+        dir_file.write_text(json.dumps(dirs))
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(json.dumps(
+            {"n": 2, "map": ["l*u1", "l*u2 + l^2*conj(u1)*u2"],
+             "directions": dirs}))
+        expr = ("--expr", "exp(z1+z2)", "--json")
+        code, out, err = run_cli(capsys, "pencil-check", "--pencil",
+                                 str(pencil), *expr)
+        want_code, want_out, want_err = run_cli(
+            capsys, "pencil-check", "--directions", str(dir_file), *expr)
+        assert (code, err) == (want_code, want_err)
+        if message is None:
+            assert code == 0
+            assert json.loads(out)["warnings"] == json.loads(
+                want_out)["warnings"] == [
+                "directions off the unit sphere by up to 1; normalizing"]
+        else:
+            assert code == 1
+            assert err == f"verification failure: {message}\n"
+
+
 class TestReportWarnings:
     """Library UserWarnings reach the report's warnings array."""
 

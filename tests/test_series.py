@@ -1,7 +1,13 @@
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import forelli_lab
 from forelli_lab import DimensionMismatchError, FormalSeries, SeriesFormatError
+from forelli_lab.series import torus, torus_modes
 
 from conftest import random_series
 
@@ -240,3 +246,109 @@ class TestTextFormat:
         path = tmp_path / "series.txt"
         S.save(path)
         assert FormalSeries.load(path) == S
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestTorus:
+    """``torus`` reproduces the samplers it replaced, bit for bit."""
+
+    RADII = (0.9, 0.35, 1.7)
+
+    @pytest.mark.parametrize("n,grid", [(1, 64), (2, 64), (3, 32), (3, 64)])
+    def test_jets_meshgrid_phases(self, n, grid):
+        theta = 2.0 * np.pi * np.arange(grid) / grid
+        phases = [np.exp(1j * g)
+                  for g in np.meshgrid(*([theta] * n), indexing="ij")]
+        radii = self.RADII[:n]
+        for unit, scaled, ph, r in zip(torus((1.0,) * n, grid),
+                                       torus(radii, grid), phases, radii):
+            assert same_bits(unit, ph)
+            assert same_bits(r * unit, r * ph)
+            assert same_bits(scaled, r * ph)
+            assert unit.flags.c_contiguous and unit.shape == (grid,) * n
+
+    @pytest.mark.parametrize("count", [8, 64, 256])
+    @pytest.mark.parametrize("rho", [1.0, 0.3, 0.93])
+    def test_pencil_circle(self, rho, count):
+        # the disc residual's 64 samples and find_subpencil's 8 phases
+        (circle,) = torus((rho,), count)
+        assert same_bits(circle, rho * np.exp(2j * np.pi * np.arange(count)
+                                              / count))
+
+    @pytest.mark.parametrize("count", [48, 100, 256, 3200])
+    def test_theta_circle(self, count):
+        # the Siciak-ball circle and the disc candidates' boundary
+        theta = 2.0 * np.pi * np.arange(count) / count
+        assert same_bits(torus((0.7,), count)[0], 0.7 * np.exp(1j * theta))
+
+    @pytest.mark.parametrize("n,grid", [(1, 64), (2, 64), (3, 64), (2, 256)])
+    def test_psh_torus_points(self, n, grid):
+        z = np.array([0.1 - 0.2j, -0.3j, 0.25])[:n]
+        r = np.array(self.RADII[:n])
+        theta = 2.0 * np.pi * np.arange(grid) / grid
+        grids = np.meshgrid(*([theta] * n), indexing="ij")
+        want = np.stack([z[k] + r[k] * np.exp(1j * grids[k])
+                         for k in range(n)], axis=-1)
+        got = np.stack([z[k] + c for k, c in enumerate(torus(r, grid))],
+                       axis=-1)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("nv", [1, 2, 3])
+    def test_certificate_boundary(self, nv):
+        r0, grid = 0.3, 48
+        angles = 2.0 * np.pi * np.arange(grid) / grid
+        want = 2.0 * r0 * np.exp(
+            1j * np.array(list(itertools.product(angles, repeat=nv))))
+        got = np.stack(torus((2.0 * r0,) * nv, grid), axis=-1).reshape(-1, nv)
+        assert same_bits(got, want)
+
+    def test_no_radii_is_no_component(self):
+        assert torus((), 48) == ()
+
+
+class TestTorusModes:
+    @pytest.mark.parametrize("n,grid", [(1, 16), (2, 16), (3, 8)])
+    def test_recovers_trigonometric_coefficients(self, rng, n, grid):
+        modes = [tuple(int(m) for m in rng.integers(-3, 4, n))
+                 for _ in range(6)] + [(-1,) * n, (0,) * n]
+        coeffs = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(
+            len(modes))
+        comps = torus((1.0,) * n, grid)
+        vals = sum(c * np.prod([z ** m for z, m in zip(comps, mu)], axis=0)
+                   for c, mu in zip(coeffs, modes))
+        got = torus_modes(vals, n)
+        want = np.zeros((grid,) * n, dtype=complex)
+        for c, mu in zip(coeffs, modes):
+            want[tuple(m % grid for m in mu)] += c
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_leading_axes_are_separate_tori(self, rng):
+        vals = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        got = torus_modes(vals, 1)
+        assert same_bits(got, np.fft.fft(vals, axis=-1) / 64)
+        for row, v in zip(got, vals):
+            assert same_bits(row, torus_modes(v, 1))
+
+
+def test_only_series_calls_fft():
+    """Every FFT of samples goes through ``series.torus_modes``."""
+    offenders = []
+    for path in sorted(Path(forelli_lab.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            if any("fft" in name.split(".") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
