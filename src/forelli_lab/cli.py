@@ -344,9 +344,8 @@ def _cmd_normalize(args) -> int:
     if args.expr or args.expr_file:
         f = _load_function(args, P.n)
         r_lo, r_hi = (float(t) for t in args.z1_ring.split())
-        ring = np.concatenate([
-            r * np.exp(2j * np.pi * np.arange(24) / 24)
-            for r in np.linspace(r_lo, r_hi, 6)])
+        ring = np.concatenate([torus((r,), 24)[0]
+                               for r in np.linspace(r_lo, r_hi, 6)])
         hg = compute_H_G(f, kdata, ring, tol_G=args.tol_g)
         stages.append({"name": "H_G", "status": "pass" if hg.passed else "fail",
                        "details": {"max_abs_G": hg.max_abs_G,

@@ -185,7 +185,7 @@ def extract_jet(f, n: int, order: int, *,
                 + math.sqrt(len(rows)) * noise_floor)
     resid = np.empty((len(modes), len(rows)), dtype=complex)
     class_cond = np.empty(len(classes))
-    kept = []                   # (mode, L index, I, J, coefficient) arrays
+    kept = []                   # (I + J exponent rows, coefficient) arrays
     for dmax in np.unique(class_dmax):
         Ls = np.array([L for L in itertools.product(range(dmax + 1), repeat=n)
                        if sum(L) <= dmax], dtype=int).reshape(-1, n)
@@ -217,8 +217,8 @@ def extract_jet(f, n: int, order: int, *,
         noise = data_unc[sel, None] * pinv_rows[k] / col_scale[k]
         mi, li = np.nonzero(np.abs(x) > np.maximum(coeff_floor, noise))
         m = sel[mi]
-        kept.append((m, li, mu_plus[m] + Ls[li], mu_minus[m] + Ls[li],
-                     x[mi, li]))
+        kept.append((np.concatenate([mu_plus[m] + Ls[li], mu_minus[m] + Ls[li]],
+                                    axis=1), x[mi, li]))
 
     mode_cond = class_cond[mode_class]
     bad = np.flatnonzero(mode_cond > cond_limit)
@@ -228,12 +228,7 @@ def extract_jet(f, n: int, order: int, *,
             f"{mode_cond[bad[0]]:.3g} exceeds {cond_limit:.3g}")
     worst_cond = max(1.0, float(mode_cond.max()))
 
-    # insert coefficients in mode order, then L order within a mode:
-    # consumers that sum over the term map follow its insertion order
-    m, li, I, J, c = (np.concatenate(parts) for parts in zip(*kept))
-    order_ix = np.lexsort((li, m))
-    coeffs = {(tuple(i), tuple(j)): v for i, j, v in zip(
-        I[order_ix].tolist(), J[order_ix].tolist(), c[order_ix].tolist())}
+    exponents, coeffs = (np.concatenate(parts) for parts in zip(*kept))
 
     res_abs = np.abs(resid).max(axis=1)
     res_abs[res_abs <= noise_floor] = 0.0
@@ -282,7 +277,7 @@ def extract_jet(f, n: int, order: int, *,
     else:
         verdict = NO_JET
 
-    series = FormalSeries(n, order, coeffs)
+    series = FormalSeries._from_arrays(n, order, exponents, coeffs)
     diagnostics = {
         "radii": radii.tolist(),
         "grid": grid,

@@ -49,6 +49,23 @@ class NewtonInversionError(RuntimeError):
     """Map inversion failed below the radius floor."""
 
 
+# fixed numerical settings, grouped by the function that reads them
+_PENCIL_HOLO_TOL = 1e-8      # pencil_from_exprs: disc residual per component
+_PENCIL_MESH_TOL = 1e-10     # and the distance at which mesh images coincide
+_Z2_SAMPLES = 12             # tilde_normalize: the z2 ring of its checks,
+_NORMALIZE_NEWTON_TOL = 1e-12    # its first-component Newton solve,
+_FD_STEP = 1e-6              # that solve's difference step
+_TOL_K0 = 1e-8               # and the bounds of its three checks
+_TOL_SLOPE = 1e-6
+_TOL_HOLO = 1e-8
+_HG_DELTA = 1e-5             # compute_H_G: Wirtinger difference step
+_H_FLOOR = 1e-9              # and the floor |H| must clear
+_BISECT_STEPS = 10           # standard_subpencil_radius: bisection on r,
+_NEWTON_ITERS = 30           # the inversion's iterations and tolerance,
+_NEWTON_TOL = 1e-10
+_R_FLOOR = 1e-6              # and the radius below which no r is verified
+
+
 # -- direction sampling --------------------------------------------------------
 
 def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -211,9 +228,7 @@ def standard_pencil(n: int, U) -> PencilSpec:
 
 
 def pencil_from_exprs(n: int, map_exprs, directions,
-                      base_point=None, *, validate: bool = True,
-                      holo_tol: float = 1e-8, mesh_tol: float = 1e-10
-                      ) -> PencilSpec:
+                      base_point=None) -> PencilSpec:
     """Build a general pencil from per-component map expressions.
 
     Expressions use the variables l (the disc parameter), u1..un and
@@ -232,12 +247,11 @@ def pencil_from_exprs(n: int, map_exprs, directions,
          else np.asarray(base_point, dtype=complex))
     spec = PencilSpec(n=n, base_point=p, directions=U, kind="general",
                       map_exprs=exprs)
-    if validate:
-        _validate_pencil(spec, holo_tol, mesh_tol)
+    _validate_pencil(spec)
     return spec
 
 
-def _validate_pencil(spec: PencilSpec, holo_tol: float, mesh_tol: float):
+def _validate_pencil(spec: PencilSpec):
     sub = spec.directions[:: max(1, spec.num_directions // 24)]
     at0 = spec.map_batch(np.zeros(len(sub)), sub)
     worst = float(np.abs(at0 - spec.base_point).max())
@@ -249,19 +263,19 @@ def _validate_pencil(spec: PencilSpec, holo_tol: float, mesh_tol: float):
             g = lambda lam: spec.map_batch(lam, np.broadcast_to(
                 u, lam.shape + (spec.n,)))[..., j]
             res = disc_holo_residual(g, 0.9, modes=16)
-            if res > holo_tol:
+            if res > _PENCIL_HOLO_TOL:
                 raise PencilCheckError(
                     f"disc through {u} has component {j+1} residual {res:.3g}")
     # mesh injectivity on pairs, modulo genuine cone identifications
     radii = np.array([0.25, 0.55, 0.85])
-    phases = np.exp(2j * np.pi * np.arange(6) / 6)
+    phases = torus((1.0,), 6)[0]
     lam = (radii[:, None] * phases[None, :]).ravel()
     L = np.tile(lam, len(sub))
     D = np.repeat(sub, lam.size, axis=0)
     images = spec.map_batch(L, D)
     cone = L[:, None] * D
     tree = cKDTree(_realify(images))
-    for i, j in tree.query_pairs(mesh_tol):
+    for i, j in tree.query_pairs(_PENCIL_MESH_TOL):
         if np.abs(cone[i] - cone[j]).max() > 1e-8:
             raise PencilCheckError(
                 f"mesh injectivity violated: parameters {(L[i], tuple(D[i]))} "
@@ -442,16 +456,6 @@ def wirtinger_dbar(f, points: np.ndarray, delta: float = 1e-5) -> np.ndarray:
     return out
 
 
-def cr_residual_on_points(f, points: np.ndarray, delta: float = 1e-5
-                          ) -> np.ndarray:
-    """max_j |d f / dzbar_j| per point; +inf where evaluation fails."""
-    try:
-        vals = np.abs(wirtinger_dbar(f, points, delta)).max(axis=-1)
-    except Exception:
-        return np.full(points.shape[:-1], np.inf)
-    return np.where(np.isfinite(vals), vals, np.inf)
-
-
 # -- the disc-map normalization (n = 2) ----------------------------------------
 
 @dataclass
@@ -478,11 +482,7 @@ def _rotation_to_e1(v0: np.ndarray) -> np.ndarray:
     return Q
 
 
-def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4, *,
-                    z2_samples: int = 12, newton_tol: float = 1e-12,
-                    fd_step: float = 1e-6, tol_k0: float = 1e-8,
-                    tol_slope: float = 1e-6, tol_holo: float = 1e-8
-                    ) -> KData:
+def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     """Normalize the pencil near the direction v0 (dimension 2 only).
 
     Rotates coordinates so v0 becomes (1, 0), forms the two-parameter
@@ -519,8 +519,8 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4, *,
         flat = w.ravel()
         zeta = flat.copy()
         # derivative scale at 0 to seed Newton
-        d0 = (htilde(np.array([fd_step]), z2)[0, 0]
-              - htilde(np.array([-fd_step]), z2)[0, 0]) / (2 * fd_step)
+        d0 = (htilde(np.array([_FD_STEP]), z2)[0, 0]
+              - htilde(np.array([-_FD_STEP]), z2)[0, 0]) / (2 * _FD_STEP)
         if abs(d0) < 1e-12:
             raise PencilCheckError(
                 f"disc map degenerate along z1 at z2={z2}: a'(0)={d0:.3g}")
@@ -530,10 +530,11 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4, *,
             vals = htilde(zeta, z2)
             a = vals[:, 0]
             err = a - target
-            if np.abs(err).max() <= newton_tol * max(1.0, np.abs(target).max()):
+            if np.abs(err).max() <= _NORMALIZE_NEWTON_TOL * max(
+                    1.0, np.abs(target).max()):
                 break
-            da = (htilde(zeta + fd_step, z2)[:, 0]
-                  - htilde(zeta - fd_step, z2)[:, 0]) / (2 * fd_step)
+            da = (htilde(zeta + _FD_STEP, z2)[:, 0]
+                  - htilde(zeta - _FD_STEP, z2)[:, 0]) / (2 * _FD_STEP)
             da = np.where(np.abs(da) < 1e-14, 1e-14, da)
             zeta = zeta - err / da
         else:
@@ -543,23 +544,23 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4, *,
 
     # admissibility checks
     failures = []
-    z2s = 0.5 * eps * np.exp(2j * np.pi * np.arange(z2_samples) / z2_samples)
+    z2s = torus((0.5 * eps,), _Z2_SAMPLES)[0]
     k0 = np.array([k_func(np.zeros(1), z2)[0] for z2 in z2s])
     worst_k0 = float(np.abs(k0).max())
-    if worst_k0 > tol_k0:
+    if worst_k0 > _TOL_K0:
         failures.append(f"k(0, z2) as large as {worst_k0:.3g}")
     step = 1e-5
     slopes = np.array([
         (k_func(np.array([step]), z2)[0] - k_func(np.array([-step]), z2)[0])
         / (2 * step) for z2 in z2s])
     worst_slope = float(np.abs(slopes - z2s).max())
-    if worst_slope > tol_slope:
+    if worst_slope > _TOL_SLOPE:
         failures.append(f"dk/dz1(0, z2) off z2 by {worst_slope:.3g}")
     worst_holo = 0.0
-    for z2 in z2s[:: max(1, z2_samples // 6)]:
+    for z2 in z2s[:: max(1, _Z2_SAMPLES // 6)]:
         res = disc_holo_residual(lambda lam: k_func(lam, z2), 0.4 * eps)
         worst_holo = max(worst_holo, res)
-    if worst_holo > tol_holo:
+    if worst_holo > _TOL_HOLO:
         failures.append(f"k not holomorphic in z1: residual {worst_holo:.3g}")
     if failures:
         raise PencilCheckError(
@@ -581,8 +582,7 @@ class HGResult:
     claim: str
 
 
-def compute_H_G(f, kdata: KData, z1_grid, delta: float = 1e-5, *,
-                tol_G: float = 1e-6, h_floor: float = 1e-9) -> HGResult:
+def compute_H_G(f, kdata: KData, z1_grid, *, tol_G: float = 1e-6) -> HGResult:
     """Evaluate the normalization invariants H and G on a punctured grid.
 
     H(z1) = |dk/dz2bar|^2 - |dk/dz2|^2 at (z1, 0); G(z1) combines the
@@ -600,6 +600,7 @@ def compute_H_G(f, kdata: KData, z1_grid, delta: float = 1e-5, *,
         pts = np.stack([z1v, wv], axis=-1) @ Qh.T
         return np.asarray(func((pts[..., 0], pts[..., 1])), dtype=complex)
 
+    delta = _HG_DELTA
     ks = {s: kdata.k(z1, s) for s in (delta, -delta, 1j * delta, -1j * delta)}
     kx = (ks[delta] - ks[-delta]) / (2 * delta)
     ky = (ks[1j * delta] - ks[-1j * delta]) / (2 * delta)
@@ -616,11 +617,11 @@ def compute_H_G(f, kdata: KData, z1_grid, delta: float = 1e-5, *,
 
     max_G = float(np.abs(G).max())
     min_H = float(np.abs(H).min())
-    if float(np.abs(H).max()) < h_floor:
+    if float(np.abs(H).max()) < _H_FLOOR:
         raise DegenerateNormalizationError(
             "H below the floor on the whole grid; normalization degenerate, "
             "verdict inconclusive")
-    passed = bool(max_G <= tol_G and min_H >= h_floor)
+    passed = bool(max_G <= tol_G and min_H >= _H_FLOOR)
     claim = ("df/dwbar = 0 and df/dzbar = 0 along the v0 disc"
              if passed else "Cauchy-Riemann verification failed")
     return HGResult(z1_grid=z1, H=H, G=G, max_abs_G=max_G, min_abs_H=min_H,
@@ -741,10 +742,8 @@ def _largest_component(mask: np.ndarray, neighbors) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
-                              bisect_steps: int = 10, newton_iters: int = 30,
-                              newton_tol: float = 1e-10,
-                              r_floor: float = 1e-6) -> float:
+def standard_subpencil_radius(P: PencilSpec, W, *, V=None,
+                              mesh: int = 1000) -> float:
     """Largest verified r with {lambda u : u in W, |lambda| < r} inside the
     image of the pencil restricted to V.
 
@@ -752,7 +751,7 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
     damped Gauss-Newton (``_invert_map``, starting from the straight-line
     preimage); a candidate r passes when every inversion converges inside
     the unit disc with preimage direction in V.  Divergence counts as
-    "outside the image", shrinking r; dropping below ``r_floor`` raises.
+    "outside the image", shrinking r; dropping below ``_R_FLOOR`` raises.
     Membership in V is one boolean mask over the directions, read both by
     the 2-ring margin check on W and by the test of each candidate r.
     """
@@ -788,7 +787,7 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
         lam = r * mesh_rho * mesh_phase
         targets = lam[:, None] * mesh_dirs
         mu, V_dir, ok = _invert_map(P, targets, lam, mesh_dirs,
-                                    newton_iters, newton_tol)
+                                    _NEWTON_ITERS, _NEWTON_TOL)
         bad = ~ok
         bad |= np.abs(mu) >= 1.0 - 1e-9
         _, nearest = dir_tree.query(_realify(V_dir))
@@ -804,15 +803,15 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None, mesh: int = 1000,
     if test(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(bisect_steps):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if test(mid):
             lo = mid
         else:
             hi = mid
-    if lo < r_floor:
+    if lo < _R_FLOOR:
         raise NewtonInversionError(
-            f"no verifiable radius above {r_floor}; inversion failed down to "
+            f"no verifiable radius above {_R_FLOOR}; inversion failed down to "
             f"r={hi:.3g} at mesh point {last_witness[0]}")
     return lo
 

@@ -74,7 +74,9 @@ def average_on_torus(family: PshFamily, k: int, z, r, grid: int = 64, *,
         raise ValueError("grid must be >= 16 per angle")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    nodes = torus(r[:len(z)], grid)
+    if len(z) != family.nvars or len(r) != family.nvars:
+        raise ValueError(f"center and polyradius need {family.nvars} components")
+    nodes = torus(r, grid)
     pts = np.stack([z[k] + nodes[k] for k in range(len(z))], axis=-1)
     vals = family.u(k, pts[..., 0] if len(z) == 1 else pts)
     clipped = int(np.sum(~np.isfinite(vals)))

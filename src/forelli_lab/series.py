@@ -1,10 +1,10 @@
 """Sparse truncated formal power series in (z_1..z_n, zbar_1..zbar_n).
 
 A series is a finite sum  sum_{I,J} C[I,J] z^I zbar^J  with complex
-coefficients, stored sparsely and truncated at a total order bound N
-(every stored term satisfies |I| + |J| <= N).  Multi-indices are plain
-tuples of nonnegative ints.  All values are immutable; every operation
-returns a new series, so instances are safe to share across threads.
+coefficients, truncated at a total order bound N (every term satisfies
+|I| + |J| <= N).  Multi-indices are plain tuples of nonnegative ints.
+All values are immutable; every operation returns a new series, so
+instances are safe to share across threads.
 
 The degree-grading (Euler) operators act termwise:
 
@@ -16,9 +16,12 @@ free of zbar (holomorphic type).  Coefficients are complex doubles and
 "zero" means exactly 0.0 in both components; there is no epsilon
 comparison at this layer.
 
-Each series builds its graded array view (``FormalSeries.graded``) once;
-ordered iteration, order blocks and the zbar check read it.  Every
-polynomial evaluation in the lab goes through the one kernel ``monomials``.
+A series stores one table, ``FormalSeries.graded``: an exponent array
+whose row t is I + J and a coefficient array, in graded-lexicographic
+order of (I, J) with no repeated row and no zero coefficient.  Ring
+operations build the rows of their result as arrays and put them in
+this form with one sort and one ordered summation.  Every polynomial
+evaluation in the lab goes through the one kernel ``monomials``.
 
 Every trapezoidal sample in the lab, on circles and on product tori, is
 built by ``torus`` and transformed by ``torus_modes``.  On a grid of size
@@ -30,7 +33,8 @@ j_k / G)), j_k = 0..G-1, held as arrays of shape (G,) * n in C order of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -44,11 +48,6 @@ class DimensionMismatchError(ValueError):
 
 class SeriesFormatError(ValueError):
     """Malformed series text."""
-
-
-def order(alpha: MultiIndex) -> int:
-    """Total order |alpha| = alpha_1 + ... + alpha_n."""
-    return sum(alpha)
 
 
 def _check_index(alpha, n: int) -> MultiIndex:
@@ -92,13 +91,28 @@ def torus_modes(values, n: int) -> np.ndarray:
     return np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
 
 
-class GradedTerms(NamedTuple):
+def _times(a, b) -> np.ndarray:
+    """Elementwise a * b with Python's complex rounding (no fused multiply-add)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class GradedTerms:
     """A series' terms in graded-lexicographic order, as read-only arrays."""
 
-    keys: Tuple[TermKey, ...]
     exponents: np.ndarray     # (T, 2n) int: row t is I + J
     coeffs: np.ndarray        # (T,) complex
     orders: np.ndarray        # (T,) int, |I| + |J|, nondecreasing
+
+    @cached_property
+    def keys(self) -> Tuple[TermKey, ...]:
+        """The (I, J) pair of each row."""
+        n = self.exponents.shape[1] // 2
+        return tuple((tuple(e[:n]), tuple(e[n:]))
+                     for e in self.exponents.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,34 +142,58 @@ class FormalSeries:
     and serialized output is deterministic.  Equality is structural.
     """
 
-    __slots__ = ("n", "max_order", "_terms", "_graded")
+    __slots__ = ("n", "max_order", "graded")
 
-    def __init__(self, n: int, max_order: int,
-                 terms: Optional[Iterable[Tuple[TermKey, complex]]] = None):
+    def __new__(cls, n: int, max_order: int,
+                terms: Optional[Iterable[Tuple[TermKey, complex]]] = None):
         n = int(n)
         max_order = int(max_order)
         if n < 1:
             raise ValueError("dimension must be >= 1")
         if max_order < 0:
             raise ValueError("max_order must be >= 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_order", max_order)
-        canon = {}
+        rows, values = [], []
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for (I, J), c in items:
                 I = _check_index(I, n)
                 J = _check_index(J, n)
-                if order(I) + order(J) > max_order:
+                if sum(I) + sum(J) > max_order:
                     raise ValueError(
                         f"term z^{I} zbar^{J} exceeds max_order {max_order}")
-                c = complex(c) + canon.get((I, J), 0j)
-                if c == 0:
-                    canon.pop((I, J), None)
-                else:
-                    canon[(I, J)] = c
-        object.__setattr__(self, "_terms", canon)
-        object.__setattr__(self, "_graded", None)
+                rows.append(I + J)
+                values.append(complex(c))
+        return cls._from_arrays(
+            n, max_order, np.array(rows, dtype=int).reshape(len(rows), 2 * n),
+            np.array(values, dtype=complex))
+
+    @classmethod
+    def _from_arrays(cls, n: int, max_order: int, exponents, coeffs,
+                     ties=()) -> "FormalSeries":
+        """The series sum_t coeffs[t] z^I zbar^J, row t of exponents I + J.
+
+        The rows must satisfy |I| + |J| <= max_order.  Repeated rows are
+        summed from 0 in order of the ``ties`` keys (most significant
+        first), then of position; zero sums are dropped.
+        """
+        orders = exponents.sum(axis=1)
+        # np.lexsort sorts by its last key first
+        perm = np.lexsort((*ties[::-1], *exponents.T[::-1], orders))
+        exponents, orders = exponents[perm], orders[perm]
+        new = np.ones(len(perm), dtype=bool)
+        new[1:] = (exponents[1:] != exponents[:-1]).any(axis=1)
+        sums = np.zeros(np.count_nonzero(new), dtype=complex)
+        np.add.at(sums, np.cumsum(new) - 1, coeffs[perm])
+        nonzero = sums != 0
+        rows = np.flatnonzero(new)[nonzero]
+        table = (exponents[rows], sums[nonzero], orders[rows])
+        for a in table:
+            a.flags.writeable = False
+        S = object.__new__(cls)
+        object.__setattr__(S, "n", n)
+        object.__setattr__(S, "max_order", max_order)
+        object.__setattr__(S, "graded", GradedTerms(*table))
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
@@ -164,46 +202,31 @@ class FormalSeries:
 
     @property
     def terms(self) -> dict:
-        """Copy of the term map {(I, J): coefficient}."""
-        return dict(self._terms)
-
-    @property
-    def graded(self) -> GradedTerms:
-        """The graded array view of the terms, built once per instance."""
-        if self._graded is None:
-            # graded lexicographic on the concatenated (I, J)
-            keys = tuple(sorted(self._terms, key=lambda k: (
-                order(k[0]) + order(k[1]), k[0] + k[1])))
-            exps = np.array([I + J for I, J in keys], dtype=int)
-            exps = exps.reshape(len(keys), 2 * self.n)
-            coeffs = np.array([self._terms[k] for k in keys], dtype=complex)
-            view = GradedTerms(keys, exps, coeffs, exps.sum(axis=1))
-            for a in view[1:]:
-                a.flags.writeable = False
-            object.__setattr__(self, "_graded", view)
-        return self._graded
+        """The term map {(I, J): coefficient}, in graded order."""
+        return dict(self.items())
 
     def items(self) -> Iterator[Tuple[TermKey, complex]]:
         """Terms in graded-lexicographic order."""
-        for key in self.graded.keys:
-            yield key, self._terms[key]
+        return zip(self.graded.keys, self.graded.coeffs.tolist())
 
     def coefficient(self, I, J=None) -> complex:
         I = _check_index(I, self.n)
         J = _check_index(J, self.n) if J is not None else (0,) * self.n
-        return self._terms.get((I, J), 0j)
+        return self.terms.get((I, J), 0j)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return len(self) == 0
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.graded.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSeries):
             return NotImplemented
         return (self.n == other.n and self.max_order == other.max_order
-                and self._terms == other._terms)
+                and np.array_equal(self.graded.exponents,
+                                   other.graded.exponents)
+                and np.array_equal(self.graded.coeffs, other.graded.coeffs))
 
     __hash__ = None
 
@@ -250,23 +273,26 @@ class FormalSeries:
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.n} vs {other.n}")
 
+    def _termwise(self, coeffs) -> "FormalSeries":
+        """This series with its coefficients replaced by ``coeffs``."""
+        return FormalSeries._from_arrays(self.n, self.max_order,
+                                         self.graded.exponents, coeffs)
+
     def __add__(self, other) -> "FormalSeries":
         if isinstance(other, (int, float, complex)):
             other = FormalSeries.constant(other, self.n, self.max_order)
         self._require_same_dim(other)
         N = min(self.max_order, other.max_order)
-        out = {}
-        for src in (self._terms, other._terms):
-            for key, c in src.items():
-                if order(key[0]) + order(key[1]) <= N:
-                    out[key] = out.get(key, 0j) + c
-        return FormalSeries(self.n, N, out)
+        a, b = self.graded, other.graded
+        s, t = (np.searchsorted(g.orders, N, side="right") for g in (a, b))
+        return FormalSeries._from_arrays(
+            self.n, N, np.concatenate([a.exponents[:s], b.exponents[:t]]),
+            np.concatenate([a.coeffs[:s], b.coeffs[:t]]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.n, self.max_order,
-                            {k: -c for k, c in self._terms.items()})
+        return self._termwise(-self.graded.coeffs)
 
     def __sub__(self, other) -> "FormalSeries":
         return self + (-other if isinstance(other, FormalSeries) else -complex(other))
@@ -276,27 +302,22 @@ class FormalSeries:
 
     def __mul__(self, other) -> "FormalSeries":
         if isinstance(other, (int, float, complex)):
-            return FormalSeries(
-                self.n, self.max_order,
-                {k: c * other for k, c in self._terms.items()})
+            return self._termwise(_times(self.graded.coeffs, complex(other)))
         self._require_same_dim(other)
         N = min(self.max_order, other.max_order)
-        # Cauchy product, truncated at N.  Products are accumulated per
-        # output key in a canonical order so that S*T == T*S exactly.
-        buckets = {}
-        for (I1, J1), c1 in self._terms.items():
-            d1 = order(I1) + order(J1)
-            for (I2, J2), c2 in other._terms.items():
-                if d1 + order(I2) + order(J2) > N:
-                    continue
-                I = tuple(a + b for a, b in zip(I1, I2))
-                J = tuple(a + b for a, b in zip(J1, J2))
-                buckets.setdefault((I, J), []).append(c1 * c2)
-        out = {}
-        for key, prods in buckets.items():
-            prods.sort(key=lambda c: (c.real, c.imag))
-            out[key] = sum(prods)
-        return FormalSeries(self.n, N, out)
+        a, b = self.graded, other.graded
+        # Cauchy product, truncated at N: b.orders is sorted, so the partners
+        # of row i of a are a prefix of b, of length counts[i]
+        counts = np.searchsorted(b.orders, N - a.orders, side="right")
+        left = np.repeat(np.arange(len(counts)), counts)
+        right = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        prods = _times(a.coeffs[left], b.coeffs[right])
+        # the products of one key are summed in (real, imag) order, so
+        # S*T == T*S exactly
+        return FormalSeries._from_arrays(
+            self.n, N, a.exponents[left] + b.exponents[right], prods,
+            (prods.real, prods.imag))
 
     __rmul__ = __mul__
 
@@ -315,29 +336,31 @@ class FormalSeries:
         if not 0 <= m <= self.max_order:
             raise ValueError(
                 f"truncation order {m} outside [0, {self.max_order}]")
-        kept = {k: c for k, c in self._terms.items()
-                if order(k[0]) + order(k[1]) <= m}
-        return FormalSeries(self.n, m, kept)
+        g = self.graded
+        t = np.searchsorted(g.orders, m, side="right")
+        return FormalSeries._from_arrays(self.n, m, g.exponents[:t],
+                                         g.coeffs[:t])
 
     def euler_e(self) -> "FormalSeries":
         """Apply E = sum_k z_k d/dz_k (termwise factor |I|)."""
-        return FormalSeries(
-            self.n, self.max_order,
-            {k: order(k[0]) * c for k, c in self._terms.items()})
+        g = self.graded
+        return self._termwise(_times(g.coeffs,
+                                     g.exponents[:, :self.n].sum(axis=1)))
 
     def euler_ebar(self) -> "FormalSeries":
         """Apply Ebar = sum_k zbar_k d/dzbar_k (termwise factor |J|)."""
-        return FormalSeries(
-            self.n, self.max_order,
-            {k: order(k[1]) * c for k, c in self._terms.items()})
+        g = self.graded
+        return self._termwise(_times(g.coeffs,
+                                     g.exponents[:, self.n:].sum(axis=1)))
 
     def is_holomorphic_type(self) -> HolomorphicTypeVerdict:
         """True iff no stored term carries a zbar factor (J != 0)."""
         g = self.graded
         zbar = np.flatnonzero(g.exponents[:, self.n:].any(axis=1))
         if zbar.size:
-            I, J = g.keys[zbar[0]]
-            return HolomorphicTypeVerdict(False, (I, J, self._terms[(I, J)]))
+            t = zbar[0]
+            return HolomorphicTypeVerdict(
+                False, (*g.keys[t], complex(g.coeffs[t])))
         return HolomorphicTypeVerdict(True)
 
     # -- evaluation --------------------------------------------------------
@@ -363,13 +386,13 @@ class FormalSeries:
     # -- helpers used by downstream modules --------------------------------
 
     def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return float(np.abs(self.graded.coeffs).max(initial=0.0))
 
     def terms_of_order(self, k: int) -> dict:
         """Terms with |I| + |J| == k, as {(I, J): coefficient}."""
         g = self.graded
         lo, hi = np.searchsorted(g.orders, (k, k + 1))
-        return {key: self._terms[key] for key in g.keys[lo:hi]}
+        return dict(zip(g.keys[lo:hi], g.coeffs[lo:hi].tolist()))
 
     # -- text format -------------------------------------------------------
 

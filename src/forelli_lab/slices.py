@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .series import FormalSeries, monomials, order, torus
+from .series import FormalSeries, monomials, torus
 
 CHART_EPS = 1e-9   # directions with |v_1| below this have no chart
 
@@ -167,11 +167,12 @@ def chart_poly_family(S: FormalSeries, K: int) -> SlicePolyFamily:
             f"series has a zbar term, witness {verdict.witness!r}")
     if not 0 <= K <= S.max_order:
         raise ValueError(f"K={K} outside [0, {S.max_order}]")
-    buckets = [dict() for _ in range(K + 1)]
-    for (I, _J), c in S.items():
-        if order(I) <= K:
-            buckets[order(I)][I[1:]] = c
-    polys = [ChartPoly.from_dict(S.n - 1, bucket) for bucket in buckets]
+    # S is zbar-free, so the block of order k holds the z^(k-|beta|, beta)
+    g = S.graded
+    ends = np.searchsorted(g.orders, np.arange(K + 2))
+    polys = [ChartPoly.from_dict(S.n - 1, dict(zip(
+        map(tuple, g.exponents[lo:hi, 1:S.n].tolist()),
+        g.coeffs[lo:hi].tolist()))) for lo, hi in zip(ends[:-1], ends[1:])]
     for k, p in enumerate(polys):
         assert p.degree <= k
     return SlicePolyFamily(S.n - 1, polys)

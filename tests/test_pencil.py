@@ -14,7 +14,7 @@ from forelli_lab.expr import as_callable
 from forelli_lab.pencil import (DISC_CHUNK_SAMPLES, _angular_graph,
                                 _gauss_newton_step, _largest_component,
                                 _realify, _renormalize, _tangent_frames,
-                                cr_residual_on_points, wirtinger_dbar)
+                                wirtinger_dbar)
 
 TWIST = ["l*u1", "l*u2 + l^2*conj(u1)*u2"]
 
@@ -483,6 +483,15 @@ def ring_loop_offender(P, W, V):
         if not (ring | ring2) <= V_set:
             return int(w)
     return None
+
+
+def cr_residual_on_points(f, points, delta=1e-5):
+    """max_j |d f / dzbar_j| per point; +inf where evaluation fails."""
+    try:
+        vals = np.abs(wirtinger_dbar(f, points, delta)).max(axis=-1)
+    except Exception:
+        return np.full(points.shape[:-1], np.inf)
+    return np.where(np.isfinite(vals), vals, np.inf)
 
 
 def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8, delta=1e-5):

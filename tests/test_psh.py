@@ -70,6 +70,18 @@ class TestTorusAverage:
         b = average_on_torus(fam, 9, 0.4 + 0.1j, (1.1,), grid=128).value
         assert abs(a - b) <= 1e-4
 
+    @pytest.mark.parametrize("nvars,z,r", [
+        (1, 0j, (0.5, 7.0)),          # a longer r lost its extra radius
+        (1, (0j, 0j), (0.5, 0.5)),    # a longer z averaged per coordinate
+        (1, 0j, ()),                  # a shorter r raised IndexError
+        (2, (0j, 0j), (0.5,)),
+    ])
+    def test_rejects_lengths_off_the_family(self, nvars, z, r):
+        polys = [ChartPoly.from_dict(nvars, {(1,) * nvars: 1.0})] * 4
+        fam = PshFamily.from_polys(polys)
+        with pytest.raises(ValueError, match="polyradius"):
+            average_on_torus(fam, 2, z, r)
+
 
 class TestLipschitz:
     def test_degenerate_equality(self):

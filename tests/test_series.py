@@ -352,3 +352,143 @@ def test_only_series_calls_fft():
             if any("fft" in name.split(".") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# -- the dict store the graded table replaced, kept as the reference --------
+
+def dict_canon(items):
+    """The term map of the dict ``FormalSeries.__init__``."""
+    canon = {}
+    for key, c in items:
+        c = complex(c) + canon.get(key, 0j)
+        if c == 0:
+            canon.pop(key, None)
+        else:
+            canon[key] = c
+    return canon
+
+
+def dict_add(a, b, N):
+    out = {}
+    for src in (a, b):
+        for key, c in src.items():
+            if sum(key[0]) + sum(key[1]) <= N:
+                out[key] = out.get(key, 0j) + c
+    return dict_canon(out.items())
+
+
+def dict_mul(a, b, N):
+    """The bucket-sorted Cauchy product of the dict store."""
+    buckets = {}
+    for (I1, J1), c1 in a.items():
+        d1 = sum(I1) + sum(J1)
+        for (I2, J2), c2 in b.items():
+            if d1 + sum(I2) + sum(J2) > N:
+                continue
+            I = tuple(x + y for x, y in zip(I1, I2))
+            J = tuple(x + y for x, y in zip(J1, J2))
+            buckets.setdefault((I, J), []).append(c1 * c2)
+    out = {}
+    for key, prods in buckets.items():
+        prods.sort(key=lambda c: (c.real, c.imag))
+        out[key] = sum(prods)
+    return dict_canon(out.items())
+
+
+def dict_graded(canon, n):
+    """(exponents, coefficients) of a term map in graded-lexicographic order."""
+    keys = sorted(canon, key=lambda k: (sum(k[0]) + sum(k[1]), k[0] + k[1]))
+    exps = np.array([I + J for I, J in keys], dtype=int).reshape(len(keys), 2 * n)
+    return exps, np.array([canon[k] for k in keys], dtype=complex)
+
+
+def random_items(rng, n, N, count, integer=False):
+    """Mixed z/zbar terms from a small key pool, so keys repeat; some
+    coefficients are negated copies of earlier ones and cancel exactly."""
+    pool = []
+    for _ in range(max(1, count // 3)):
+        total = int(rng.integers(0, N + 1))
+        cut = int(rng.integers(0, total + 1))
+        pool.append((tuple(int(a) for a in rng.multinomial(total - cut, np.ones(n) / n)),
+                     tuple(int(b) for b in rng.multinomial(cut, np.ones(n) / n))))
+    items = []
+    for _ in range(count):
+        key = pool[int(rng.integers(len(pool)))]
+        if items and rng.random() < 0.2:
+            key, c = items[int(rng.integers(len(items)))]
+            items.append((key, -c))
+            continue
+        if integer:
+            c = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        else:
+            c = complex(rng.standard_normal(), rng.standard_normal())
+        items.append((key, c))
+    return items
+
+
+class TestAgainstDictStore:
+    """The graded table gives the dict store's terms, bit for bit."""
+
+    def assert_table(self, S, canon):
+        exps, coeffs = dict_graded(canon, S.n)
+        assert np.array_equal(S.graded.exponents, exps)
+        assert same_bits(S.graded.coeffs, coeffs)
+        assert np.array_equal(S.graded.orders, exps.sum(axis=1))
+        assert S.terms == canon
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_ring_operations(self, n, integer):
+        rng = np.random.default_rng(100 * n + integer)
+        for _ in range(12):
+            N = int(rng.integers(0, 9))
+            items_a = random_items(rng, n, N, int(rng.integers(0, 60)), integer)
+            items_b = random_items(rng, n, N, int(rng.integers(0, 60)), integer)
+            A, B = FormalSeries(n, N, items_a), FormalSeries(n, N, items_b)
+            a, b = dict_canon(items_a), dict_canon(items_b)
+            self.assert_table(A, a)
+            self.assert_table(B, b)
+            M = int(rng.integers(0, N + 1))
+            self.assert_table(A + B.truncate(M), dict_add(a, b, M))
+            self.assert_table(A.truncate(M), dict_canon(
+                (k, c) for k, c in a.items() if sum(k[0]) + sum(k[1]) <= M))
+            self.assert_table(A * B, dict_mul(a, b, N))
+            self.assert_table(A * B.truncate(M), dict_mul(a, b, M))
+            assert A * B == B * A
+            self.assert_table(A.euler_e(), dict_canon(
+                (k, sum(k[0]) * c) for k, c in a.items()))
+            self.assert_table(A.euler_ebar(), dict_canon(
+                (k, sum(k[1]) * c) for k, c in a.items()))
+            w = complex(rng.standard_normal(), rng.standard_normal())
+            for scalar in (w, w.real, 3, 0):
+                self.assert_table(A * scalar, dict_canon(
+                    (k, c * scalar) for k, c in a.items()))
+            self.assert_table(-A, dict_canon((k, -c) for k, c in a.items()))
+
+    def test_exact_cancellation(self):
+        items = [(((1, 0), (0, 1)), 0.1 + 0.2j), (((0, 0), (0, 0)), 1.0),
+                 (((1, 0), (0, 1)), -0.1 - 0.2j), (((0, 0), (0, 0)), 2.5j)]
+        S = FormalSeries(2, 3, items)
+        self.assert_table(S, dict_canon(items))
+        assert S.terms == {((0, 0), (0, 0)): 1 + 2.5j}
+        # (z1 + zbar1)(z1 - zbar1): the z1 zbar1 products cancel
+        P = (z(1) + zbar(1)) * (z(1) - zbar(1))
+        assert P.terms == {((2, 0), (0, 0)): 1, ((0, 0), (2, 0)): -1}
+
+    def test_text_series_in_eight_variables(self):
+        # 61 values per slot in 16 slots: a mixed-radix int64 key of the
+        # exponents would overflow (61**16 > 2**63)
+        rng = np.random.default_rng(8)
+        n, N = 8, 60
+        items = [(((0,) * (n - 1) + (N,), (0,) * n), 1.0), (((0,) * n,) * 2, 0.5j)]
+        for _ in range(40):
+            e = rng.multinomial(int(rng.integers(0, 41)), np.ones(2 * n) / (2 * n))
+            items.append(((tuple(e[:n].tolist()), tuple(e[n:].tolist())),
+                          complex(rng.standard_normal(), rng.standard_normal())))
+        text = "\n".join([f"n={n} N={N}"] + [
+            f"{' '.join(map(str, I))} | {' '.join(map(str, J))} | {c.real!r} {c.imag!r}"
+            for (I, J), c in items])
+        S = FormalSeries.from_text(text)
+        self.assert_table(S, dict_canon(items))
+        self.assert_table(S * S, dict_mul(S.terms, S.terms, N))
+        assert FormalSeries.from_text(S.to_text()) == S
