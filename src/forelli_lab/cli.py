@@ -149,7 +149,8 @@ def _cmd_jet(args) -> int:
          "center": args.center},
         [{"name": "jet", "status": "pass" if jet.full else "fail",
           "details": {"verdict": jet.verdict_text(),
-                      "per_order_residuals": jet.per_order_residuals}}],
+                      "per_order_residuals": jet.per_order_residuals,
+                      **jet.offenders()}}],
         {"passed": jet.full, "verdict": jet.verdict_text(),
          "series": jet.series.to_text()},
         warnings=args.warnings)

@@ -22,6 +22,10 @@ solved as one multi-right-hand-side product.  Classes with the same
 dmax = (order - |mu|_1) // 2 give systems of the same shape, and each
 such stack is factored by a single batched SVD: about order/2 + 1 SVD
 calls per jet instead of one per mode.
+
+The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
+each torus is transformed only on the band |mu_k| <= order, and an Expr
+is evaluated on broadcastable torus axes rather than full arrays.
 """
 
 from __future__ import annotations
@@ -33,12 +37,18 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .expr import as_callable
+from .expr import Expr, as_callable
 from .series import FormalSeries, torus, torus_modes
 
 FULL_JET = "FullJet"
 JET_UP_TO = "JetUpTo"
 NO_JET = "NoJet"
+
+# solved coefficients at or below this modulus are dropped from the jet
+COEFF_FLOOR = 1e-10
+# a radius schedule whose scaled design matrix is worse conditioned than
+# this for some mode is refused
+COND_LIMIT = 1e14
 
 
 class JetExtractionError(RuntimeError):
@@ -72,6 +82,12 @@ class JetResult:
             return f"JetUpTo({self.max_consistent_order})"
         return self.verdict
 
+    def offenders(self) -> dict:
+        """The ``first_failing_mode`` and ``worst_condition_mode`` entries
+        of the diagnostics, for a report's jet stage."""
+        return {key: self.diagnostics.get(key)
+                for key in ("first_failing_mode", "worst_condition_mode")}
+
 
 def radius_schedule(num: int, rho0: float = 0.2, sigma: float = 1.25,
                     rho_max: Optional[float] = None) -> np.ndarray:
@@ -99,14 +115,16 @@ def extract_jet(f, n: int, order: int, *,
                 rho_max: Optional[float] = None,
                 grid: Optional[int] = None,
                 tol: float = 1e-6,
-                coeff_floor: float = 1e-10,
-                cond_limit: float = 1e14,
                 center: Optional[Sequence[complex]] = None) -> JetResult:
     """Extract the order-``order`` formal Taylor jet of f at the origin.
 
-    f is an Expr or a callable taking a tuple of n complex arrays.  The
-    radius schedule must contain at least ceil(order/2) + 1 entries and
-    the angular grid at least 2*order + 1 points per dimension.  A
+    f is an Expr or a callable taking a tuple of n complex arrays.  An
+    Expr is evaluated on compact torus axes: component k has shape
+    (G,) on axis k and 1 elsewhere, so a subexpression in fewer than n
+    variables runs on fewer points.  A callable gets fresh, writeable
+    arrays of the full shape (G,) * n, which it may stack or write into.
+    The radius schedule must contain at least ceil(order/2) + 1 entries
+    and the angular grid at least 2*order + 1 points per dimension.  A
     nonzero ``center`` translates the expansion point.
     """
     if order < 0:
@@ -131,27 +149,11 @@ def extract_jet(f, n: int, order: int, *,
         base = func
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 
-    # sample one product torus at a time, scaling the unit torus, and
-    # gather the needed Fourier modes with one flat index array
-    unit = torus((1.0,) * n, grid)
     modes = _mode_list(n, order)
     mus = np.array(modes, dtype=int).reshape(len(modes), n)
-    fft_index = np.ravel_multi_index(tuple((mus % grid).T), (grid,) * n)
     rows = list(itertools.product(range(len(radii)), repeat=n))
-    mode_vals = np.empty((len(rows), len(modes)), dtype=complex)
-    for ri, row in enumerate(rows):
-        zs = tuple(radii[row[k]] * unit[k] for k in range(n))
-        try:
-            vals = np.asarray(func(zs), dtype=complex)
-        except Exception as exc:
-            raise JetExtractionError(
-                f"evaluation failed on torus rho={tuple(radii[t] for t in row)}: {exc}"
-            ) from exc
-        vals = np.broadcast_to(vals, unit[0].shape)
-        if not np.all(np.isfinite(vals)):
-            raise JetExtractionError(
-                f"non-finite samples on torus rho={tuple(radii[t] for t in row)}")
-        mode_vals[ri] = torus_modes(vals, n).ravel()[fft_index]
+    mode_vals = _sample_modes(func, isinstance(f, Expr), radii, rows, mus,
+                              grid, order)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     diag_rows = [ri for ri, row in enumerate(rows)
@@ -200,7 +202,7 @@ def extract_jet(f, n: int, order: int, *,
         cond = np.full(len(cls), np.inf)
         np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 0)
         class_cond[cls] = cond
-        if np.any(cond > cond_limit):
+        if np.any(cond > COND_LIMIT):
             continue            # reported below, at the first such mode
 
         sel = np.flatnonzero(class_dmax[mode_class] == dmax)
@@ -215,17 +217,17 @@ def extract_jet(f, n: int, order: int, *,
         x = X[k, :, v]                                         # (modes, #L)
         pinv_rows = np.sqrt(np.sum((Vt / sv[:, :, None]) ** 2, axis=1))
         noise = data_unc[sel, None] * pinv_rows[k] / col_scale[k]
-        mi, li = np.nonzero(np.abs(x) > np.maximum(coeff_floor, noise))
+        mi, li = np.nonzero(np.abs(x) > np.maximum(COEFF_FLOOR, noise))
         m = sel[mi]
         kept.append((np.concatenate([mu_plus[m] + Ls[li], mu_minus[m] + Ls[li]],
                                     axis=1), x[mi, li]))
 
     mode_cond = class_cond[mode_class]
-    bad = np.flatnonzero(mode_cond > cond_limit)
+    bad = np.flatnonzero(mode_cond > COND_LIMIT)
     if bad.size:
         raise JetExtractionError(
             f"ill-conditioned radius schedule: mode {modes[bad[0]]} condition "
-            f"{mode_cond[bad[0]]:.3g} exceeds {cond_limit:.3g}")
+            f"{mode_cond[bad[0]]:.3g} exceeds {COND_LIMIT:.3g}")
     worst_cond = max(1.0, float(mode_cond.max()))
 
     exponents, coeffs = (np.concatenate(parts) for parts in zip(*kept))
@@ -277,17 +279,69 @@ def extract_jet(f, n: int, order: int, *,
     else:
         verdict = NO_JET
 
+    # the offenders: the dirty mode that fails at the lowest order (the
+    # largest misfit among ties), null exactly on FullJet, and the mode
+    # with the largest condition number (the first in mode order)
+    failing = [row for row in mode_table
+               if row.get("failure_order", order + 1) <= order]
+    first_failing = None
+    if failing:
+        row = min(failing, key=lambda r: (r["failure_order"], -r["misfit"]))
+        first_failing = {"mode": row["mode"],
+                         "failure_order": row["failure_order"],
+                         "misfit": row["misfit"], "tol": tol}
+    worst = int(np.argmax(mode_cond))
+
     series = FormalSeries._from_arrays(n, order, exponents, coeffs)
     diagnostics = {
         "radii": radii.tolist(),
         "grid": grid,
-        "coeff_floor": coeff_floor,
+        "coeff_floor": COEFF_FLOOR,
         "worst_condition": worst_cond,
         "modes": mode_table,
+        "first_failing_mode": first_failing,
+        "worst_condition_mode": {"mode": modes[worst],
+                                 "condition": float(mode_cond[worst])},
     }
     return JetResult(series=series, max_consistent_order=max_consistent,
                      per_order_residuals=residuals, verdict=verdict,
                      tol=tol, diagnostics=diagnostics)
+
+
+def _sample_modes(func, compact, radii, rows, mus, grid, order):
+    """The Fourier modes ``mus`` of func on the torus of radii[row], for
+    each radius-index row, as an array (rows, modes).
+
+    With ``compact`` (Expr inputs) component k of a torus has shape (G,)
+    on axis k and 1 elsewhere; otherwise each component is a fresh full
+    (G,) * n array.  One torus at a time is sampled, its band
+    |m_k| <= order of modes transformed and the modes gathered with one
+    flat index array.
+    """
+    n = mus.shape[1]
+    if compact:
+        circle = torus((1.0,), grid)[0]
+        unit = tuple(circle.reshape((grid,) + (1,) * (n - 1 - k))
+                     for k in range(n))
+    else:
+        unit = torus((1.0,) * n, grid)
+    band_index = np.ravel_multi_index(tuple((mus + order).T),
+                                      (2 * order + 1,) * n)
+    mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
+    for ri, row in enumerate(rows):
+        zs = tuple(radii[row[k]] * unit[k] for k in range(n))
+        try:
+            vals = np.asarray(func(zs), dtype=complex)
+        except Exception as exc:
+            raise JetExtractionError(
+                f"evaluation failed on torus rho={tuple(radii[t] for t in row)}: {exc}"
+            ) from exc
+        if not np.all(np.isfinite(vals)):
+            raise JetExtractionError(
+                f"non-finite samples on torus rho={tuple(radii[t] for t in row)}")
+        vals = np.broadcast_to(vals, (grid,) * n)
+        mode_vals[ri] = torus_modes(vals, n, order).ravel()[band_index]
+    return mode_vals
 
 
 def _failure_order(resid, diag_rows, radii, bmax, global_scale, base_order):

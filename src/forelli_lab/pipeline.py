@@ -153,7 +153,8 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
             {"verdict": jet.verdict_text(),
              "max_consistent_order": jet.max_consistent_order,
              "per_order_residuals": jet.per_order_residuals,
-             "tol": cfg.jet_tol}))
+             "tol": cfg.jet_tol,
+             **jet.offenders()}))
         if not ok:
             failures.append(
                 f"hypothesis (1) fails: jet verdict {jet.verdict_text()}")

@@ -85,10 +85,23 @@ def torus(radii, grid: int) -> Tuple[np.ndarray, ...]:
         for k, r in enumerate(radii))
 
 
-def torus_modes(values, n: int) -> np.ndarray:
-    """Fourier modes of samples on tori spanning the last n axes of values."""
-    # "forward" divides by grid^n inside the transform, with no extra pass
-    return np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
+def torus_modes(values, n: int, band: Optional[int] = None) -> np.ndarray:
+    """Fourier modes of samples on tori spanning the last n axes of values.
+
+    With ``band`` only the modes m with |m_k| <= band on every axis are
+    kept, as an array of size 2 band + 1 per axis holding mode m at index
+    m + band.  Those values are the ones the full transform has at m mod G,
+    bit for bit: like ``np.fft.fftn`` the transform runs one axis at a
+    time, last axis first, and each 1-D transform acts on its own lines, so
+    the band is cut after each axis before the next.
+    """
+    for axis in range(-1, -n - 1, -1):
+        # "forward" divides by grid inside the transform, with no extra pass
+        values = np.fft.fft(values, axis=axis, norm="forward")
+        if band is not None:
+            values = values.take(np.arange(-band, band + 1)
+                                 % values.shape[axis], axis=axis)
+    return values
 
 
 def _times(a, b) -> np.ndarray:
@@ -197,6 +210,12 @@ class FormalSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the series from its table
+        return (FormalSeries._from_arrays,
+                (self.n, self.max_order, self.graded.exponents,
+                 self.graded.coeffs))
 
     # -- basic access ------------------------------------------------------
 

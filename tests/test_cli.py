@@ -100,6 +100,42 @@ class TestDiscEvidence:
         assert isinstance(stage["details"]["worst_direction_index"], int)
 
 
+class TestJetEvidence:
+    """The jet stages name their first failing and worst-conditioned mode."""
+
+    def test_analyze_counterexample_names_its_mode(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--expr",
+                               "z1^2*z2*conj(z1)/normsq(z)", "--order", "4",
+                               "--directions", "sphere:100", "--json")
+        assert code == 1
+        details = [s for s in json.loads(out)["stages"]
+                   if s["name"] == "jet"][0]["details"]
+        first = details["first_failing_mode"]
+        assert first["failure_order"] == 2
+        assert len(first["mode"]) == 2
+        assert first["misfit"] > first["tol"] == details["tol"]
+        worst = details["worst_condition_mode"]
+        assert len(worst["mode"]) == 2 and worst["condition"] >= 1.0
+        validate(out)
+
+    def test_jet_subcommand_full_jet(self, capsys):
+        code, out, _ = run_cli(capsys, "jet", "--expr", "exp(z1+z2)",
+                               "--dim", "2", "--order", "8", "--json")
+        assert code == 0
+        details = json.loads(out)["stages"][0]["details"]
+        assert details["first_failing_mode"] is None
+        assert details["worst_condition_mode"]["condition"] >= 1.0
+        validate(out)
+
+    def test_jet_subcommand_failure(self, capsys):
+        code, out, _ = run_cli(capsys, "jet", "--expr",
+                               "z1^2*z2*conj(z1)/normsq(z)", "--dim", "2",
+                               "--order", "4", "--json")
+        assert code == 1
+        details = json.loads(out)["stages"][0]["details"]
+        assert details["first_failing_mode"]["failure_order"] == 2
+
+
 class TestDirectionPresets:
     @pytest.mark.parametrize("preset", ["cap", "torus:30"])
     def test_bad_pencil_preset_is_usage_error(self, capsys, tmp_path, preset):

@@ -249,3 +249,131 @@ class TestBatchedSolverMatchesReference:
                            match=r"ill-conditioned radius schedule: "
                                  r"mode \(-8, 0\) condition"):
             extract_jet(parse("exp(z1+z2)"), 2, 24)
+
+
+def _reference_sample_modes(func, compact, radii, rows, mus, grid, order):
+    """The sampling loop the compact axes and the mode band replaced: full
+    ``torus`` components for every input, ``np.fft.fftn`` of the whole
+    torus and one flat gather of the modes at m mod G."""
+    from forelli_lab.series import torus
+
+    n = mus.shape[1]
+    unit = torus((1.0,) * n, grid)
+    fft_index = np.ravel_multi_index(tuple((mus % grid).T), (grid,) * n)
+    mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
+    for ri, row in enumerate(rows):
+        vals = np.asarray(func(tuple(radii[row[k]] * unit[k]
+                                     for k in range(n))), dtype=complex)
+        vals = np.broadcast_to(vals, unit[0].shape)
+        mode_vals[ri] = np.fft.fftn(vals, norm="forward").ravel()[fft_index]
+    return mode_vals
+
+
+class TestSamplingMatchesFullTorusReference:
+    """Compact axes and the mode band change no number of the jet."""
+
+    # the last flag is False where numpy's broadcast loops round the
+    # products of the normsq quotient differently from the full-array
+    # loops (4.8e-17 here)
+    CASES = [
+        ("exp(z1)", 1, 12, 64, None, True),
+        ("z1^2", 1, 2, 64, (1.0,), True),
+        ("exp(z1+z2)", 2, 10, 64, None, True),
+        ("conj(z1)+z2", 2, 8, 64, None, True),
+        ("z1^2*z2*conj(z1)/normsq(z)", 2, 4, 64, None, True),
+        ("1/((1-z1)*(1-z2))", 2, 12, 64, None, True),
+        ("exp(z1*z2)", 2, 8, 64, (0.1, -0.2j), True),
+        ("2.5", 2, 4, 64, None, True),
+        ("exp(z1+z2+z3)", 3, 6, 32, None, True),
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 3, 8, 32, None, True),
+        ("z1*conj(z2)+z3^2", 3, 6, 32, None, True),
+        ("z1^2*z2*conj(z1)/normsq(z)", 3, 4, 32, None, False),
+    ]
+
+    @pytest.mark.parametrize("expr,n,order,grid,center,exact", CASES)
+    def test_same_jet(self, monkeypatch, expr, n, order, grid, center,
+                      exact):
+        from forelli_lab import jets
+
+        f = parse(expr, dim=n)
+        got = extract_jet(f, n, order, grid=grid, center=center)
+        monkeypatch.setattr(jets, "_sample_modes", _reference_sample_modes)
+        want = extract_jet(f, n, order, grid=grid, center=center)
+
+        assert got.verdict_text() == want.verdict_text()
+        assert got.per_order_residuals == want.per_order_residuals
+        assert np.array_equal(got.series.graded.exponents,
+                              want.series.graded.exponents)
+        a, b = got.series.graded.coeffs, want.series.graded.coeffs
+        if exact:
+            assert a.tobytes() == b.tobytes()
+            assert got.diagnostics == want.diagnostics
+            return
+        assert np.abs(a - b).max() <= 1e-15
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for row, ref in zip(got.diagnostics["modes"],
+                            want.diagnostics["modes"]):
+            assert row.keys() == ref.keys()
+            assert row["misfit"] == ref["misfit"]
+            assert abs(row["magnitude"] - ref["magnitude"]) <= 1e-15
+            assert row.get("failure_order") == ref.get("failure_order")
+
+
+class TestCallableInputs:
+    def test_callable_gets_fresh_full_arrays(self):
+        n, order, grid = 2, 4, 64
+        seen = []
+
+        def f(z):
+            stacked = np.stack(z)     # every component has the same shape
+            w = z[0]
+            w *= 2.0                  # writes into its own input
+            seen.append(z)
+            return w * stacked[1] + stacked[0]
+
+        jet = extract_jet(f, n, order)
+        want = extract_jet(parse("2*z1*z2+z1"), n, order)
+        assert jet.verdict == FULL_JET
+        assert jet.series.graded.coeffs.tobytes() == \
+            want.series.graded.coeffs.tobytes()
+        arrays = [c for z in seen for c in z]
+        assert len(arrays) == n * len(jet.diagnostics["radii"]) ** n
+        assert all(c.shape == (grid,) * n and c.flags.writeable
+                   for c in arrays)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+class TestOffenders:
+    def test_counterexample_names_its_first_failing_mode(self):
+        jet = extract_jet(parse("z1^2*z2*conj(z1)/normsq(z)"), 2, 4)
+        assert jet.verdict_text() == "JetUpTo(1)"
+        first = jet.diagnostics["first_failing_mode"]
+        assert first["failure_order"] == 2
+        assert first["misfit"] > first["tol"] == 1e-6
+        row = next(r for r in jet.diagnostics["modes"]
+                   if r["mode"] == first["mode"])
+        assert row["failure_order"] == 2 and row["misfit"] == first["misfit"]
+        # no dirty mode fails below it
+        assert all(r.get("failure_order", 3) >= 2
+                   for r in jet.diagnostics["modes"])
+        worst = jet.diagnostics["worst_condition_mode"]
+        assert worst["condition"] == jet.diagnostics["worst_condition"]
+        assert jet.offenders() == {"first_failing_mode": first,
+                                   "worst_condition_mode": worst}
+
+    def test_full_jet_has_no_failing_mode(self):
+        jet = extract_jet(parse("exp(z1+z2)"), 2, 10)
+        assert jet.full and jet.diagnostics["first_failing_mode"] is None
+        assert jet.diagnostics["worst_condition_mode"]["mode"] in [
+            r["mode"] for r in jet.diagnostics["modes"]]
+
+
+def test_deepcopy_of_a_jet():
+    import copy
+    jet = extract_jet(parse("z1^2*z2*conj(z1)/normsq(z)"), 2, 4)
+    twin = copy.deepcopy(jet)
+    assert twin.series == jet.series
+    assert twin.series.graded.coeffs.tobytes() == \
+        jet.series.graded.coeffs.tobytes()
+    assert twin.diagnostics == jet.diagnostics

@@ -45,6 +45,26 @@ class TestConstruction:
             S.n = 3
 
 
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, rng, how):
+        import copy
+        import pickle
+
+        trip = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                "pickle": lambda S: pickle.loads(pickle.dumps(S))}[how]
+        cases = [FormalSeries(2, 3, {((1, 0), (0, 1)): 2.0}),
+                 FormalSeries.zero(1, 0)]
+        cases += [random_series(rng, n, 6) for n in (1, 2, 3)]
+        for S in cases:
+            T = trip(S)
+            assert type(T) is FormalSeries and T == S
+            assert T.graded.coeffs.tobytes() == S.graded.coeffs.tobytes()
+            assert not T.graded.coeffs.flags.writeable
+            with pytest.raises(AttributeError):
+                T.n = 3
+
+
 class TestAdd:
     def test_additive_inverse(self):
         assert (z(1) + (-z(1))).is_zero()
@@ -334,6 +354,22 @@ class TestTorusModes:
         assert same_bits(got, np.fft.fft(vals, axis=-1) / 64)
         for row, v in zip(got, vals):
             assert same_bits(row, torus_modes(v, 1))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [8, 31, 32, 64])
+    def test_band_is_the_gathered_full_transform(self, rng, n, grid):
+        vals = (rng.standard_normal((grid,) * n)
+                + 1j * rng.standard_normal((grid,) * n))
+        full = np.fft.fftn(vals, norm="forward")
+        assert same_bits(torus_modes(vals, n), full)
+        for band in range((grid - 1) // 2 + 1):
+            width = 2 * band + 1
+            # mode m sits at m + band of the band and at m mod grid of the
+            # full transform
+            ms = np.indices((width,) * n).reshape(n, -1) - band
+            want = full[tuple(ms % grid)].reshape((width,) * n)
+            assert same_bits(torus_modes(vals, n, band), want), band
 
 
 def test_only_series_calls_fft():
