@@ -16,8 +16,8 @@ from .expr import EvalError, Expr, ParseError, evaluate, parse, to_string
 from .jets import (FULL_JET, JET_UP_TO, NO_JET, JetExtractionError, JetResult,
                    extract_jet, jet_of_series, radius_schedule)
 from .slices import (CertificateError, ChartPoly, ConvergenceCertificate,
-                     Direction, NotHolomorphicTypeError, RootTestResult,
-                     SlicePolyFamily, SliceSeries, certify_polydisc,
+                     NotHolomorphicTypeError, RootTestResult, SlicePolyFamily,
+                     SliceSeries, certify_polydisc, chart_map,
                      chart_poly_family, radius_root_test, slice_series)
 from .capacity import (CapacityEstimate, ChartUndecidableError, CompactSet1D,
                        NormalityCheck, cap1d_transfinite, cap_siciak, energy,

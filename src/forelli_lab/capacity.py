@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .pencil import _realify
 from .series import torus
-from .slices import CHART_EPS
+from .slices import chart_map
 
 
 class ChartUndecidableError(RuntimeError):
@@ -120,18 +120,22 @@ def energy(points, weights) -> float:
     return float(np.sum(ww * logs * off))
 
 
-def leja_points(E: CompactSet1D, m: int, *, candidate_factor: int = 50
-                ) -> np.ndarray:
+#: Leja candidates per requested point.
+LEJA_CANDIDATE_FACTOR = 50
+
+
+def leja_points(E: CompactSet1D, m: int) -> np.ndarray:
     """Greedy sequence maximizing the product of distances to chosen points.
 
-    Deterministic: candidates come from the set's sampler, the start
-    point maximizes |.| (ties broken lexicographically), and each step
-    takes the argmax of the running distance product.  A degenerate set
-    (single candidate) yields a repeated point with a warning.
+    Deterministic: LEJA_CANDIDATE_FACTOR * m candidates come from the
+    set's sampler, the start point maximizes |.| (ties broken
+    lexicographically), and each step takes the argmax of the running
+    distance product.  A degenerate set (single candidate) yields a
+    repeated point with a warning.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    cands = E.candidates(max(candidate_factor * m, 2 * m))
+    cands = E.candidates(LEJA_CANDIDATE_FACTOR * m)
     order = np.lexsort((cands.imag, cands.real))
     cands = cands[order]
     if np.unique(cands).size == 1:
@@ -332,19 +336,6 @@ class NormalityCheck:
     diagnostics: dict = field(default_factory=dict)
 
 
-def chart_points(directions) -> Tuple[np.ndarray, int]:
-    """Map unit vectors to chart points (v_2/v_1, ...), dropping v_1 ~ 0."""
-    U = np.atleast_2d(np.asarray(directions, dtype=complex))
-    keep = np.abs(U[:, 0]) > CHART_EPS
-    dropped = int((~keep).sum())
-    V = U[keep]
-    if V.size == 0:
-        raise ChartUndecidableError(
-            "all directions lie on the excluded locus v_1 = 0; "
-            "the chart-based check cannot decide")
-    return V[:, 1:] / V[:, 0:1], dropped
-
-
 #: Largest number of shell steps, in units of the resolution h.
 MAX_SHELL_STEPS = 64
 #: Most shell points one KD-tree query holds; larger temporaries (about
@@ -384,7 +375,8 @@ def normality_check(directions, *, max_centers: int = 128,
     never claimed below the reported resolution.  Needs at least 100
     directions for the resolution estimate to mean anything.  In n = 1
     the chart space is a single point, which any nonempty direction set
-    covers; the check then passes with radius and resolution 0.
+    covers; the check then passes with radius and resolution 0.  The
+    chart points come from ``slices.chart_map``, which rejects a zero row.
 
     The shells grow in steps of the resolution h, up to MAX_SHELL_STEPS,
     for all centers at once: each step queries the shells of the centers
@@ -394,17 +386,21 @@ def normality_check(directions, *, max_centers: int = 128,
     names the first center with the largest radius.
     """
     U = np.atleast_2d(np.asarray(directions))
+    if U.shape[1] > 1 and len(U) < 100:
+        raise ValueError("normality check needs >= 100 sampled directions")
+    B = chart_map(U)[0]
+    dropped = len(U) - len(B)
+    if not len(B):
+        raise ChartUndecidableError(
+            "all directions lie on the excluded locus v_1 = 0; "
+            "the chart-based check cannot decide")
     if U.shape[1] == 1:
-        B, dropped = chart_points(U)
         return NormalityCheck(
             is_normal_sufficient=True, center=(), radius=0.0, resolution=0.0,
             dropped=dropped,
             diagnostics={"chart_samples": len(B), "capacity_lower_bound": 0.0,
                          "detail": "n = 1: the chart space is a point, "
                                    "covered by any nonempty direction set"})
-    if len(U) < 100:
-        raise ValueError("normality check needs >= 100 sampled directions")
-    B, dropped = chart_points(directions)
     if len(B) < 2:
         raise ChartUndecidableError("need at least 2 chart samples")
     X = _realify(B)

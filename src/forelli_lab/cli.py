@@ -103,7 +103,7 @@ def _exit_code(passed: bool) -> int:
 
 def _cmd_analyze(args) -> int:
     n = args.dim
-    cfg = AnalyzeConfig(dimension=n, order=args.order, r0=args.r0, K=args.K,
+    cfg = AnalyzeConfig(order=args.order, r0=args.r0, K=args.K,
                         seed=args.seed, jet_tol=args.tol, rho_max=args.rho_max,
                         grid=args.grid)
     if args.series_file:

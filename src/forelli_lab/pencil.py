@@ -64,6 +64,8 @@ _BISECT_STEPS = 10           # standard_subpencil_radius: bisection on r,
 _NEWTON_ITERS = 30           # the inversion's iterations and tolerance,
 _NEWTON_TOL = 1e-10
 _R_FLOOR = 1e-6              # and the radius below which no r is verified
+_SUBPENCIL_PHASES = 8        # find_subpencil: disc phases per ring
+_SUBPENCIL_DELTA = 1e-5      # and its Wirtinger difference step
 
 
 # -- direction sampling --------------------------------------------------------
@@ -650,8 +652,8 @@ class SubpencilResult:
         return self.direction_indices.size == 0
 
 
-def find_subpencil(f, P: PencilSpec, tol: float = 1e-6, ell_max: int = 8, *,
-                   phases: int = 8, delta: float = 1e-5) -> SubpencilResult:
+def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
+                   ell_max: int = 8) -> SubpencilResult:
     """Find a direction patch sharing a uniform holomorphy disc radius.
 
     Per direction, the Cauchy-Riemann residual of f is sampled on discs
@@ -673,13 +675,13 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6, ell_max: int = 8, *,
     # master disc sample: one ring per ell plus deep interior points, so the
     # points with |lam| <= 1/ell sample every smaller disc as well
     rings = np.array([0.93 / j for j in range(1, ell_max + 1)] + [0.02])
-    lam = (rings[:, None] * torus((1.0,), phases)[0][None, :]).ravel()
+    lam = (rings[:, None] * torus((1.0,), _SUBPENCIL_PHASES)[0]).ravel()
     masks = [np.abs(lam) <= 1.0 / ell for ell in range(1, ell_max + 1)]
 
     def residuals(rows):
         """Per-ell worst CR residuals of the directions rows (or one index)."""
         pts = P.disc(np.broadcast_to(lam, np.shape(rows) + lam.shape), rows)
-        res = np.abs(wirtinger_dbar(func, pts, delta)).max(axis=-1)
+        res = np.abs(wirtinger_dbar(func, pts, _SUBPENCIL_DELTA)).max(axis=-1)
         res = np.where(np.isfinite(res), res, np.inf)
         return np.array([res[..., mask].max(axis=-1) for mask in masks]).T
 

@@ -22,8 +22,9 @@ from .capacity import ChartUndecidableError, normality_check
 from .jets import FULL_JET, JetResult, extract_jet, jet_of_series
 from .pencil import check_holo_along_pencil, standard_pencil
 from .series import FormalSeries
-from .slices import (CertificateError, ConvergenceCertificate, Direction,
-                     certify_polydisc, chart_poly_family, radius_root_test)
+from .slices import (CertificateError, ConvergenceCertificate,
+                     certify_polydisc, chart_map, chart_poly_family,
+                     radius_root_test)
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,32 +39,34 @@ class Stage:
     details: dict = field(default_factory=dict)
 
 
+# fixed settings, reported in the config block of every analysis
+RHO0 = 0.2                      # jet: innermost torus radius
+SIGMA = 1.25                    # and the ratio of successive radii
+DISC_TOL = 1e-8                 # disc_holomorphy: residual bound
+DISC_RADII = (0.3, 0.6, 0.9)    # and the disc radii checked
+CERTIFICATE_SAMPLES = 64        # certificate: random chart points of the sup
+
+
 @dataclass
 class AnalyzeConfig:
-    dimension: int = 2
     order: int = 16
     r0: float = 0.5
     K: Optional[int] = None              # defaults to order
     seed: int = 42
     jet_tol: float = 1e-6
-    rho0: float = 0.2
-    sigma: float = 1.25
     rho_max: Optional[float] = None
     grid: Optional[int] = None
-    disc_tol: float = 1e-8
-    disc_radii: tuple = (0.3, 0.6, 0.9)
-    root_window: Optional[int] = None    # defaults to K//2
-    certificate_samples: int = 64
 
-    def to_dict(self) -> dict:
+    def to_dict(self, dimension: int) -> dict:
+        """The config block of an analysis of directions in C^dimension."""
         return {
-            "dimension": self.dimension, "order": self.order, "r0": self.r0,
+            "dimension": dimension, "order": self.order, "r0": self.r0,
             "K": self.K if self.K is not None else self.order,
-            "seed": self.seed, "jet_tol": self.jet_tol, "rho0": self.rho0,
-            "sigma": self.sigma, "rho_max": self.rho_max, "grid": self.grid,
-            "disc_tol": self.disc_tol, "disc_radii": list(self.disc_radii),
-            "root_window": self.root_window,
-            "certificate_samples": self.certificate_samples,
+            "seed": self.seed, "jet_tol": self.jet_tol, "rho0": RHO0,
+            "sigma": SIGMA, "rho_max": self.rho_max, "grid": self.grid,
+            "disc_tol": DISC_TOL, "disc_radii": list(DISC_RADII),
+            "root_window": None,             # the root test's window is K//2
+            "certificate_samples": CERTIFICATE_SAMPLES,
         }
 
 
@@ -129,11 +132,11 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                             {"reason": "input is an explicit series"}))
     else:
         pencil = standard_pencil(n, U)
-        holo = check_holo_along_pencil(f, pencil, cfg.disc_radii, cfg.disc_tol)
+        holo = check_holo_along_pencil(f, pencil, DISC_RADII, DISC_TOL)
         worst = holo.worst()
         stages.append(Stage(
             "disc_holomorphy", PASS if holo.passed else FAIL,
-            {"worst_residual": worst, "tol": cfg.disc_tol,
+            {"worst_residual": worst, "tol": DISC_TOL,
              "discs_checked": len(holo.residuals), **holo.evidence()}))
         if not holo.passed:
             failures.append("hypothesis (2) fails: some disc has "
@@ -145,7 +148,7 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
         stages.append(Stage("jet", SKIPPED,
                             {"reason": "input is an explicit series"}))
     else:
-        jet = extract_jet(f, n, cfg.order, rho0=cfg.rho0, sigma=cfg.sigma,
+        jet = extract_jet(f, n, cfg.order, rho0=RHO0, sigma=SIGMA,
                           rho_max=cfg.rho_max, grid=cfg.grid, tol=cfg.jet_tol)
         ok = jet.verdict == FULL_JET
         stages.append(Stage(
@@ -176,46 +179,45 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
         stages.append(Stage("direction_capacity", SKIPPED, {}))
         stages.append(Stage("certificate", SKIPPED, {}))
         return AnalysisReport(stages, per_direction, None, final, False,
-                              cfg.to_dict(), jet)
+                              cfg.to_dict(n), jet)
 
     K = min(K, series.max_order)
     family = chart_poly_family(series, K)
     stages.append(Stage("chart_family", PASS, {"K": K, "nvars": family.nvars}))
 
     # per-direction root-test radii along the chart rays (1, b)
-    window = cfg.root_window if cfg.root_window is not None else K // 2
-    if window < 4 or K < 2 * window:
+    window = K // 2
+    if window < 4:
         stages.append(Stage("directional_radii", SKIPPED,
                             {"reason": f"family too short for the root test "
                                        f"(K={K}, window={window})"}))
     else:
-        dirs = [Direction.from_vector(row) for row in U]
-        charts = [d.chart for d in dirs if d.chart is not None]
-        B = np.array(charts, dtype=complex).reshape(len(charts), family.nvars)
+        # row by row, as np.linalg.norm(U, axis=1) rounds differently; a
+        # zero row stays zero, and chart_map rejects it
+        norms = np.array([np.linalg.norm(v) for v in U])[:, None]
+        units = np.divide(U, norms, out=np.zeros_like(U), where=norms > 0)
+        charts, has_chart = chart_map(units)
         columns = iter(family.abs_values_at(
-            B[:, 0] if family.nvars == 1 else B).T)
-        excluded = 0
+            charts[:, 0] if family.nvars == 1 else charts).T)
+        rows = iter(charts.tolist())
         min_radius = float("inf")
         min_index = None              # first direction with the smallest R
-        for index, d in enumerate(dirs):
-            chart = d.chart
-            entry = {"direction": [[v.real, v.imag] for v in d.unit]}
-            if chart is None:
-                excluded += 1
-                entry["chart"] = None
-                entry["R_estimate"] = None
-            else:
-                rt = radius_root_test(next(columns), K, window)
-                entry["chart"] = [[v.real, v.imag] for v in chart]
-                entry["R_estimate"] = rt.radius
-                if min_index is None or rt.radius < min_radius:
-                    min_radius, min_index = rt.radius, index
+        for index, unit in enumerate(units.tolist()):
+            entry = {"direction": [[v.real, v.imag] for v in unit],
+                     "chart": None, "R_estimate": None}
+            if has_chart[index]:
+                radius = radius_root_test(next(columns), K, window).radius
+                entry["chart"] = [[v.real, v.imag] for v in next(rows)]
+                entry["R_estimate"] = radius
+                if min_index is None or radius < min_radius:
+                    min_radius, min_index = radius, index
             per_direction.append(entry)
         stages.append(Stage("directional_radii",
                             PASS if min_radius > 0 else FAIL,
                             {"min_R_estimate": min_radius,
                              "min_R_direction_index": min_index,
-                             "chart_excluded": excluded, "window": window}))
+                             "chart_excluded": len(U) - len(charts),
+                             "window": window}))
         if min_radius <= 0:
             failures.append("some directional radius estimate is zero")
 
@@ -241,8 +243,8 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
 
     # explicit polydisc certificate
     try:
-        certificate = certify_polydisc(series, cfg.r0, K,
-                                       cfg.certificate_samples, seed=cfg.seed)
+        certificate = certify_polydisc(series, cfg.r0, K, CERTIFICATE_SAMPLES,
+                                       seed=cfg.seed)
         stages.append(Stage("certificate", PASS,
                             {"M": certificate.M,
                              "r_prime": list(certificate.r_prime)}))
@@ -259,4 +261,4 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
     else:
         final = "; ".join(failures)
     return AnalysisReport(stages, per_direction, certificate, final, passed,
-                          cfg.to_dict(), jet)
+                          cfg.to_dict(n), jet)

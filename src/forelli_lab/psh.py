@@ -10,7 +10,7 @@ is the (small-capacity) exceptional set.
 Averages integrate u_k itself (not P_k) over the distinguished torus:
 that is the reading under which the sub-mean inequality and the
 Lipschitz estimate hold.  Points where P_k vanishes give a -inf
-integrand; they are clipped at a configurable floor and counted.
+integrand; they are clipped at CLIP_FLOOR and counted.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .slices import ChartPoly, SlicePolyFamily
 MINUS_INFINITY = "MinusInfinity"
 PLUS_INFINITY = "PlusInfinity"
 FINITE = "Finite"
+
+CLIP_FLOOR = -1e3     # where the -inf values of u_k are clipped
+V_GAP = 0.5           # classify_trichotomy: exceptional where v < 1 - V_GAP
+ENVELOPE_GAP = 0.5    # upper_envelope: exceptional where u < u* - ENVELOPE_GAP
 
 
 @dataclass
@@ -62,12 +66,12 @@ class TorusAverage(NamedTuple):
     clipped: int
 
 
-def average_on_torus(family: PshFamily, k: int, z, r, grid: int = 64, *,
-                     clip_floor: float = -1e3) -> TorusAverage:
+def average_on_torus(family: PshFamily, k: int, z, r,
+                     grid: int = 64) -> TorusAverage:
     """Trapezoidal average of u_k over the distinguished torus of P(z; r).
 
     -inf integrand points (zeros of P_k on the sampling grid) are clipped
-    at ``clip_floor`` and counted in the result; clipping biases the
+    at CLIP_FLOOR and counted in the result; clipping biases the
     average downward and is reported, not fatal.
     """
     if grid < 16:
@@ -80,7 +84,7 @@ def average_on_torus(family: PshFamily, k: int, z, r, grid: int = 64, *,
     pts = np.stack([z[k] + nodes[k] for k in range(len(z))], axis=-1)
     vals = family.u(k, pts[..., 0] if len(z) == 1 else pts)
     clipped = int(np.sum(~np.isfinite(vals)))
-    vals = np.maximum(vals, clip_floor)
+    vals = np.maximum(vals, CLIP_FLOOR)
     return TorusAverage(float(np.mean(vals)), clipped)
 
 
@@ -121,16 +125,16 @@ class TrichotomyVerdict:
 
 
 def classify_trichotomy(family: PshFamily, r, K: Optional[int] = None,
-                        grid: int = 64, *, threshold: float = 50.0,
-                        sample_points: Optional[np.ndarray] = None,
-                        v_gap: float = 0.5) -> TrichotomyVerdict:
+                        grid: int = 64, *,
+                        threshold: float = 50.0) -> TrichotomyVerdict:
     """Estimate alpha_r and classify it into the three exclusive cases.
 
     alpha_r is the maximum of u_k^r(0) over the last ceil(K/2) indices.
     In the +inf case the normalized functions v_k = u_k / u_k^r(0) are
-    sampled (over the indices with positive average) and the points
-    where their tail maximum stays below 1 - v_gap are reported as the
-    exceptional-set sample.
+    sampled (over the indices with positive average) at the 21 x 21 grid
+    nodes b of the square |Re b|, |Im b| <= 1, with b in every chart
+    variable, and the nodes where their tail maximum stays below 1 - V_GAP
+    are reported as the exceptional-set sample.
     """
     if K is None:
         K = family.K
@@ -154,17 +158,16 @@ def classify_trichotomy(family: PshFamily, r, K: Optional[int] = None,
 
     if case == PLUS_INFINITY:
         pos = [k for k in range(tail_start + 1, K + 1) if averages[k - 1] > 0]
-        if sample_points is None:
-            side = np.linspace(-1.0, 1.0, 21)
-            xx, yy = np.meshgrid(side, side)
-            flat = (xx + 1j * yy).ravel()
-            sample_points = flat if nv == 1 else np.column_stack([flat] * nv)
+        side = np.linspace(-1.0, 1.0, 21)
+        xx, yy = np.meshgrid(side, side)
+        flat = (xx + 1j * yy).ravel()
+        sample_points = flat if nv == 1 else np.column_stack([flat] * nv)
         vmax = np.full(len(sample_points), -np.inf)
         for k in pos:
             uk = np.asarray(family.u(k, sample_points), dtype=float)
             vk = uk / averages[k - 1]
             vmax = np.maximum(vmax, vk)
-        exceptional = np.asarray(sample_points)[vmax < 1.0 - v_gap]
+        exceptional = sample_points[vmax < 1.0 - V_GAP]
         evidence["subsequence"] = pos
         evidence["exceptional_sample"] = exceptional.tolist()
     return TrichotomyVerdict(alpha, case, evidence)
@@ -183,9 +186,8 @@ class EnvelopeField:
 
 
 def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
-                   num: int = 101, gap: float = 0.5,
-                   clip_floor: float = -1e3) -> EnvelopeField:
-    """Estimate (u, u*) on a rectangular grid and sample {u < u* - gap}.
+                   num: int = 101) -> EnvelopeField:
+    """Estimate (u, u*) on a rectangular grid; sample {u < u* - ENVELOPE_GAP}.
 
     One chart variable only.  u is the windowed max of u_k over the tail
     half of indices; u* dilates u by a max over the 8 neighbouring
@@ -204,7 +206,7 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
     u = np.full(nodes.shape, -np.inf)
     for k in range(K - window + 1, K + 1):
         u = np.maximum(u, family.u(k, nodes))
-    u = np.maximum(u, clip_floor)
+    u = np.maximum(u, CLIP_FLOOR)
     u_star = u.copy()
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
@@ -221,10 +223,11 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
             elif dy == -1:
                 shifted[:, -1] = -np.inf
             u_star = np.maximum(u_star, shifted)
-    mask = u < u_star - gap
+    mask = u < u_star - ENVELOPE_GAP
     exceptional = [complex(c) for c in nodes[mask]]
     return EnvelopeField(nodes=nodes, u=u, u_star=u_star,
-                         exceptional=exceptional, gap=gap, window=window)
+                         exceptional=exceptional, gap=ENVELOPE_GAP,
+                         window=window)
 
 
 def envelope_to_csv(field: EnvelopeField) -> str:

@@ -10,25 +10,26 @@ the slice polynomial family
 which drives the root-test radius estimate along (1, b) and, through
 Cauchy estimates on |P_k| over a chart polydisc, an explicit polydisc of
 convergence with polyradius (1/(2M), r0/(2M), ..., r0/(2M)).
+``chart_map`` alone maps directions v to charts b = v[1:]/v[0].
 
-Slices, chart polynomials and the certificate's block sums are all
-evaluated by the series module's monomial kernel on whole point arrays,
-reading the series' graded term view; no evaluation here loops over
-terms or over points.
+Each P_k is an order block of the series' graded table.  Slices, chart
+polynomials and the certificate's block sums are all evaluated by the
+series module's monomial kernel on whole point arrays; no evaluation
+here loops over terms or over points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .series import FormalSeries, monomials, torus
 
-CHART_EPS = 1e-9   # directions with |v_1| below this have no chart
+CHART_EPS = 1e-9   # directions with |v_1| up to this have no chart
+CHECK_POINTS = 20  # random points of P^n(0; r') that check a certificate
 
 
 class NotHolomorphicTypeError(ValueError):
@@ -39,30 +40,19 @@ class CertificateError(RuntimeError):
     """Verification of a convergence certificate failed."""
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on S^(2n-1) with its chart image b = (v_2/v_1, ...)."""
+def chart_map(directions) -> Tuple[np.ndarray, np.ndarray]:
+    """Chart images b = (v_2/v_1, ..., v_n/v_1) of the rows v of directions.
 
-    unit: Tuple[complex, ...]
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=complex)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0:
-            raise ValueError("zero vector has no direction")
-        return cls(tuple(v / nrm))
-
-    @property
-    def n(self) -> int:
-        return len(self.unit)
-
-    @property
-    def chart(self) -> Optional[Tuple[complex, ...]]:
-        v1 = self.unit[0]
-        if abs(v1) <= CHART_EPS:
-            return None
-        return tuple(vk / v1 for vk in self.unit[1:])
+    Returns the charts of the rows with |v_1| > CHART_EPS, shape
+    (rows kept, n - 1), and the boolean mask of those rows.  A zero row
+    is not a direction and raises ValueError.
+    """
+    U = np.atleast_2d(np.asarray(directions, dtype=complex))
+    if not U.any(axis=1).all():
+        raise ValueError("zero vector has no direction")
+    has_chart = np.abs(U[:, 0]) > CHART_EPS
+    V = U[has_chart]
+    return V[:, 1:] / V[:, :1], has_chart
 
 
 @dataclass
@@ -107,33 +97,39 @@ def _chart_points(b, nvars: int) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartPoly:
-    """Sparse polynomial in the chart variables b_1..b_m."""
+    """Sparse polynomial sum_t coeffs[t] b^exponents[t] in b_1..b_m.
+
+    Both arrays are read-only copies; ``from_dict`` and
+    ``chart_poly_family`` give the terms in order of exponent.
+    """
 
     nvars: int
-    coeffs: tuple     # ((beta, coefficient), ...) sorted by exponent
+    exponents: np.ndarray     # (T, nvars) int
+    coeffs: np.ndarray        # (T,) complex
+
+    def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        exponents = np.array(self.exponents, dtype=int).reshape(
+            len(coeffs), self.nvars)
+        for name, a in (("exponents", exponents), ("coeffs", coeffs)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_dict(cls, nvars: int, d: dict) -> "ChartPoly":
-        items = tuple(sorted(((tuple(k), complex(v)) for k, v in d.items()
-                              if v != 0)))
-        return cls(nvars, items)
+        items = sorted((tuple(k), complex(v)) for k, v in d.items() if v != 0)
+        return cls(nvars, [beta for beta, _ in items], [c for _, c in items])
 
     @property
     def degree(self) -> int:
-        return max((sum(beta) for beta, _ in self.coeffs), default=0)
-
-    @cached_property
-    def _table(self):
-        exponents = np.array([beta for beta, _ in self.coeffs], dtype=int)
-        values = np.array([c for _, c in self.coeffs], dtype=complex)
-        return exponents.reshape(len(self.coeffs), self.nvars), values
+        return int(self.exponents.sum(axis=1).max(initial=0))
 
     def __call__(self, b):
         """P at chart points b of shape (..., nvars); bare points if nvars == 1."""
-        exponents, values = self._table
-        return monomials(_chart_points(b, self.nvars), exponents) @ values
+        return monomials(_chart_points(b, self.nvars), self.exponents) \
+            @ self.coeffs
 
 
 @dataclass
@@ -167,14 +163,15 @@ def chart_poly_family(S: FormalSeries, K: int) -> SlicePolyFamily:
             f"series has a zbar term, witness {verdict.witness!r}")
     if not 0 <= K <= S.max_order:
         raise ValueError(f"K={K} outside [0, {S.max_order}]")
-    # S is zbar-free, so the block of order k holds the z^(k-|beta|, beta)
+    # S is zbar-free, so the block of order k holds the z^(k-|beta|, beta);
+    # within a block the terms go in order of beta
     g = S.graded
     ends = np.searchsorted(g.orders, np.arange(K + 2))
-    polys = [ChartPoly.from_dict(S.n - 1, dict(zip(
-        map(tuple, g.exponents[lo:hi, 1:S.n].tolist()),
-        g.coeffs[lo:hi].tolist()))) for lo, hi in zip(ends[:-1], ends[1:])]
-    for k, p in enumerate(polys):
-        assert p.degree <= k
+    betas = g.exponents[:ends[-1], 1:S.n]
+    perm = np.lexsort((*betas.T[::-1], g.orders[:ends[-1]]))
+    betas, coeffs = betas[perm], g.coeffs[perm]
+    polys = [ChartPoly(S.n - 1, betas[lo:hi], coeffs[lo:hi])
+             for lo, hi in zip(ends[:-1], ends[1:])]
     return SlicePolyFamily(S.n - 1, polys)
 
 
@@ -275,7 +272,7 @@ class ConvergenceCertificate:
 
 def certify_polydisc(S: FormalSeries, r0: float, K: int,
                      sample_count: int = 64, *, margin: float = 0.05,
-                     angular_grid: int = 48, check_points: int = 20,
+                     angular_grid: int = 48,
                      seed: int = 42) -> ConvergenceCertificate:
     """Build and verify a polydisc convergence certificate for S.
 
@@ -284,7 +281,7 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     puts it) plus ``sample_count`` random interior points.  The
     certificate is refused unless, on the truncated data, (a) every
     coefficient obeys the Cauchy bound |a_(k-|beta|, beta)| <= M^k
-    r0^(-|beta|), and (b) at ``check_points`` random points of
+    r0^(-|beta|), and (b) at CHECK_POINTS random points of
     P^n(0; r') the order-k coefficient blocks sum below k^n 2^(-k).
     """
     if r0 <= 0:
@@ -301,12 +298,10 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
     samples = np.concatenate([boundary, radii * phases])     # (count, nv)
 
-    M = 1.0 + margin
-    for k, pk in enumerate(family.polys[1:], start=1):
-        # with one chart variable the (count, 1) samples are bare points
-        vmax = float(np.abs(pk(samples)).max())
-        if vmax > 0:
-            M = max(M, vmax ** (1.0 / k))
+    # with one chart variable the (count, 1) samples are bare points
+    sup = family.abs_values_at(samples).reshape(K + 1, -1).max(axis=1)
+    M = max([1.0 + margin] + [vmax ** (1.0 / k) for k, vmax
+                              in enumerate(sup.tolist()) if k and vmax > 0])
     r_prime = (1.0 / (2.0 * M),) + (r0 / (2.0 * M),) * (n - 1)
 
     # S is zbar-free, so a term's order is |I| and its chart degree |I| - I_1
@@ -326,7 +321,7 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
             f" = {bounds[t]:.6g}; increase K or the boundary sampling")
 
     # (b) order-block tail bounds at random points of the open polydisc
-    u = rng.random((check_points, 2, n))
+    u = rng.random((CHECK_POINTS, 2, n))
     pts = np.array(r_prime) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     weights = np.abs(g.coeffs[in_range]) * monomials(
         np.abs(pts), g.exponents[in_range, :n])
@@ -341,7 +336,7 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
             f"{block_bounds[j]:.6g} at z={pts[p]}; certificate refused")
 
     diagnostics = {"boundary_samples": len(samples),
-                   "check_points": check_points,
+                   "check_points": CHECK_POINTS,
                    "max_block_ratio": max_ratio, "seed": seed}
     return ConvergenceCertificate(M=M, r0=r0, r_prime=r_prime, K_used=K,
                                   margin=margin, diagnostics=diagnostics)

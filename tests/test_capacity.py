@@ -7,8 +7,8 @@ from forelli_lab import (CapacityEstimate, ChartUndecidableError,
                          CompactSet1D, cap1d_transfinite, cap_siciak, energy,
                          leja_points, normality_check, siciak_lower_bound,
                          sphere_directions, cap_directions)
-from forelli_lab.capacity import chart_points
 from forelli_lab.pencil import _realify
+from forelli_lab.slices import chart_map
 
 
 class TestEnergy:
@@ -228,6 +228,12 @@ class TestNormalityCheck:
         with pytest.raises(ChartUndecidableError):
             normality_check(U)
 
+    def test_zero_row_is_rejected(self):
+        # a zero row has no direction; it used to be counted as dropped
+        U = np.vstack([cap_directions(2, 0.3, 200, seed=1), np.zeros((1, 2))])
+        with pytest.raises(ValueError, match="zero vector"):
+            normality_check(U)
+
     def test_requires_hundred_directions(self):
         U = sphere_directions(2, 50, seed=0)
         with pytest.raises(ValueError, match="100"):
@@ -266,7 +272,7 @@ def normality_one_center_at_a_time(directions, *, max_centers=128,
     """The per-center loop that the batched shell steps replaced
     (returns center, radius, resolution)."""
     from scipy.spatial import cKDTree
-    B, _ = chart_points(directions)
+    B = chart_map(directions)[0]
     X = _realify(B)
     dim = X.shape[1]
     tree = cKDTree(X)

@@ -440,5 +440,18 @@ class TestSubcommands:
         assert stages["certificate"] == "pass"
         validate(out)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_analyze_series_file_reports_its_dimension(self, capsys,
+                                                      tmp_path, n):
+        # --dim keeps its default 2; the series sets the dimension
+        path = tmp_path / "z1.txt"
+        FormalSeries.variable(1, n, 8).save(path)
+        code, out, _ = run_cli(capsys, "analyze", "--series-file", str(path),
+                               "--directions", "sphere:120", "--json")
+        report = json.loads(out)
+        assert report["config"]["dimension"] == n
+        assert len(report["summary"]["per_direction"][0]["direction"]) == n
+        validate(out)
+
     def test_version(self, capsys):
         assert run_cli(capsys, "--version")[0] == 0

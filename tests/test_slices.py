@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from forelli_lab import (CertificateError, ChartPoly, Direction, FormalSeries,
-                         NotHolomorphicTypeError, certify_polydisc,
+from forelli_lab import (CertificateError, ChartPoly, FormalSeries,
+                         NotHolomorphicTypeError, certify_polydisc, chart_map,
                          chart_poly_family, radius_root_test, slice_series)
 
 from conftest import geometric_product_series, random_series
@@ -13,17 +13,20 @@ from conftest import geometric_product_series, random_series
 
 class TestDirection:
     def test_chart(self):
-        d = Direction.from_vector((3.0, 4.0))
-        assert abs(np.linalg.norm(d.unit) - 1) <= 1e-12
-        assert d.chart == pytest.approx((4.0 / 3.0,))
+        charts, has_chart = chart_map([(3.0, 4.0)])
+        assert has_chart.tolist() == [True]
+        assert charts.shape == (1, 1)
+        assert charts[0, 0] == pytest.approx(4.0 / 3.0)
 
     def test_chart_excluded_near_zero(self):
-        d = Direction.from_vector((1e-12, 1.0))
-        assert d.chart is None
+        charts, has_chart = chart_map([(1e-12, 1.0), (0.6, 0.8)])
+        assert has_chart.tolist() == [False, True]
+        assert charts.shape == (1, 1)
+        assert charts[0, 0] == pytest.approx(4.0 / 3.0)
 
     def test_zero_vector(self):
         with pytest.raises(ValueError):
-            Direction.from_vector((0.0, 0.0))
+            chart_map([(3.0, 4.0), (0.0, 0.0)])
 
 
 class TestSlice:
@@ -64,7 +67,7 @@ class TestChartFamily:
         fam = chart_poly_family(S, 8)
         assert fam.polys[1](0.0) == pytest.approx(1.0)
         for k in (0, 2, 3):
-            assert not fam.polys[k].coeffs
+            assert not fam.polys[k].coeffs.size
 
     def test_pure_second_variable(self):
         S = FormalSeries.monomial((0, 2), (0, 0), 1.0, 8)
@@ -80,6 +83,18 @@ class TestChartFamily:
         sl = slice_series(S, (1.0, b))
         for k in range(9):
             assert fam.polys[k](b) == sl.coefficient(k, 0)
+
+    def test_blocks_keep_the_order_of_from_dict(self, rng):
+        # the family cuts its arrays from the series table, in the term
+        # order (by beta) of a hand-made polynomial, so sums round alike
+        S = random_series(rng, 3, 8, num_terms=60, holomorphic=True)
+        for k, p in enumerate(chart_poly_family(S, 8).polys):
+            want = ChartPoly.from_dict(2, {
+                I[1:]: c for (I, _J), c in S.terms_of_order(k).items()})
+            assert np.array_equal(p.exponents, want.exponents)
+            assert p.coeffs.tobytes() == want.coeffs.tobytes()
+            assert not (p.exponents.flags.writeable
+                        or p.coeffs.flags.writeable)
 
     def test_degree_bound(self, rng):
         S = random_series(rng, 3, 8, holomorphic=True)
@@ -226,6 +241,11 @@ def ref_terms(coeffs, point):
     return out
 
 
+def poly_terms(p):
+    """The (beta, coefficient) pairs of a ChartPoly."""
+    return list(zip(p.exponents.tolist(), p.coeffs.tolist()))
+
+
 def ref_chart_poly(p, b):
     """P(b) one point at a time; one chart variable takes bare points."""
     b = np.asarray(b, dtype=complex)
@@ -234,7 +254,7 @@ def ref_chart_poly(p, b):
     vals = np.zeros(lead, dtype=complex)
     bound = np.zeros(lead)
     for idx in np.ndindex(*lead):
-        terms = ref_terms(p.coeffs, pts[idx])
+        terms = ref_terms(poly_terms(p), pts[idx])
         vals[idx] = sum(terms, 0j)
         bound[idx] = sum(abs(t) for t in terms)
     return vals, (len(p.coeffs) + p.degree + 2) * EPS * bound
@@ -269,8 +289,8 @@ def ref_certificate(S, r0, K, sample_count=64, margin=0.05, angular_grid=48,
     M = 1.0 + margin
     for k in range(1, K + 1):
         pk = family.polys[k]
-        vmax = max(abs(sum(ref_terms(pk.coeffs, b), 0j)) for b in samples)
-        if pk.coeffs and vmax > 0:
+        vmax = max(abs(sum(ref_terms(poly_terms(pk), b), 0j)) for b in samples)
+        if pk.coeffs.size and vmax > 0:
             M = max(M, vmax ** (1.0 / k))
     r_prime = (1.0 / (2.0 * M),) + (r0 / (2.0 * M),) * (n - 1)
     for (I, _J), c in S.items():
