@@ -400,7 +400,8 @@ def _cmd_certify(args) -> int:
                     "seed": args.seed},
         [{"name": "certificate", "status": "pass",
           "details": {"M": cert.M, "r_prime": list(cert.r_prime),
-                      "margin": cert.margin}}],
+                      "margin": cert.margin,
+                      "diagnostics": cert.diagnostics}}],
         {"passed": True, "M": cert.M, "r_prime": list(cert.r_prime)},
         warnings=args.warnings)
     rp = ", ".join(f"{r:.6g}" for r in cert.r_prime)
@@ -539,9 +540,10 @@ def _recorded_warnings():
     """Collect the UserWarnings that forelli_lab raises, for the report.
 
     Yields the list of distinct messages in first-seen order.  Each is
-    still shown once on stderr; other warnings, such as numpy's
-    floating-point RuntimeWarnings, pass through untouched and stay out
-    of the report.
+    still shown once on stderr, as ``UserWarning: <message>`` without the
+    library's file and line, so the stderr bytes do not move with edits
+    to the source; other warnings, such as numpy's floating-point
+    RuntimeWarnings, pass through untouched and stay out of the report.
     """
     messages = []
     with warnings.catch_warnings():
@@ -554,9 +556,11 @@ def _recorded_warnings():
             ours = os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
             if ours and issubclass(category, UserWarning):
                 text = str(message)
-                if text in messages:
-                    return
-                messages.append(text)
+                if text not in messages:
+                    messages.append(text)
+                    (file or sys.stderr).write(
+                        f"{category.__name__}: {text}\n")
+                return
             show(message, category, filename, lineno, file, line)
 
         warnings.showwarning = record

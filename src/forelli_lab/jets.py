@@ -25,13 +25,20 @@ calls per jet instead of one per mode.
 
 The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
 each torus is transformed only on the band |mu_k| <= order, and an Expr
-is evaluated on broadcastable torus axes rather than full arrays.
+is evaluated on broadcastable torus axes rather than full arrays.  Tori
+of at least POOL_MIN_POINTS points of an Expr are sampled on a thread
+pool; numpy's array loops and FFTs release the GIL, and every torus
+writes only its own row of the mode table, so the jet is the same bit
+for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -49,6 +56,12 @@ COEFF_FLOOR = 1e-10
 # a radius schedule whose scaled design matrix is worse conditioned than
 # this for some mode is refused
 COND_LIMIT = 1e14
+# Expr tori of at least this many points (n = 3 at the default grid 32)
+# are sampled on a thread pool; on smaller tori the GIL hand-off between
+# short numpy calls costs more than the second core gains
+POOL_MIN_POINTS = 32 ** 3
+# at most this many sampling threads: nothing above 2 cores was measured
+MAX_SAMPLE_WORKERS = 4
 
 
 class JetExtractionError(RuntimeError):
@@ -308,15 +321,28 @@ def extract_jet(f, n: int, order: int, *,
                      tol=tol, diagnostics=diagnostics)
 
 
+def _sample_workers() -> int:
+    """Threads for sampling tori: the CPUs this process may run on, at most
+    MAX_SAMPLE_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_SAMPLE_WORKERS)
+
+
 def _sample_modes(func, compact, radii, rows, mus, grid, order):
     """The Fourier modes ``mus`` of func on the torus of radii[row], for
     each radius-index row, as an array (rows, modes).
 
     With ``compact`` (Expr inputs) component k of a torus has shape (G,)
     on axis k and 1 elsewhere; otherwise each component is a fresh full
-    (G,) * n array.  One torus at a time is sampled, its band
-    |m_k| <= order of modes transformed and the modes gathered with one
-    flat index array.
+    (G,) * n array.  Each torus is sampled, its band |m_k| <= order of
+    modes transformed and the modes gathered with one flat index array.
+    Compact tori of at least POOL_MIN_POINTS points run on a thread pool,
+    each in a copy of the caller's context (numpy keeps its error state
+    there); a callable may keep state, so it runs on the calling thread.
+    The error raised is that of the first failing torus in row order.
     """
     n = mus.shape[1]
     if compact:
@@ -328,19 +354,36 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
     band_index = np.ravel_multi_index(tuple((mus + order).T),
                                       (2 * order + 1,) * n)
     mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
-    for ri, row in enumerate(rows):
-        zs = tuple(radii[row[k]] * unit[k] for k in range(n))
+
+    def sample(ri):
+        rho = radii[list(rows[ri])]
+        zs = tuple(rho[k] * unit[k] for k in range(n))
         try:
             vals = np.asarray(func(zs), dtype=complex)
         except Exception as exc:
             raise JetExtractionError(
-                f"evaluation failed on torus rho={tuple(radii[t] for t in row)}: {exc}"
+                f"evaluation failed on torus rho={tuple(rho.tolist())}: {exc}"
             ) from exc
         if not np.all(np.isfinite(vals)):
             raise JetExtractionError(
-                f"non-finite samples on torus rho={tuple(radii[t] for t in row)}")
+                f"non-finite samples on torus rho={tuple(rho.tolist())}")
         vals = np.broadcast_to(vals, (grid,) * n)
         mode_vals[ri] = torus_modes(vals, n, order).ravel()[band_index]
+
+    workers = 1
+    if compact and grid ** n >= POOL_MIN_POINTS:
+        workers = _sample_workers()
+    if workers == 1:
+        for ri in range(len(rows)):
+            sample(ri)
+        return mode_vals
+    contexts = [contextvars.copy_context() for _ in rows]
+    with ThreadPoolExecutor(workers) as pool:
+        # results in row order: the first failure raises, and the tasks
+        # not yet started are cancelled
+        for _ in pool.map(lambda ri: contexts[ri].run(sample, ri),
+                          range(len(rows))):
+            pass
     return mode_vals
 
 

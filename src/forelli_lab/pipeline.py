@@ -13,6 +13,8 @@ is out of scope here.
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -117,6 +119,19 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
     U = np.atleast_2d(np.asarray(directions, dtype=complex))
     if U.size == 0:
         raise ValueError("direction set must be nonempty")
+    # the capacity check reads only U, so it runs on a background thread,
+    # in a copy of the caller's context, while the discs and the jet are
+    # checked; leaving the block joins the thread on every exit
+    with ThreadPoolExecutor(1) as background:
+        capacity = background.submit(contextvars.copy_context().run,
+                                     normality_check, U)
+        return _analyze(f, U, cfg, capacity)
+
+
+def _analyze(f, U: np.ndarray, cfg: AnalyzeConfig,
+             capacity: Future) -> AnalysisReport:
+    """The stages of forelli_analyze; ``capacity`` resolves to the
+    normality check of U."""
     n = U.shape[1]
     K = cfg.K if cfg.K is not None else cfg.order
     stages: List[Stage] = []
@@ -223,7 +238,7 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
 
     # capacity positivity of the chart image of U
     try:
-        norm = normality_check(U)
+        norm = capacity.result()
         details = {"inscribed_radius": norm.radius,
                    "resolution": norm.resolution,
                    "capacity_lower_bound":
@@ -247,7 +262,8 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                                        seed=cfg.seed)
         stages.append(Stage("certificate", PASS,
                             {"M": certificate.M,
-                             "r_prime": list(certificate.r_prime)}))
+                             "r_prime": list(certificate.r_prime),
+                             "diagnostics": certificate.diagnostics}))
     except CertificateError as exc:
         stages.append(Stage("certificate", FAIL, {"error": str(exc)}))
         failures.append(f"certificate refused: {exc}")

@@ -249,6 +249,23 @@ class TestReportWarnings:
         assert "UserWarning: degenerate set" in proc.stderr
         assert "degenerate set" not in proc.stdout
 
+    def test_printed_without_source_location(self, tmp_path):
+        # the library's own warnings print as "UserWarning: <message>", so
+        # stderr does not move with the library's line numbers
+        import subprocess
+        import sys
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([[[2, 0], [0, 0]], [[0, 0], [0, 1]],
+                                    [[0.6, 0], [0.8, 0]]]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "forelli_lab.cli", "analyze", "--expr",
+             "exp(z1+z2)", "--order", "8", "--directions", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert ".py:" not in proc.stderr
+        assert proc.stderr == ("UserWarning: directions off the unit sphere "
+                               "by up to 1; normalizing\n")
+
     def test_floating_point_warnings_stay_out(self, capsys):
         # exp overflows on some discs, and inf * 0 is invalid
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -276,6 +293,32 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "capacity", "--set", "segment -1 1",
                             "--json")
         assert "elapsed" not in out and "time" not in json.loads(out)
+
+    def test_three_variables_byte_identical_on_one_cpu(self, tmp_path):
+        # the n = 3 jet samples its tori on a thread pool; a child pinned
+        # to one CPU runs them on one thread and writes the same bytes
+        import os
+        import subprocess
+        import sys
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        cpu = min(os.sched_getaffinity(0))
+        outs = []
+        for pin in (False, True):
+            path = tmp_path / f"report-{pin}.json"
+            argv = ["analyze", "--expr", "exp(z1+z2+z3)", "--dim", "3",
+                    "--order", "6", "--directions", "cap:0.3:150",
+                    "--seed", "42", "--out", str(path)]
+            code = ("import os, sys\n"
+                    + (f"os.sched_setaffinity(0, {{{cpu}}})\n" if pin else "")
+                    + "from forelli_lab import cli\n"
+                    + f"sys.argv = ['forelli-lab'] + {argv!r}\n"
+                    + "cli.main()\n")
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_byte_identical_across_processes(self, tmp_path):
         # separate interpreters, so hash randomization cannot sneak set
@@ -425,6 +468,33 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["summary"]["M"] == pytest.approx(2.0, rel=1e-6)
         validate(out)
+
+    def test_certificate_diagnostics_reach_the_reports(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "geo.txt"
+        FormalSeries(2, 10, {((i, j), (0, 0)): 1.0
+                             for i in range(11)
+                             for j in range(11 - i)}).save(path)
+        for argv in (("certify", "--series-file", str(path), "--r0", "0.5"),
+                     ("analyze", "--series-file", str(path),
+                      "--directions", "cap:0.3:120")):
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            assert code == 0
+            validate(out)
+            stage = [s for s in json.loads(out)["stages"]
+                     if s["name"] == "certificate"][0]
+            diagnostics = stage["details"]["diagnostics"]
+            assert 0 < diagnostics["max_block_ratio"] < 1
+            assert diagnostics["check_points"] == 20
+            assert diagnostics["seed"] == 42
+
+    def test_jet_error_prints_plain_radii(self, capsys):
+        code, out, err = run_cli(capsys, "jet", "--expr", "1/(z3-0.25)",
+                                 "--dim", "3", "--order", "4")
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: evaluation failed on torus "
+                       "rho=(0.2, 0.2, 0.25): division by zero in "
+                       "'z3-0.25'\n")
 
     def test_analyze_series_file(self, capsys, tmp_path):
         path = tmp_path / "geo.txt"

@@ -377,3 +377,108 @@ def test_deepcopy_of_a_jet():
     assert twin.series.graded.coeffs.tobytes() == \
         jet.series.graded.coeffs.tobytes()
     assert twin.diagnostics == jet.diagnostics
+
+
+class TestSamplingThreads:
+    """n = 3 Expr tori on a thread pool give the serial jet, bit for bit."""
+
+    @staticmethod
+    def _jet(monkeypatch, workers, f, n, order, center=None):
+        """The jet with ``workers`` sampling threads, its mode table and
+        the threads that transformed tori."""
+        import threading
+
+        from forelli_lab import jets
+
+        sample, transform = jets._sample_modes, jets.torus_modes
+        modes, threads = [], set()
+
+        def recording_sample(*args):
+            modes.append(sample(*args))
+            return modes[-1]
+
+        def recording_transform(*args):
+            threads.add(threading.get_ident())
+            return transform(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jets, "_sample_workers", lambda: workers)
+            patch.setattr(jets, "_sample_modes", recording_sample)
+            patch.setattr(jets, "torus_modes", recording_transform)
+            jet = extract_jet(f, n, order, center=center)
+        return jet, modes[0], threads
+
+    @pytest.mark.parametrize("expr,order,center", [
+        ("exp(z1+z2+z3)", 8, None),
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 8, None),
+        ("z1^2*z2*conj(z1)/normsq(z)", 4, None),
+        ("exp(z1*z2+z3)", 6, (0.1, -0.2j, 0.05)),
+    ])
+    def test_pool_matches_one_worker(self, monkeypatch, expr, order, center):
+        import threading
+        f = parse(expr, dim=3)
+        got, got_modes, threads = self._jet(monkeypatch, 2, f, 3, order,
+                                            center)
+        want, want_modes, serial = self._jet(monkeypatch, 1, f, 3, order,
+                                             center)
+        assert serial == {threading.get_ident()}
+        assert threading.get_ident() not in threads
+        assert got_modes.tobytes() == want_modes.tobytes()
+        assert got.verdict_text() == want.verdict_text()
+        assert got.per_order_residuals == want.per_order_residuals
+        assert got.series.graded.exponents.tobytes() == \
+            want.series.graded.exponents.tobytes()
+        assert got.series.graded.coeffs.tobytes() == \
+            want.series.graded.coeffs.tobytes()
+        assert got.diagnostics == want.diagnostics
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        # every torus writes only its own row of the mode table: a lost or
+        # misplaced row would change the bytes
+        import sys
+        f = parse("exp(z1+z2+z3)", dim=3)
+        want = self._jet(monkeypatch, 1, f, 3, 6)[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self._jet(monkeypatch, 8, f, 3, 6)[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_torus_is_named(self, monkeypatch, workers):
+        # every torus with rho_3 = 0.25 divides by zero; the first in row
+        # order is raised, with plain floats in its radii
+        from forelli_lab import JetExtractionError, jets
+        monkeypatch.setattr(jets, "_sample_workers", lambda: workers)
+        with pytest.raises(JetExtractionError) as info:
+            extract_jet(parse("1/(z3-0.25)", dim=3), 3, 4)
+        assert str(info.value) == ("evaluation failed on torus "
+                                   "rho=(0.2, 0.2, 0.25): division by zero "
+                                   "in 'z3-0.25'")
+
+    def test_callable_runs_on_the_calling_thread(self, monkeypatch):
+        import threading
+
+        from forelli_lab import jets
+        monkeypatch.setattr(jets, "_sample_workers", lambda: 2)
+        idents = set()
+
+        def f(z):
+            idents.add(threading.get_ident())
+            return z[0] * z[1] * z[2]
+
+        jet = extract_jet(f, 3, 4)
+        assert jet.verdict == FULL_JET
+        assert idents == {threading.get_ident()}
+
+    def test_pool_keeps_the_callers_error_state(self, monkeypatch):
+        # without the caller's errstate the pool threads would only warn,
+        # and the overflow would surface as non-finite samples
+        from forelli_lab import JetExtractionError, jets
+        monkeypatch.setattr(jets, "_sample_workers", lambda: 2)
+        with np.errstate(over="raise"):
+            with pytest.raises(JetExtractionError,
+                               match=r"evaluation failed .*: overflow"):
+                extract_jet(parse("exp(5000*z1)+z2*z3", dim=3), 3, 4)

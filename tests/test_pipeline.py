@@ -105,3 +105,76 @@ class TestReportShape:
         payload = sanitize(rep.to_dict())
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
         assert "stages" in json.loads(text)
+
+
+class TestCapacityBesideTheJet:
+    """The capacity check runs on a thread that every exit joins."""
+
+    @staticmethod
+    def _threads_after(run):
+        import threading
+        before = threading.active_count()
+        result = run()
+        assert threading.active_count() == before
+        return result
+
+    def test_pass(self):
+        U = cap_directions(3, 0.3, 150, seed=5)
+        rep = self._threads_after(lambda: forelli_analyze(
+            parse("exp(z1+z2+z3)", dim=3), U, AnalyzeConfig(order=6)))
+        assert rep.passed
+        assert rep.stage("direction_capacity").status == "pass"
+
+    def test_holomorphic_type_failure(self):
+        S = (FormalSeries.variable(1, 2, 8)
+             + FormalSeries.monomial((1, 0), (0, 1), 1.0, 8))
+        U = sphere_directions(2, 150, seed=8)
+        rep = self._threads_after(lambda: forelli_analyze(S, U))
+        assert rep.stage("holomorphic_type").status == "fail"
+        assert rep.stage("direction_capacity").status == "skipped"
+
+    def test_escaping_jet_error(self):
+        from forelli_lab import JetExtractionError
+        U = cap_directions(3, 0.3, 150, seed=5)
+
+        def run():
+            with pytest.raises(JetExtractionError,
+                               match=r"rho=\(0\.2, 0\.2, 0\.25\)"):
+                forelli_analyze(parse("1/(z3-0.25)", dim=3), U,
+                                AnalyzeConfig(order=4))
+
+        self._threads_after(run)
+
+    def test_too_few_directions(self):
+        U = sphere_directions(2, 60, seed=3)
+        rep = self._threads_after(lambda: forelli_analyze(
+            parse("exp(z1+z2)"), U, AnalyzeConfig(order=8)))
+        stage = rep.stage("direction_capacity")
+        assert stage.status == "fail"
+        assert stage.details == {
+            "error": "normality check needs >= 100 sampled directions"}
+
+    def test_other_errors_are_raised(self, monkeypatch):
+        from forelli_lab import pipeline
+
+        def broken(U):
+            raise RuntimeError("broken capacity check")
+
+        monkeypatch.setattr(pipeline, "normality_check", broken)
+        U = cap_directions(2, 0.3, 120, seed=5)
+
+        def run():
+            with pytest.raises(RuntimeError, match="broken capacity check"):
+                forelli_analyze(parse("exp(z1+z2)"), U,
+                                AnalyzeConfig(order=8))
+
+        self._threads_after(run)
+
+
+class TestCertificateDiagnostics:
+    def test_certificate_stage_carries_them(self):
+        U = cap_directions(2, 0.3, 120, seed=5)
+        rep = forelli_analyze(parse("exp(z1+z2)"), U, AnalyzeConfig(order=8))
+        details = rep.stage("certificate").details
+        assert details["diagnostics"] == rep.certificate.diagnostics
+        assert 0 < details["diagnostics"]["max_block_ratio"] < 1
