@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, jet, slice, capacity, psh, pencil-check,
-subpencil, normalize, certify.  Exit codes: 0 all verdicts pass, 1
-analysis completed with failing verdicts, 2 usage or configuration
-error, 3 numerical failure (ill-conditioning, inversion divergence,
-degenerate normalization).
+subpencil, normalize, certify.  Exit codes: 0 all verdicts pass, 1 a
+stage fails (a series with a zbar term fails analyze and certify alike),
+2 usage or configuration error, 3 numerical failure (ill-conditioning,
+inversion divergence, degenerate normalization).
 
 stdout carries the report (plain-text summary by default, the full JSON
 document with --json); stderr carries diagnostics.  JSON output contains
@@ -28,18 +28,18 @@ from . import __version__
 from .capacity import (ChartUndecidableError, CompactSet1D, cap1d_transfinite,
                        cap_siciak)
 from .expr import EvalError, ParseError, parse
-from .jets import JetExtractionError, extract_jet
+from .jets import JetExtractionError
 from .pencil import (DegenerateNormalizationError, NewtonInversionError,
-                     PencilCheckError, check_holo_along_pencil, compute_H_G,
-                     find_subpencil, load_pencil, preset_directions,
-                     standard_pencil, tilde_normalize)
-from .pipeline import AnalyzeConfig, forelli_analyze
+                     PencilCheckError, compute_H_G, find_subpencil,
+                     load_pencil, preset_directions, standard_pencil,
+                     tilde_normalize)
+from .pipeline import (PASS, AnalyzeConfig, disc_stage, forelli_analyze,
+                       jet_stage, run_stages)
 from .psh import (PshFamily, average_on_torus, classify_trichotomy,
                   envelope_to_csv, upper_envelope)
 from .report import build_report, to_json
 from .series import FormalSeries, SeriesFormatError, torus
-from .slices import (CertificateError, NotHolomorphicTypeError,
-                     certify_polydisc, chart_poly_family, slice_series)
+from .slices import NotHolomorphicTypeError, chart_poly_family, slice_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -115,20 +115,11 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     result = forelli_analyze(f, U, cfg)
     elapsed = time.perf_counter() - t0
-    payload = result.to_dict()
-    report = build_report(
-        "analyze", payload["config"],
-        payload["stages"],
-        {"passed": result.passed, "final_verdict": result.final_verdict,
-         "certificate": payload["certificate"],
-         "per_direction": payload["per_direction"]},
-        warnings=args.warnings)
-    lines = [f"forelli-lab analyze v{__version__}"]
-    for st in result.stages:
-        lines.append(f"  [{st.status:>7}] {st.name}")
-    lines.append(f"verdict: {result.final_verdict}")
-    lines.append(f"elapsed: {elapsed:.2f} s")
-    _emit(args, report, lines)
+    lines = ([f"forelli-lab analyze v{__version__}"]
+             + [f"  [{st.status:>7}] {st.name}" for st in result.stages]
+             + [f"verdict: {result.final_verdict}",
+                f"elapsed: {elapsed:.2f} s"])
+    _emit(args, result.to_dict(args.warnings), lines)
     return _exit_code(result.passed)
 
 
@@ -138,19 +129,16 @@ def _cmd_jet(args) -> int:
     center = _parse_point(args.center) if args.center else None
     if center is not None and len(center) != n:
         raise ConfigError(f"center has {len(center)} components, expected {n}")
-    jet = extract_jet(f, n, args.order, rho0=args.rho0, sigma=args.sigma,
-                      rho_max=args.rho_max, grid=args.grid, tol=args.tol,
-                      center=center)
+    stage, jet = jet_stage(f, n, args.order, args.tol, rho0=args.rho0,
+                           sigma=args.sigma, rho_max=args.rho_max,
+                           grid=args.grid, center=center)
     diag = {str(k): r for k, r in enumerate(jet.per_order_residuals)}
     report = build_report(
         "jet",
         {"dim": n, "order": args.order, "tol": args.tol, "rho0": args.rho0,
          "sigma": args.sigma, "rho_max": args.rho_max, "grid": args.grid,
          "center": args.center},
-        [{"name": "jet", "status": "pass" if jet.full else "fail",
-          "details": {"verdict": jet.verdict_text(),
-                      "per_order_residuals": jet.per_order_residuals,
-                      **jet.offenders()}}],
+        [stage.to_dict()],
         {"passed": jet.full, "verdict": jet.verdict_text(),
          "series": jet.series.to_text()},
         warnings=args.warnings)
@@ -291,23 +279,18 @@ def _cmd_pencil_check(args) -> int:
     P = _pencil_from_args(args, args.dim)
     f = _load_function(args, P.n)
     radii = tuple(float(t) for t in args.radii.split(","))
-    result = check_holo_along_pencil(f, P, radii, args.tol)
-    worst = result.worst()
+    stage = disc_stage("disc_residuals", f, P, radii, args.tol)
+    worst, passed = stage.details["worst_residual"], stage.status == PASS
     report = build_report(
         "pencil-check",
         {"pencil": args.pencil or args.directions, "tol": args.tol,
          "radii": list(radii)},
-        [{"name": "disc_residuals",
-          "status": "pass" if result.passed else "fail",
-          "details": {"worst_residual": worst,
-                      "discs": len(result.residuals), **result.evidence()}}],
-        {"passed": result.passed, "worst_residual": worst},
+        [stage.to_dict()], {"passed": passed, "worst_residual": worst},
         warnings=args.warnings)
-    lines = [f"checked {len(result.residuals)} discs; worst residual "
-             f"{worst:.3g} (tol {args.tol:g})",
-             "PASS" if result.passed else "FAIL"]
+    lines = [f"checked {stage.details['discs']} discs; worst residual "
+             f"{worst:.3g} (tol {args.tol:g})", "PASS" if passed else "FAIL"]
     _emit(args, report, lines)
-    return _exit_code(result.passed)
+    return _exit_code(passed)
 
 
 def _cmd_subpencil(args) -> int:
@@ -370,43 +353,31 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.series_file:
-        S = FormalSeries.load(args.series_file)
-        source = args.series_file
+        f = FormalSeries.load(args.series_file)
+        n, order, config = f.n, f.max_order, {"source": args.series_file}
     else:
         f = _load_function(args, args.dim)
-        jet = extract_jet(f, args.dim, args.order, rho_max=args.rho_max,
-                          tol=args.tol)
-        if not jet.full:
-            print(f"jet extraction failed: {jet.verdict_text()}",
-                  file=sys.stderr)
-            return EXIT_FAIL
-        S = jet.series
-        source = args.expr or args.expr_file
-    K = args.K if args.K is not None else S.max_order
-    try:
-        cert = certify_polydisc(S, args.r0, K, seed=args.seed)
-    except CertificateError as exc:
-        report = build_report(
-            "certify", {"source": source, "r0": args.r0, "K": K,
-                        "seed": args.seed},
-            [{"name": "certificate", "status": "fail",
-              "details": {"error": str(exc)}}],
-            {"passed": False},
-            warnings=args.warnings)
-        _emit(args, report, [f"certificate refused: {exc}"])
-        return EXIT_FAIL
+        n, order = args.dim, args.order
+        config = {"source": args.expr or args.expr_file, "dim": n,
+                  "order": order, "tol": args.tol}
+    K = args.K if args.K is not None else order
+    result = run_stages(f, n, AnalyzeConfig(
+        order=order, r0=args.r0, K=K, seed=args.seed, jet_tol=args.tol,
+        rho_max=args.rho_max))
+    cert = result.certificate
+    summary = {"passed": result.passed}
+    if cert is not None:
+        summary.update(M=cert.M, r_prime=list(cert.r_prime))
     report = build_report(
-        "certify", {"source": source, "r0": args.r0, "K": K,
-                    "seed": args.seed},
-        [{"name": "certificate", "status": "pass",
-          "details": {"M": cert.M, "r_prime": list(cert.r_prime),
-                      "margin": cert.margin,
-                      "diagnostics": cert.diagnostics}}],
-        {"passed": True, "M": cert.M, "r_prime": list(cert.r_prime)},
+        "certify", {**config, "r0": args.r0, "K": K, "seed": args.seed},
+        [s.to_dict() for s in result.stages], summary,
         warnings=args.warnings)
-    rp = ", ".join(f"{r:.6g}" for r in cert.r_prime)
-    _emit(args, report, [f"certificate: M={cert.M:.6g}, r'=({rp})"])
-    return EXIT_PASS
+    line = result.final_verdict
+    if result.passed:
+        rp = ", ".join(f"{r:.6g}" for r in cert.r_prime)
+        line = f"certificate: M={cert.M:.6g}, r'=({rp})"
+    _emit(args, report, [line])
+    return _exit_code(result.passed)
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -16,13 +16,14 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .capacity import ChartUndecidableError, normality_check
-from .jets import FULL_JET, JetResult, extract_jet, jet_of_series
+from .jets import JetResult, extract_jet, jet_of_series
 from .pencil import check_holo_along_pencil, standard_pencil
+from .report import build_report
 from .series import FormalSeries
 from .slices import (CertificateError, ConvergenceCertificate,
                      certify_polydisc, chart_map, chart_poly_family,
@@ -31,7 +32,6 @@ from .slices import (CertificateError, ConvergenceCertificate,
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
-INFO = "info"
 
 
 @dataclass
@@ -39,6 +39,15 @@ class Stage:
     name: str
     status: str
     details: dict = field(default_factory=dict)
+    failure: str = ""           # a failing stage's clause of the verdict
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "status": self.status,
+                "details": self.details}
+
+
+def _judged(name: str, ok: bool, details: dict, failure: str) -> Stage:
+    return Stage(name, PASS if ok else FAIL, details, "" if ok else failure)
 
 
 # fixed settings, reported in the config block of every analysis
@@ -83,27 +92,135 @@ class AnalysisReport:
     jet: Optional[JetResult] = None
 
     def stage(self, name: str) -> Optional[Stage]:
-        for st in self.stages:
-            if st.name == name:
-                return st
-        return None
+        return next((st for st in self.stages if st.name == name), None)
 
-    def to_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {"M": self.certificate.M, "r0": self.certificate.r0,
-                    "r_prime": list(self.certificate.r_prime),
-                    "K_used": self.certificate.K_used,
-                    "margin": self.certificate.margin}
-        return {
-            "config": self.config,
-            "stages": [{"name": s.name, "status": s.status,
-                        "details": s.details} for s in self.stages],
-            "per_direction": self.per_direction,
-            "certificate": cert,
-            "final_verdict": self.final_verdict,
-            "passed": self.passed,
-        }
+    def to_dict(self, warnings: Optional[List[str]] = None) -> dict:
+        """The ``analyze`` report of this analysis."""
+        c = self.certificate
+        cert = None if c is None else {
+            "M": c.M, "r0": c.r0, "r_prime": list(c.r_prime),
+            "K_used": c.K_used, "margin": c.margin}
+        return build_report(
+            "analyze", self.config, [s.to_dict() for s in self.stages],
+            {"passed": self.passed, "final_verdict": self.final_verdict,
+             "certificate": cert, "per_direction": self.per_direction},
+            warnings)
+
+
+# -- stages that analyze shares with the single-check subcommands --------------
+
+def disc_stage(name: str, f, pencil, radii, tol: float) -> Stage:
+    """Hypothesis (2): f is holomorphic along the discs of ``pencil`` at
+    the given radii; ``name`` is the stage's name in the caller's report."""
+    holo = check_holo_along_pencil(f, pencil, radii, tol)
+    worst = holo.worst()
+    return _judged(name, holo.passed,
+                   {"worst_residual": worst, "tol": tol,
+                    "discs": len(holo.residuals), **holo.evidence()},
+                   "hypothesis (2) fails: some disc has antiholomorphic "
+                   f"residual {worst:.3g}")
+
+
+def jet_stage(f, n: int, order: int, tol: float,
+              **schedule) -> Tuple[Stage, JetResult]:
+    """Hypothesis (1): the formal Taylor jet of f up to ``order``;
+    ``schedule`` holds extract_jet's radius, grid and center keywords."""
+    jet = extract_jet(f, n, order, tol=tol, **schedule)
+    return _judged("jet", jet.full,
+                   {"verdict": jet.verdict_text(),
+                    "max_consistent_order": jet.max_consistent_order,
+                    "per_order_residuals": jet.per_order_residuals,
+                    "tol": tol, **jet.offenders()},
+                   f"hypothesis (1) fails: jet verdict {jet.verdict_text()}"
+                   ), jet
+
+
+def holomorphic_type_stage(series: FormalSeries) -> Stage:
+    """The series has no zbar term; a failing stage names one."""
+    verdict = series.is_holomorphic_type()
+    if verdict:
+        return Stage("holomorphic_type", PASS, {"is_holomorphic_type": True})
+    I, J, c = verdict.witness
+    return Stage("holomorphic_type", FAIL,
+                 {"is_holomorphic_type": False,
+                  "witness": {"I": list(I), "J": list(J),
+                              "coeff": [c.real, c.imag]}},
+                 "series is not of holomorphic type; witness term "
+                 f"{verdict.witness[:2]}")
+
+
+def certificate_stage(series: FormalSeries, r0: float, K: int, seed: int
+                      ) -> Tuple[Stage, Optional[ConvergenceCertificate]]:
+    """The polydisc convergence certificate of a zbar-free series, or the
+    reason it is refused."""
+    try:
+        cert = certify_polydisc(series, r0, K, CERTIFICATE_SAMPLES, seed=seed)
+    except CertificateError as exc:
+        return Stage("certificate", FAIL, {"error": str(exc)},
+                     f"certificate refused: {exc}"), None
+    return Stage("certificate", PASS,
+                 {"M": cert.M, "r_prime": list(cert.r_prime),
+                  "margin": cert.margin,
+                  "diagnostics": cert.diagnostics}), cert
+
+
+# -- analyze-only stages -------------------------------------------------------
+
+def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
+                 ) -> Tuple[List[Stage], List[dict]]:
+    """The chart family and its root-test radii along the chart rays (1, b)
+    of the unit rows, with one per_direction entry per row."""
+    family = chart_poly_family(series, K)
+    stages = [Stage("chart_family", PASS, {"K": K, "nvars": family.nvars})]
+    window = K // 2
+    if window < 4:
+        stages.append(Stage("directional_radii", SKIPPED,
+                            {"reason": f"family too short for the root test "
+                                       f"(K={K}, window={window})"}))
+        return stages, []
+    charts, has_chart = chart_map(units)
+    columns = iter(family.abs_values_at(
+        charts[:, 0] if family.nvars == 1 else charts).T)
+    rows = iter(charts.tolist())
+    per_direction = []
+    min_radius = float("inf")
+    min_index = None              # first direction with the smallest R
+    for index, unit in enumerate(units.tolist()):
+        entry = {"direction": [[v.real, v.imag] for v in unit],
+                 "chart": None, "R_estimate": None}
+        if has_chart[index]:
+            radius = radius_root_test(next(columns), K, window).radius
+            entry["chart"] = [[v.real, v.imag] for v in next(rows)]
+            entry["R_estimate"] = radius
+            if min_index is None or radius < min_radius:
+                min_radius, min_index = radius, index
+        per_direction.append(entry)
+    stages.append(_judged("directional_radii", min_radius > 0,
+                          {"min_R_estimate": min_radius,
+                           "min_R_direction_index": min_index,
+                           "chart_excluded": len(units) - len(charts),
+                           "window": window},
+                          "some directional radius estimate is zero"))
+    return stages, per_direction
+
+
+def _capacity_stage(capacity: Future) -> Stage:
+    """Capacity positivity of the chart image of U, from the normality
+    check that ``capacity`` resolves to."""
+    try:
+        norm = capacity.result()
+    except (ChartUndecidableError, ValueError) as exc:
+        return Stage("direction_capacity", FAIL, {"error": str(exc)},
+                     str(exc))
+    details = {"inscribed_radius": norm.radius,
+               "resolution": norm.resolution,
+               "capacity_lower_bound": norm.diagnostics["capacity_lower_bound"],
+               "chart_dropped": norm.dropped}
+    if "detail" in norm.diagnostics:
+        details["detail"] = norm.diagnostics["detail"]
+    return _judged("direction_capacity", norm.is_normal_sufficient, details,
+                   "no inscribed chart ball at the sampling resolution; "
+                   "normality not certified")
 
 
 def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
@@ -125,156 +242,65 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
     with ThreadPoolExecutor(1) as background:
         capacity = background.submit(contextvars.copy_context().run,
                                      normality_check, U)
-        return _analyze(f, U, cfg, capacity)
+        return run_stages(f, U.shape[1], cfg, (U, capacity))
 
 
-def _analyze(f, U: np.ndarray, cfg: AnalyzeConfig,
-             capacity: Future) -> AnalysisReport:
-    """The stages of forelli_analyze; ``capacity`` resolves to the
-    normality check of U."""
-    n = U.shape[1]
-    K = cfg.K if cfg.K is not None else cfg.order
+def run_stages(f, n: int, cfg: AnalyzeConfig,
+               directions: Optional[Tuple[np.ndarray, Future]] = None
+               ) -> AnalysisReport:
+    """The stages of an analysis of f in C^n, in order.
+
+    ``directions`` is the direction set U with a future of its normality
+    check, as forelli_analyze passes them.  Without it, as ``certify``
+    runs, the disc, chart-family, radii and capacity stages are left out.
+    The one skip rule: once the holomorphic-type stage fails, every later
+    stage is reported skipped, since each reads the series as zbar-free.
+    """
     stages: List[Stage] = []
+    if isinstance(f, FormalSeries):
+        skipped = ("disc_holomorphy", "jet") if directions else ("jet",)
+        stages += [Stage(name, SKIPPED, {"reason": "input is an explicit "
+                                                   "series"})
+                   for name in skipped]
+        jet = jet_of_series(f)
+    else:
+        if directions:
+            stages.append(disc_stage("disc_holomorphy", f,
+                                     standard_pencil(n, directions[0]),
+                                     DISC_RADII, DISC_TOL))
+        stage, jet = jet_stage(f, n, cfg.order, cfg.jet_tol, rho0=RHO0,
+                               sigma=SIGMA, rho_max=cfg.rho_max,
+                               grid=cfg.grid)
+        stages.append(stage)
+    series = jet.series
+    stages.append(holomorphic_type_stage(series))
+
     per_direction: List[dict] = []
     certificate = None
-    failures: List[str] = []
-
-    is_series = isinstance(f, FormalSeries)
-
-    # hypothesis (2): holomorphy along the straight discs of U
-    if is_series:
-        stages.append(Stage("disc_holomorphy", SKIPPED,
-                            {"reason": "input is an explicit series"}))
+    later = (("chart_family", "directional_radii", "direction_capacity")
+             if directions else ()) + ("certificate",)
+    if stages[-1].status == FAIL:
+        stages += [Stage(name, SKIPPED) for name in later]
     else:
-        pencil = standard_pencil(n, U)
-        holo = check_holo_along_pencil(f, pencil, DISC_RADII, DISC_TOL)
-        worst = holo.worst()
-        stages.append(Stage(
-            "disc_holomorphy", PASS if holo.passed else FAIL,
-            {"worst_residual": worst, "tol": DISC_TOL,
-             "discs_checked": len(holo.residuals), **holo.evidence()}))
-        if not holo.passed:
-            failures.append("hypothesis (2) fails: some disc has "
-                            f"antiholomorphic residual {worst:.3g}")
+        K = min(cfg.K if cfg.K is not None else cfg.order, series.max_order)
+        if directions:
+            U, capacity = directions
+            # standard_pencil's unit rows, whose discs were checked; a zero
+            # row of a series' directions stays zero for chart_map to reject
+            norms = np.linalg.norm(U, axis=1)[:, None]
+            units = np.divide(U, norms, out=np.zeros_like(U), where=norms > 0)
+            radii, per_direction = _radii_stage(series, K, units)
+            stages += radii + [_capacity_stage(capacity)]
+        stage, certificate = certificate_stage(series, cfg.r0, K, cfg.seed)
+        stages.append(stage)
 
-    # hypothesis (1): the full formal Taylor jet exists
-    if is_series:
-        jet = jet_of_series(f)
-        stages.append(Stage("jet", SKIPPED,
-                            {"reason": "input is an explicit series"}))
-    else:
-        jet = extract_jet(f, n, cfg.order, rho0=RHO0, sigma=SIGMA,
-                          rho_max=cfg.rho_max, grid=cfg.grid, tol=cfg.jet_tol)
-        ok = jet.verdict == FULL_JET
-        stages.append(Stage(
-            "jet", PASS if ok else FAIL,
-            {"verdict": jet.verdict_text(),
-             "max_consistent_order": jet.max_consistent_order,
-             "per_order_residuals": jet.per_order_residuals,
-             "tol": cfg.jet_tol,
-             **jet.offenders()}))
-        if not ok:
-            failures.append(
-                f"hypothesis (1) fails: jet verdict {jet.verdict_text()}")
-    series = jet.series
-
-    # zbar-freeness of the (candidate) jet
-    verdict = series.is_holomorphic_type()
-    det = {"is_holomorphic_type": bool(verdict)}
-    if not verdict:
-        I, J, c = verdict.witness
-        det["witness"] = {"I": list(I), "J": list(J), "coeff": [c.real, c.imag]}
-    stages.append(Stage("holomorphic_type", PASS if verdict else FAIL, det))
-    if not verdict:
-        failures.append("series is not of holomorphic type; "
-                        f"witness term {verdict.witness[:2]}")
+    failures = [s.failure for s in stages if s.status == FAIL]
+    if failures:
         final = "; ".join(failures)
-        stages.append(Stage("chart_family", SKIPPED, {}))
-        stages.append(Stage("directional_radii", SKIPPED, {}))
-        stages.append(Stage("direction_capacity", SKIPPED, {}))
-        stages.append(Stage("certificate", SKIPPED, {}))
-        return AnalysisReport(stages, per_direction, None, final, False,
-                              cfg.to_dict(n), jet)
-
-    K = min(K, series.max_order)
-    family = chart_poly_family(series, K)
-    stages.append(Stage("chart_family", PASS, {"K": K, "nvars": family.nvars}))
-
-    # per-direction root-test radii along the chart rays (1, b)
-    window = K // 2
-    if window < 4:
-        stages.append(Stage("directional_radii", SKIPPED,
-                            {"reason": f"family too short for the root test "
-                                       f"(K={K}, window={window})"}))
     else:
-        # row by row, as np.linalg.norm(U, axis=1) rounds differently; a
-        # zero row stays zero, and chart_map rejects it
-        norms = np.array([np.linalg.norm(v) for v in U])[:, None]
-        units = np.divide(U, norms, out=np.zeros_like(U), where=norms > 0)
-        charts, has_chart = chart_map(units)
-        columns = iter(family.abs_values_at(
-            charts[:, 0] if family.nvars == 1 else charts).T)
-        rows = iter(charts.tolist())
-        min_radius = float("inf")
-        min_index = None              # first direction with the smallest R
-        for index, unit in enumerate(units.tolist()):
-            entry = {"direction": [[v.real, v.imag] for v in unit],
-                     "chart": None, "R_estimate": None}
-            if has_chart[index]:
-                radius = radius_root_test(next(columns), K, window).radius
-                entry["chart"] = [[v.real, v.imag] for v in next(rows)]
-                entry["R_estimate"] = radius
-                if min_index is None or radius < min_radius:
-                    min_radius, min_index = radius, index
-            per_direction.append(entry)
-        stages.append(Stage("directional_radii",
-                            PASS if min_radius > 0 else FAIL,
-                            {"min_R_estimate": min_radius,
-                             "min_R_direction_index": min_index,
-                             "chart_excluded": len(U) - len(charts),
-                             "window": window}))
-        if min_radius <= 0:
-            failures.append("some directional radius estimate is zero")
-
-    # capacity positivity of the chart image of U
-    try:
-        norm = capacity.result()
-        details = {"inscribed_radius": norm.radius,
-                   "resolution": norm.resolution,
-                   "capacity_lower_bound":
-                       norm.diagnostics["capacity_lower_bound"],
-                   "chart_dropped": norm.dropped}
-        if "detail" in norm.diagnostics:
-            details["detail"] = norm.diagnostics["detail"]
-        stages.append(Stage(
-            "direction_capacity", PASS if norm.is_normal_sufficient else FAIL,
-            details))
-        if not norm.is_normal_sufficient:
-            failures.append("no inscribed chart ball at the sampling "
-                            "resolution; normality not certified")
-    except (ChartUndecidableError, ValueError) as exc:
-        stages.append(Stage("direction_capacity", FAIL, {"error": str(exc)}))
-        failures.append(str(exc))
-
-    # explicit polydisc certificate
-    try:
-        certificate = certify_polydisc(series, cfg.r0, K, CERTIFICATE_SAMPLES,
-                                       seed=cfg.seed)
-        stages.append(Stage("certificate", PASS,
-                            {"M": certificate.M,
-                             "r_prime": list(certificate.r_prime),
-                             "diagnostics": certificate.diagnostics}))
-    except CertificateError as exc:
-        stages.append(Stage("certificate", FAIL, {"error": str(exc)}))
-        failures.append(f"certificate refused: {exc}")
-
-    passed = not failures
-    if passed:
         rp = ", ".join(f"{r:.6g}" for r in certificate.r_prime)
         final = (f"holomorphic on B^{n}(0;r) u P_0(U) with certified "
                  f"polydisc polyradius ({rp}), modulo Hartogs extension "
                  "(out of scope)")
-    else:
-        final = "; ".join(failures)
-    return AnalysisReport(stages, per_direction, certificate, final, passed,
-                          cfg.to_dict(n), jet)
+    return AnalysisReport(stages, per_direction, certificate, final,
+                          not failures, cfg.to_dict(n), jet)

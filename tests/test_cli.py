@@ -95,6 +95,7 @@ class TestDiscEvidence:
         stage = [s for s in json.loads(out)["stages"]
                  if s["name"] == "disc_holomorphy"][0]
         assert stage["status"] == "fail"
+        assert stage["details"]["discs"] == 300
         assert stage["details"]["worst_radius"] == 0.9
         assert stage["details"]["discs_with_error"] == 0
         assert isinstance(stage["details"]["worst_direction_index"], int)
@@ -361,11 +362,49 @@ class TestSchemaSweep:
             ("subpencil", "--pencil", str(pencil), "--expr", "exp(z1+z2)"),
             ("normalize", "--pencil", str(pencil), "--v0", "1,0 0,0"),
             ("certify", "--series-file", str(series), "--r0", "0.5"),
+            ("certify", "--expr", "exp(z1+z2)", "--order", "8"),
         ]
-        for argv in invocations:
-            code, out, err = run_cli(capsys, *argv, "--json")
-            assert code == 0, (argv, err)
-            validate(out)
+        failing = [
+            ("analyze", "--expr", "conj(z1)+z2", "--order", "4",
+             "--directions", "sphere:100"),
+            ("jet", "--expr", "z1^2*z2*conj(z1)/normsq(z)", "--order", "4"),
+            ("pencil-check", "--expr", "conj(z1)", "--directions",
+             "sphere:40"),
+            ("certify", "--expr", "conj(z1)+z2", "--order", "8"),
+        ]
+        for want, argvs in ((0, invocations), (1, failing)):
+            for argv in argvs:
+                code, out, err = run_cli(capsys, *argv, "--json")
+                assert code == want, (argv, err)
+                validate(out)
+
+
+class TestOneBuilderPerStage:
+    """A stage that two subcommands emit has the same details in both."""
+
+    @staticmethod
+    def _details(capsys, name, *argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        return [s for s in json.loads(out)["stages"]
+                if s["name"] == name][0]["details"]
+
+    def test_same_details(self, capsys):
+        expr = ("--expr", "exp(z1+z2)")
+        analyze = {name: self._details(capsys, name, "analyze", *expr,
+                                       "--order", "8", "--directions",
+                                       "sphere:200")
+                   for name in ("disc_holomorphy", "jet", "certificate")}
+        assert analyze["disc_holomorphy"] == self._details(
+            capsys, "disc_residuals", "pencil-check", *expr,
+            "--directions", "sphere:200")
+        assert analyze["jet"] == self._details(capsys, "jet", "jet", *expr,
+                                               "--order", "8")
+        assert analyze["certificate"] == self._details(
+            capsys, "certificate", "certify", *expr, "--order", "8")
+        assert set(analyze["disc_holomorphy"]) >= {"discs", "tol"}
+        assert set(analyze["jet"]) >= {"max_consistent_order", "tol"}
+        assert "margin" in analyze["certificate"]
 
 
 class TestSubcommands:
@@ -487,6 +526,43 @@ class TestSubcommands:
             assert 0 < diagnostics["max_block_ratio"] < 1
             assert diagnostics["check_points"] == 20
             assert diagnostics["seed"] == 42
+
+    @pytest.mark.parametrize("source", ["expr", "series"])
+    def test_certify_zbar_input_is_a_failed_verdict(self, capsys, tmp_path,
+                                                    source):
+        if source == "expr":
+            argv = ("--expr", "conj(z1)+z2", "--order", "8")
+            witness = {"I": [0, 0], "J": [1, 0]}
+        else:
+            path = tmp_path / "zbar.txt"
+            (FormalSeries.variable(1, 2, 8)
+             + FormalSeries.monomial((1, 0), (0, 1), 1.0, 8)).save(path)
+            argv = ("--series-file", str(path))
+            witness = {"I": [1, 0], "J": [0, 1]}
+        code, out, err = run_cli(capsys, "certify", *argv, "--json")
+        assert code == 1 and err == ""
+        validate(out)
+        report = json.loads(out)
+        stages = {s["name"]: s for s in report["stages"]}
+        holo = stages["holomorphic_type"]
+        assert holo["status"] == "fail"
+        assert {k: holo["details"]["witness"][k] for k in "IJ"} == witness
+        assert stages["certificate"]["status"] == "skipped"
+        assert report["summary"] == {"passed": False}
+
+    def test_certify_failing_jet_emits_a_report(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--expr",
+                                 "z1^2*z2*conj(z1)/normsq(z)", "--order",
+                                 "6", "--json")
+        assert code == 1 and err == ""
+        validate(out)
+        report = json.loads(out)
+        jet = [s for s in report["stages"] if s["name"] == "jet"][0]
+        assert jet["status"] == "fail"
+        assert jet["details"]["verdict"] == "JetUpTo(1)"
+        assert report["summary"]["passed"] is False
+        config = report["config"]
+        assert (config["dim"], config["order"], config["tol"]) == (2, 6, 1e-6)
 
     def test_jet_error_prints_plain_radii(self, capsys):
         code, out, err = run_cli(capsys, "jet", "--expr", "1/(z3-0.25)",

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from forelli_lab import (AnalyzeConfig, FormalSeries, cap_directions,
-                         forelli_analyze, parse, sphere_directions)
+                         forelli_analyze, parse, sphere_directions,
+                         standard_pencil)
 
 
 class TestEntireFunction:
@@ -93,6 +95,17 @@ class TestRadiiEvidence:
         details = rep.stage("directional_radii").details
         assert details["chart_excluded"] == 3
         assert details["min_R_direction_index"] is None
+
+
+class TestUnitRows:
+    def test_reported_directions_are_the_checked_rows(self):
+        # the radii stage reads the pencil's unit rows, bit for bit
+        U = sphere_directions(2, 1000, seed=42)
+        rep = forelli_analyze(parse("exp(z1+z2)"), U, AnalyzeConfig(order=8))
+        rows = standard_pencil(2, U).directions
+        reported = np.array([[complex(re, im) for re, im in e["direction"]]
+                             for e in rep.per_direction])
+        assert np.array_equal(reported, rows)
 
 
 class TestReportShape:
