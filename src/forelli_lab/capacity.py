@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .pencil import _realify
+from .pencil import _realify, chunks
 from .series import torus
 from .slices import chart_map
 
@@ -338,24 +338,19 @@ class NormalityCheck:
 
 #: Largest number of shell steps, in units of the resolution h.
 MAX_SHELL_STEPS = 64
-#: Most shell points one KD-tree query holds; larger temporaries (about
-#: 0.5 MB and up) make glibc raise its mmap threshold when freed, which
-#: changes how the rest of the process allocates.
-SHELL_QUERY_POINTS = 4096
 
 
 def _covered(tree, centers: np.ndarray, shell: np.ndarray, cover: float
              ) -> np.ndarray:
     """Per center c, whether every point c + shell has a sample within cover.
 
-    Queries at most SHELL_QUERY_POINTS points at a time.  The search is
+    Queries at most pencil.DISC_CHUNK_SAMPLES points at a time.  The search is
     cut a hair above cover: a point with no sample that near gets an
     infinite distance, which the test reads the same as any beyond cover.
     """
-    per_query = max(1, SHELL_QUERY_POINTS // max(1, len(shell)))
     out = []
-    for s in range(0, len(centers), per_query):
-        points = centers[s:s + per_query, None, :] + shell
+    for start, stop in chunks(len(centers), len(shell)):
+        points = centers[start:stop, None, :] + shell
         dist = tree.query(points.reshape(-1, shell.shape[-1]),
                           distance_upper_bound=cover * (1 + 1e-9))[0]
         out.append(~np.any(dist.reshape(points.shape[:2]) > cover, axis=1))
@@ -380,10 +375,10 @@ def normality_check(directions, *, max_centers: int = 128,
 
     The shells grow in steps of the resolution h, up to MAX_SHELL_STEPS,
     for all centers at once: each step queries the shells of the centers
-    still live, at most SHELL_QUERY_POINTS points per KD-tree query, and
-    a center leaves at its first shell that is not covered.  Its radius
-    is then the last step all of whose shells were covered; the result
-    names the first center with the largest radius.
+    still live, at most pencil.DISC_CHUNK_SAMPLES points per KD-tree
+    query, and a center leaves at its first shell that is not covered.
+    Its radius is then the last step all of whose shells were covered;
+    the result names the first center with the largest radius.
     """
     U = np.atleast_2d(np.asarray(directions))
     if U.shape[1] > 1 and len(U) < 100:

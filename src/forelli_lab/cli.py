@@ -31,7 +31,7 @@ from .expr import EvalError, ParseError, parse
 from .jets import JetExtractionError
 from .pencil import (DegenerateNormalizationError, NewtonInversionError,
                      PencilCheckError, compute_H_G, find_subpencil,
-                     load_pencil, preset_directions, standard_pencil,
+                     load_directions, load_pencil, standard_pencil,
                      tilde_normalize)
 from .pipeline import (PASS, AnalyzeConfig, disc_stage, forelli_analyze,
                        jet_stage, run_stages)
@@ -51,18 +51,6 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 class ConfigError(ValueError):
     pass
-
-
-def _load_directions(spec: str, n: int, seed: int) -> np.ndarray:
-    """A ``preset_directions`` string seeded by --seed, or a JSON file."""
-    try:
-        return preset_directions(spec, n, seed)
-    except ValueError:
-        if not os.path.exists(spec):
-            raise
-    with open(spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return np.array([[complex(re, im) for re, im in vec] for vec in data])
 
 
 def _parse_point(text: str) -> tuple:
@@ -111,7 +99,7 @@ def _cmd_analyze(args) -> int:
         n = f.n
     else:
         f = _load_function(args, n)
-    U = _load_directions(args.directions, n, args.seed)
+    U = load_directions(args.directions, n, args.seed)
     t0 = time.perf_counter()
     result = forelli_analyze(f, U, cfg)
     elapsed = time.perf_counter() - t0
@@ -271,7 +259,7 @@ def _cmd_psh(args) -> int:
 def _pencil_from_args(args, n: int):
     if args.pencil:
         return load_pencil(args.pencil)
-    U = _load_directions(args.directions, n, args.seed)
+    U = load_directions(args.directions, n, args.seed)
     return standard_pencil(n, U)
 
 

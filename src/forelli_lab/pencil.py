@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +115,25 @@ def preset_directions(spec: str, n: int, seed: int) -> np.ndarray:
     return cap_directions(n, theta, count, seed=s)
 
 
+def load_directions(spec, n: int, seed: int) -> np.ndarray:
+    """The raw rows of a direction set in C^n, as given, unchecked.
+
+    ``spec`` is a ``preset_directions`` string (seeded by ``seed`` when
+    it names no seed), the path of a JSON file holding a list of
+    directions, or such a list itself; each direction is a list of
+    [re, im] component pairs.
+    """
+    if isinstance(spec, str):
+        try:
+            return preset_directions(spec, n, seed)
+        except ValueError:
+            if not os.path.exists(spec):
+                raise
+        with open(spec, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    return np.array([[complex(re, im) for re, im in vec] for vec in spec])
+
+
 def angular_distance(u, v) -> float:
     inner = float(np.clip(np.real(np.vdot(np.asarray(u), np.asarray(v))),
                           -1.0, 1.0))
@@ -132,7 +153,7 @@ class PencilSpec:
 
     ``map_batch(lam, U)`` evaluates the disc map elementwise on arrays of
     disc parameters and directions.  ``neighbors[i]`` lists the indices
-    adjacent to direction i in the angular graph.
+    adjacent to direction i in the angular graph, built on first read.
     """
 
     n: int
@@ -140,11 +161,10 @@ class PencilSpec:
     directions: np.ndarray              # (M, n) unit vectors
     kind: str                           # "standard" | "general"
     map_exprs: Optional[Tuple[Expr, ...]] = None
-    neighbors: List[np.ndarray] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.neighbors:
-            self.neighbors = _angular_graph(self.directions)
+    @cached_property
+    def neighbors(self) -> List[np.ndarray]:
+        return _angular_graph(self.directions)
 
     @property
     def num_directions(self) -> int:
@@ -287,9 +307,9 @@ def _validate_pencil(spec: PencilSpec):
 def load_pencil(source) -> PencilSpec:
     """Load a pencil from the JSON file format.
 
-    Keys: n; map (list of expressions in l, u1..un); directions (a
-    ``preset_directions`` string, seeded with 0 when it names no seed, or
-    an explicit list of [re, im] component pairs); optional p (base point).
+    Keys: n; map (list of expressions in l, u1..un); directions (what
+    ``load_directions`` reads, a preset seeded with 0 when it names no
+    seed); optional p (base point).
     """
     if isinstance(source, (str,)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -297,11 +317,7 @@ def load_pencil(source) -> PencilSpec:
     else:
         data = dict(source)
     n = int(data["n"])
-    dirs = data.get("directions", "sphere:200")
-    if isinstance(dirs, str):
-        U = preset_directions(dirs, n, 0)
-    else:
-        U = np.array([[complex(re, im) for re, im in vec] for vec in dirs])
+    U = load_directions(data.get("directions", "sphere:200"), n, 0)
     p = None
     if "p" in data:
         p = np.array([complex(re, im) for re, im in data["p"]])
@@ -382,11 +398,20 @@ class PencilHoloResult:
                     sum(r.error is not None for r in self.residuals)}
 
 
-#: Most samples (discs x points per disc) that one batched disc
-#: evaluation holds.  Freeing a block of about 0.5 MB or more makes glibc
-#: raise its mmap threshold, which changes how the rest of the process
-#: allocates; 4096 complex samples per array stay well below that.
+#: Most samples (items x samples per item) that one batched evaluation
+#: holds: disc samples here, shell points in the capacity check's KD-tree
+#: queries.  Freeing a block of about 0.5 MB or more makes glibc raise its
+#: mmap threshold, which changes how the rest of the process allocates;
+#: 4096 complex samples per array stay well below that.
 DISC_CHUNK_SAMPLES = 4096
+
+
+def chunks(count: int, samples_per_item: int):
+    """(start, stop) ranges over ``count`` items, each range holding at
+    most DISC_CHUNK_SAMPLES samples, or one item if that alone holds more."""
+    step = max(1, DISC_CHUNK_SAMPLES // max(1, samples_per_item))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
 
 
 def check_holo_along_pencil(f, P: PencilSpec,
@@ -412,11 +437,10 @@ def check_holo_along_pencil(f, P: PencilSpec,
     radii = list(rho_schedule)
     rho = np.asarray(radii, dtype=float)
     discs = [(i, r) for i in range(P.num_directions) for r in range(len(radii))]
-    step = max(1, DISC_CHUNK_SAMPLES // max(1, 4 * modes))
     units = [tuple(u) for u in P.directions]
     out = []
-    for start in range(0, len(discs), step):
-        part = discs[start:start + step]
+    for start, stop in chunks(len(discs), 4 * modes):
+        part = discs[start:stop]
         di, ri = np.array(part, dtype=int).T
         try:
             res, finite = _holo_residuals(on_discs(di), rho[ri], modes)
@@ -686,9 +710,8 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
         return np.array([res[..., mask].max(axis=-1) for mask in masks]).T
 
     table = np.full((M, ell_max), np.inf)
-    step = max(1, DISC_CHUNK_SAMPLES // lam.size)
-    for start in range(0, M, step):
-        rows = np.arange(start, min(start + step, M))
+    for start, stop in chunks(M, lam.size):
+        rows = np.arange(start, stop)
         try:
             table[rows] = residuals(rows)
         except Exception:          # redo the chunk direction by direction

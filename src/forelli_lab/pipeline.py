@@ -14,6 +14,7 @@ is out of scope here.
 from __future__ import annotations
 
 import contextvars
+import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -22,7 +23,7 @@ import numpy as np
 
 from .capacity import ChartUndecidableError, normality_check
 from .jets import JetResult, extract_jet, jet_of_series
-from .pencil import check_holo_along_pencil, standard_pencil
+from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
 from .report import build_report
 from .series import FormalSeries
 from .slices import (CertificateError, ConvergenceCertificate,
@@ -179,22 +180,19 @@ def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
                                        f"(K={K}, window={window})"}))
         return stages, []
     charts, has_chart = chart_map(units)
-    columns = iter(family.abs_values_at(
-        charts[:, 0] if family.nvars == 1 else charts).T)
-    rows = iter(charts.tolist())
-    per_direction = []
-    min_radius = float("inf")
-    min_index = None              # first direction with the smallest R
-    for index, unit in enumerate(units.tolist()):
-        entry = {"direction": [[v.real, v.imag] for v in unit],
-                 "chart": None, "R_estimate": None}
-        if has_chart[index]:
-            radius = radius_root_test(next(columns), K, window).radius
-            entry["chart"] = [[v.real, v.imag] for v in next(rows)]
-            entry["R_estimate"] = radius
-            if min_index is None or radius < min_radius:
-                min_radius, min_index = radius, index
-        per_direction.append(entry)
+    radii = radius_root_test(family.abs_values_at(
+        charts[:, 0] if family.nvars == 1 else charts), K, window).radius
+    per_direction = [{"direction": [[v.real, v.imag] for v in unit],
+                      "chart": None, "R_estimate": None}
+                     for unit in units.tolist()]
+    charted = np.flatnonzero(has_chart)
+    for index, chart, radius in zip(charted.tolist(), charts.tolist(),
+                                    radii.tolist()):
+        per_direction[index].update(chart=[[v.real, v.imag] for v in chart],
+                                    R_estimate=radius)
+    min_radius = float(radii.min(initial=math.inf))
+    # the first direction with the smallest R
+    min_index = int(charted[np.argmin(radii)]) if radii.size else None
     stages.append(_judged("directional_radii", min_radius > 0,
                           {"min_R_estimate": min_radius,
                            "min_R_direction_index": min_index,
@@ -227,34 +225,37 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                     ) -> AnalysisReport:
     """Run the full pipeline on an Expr/callable or an explicit series.
 
-    ``directions`` is an array of unit vectors sampling an open subset
-    of the sphere.  Function inputs get the straight-disc holomorphy
-    check and jet extraction; series inputs start at the
-    holomorphic-type stage.
+    ``directions`` is an array of vectors sampling an open subset of the
+    sphere in C^n, where n is the series' dimension or, for a function,
+    the rows' length.  The standard pencil through them checks the set
+    and gives the unit rows that every later stage reads.  Function
+    inputs get the straight-disc holomorphy check and jet extraction;
+    series inputs start at the holomorphic-type stage.
     """
     cfg = config or AnalyzeConfig()
     U = np.atleast_2d(np.asarray(directions, dtype=complex))
-    if U.size == 0:
-        raise ValueError("direction set must be nonempty")
+    pencil = standard_pencil(f.n if isinstance(f, FormalSeries)
+                             else U.shape[1], U)
     # the capacity check reads only U, so it runs on a background thread,
     # in a copy of the caller's context, while the discs and the jet are
     # checked; leaving the block joins the thread on every exit
     with ThreadPoolExecutor(1) as background:
         capacity = background.submit(contextvars.copy_context().run,
                                      normality_check, U)
-        return run_stages(f, U.shape[1], cfg, (U, capacity))
+        return run_stages(f, pencil.n, cfg, (pencil, capacity))
 
 
 def run_stages(f, n: int, cfg: AnalyzeConfig,
-               directions: Optional[Tuple[np.ndarray, Future]] = None
+               directions: Optional[Tuple[PencilSpec, Future]] = None
                ) -> AnalysisReport:
     """The stages of an analysis of f in C^n, in order.
 
-    ``directions`` is the direction set U with a future of its normality
-    check, as forelli_analyze passes them.  Without it, as ``certify``
-    runs, the disc, chart-family, radii and capacity stages are left out.
-    The one skip rule: once the holomorphic-type stage fails, every later
-    stage is reported skipped, since each reads the series as zbar-free.
+    ``directions`` is the standard pencil of the direction set with a
+    future of the set's normality check, as forelli_analyze passes them.
+    Without it, as ``certify`` runs, the disc, chart-family, radii and
+    capacity stages are left out.  The one skip rule: once the
+    holomorphic-type stage fails, every later stage is reported skipped,
+    since each reads the series as zbar-free.
     """
     stages: List[Stage] = []
     if isinstance(f, FormalSeries):
@@ -265,8 +266,7 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
         jet = jet_of_series(f)
     else:
         if directions:
-            stages.append(disc_stage("disc_holomorphy", f,
-                                     standard_pencil(n, directions[0]),
+            stages.append(disc_stage("disc_holomorphy", f, directions[0],
                                      DISC_RADII, DISC_TOL))
         stage, jet = jet_stage(f, n, cfg.order, cfg.jet_tol, rho0=RHO0,
                                sigma=SIGMA, rho_max=cfg.rho_max,
@@ -284,12 +284,8 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     else:
         K = min(cfg.K if cfg.K is not None else cfg.order, series.max_order)
         if directions:
-            U, capacity = directions
-            # standard_pencil's unit rows, whose discs were checked; a zero
-            # row of a series' directions stays zero for chart_map to reject
-            norms = np.linalg.norm(U, axis=1)[:, None]
-            units = np.divide(U, norms, out=np.zeros_like(U), where=norms > 0)
-            radii, per_direction = _radii_stage(series, K, units)
+            pencil, capacity = directions
+            radii, per_direction = _radii_stage(series, K, pencil.directions)
             stages += radii + [_capacity_stage(capacity)]
         stage, certificate = certificate_stage(series, cfg.r0, K, cfg.seed)
         stages.append(stage)

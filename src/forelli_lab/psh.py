@@ -207,22 +207,13 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
     for k in range(K - window + 1, K + 1):
         u = np.maximum(u, family.u(k, nodes))
     u = np.maximum(u, CLIP_FLOOR)
-    u_star = u.copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            shifted = np.roll(np.roll(u, dx, axis=0), dy, axis=1)
-            # roll wraps around; mask the wrapped border back to -inf
-            if dx == 1:
-                shifted[0, :] = -np.inf
-            elif dx == -1:
-                shifted[-1, :] = -np.inf
-            if dy == 1:
-                shifted[:, 0] = -np.inf
-            elif dy == -1:
-                shifted[:, -1] = -np.inf
-            u_star = np.maximum(u_star, shifted)
+    # one grid-sized array at a time: a stack of the nine shifts would pass
+    # the 0.5 MB glibc threshold that pencil.DISC_CHUNK_SAMPLES notes
+    padded = np.pad(u, 1, constant_values=-np.inf)
+    u_star = u
+    for i in range(3):
+        for j in range(3):
+            u_star = np.maximum(u_star, padded[i:i + num, j:j + num])
     mask = u < u_star - ENVELOPE_GAP
     exceptional = [complex(c) for c in nodes[mask]]
     return EnvelopeField(nodes=nodes, u=u, u_star=u_star,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -181,7 +181,9 @@ class RootTestResult:
 
     ``sequence[k-1]`` is (1/k) log |P_k| for k = 1..K (-inf at zeros);
     ``log_rate`` is the window maximum used as the limsup proxy and
-    ``radius`` is exp(-log_rate) (inf when the tail vanishes).
+    ``radius`` is exp(-log_rate) (inf when the tail vanishes).  For
+    values of several points, ``radius`` and ``log_rate`` are arrays
+    with one entry per point.
     """
 
     radius: float
@@ -191,7 +193,7 @@ class RootTestResult:
     K: int
 
 
-def radius_root_test(values: Sequence[float], K: Optional[int] = None,
+def radius_root_test(values, K: Optional[int] = None,
                      window: Optional[int] = None) -> RootTestResult:
     """Estimate the convergence radius from |P_k(b)|, k = 0..K.
 
@@ -199,6 +201,11 @@ def radius_root_test(values: Sequence[float], K: Optional[int] = None,
     of (1/k) log |P_k| is approximated by its maximum over the last
     ``window`` indices (default K//2); the radius estimate is
     exp(-limsup).  Requires K >= 2*window and window >= 4.
+
+    ``values`` may also be an array (K+1, ...) with one column per point
+    b, as ``abs_values_at`` returns it: the test runs along axis 0, and
+    ``radius`` and ``log_rate`` are arrays of the trailing shape whose
+    entries are, bit for bit, the floats a 1-D call on each column gives.
     """
     values = np.asarray(values, dtype=float)
     if K is None:
@@ -211,42 +218,17 @@ def radius_root_test(values: Sequence[float], K: Optional[int] = None,
         raise ValueError(f"K={K} too small for window {window} (need K >= 2*window)")
     if len(values) < K + 1:
         raise ValueError(f"need K+1 = {K + 1} values, got {len(values)}")
-    ks = np.arange(1, K + 1)
+    ks = np.arange(1, K + 1).reshape((K,) + (1,) * (values.ndim - 1))
     with np.errstate(divide="ignore"):
         seq = np.log(values[1:K + 1]) / ks
     tail = seq[K - window:]
-    finite = tail[np.isfinite(tail)]
-    if finite.size == 0:
-        return RootTestResult(math.inf, -math.inf, seq, window, K)
-    log_rate = float(finite.max())
-    return RootTestResult(float(math.exp(-log_rate)), log_rate, seq, window, K)
-
-
-@dataclass(frozen=True)
-class Polydisc:
-    """P^n(z; r) = {w : |w_i - z_i| < r_i}."""
-
-    center: Tuple[complex, ...]
-    polyradius: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.center) != len(self.polyradius):
-            raise ValueError("center and polyradius dimensions differ")
-        if any(r <= 0 for r in self.polyradius):
-            raise ValueError("all polyradius entries must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-    def contains(self, w) -> bool:
-        w = np.asarray(w, dtype=complex)
-        return bool(np.all(np.abs(w - np.asarray(self.center))
-                           < np.asarray(self.polyradius)))
-
-    def scaled(self, factor: float) -> "Polydisc":
-        return Polydisc(self.center,
-                        tuple(factor * r for r in self.polyradius))
+    log_rate = np.where(np.isfinite(tail), tail, -np.inf).max(axis=0)
+    # math.exp per entry: np.exp may differ from it in the last bit
+    radius = np.reshape([math.exp(-r) if r > -math.inf else math.inf
+                         for r in log_rate.ravel().tolist()], log_rate.shape)
+    if values.ndim == 1:
+        return RootTestResult(radius.item(), log_rate.item(), seq, window, K)
+    return RootTestResult(radius, log_rate, seq, window, K)
 
 
 @dataclass
@@ -264,10 +246,6 @@ class ConvergenceCertificate:
     K_used: int
     margin: float
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def polydisc(self) -> Polydisc:
-        return Polydisc((0j,) * len(self.r_prime), self.r_prime)
 
 
 def certify_polydisc(S: FormalSeries, r0: float, K: int,

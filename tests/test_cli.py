@@ -156,13 +156,13 @@ class TestDirectionPresets:
         # a preset without a seed: 0 in a pencil file, --seed on the CLI
         from forelli_lab import (cap_directions, load_pencil,
                                  sphere_directions, standard_pencil)
-        from forelli_lab.cli import _load_directions
+        from forelli_lab.pencil import load_directions
         P = load_pencil({"n": 2, "directions": "cap:0.5:30"})
         want = standard_pencil(2, cap_directions(2, 0.5, 30, seed=0))
         assert np.array_equal(P.directions, want.directions)
-        assert np.array_equal(_load_directions("sphere:30", 2, 42),
+        assert np.array_equal(load_directions("sphere:30", 2, 42),
                               sphere_directions(2, 30, 42))
-        assert np.array_equal(_load_directions("sphere:30:5", 2, 42),
+        assert np.array_equal(load_directions("sphere:30:5", 2, 42),
                               sphere_directions(2, 30, 5))
 
     @pytest.mark.parametrize("argv", [
@@ -280,6 +280,96 @@ class TestReportWarnings:
         _, out, _ = run_cli(capsys, "capacity", "--set", "segment -1 1",
                             "--json")
         assert json.loads(out)["warnings"] == []
+
+
+class TestOneDirectionCheck:
+    """A direction set is checked by the standard pencil alone, so every
+    subcommand that reads it treats a bad set the same way."""
+
+    @staticmethod
+    def exp_series(tmp_path, order):
+        from math import factorial
+        path = tmp_path / f"exp{order}.txt"
+        FormalSeries(2, order, {((i, j), (0, 0)): 1 / (factorial(i)
+                                                       * factorial(j))
+                                for i in range(order + 1)
+                                for j in range(order + 1 - i)}).save(path)
+        return str(path)
+
+    OFF_SPHERE = "directions off the unit sphere by up to 1; normalizing"
+
+    @pytest.mark.parametrize("kind,code,message", [
+        ("empty", 1, "verification failure: direction set must be "
+                     "nonempty\n"),
+        ("zero", 1, "verification failure: zero vector in direction set\n"),
+        ("off-sphere", 0, f"UserWarning: {OFF_SPHERE}\n"),
+        ("wrong-dimension", 1, "verification failure: directions live in "
+                               "C^3, expected C^2\n"),
+    ])
+    def test_same_verdict_everywhere(self, capsys, tmp_path, kind, code,
+                                     message):
+        from forelli_lab import cap_directions
+        U = cap_directions(2, 0.3, 120, seed=5)
+        if kind == "empty":
+            U = U[:0]
+        elif kind == "zero":
+            U[0] = 0
+        elif kind == "off-sphere":
+            U[0] *= 2
+        else:
+            U = cap_directions(3, 0.3, 120, seed=5)
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([[[v.real, v.imag] for v in row]
+                                    for row in U.tolist()]))
+        dirs = ("--directions", str(path), "--json")
+        runs = [("analyze", "--series-file", self.exp_series(tmp_path, order))
+                for order in (4, 10)]
+        runs.append(("pencil-check", "--expr", "exp(z1+z2)"))
+        if kind != "wrong-dimension":
+            runs.append(("analyze", "--expr", "exp(z1+z2)", "--order", "8"))
+        for argv in runs:
+            got, out, err = run_cli(capsys, *argv, *dirs)
+            assert (got, err) == (code, message), argv
+            if code == 0:
+                assert json.loads(out)["warnings"] == [self.OFF_SPHERE], argv
+
+
+class TestLazyAngularGraph:
+    """The angular graph is built on first read, and only then."""
+
+    @pytest.fixture
+    def graph_calls(self, monkeypatch):
+        from forelli_lab import pencil
+        calls, build = [], pencil._angular_graph
+
+        def counted(directions, *args, **kwargs):
+            calls.append(len(directions))
+            return build(directions, *args, **kwargs)
+
+        monkeypatch.setattr(pencil, "_angular_graph", counted)
+        return calls
+
+    def test_unread_graph_is_not_built(self, capsys, graph_calls):
+        from forelli_lab import (AnalyzeConfig, cap_directions,
+                                 forelli_analyze, parse)
+        forelli_analyze(parse("exp(z1+z2)"), cap_directions(2, 0.3, 120,
+                                                            seed=5),
+                        AnalyzeConfig(order=8))
+        dirs = ("--directions", "sphere:200", "--json")
+        assert run_cli(capsys, "pencil-check", "--expr", "exp(z1+z2)",
+                       *dirs)[0] == 0
+        assert run_cli(capsys, "normalize", "--v0", "1,0 0,0", *dirs)[0] == 0
+        assert graph_calls == []
+
+    def test_subpencil_builds_it_once(self, capsys, graph_calls):
+        code, out, _ = run_cli(capsys, "subpencil", "--expr",
+                               "conj(z1)*z2^3", "--directions", "sphere:400",
+                               "--tol", "3e-2", "--json")
+        assert code == 0
+        assert graph_calls == [400]
+        # the patch found when the graph was built with the pencil
+        summary = json.loads(out)["summary"]
+        assert (summary["patch_size"], summary["m"]) == (46, 2)
 
 
 class TestDeterminism:

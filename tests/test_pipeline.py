@@ -108,6 +108,15 @@ class TestUnitRows:
         assert np.array_equal(reported, rows)
 
 
+class TestDirectionCheck:
+    def test_series_rejects_directions_of_another_dimension(self):
+        from forelli_lab import PencilCheckError
+        S = FormalSeries.variable(1, 2, 8)
+        with pytest.raises(PencilCheckError,
+                           match=r"directions live in C\^3, expected C\^2"):
+            forelli_analyze(S, sphere_directions(3, 200))
+
+
 class TestReportShape:
     def test_to_dict_is_json_ready(self):
         import json

@@ -159,6 +159,29 @@ class TestRootTest:
         with pytest.raises(ValueError):
             radius_root_test([1.0] * 201, 200, window=3)
 
+    def test_columns_match_one_column_at_a_time(self, rng):
+        # one call on a (K+1, points) array gives each column's floats, bit
+        # for bit, as the per-column formula and a 1-D call on it do
+        K = 20
+        growth = np.exp(rng.uniform(-3, 3, 300))
+        values = np.abs(rng.standard_normal((K + 1, 300))) * growth ** (
+            np.arange(K + 1)[:, None])
+        values[rng.random(values.shape) < 0.1] = 0.0
+        values[K // 2:, :5] = 0.0                     # vanishing tails
+        rt = radius_root_test(values, K)
+        assert rt.radius.shape == rt.log_rate.shape == (300,)
+        for j, column in enumerate(values.T):
+            with np.errstate(divide="ignore"):
+                seq = np.log(column[1:]) / np.arange(1, K + 1)
+            finite = seq[K - K // 2:][np.isfinite(seq[K - K // 2:])]
+            log_rate = float(finite.max()) if finite.size else -math.inf
+            radius = math.exp(-log_rate) if finite.size else math.inf
+            one = radius_root_test(column, K)
+            assert type(one.radius) is type(one.log_rate) is float
+            assert one.radius == rt.radius[j] == radius
+            assert one.log_rate == rt.log_rate[j] == log_rate
+            assert np.array_equal(one.sequence, rt.sequence[:, j])
+
     def test_scaling_shifts_log_rate_boundedly(self):
         # replacing S by c S moves each (1/k) log term by log|c|/k
         K, c = 200, 10.0
