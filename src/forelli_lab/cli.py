@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, jet, slice, capacity, psh, pencil-check,
-subpencil, normalize, certify.  Exit codes: 0 all verdicts pass, 1 a
-stage fails (a series with a zbar term fails analyze and certify alike),
-2 usage or configuration error, 3 numerical failure (ill-conditioning,
-inversion divergence, degenerate normalization).
+subpencil, normalize, certify.  Each returns its report's config,
+``pipeline.Stage`` list, summary and text lines, and ``_emit`` writes
+the report.  Exit codes: 0 no stage fails, 1 some stage fails (a series
+with a zbar term fails analyze and certify alike) or a direction set or
+pencil fails its check, 2 usage or configuration error, 3 numerical
+failure (ill-conditioning, inversion divergence, degenerate
+normalization).
 
 stdout carries the report (plain-text summary by default, the full JSON
 document with --json); stderr carries diagnostics.  JSON output contains
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -27,19 +31,19 @@ import numpy as np
 from . import __version__
 from .capacity import (ChartUndecidableError, CompactSet1D, cap1d_transfinite,
                        cap_siciak)
-from .expr import EvalError, ParseError, parse
+from .expr import EvalError, parse
 from .jets import JetExtractionError
 from .pencil import (DegenerateNormalizationError, NewtonInversionError,
                      PencilCheckError, compute_H_G, find_subpencil,
                      load_directions, load_pencil, standard_pencil,
                      tilde_normalize)
-from .pipeline import (PASS, AnalyzeConfig, disc_stage, forelli_analyze,
-                       jet_stage, run_stages)
+from .pipeline import (FAIL, PASS, AnalyzeConfig, Stage, disc_stage,
+                       forelli_analyze, jet_stage, run_stages)
 from .psh import (PshFamily, average_on_torus, classify_trichotomy,
                   envelope_to_csv, upper_envelope)
 from .report import build_report, to_json
-from .series import FormalSeries, SeriesFormatError, torus
-from .slices import NotHolomorphicTypeError, chart_poly_family, slice_series
+from .series import FormalSeries, torus
+from .slices import chart_poly_family, slice_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,57 +53,60 @@ EXIT_NUMERICAL = 3
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_point(text: str) -> tuple:
     comps = []
     for token in text.split():
         re_s, _, im_s = token.partition(",")
         comps.append(complex(float(re_s), float(im_s or 0.0)))
     if not comps:
-        raise ConfigError("empty point")
+        raise ValueError("empty point")
     return tuple(comps)
 
 
 def _load_function(args, n: int):
-    if getattr(args, "expr", None):
+    if args.expr:
         return parse(args.expr, dim=n)
-    if getattr(args, "expr_file", None):
+    if args.expr_file:
         with open(args.expr_file, "r", encoding="utf-8") as fh:
             return parse(fh.read().strip(), dim=n)
-    raise ConfigError("an expression is required (--expr or --expr-file)")
+    raise ValueError("an expression is required (--expr or --expr-file)")
 
 
-def _emit(args, report: dict, text_lines) -> None:
-    if getattr(args, "out", None):
+def _emit(args, config: dict, stages: list[Stage], summary: dict,
+          lines: list[str]) -> int:
+    """Write a subcommand's report; exit 1 exactly when some stage fails."""
+    passed = all(st.status != FAIL for st in stages)
+    text = to_json(build_report(args.command, config,
+                                [st.to_dict() for st in stages],
+                                {**summary, "passed": passed}, args.warnings))
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(to_json(report))
-    if getattr(args, "json", False):
-        sys.stdout.write(to_json(report))
+            fh.write(text)
+    if args.json:
+        sys.stdout.write(text)
     else:
-        for line in text_lines:
-            print(line)
-
-
-def _exit_code(passed: bool) -> int:
+        print("\n".join(lines))
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 # -- subcommand implementations ------------------------------------------------
 
-def _cmd_analyze(args) -> int:
-    n = args.dim
+def _analysis_input(args):
+    """The function or series of analyze and certify, and its dimension."""
+    if args.series_file:
+        f = FormalSeries.load(args.series_file)
+        return f, f.n
+    return _load_function(args, args.dim), args.dim
+
+
+def _cmd_analyze(args):
+    f, n = _analysis_input(args)
+    U = load_directions(args.directions, n, args.seed)
+    # forelli_analyze takes a function's n from the rows: check them here
+    standard_pencil(n, U)
     cfg = AnalyzeConfig(order=args.order, r0=args.r0, K=args.K,
                         seed=args.seed, jet_tol=args.tol, rho_max=args.rho_max,
                         grid=args.grid)
-    if args.series_file:
-        f = FormalSeries.load(args.series_file)
-        n = f.n
-    else:
-        f = _load_function(args, n)
-    U = load_directions(args.directions, n, args.seed)
     t0 = time.perf_counter()
     result = forelli_analyze(f, U, cfg)
     elapsed = time.perf_counter() - t0
@@ -107,60 +114,47 @@ def _cmd_analyze(args) -> int:
              + [f"  [{st.status:>7}] {st.name}" for st in result.stages]
              + [f"verdict: {result.final_verdict}",
                 f"elapsed: {elapsed:.2f} s"])
-    _emit(args, result.to_dict(args.warnings), lines)
-    return _exit_code(result.passed)
+    return result.config, result.stages, result.summary(), lines
 
 
-def _cmd_jet(args) -> int:
+def _cmd_jet(args):
     n = args.dim
     f = _load_function(args, n)
     center = _parse_point(args.center) if args.center else None
     if center is not None and len(center) != n:
-        raise ConfigError(f"center has {len(center)} components, expected {n}")
+        raise ValueError(f"center has {len(center)} components, expected {n}")
     stage, jet = jet_stage(f, n, args.order, args.tol, rho0=args.rho0,
                            sigma=args.sigma, rho_max=args.rho_max,
                            grid=args.grid, center=center)
-    diag = {str(k): r for k, r in enumerate(jet.per_order_residuals)}
-    report = build_report(
-        "jet",
-        {"dim": n, "order": args.order, "tol": args.tol, "rho0": args.rho0,
-         "sigma": args.sigma, "rho_max": args.rho_max, "grid": args.grid,
-         "center": args.center},
-        [stage.to_dict()],
-        {"passed": jet.full, "verdict": jet.verdict_text(),
-         "series": jet.series.to_text()},
-        warnings=args.warnings)
     if args.series_out:
         jet.series.save(args.series_out)
-    lines = [jet.series.to_text().rstrip()]
-    lines.append(json.dumps({"residuals": diag,
-                             "verdict": jet.verdict_text()}, sort_keys=True))
-    _emit(args, report, lines)
-    return _exit_code(jet.full)
+    diag = {str(k): r for k, r in enumerate(jet.per_order_residuals)}
+    config = {"dim": n, "order": args.order, "tol": args.tol,
+              "rho0": args.rho0, "sigma": args.sigma,
+              "rho_max": args.rho_max, "grid": args.grid,
+              "center": args.center}
+    lines = [jet.series.to_text().rstrip(),
+             json.dumps({"residuals": diag, "verdict": jet.verdict_text()},
+                        sort_keys=True)]
+    return config, [stage], {"verdict": jet.verdict_text(),
+                             "series": jet.series.to_text()}, lines
 
 
-def _cmd_slice(args) -> int:
+def _cmd_slice(args):
     S = FormalSeries.load(args.series_file)
     a = _parse_point(args.a)
     if len(a) != S.n:
-        raise ConfigError(f"point has {len(a)} components, series has n={S.n}")
+        raise ValueError(f"point has {len(a)} components, series has n={S.n}")
     sl = slice_series(S, a)
     coeffs = [{"p": p, "q": q, "coeff": [sl.coeffs[p, q].real,
                                          sl.coeffs[p, q].imag]}
               for p in range(S.max_order + 1)
               for q in range(S.max_order + 1 - p)
               if sl.coeffs[p, q] != 0]
-    report = build_report(
-        "slice", {"series_file": args.series_file,
-                  "a": [[c.real, c.imag] for c in a]},
-        [{"name": "slice", "status": "pass", "details": {}}],
-        {"passed": True, "coefficients": coeffs},
-        warnings=args.warnings)
     lines = [f"slice along a={a} of {args.series_file}:"]
-    for c in coeffs:
-        lines.append(f"  t^{c['p']} tbar^{c['q']}: {c['coeff']}")
-    _emit(args, report, lines)
-    return EXIT_PASS
+    lines += [f"  t^{c['p']} tbar^{c['q']}: {c['coeff']}" for c in coeffs]
+    return ({"series_file": args.series_file, "a": a},
+            [Stage("slice", PASS)], {"coefficients": coeffs}, lines)
 
 
 def _parse_set(spec: str) -> CompactSet1D:
@@ -175,12 +169,12 @@ def _parse_set(spec: str) -> CompactSet1D:
             pts = [complex(float(r), float(i))
                    for r, i in (line.split() for line in fh if line.strip())]
         return CompactSet1D.finite_points(pts)
-    raise ConfigError(
+    raise ValueError(
         f"cannot parse set {spec!r}; use 'segment A B', 'disc RE IM R' or "
         "'points FILE'")
 
 
-def _cmd_capacity(args) -> int:
+def _cmd_capacity(args):
     if args.siciak_ball is not None:
         rho = args.siciak_ball
         samples = torus((rho,), 256)[0][:, None]
@@ -190,53 +184,44 @@ def _cmd_capacity(args) -> int:
                "trials": args.trials, "seed": args.seed}
     else:
         if not args.set:
-            raise ConfigError("--set or --siciak-ball is required")
+            raise ValueError("--set or --siciak-ball is required")
         E = _parse_set(args.set)
         est = cap1d_transfinite(E, args.m)
         cfg = {"set": args.set, "m": args.m}
-    summary = {"passed": True, "value": est.value, "method": est.method,
+    summary = {"value": est.value, "method": est.method,
                "points_used": est.points_used}
+    lines = [f"capacity estimate: {est.value:.6g} ({est.method}, "
+             f"points_used={est.points_used})"]
     closed = est.diagnostics.get("closed_form")
     if closed is not None:
         summary["closed_form"] = closed
-    report = build_report("capacity", cfg,
-                          [{"name": "capacity", "status": "pass",
-                            "details": est.diagnostics}], summary,
-                          warnings=args.warnings)
-    lines = [f"capacity estimate: {est.value:.6g} ({est.method}, "
-             f"points_used={est.points_used})"]
-    if closed is not None:
         lines.append(f"closed-form reference: {closed:.6g}")
-    _emit(args, report, lines)
-    return EXIT_PASS
+    return cfg, [Stage("capacity", PASS, est.diagnostics)], summary, lines
 
 
-def _cmd_psh(args) -> int:
+def _cmd_psh(args):
     S = FormalSeries.load(args.family)
     K = args.K if args.K is not None else min(200, S.max_order)
     if K > S.max_order:
-        raise ConfigError(f"K={K} exceeds the series max_order {S.max_order}")
+        raise ValueError(f"K={K} exceeds the series max_order {S.max_order}")
     family = PshFamily(chart_poly_family(S, K))
     if family.nvars != 1:
-        raise ConfigError("psh grids need a 2-dimensional series (1 chart var)")
-    stages = []
-    summary = {"passed": True}
+        raise ValueError("psh grids need a 2-dimensional series (1 chart var)")
+    stages, summary = [], {}
     lines = [f"psh family of {args.family}, K={K}"]
     if args.classify:
         verdict = classify_trichotomy(family, (args.r,), K, grid=args.grid)
-        stages.append({"name": "trichotomy", "status": "pass",
-                       "details": {"alpha_r": verdict.alpha_r,
-                                   "case": verdict.case}})
-        summary["case"] = verdict.case
-        summary["alpha_r"] = verdict.alpha_r
+        found = {"alpha_r": verdict.alpha_r, "case": verdict.case}
+        stages.append(Stage("trichotomy", PASS, found))
+        summary.update(found)
         lines.append(f"  alpha_r = {verdict.alpha_r:.6g} -> {verdict.case}")
     if args.envelope:
         x0, x1, y0, y1 = (float(t) for t in args.envelope.split())
         field = upper_envelope(family, ((x0, x1), (y0, y1)), K,
                                num=args.envelope_num)
-        stages.append({"name": "envelope", "status": "pass",
-                       "details": {"exceptional_count": len(field.exceptional),
-                                   "gap": field.gap}})
+        stages.append(Stage("envelope", PASS,
+                            {"exceptional_count": len(field.exceptional),
+                             "gap": field.gap}))
         summary["exceptional_count"] = len(field.exceptional)
         lines.append(f"  envelope: {len(field.exceptional)} exceptional nodes")
         if args.csv_out:
@@ -245,137 +230,104 @@ def _cmd_psh(args) -> int:
             lines.append(f"  wrote grid to {args.csv_out}")
     if not stages:
         avg = average_on_torus(family, 1, 0j, (args.r,), grid=args.grid)
-        stages.append({"name": "average", "status": "pass",
-                       "details": {"value": avg.value, "clipped": avg.clipped}})
+        stages.append(Stage("average", PASS,
+                            {"value": avg.value, "clipped": avg.clipped}))
         lines.append(f"  u_1^r(0) = {avg.value:.6g} (clipped {avg.clipped})")
-    report = build_report(
-        "psh", {"family": args.family, "r": args.r, "K": K,
-                "grid": args.grid}, stages, summary,
-        warnings=args.warnings)
-    _emit(args, report, lines)
-    return EXIT_PASS
+    return ({"family": args.family, "r": args.r, "K": K, "grid": args.grid},
+            stages, summary, lines)
 
 
-def _pencil_from_args(args, n: int):
+def _pencil_from_args(args):
     if args.pencil:
         return load_pencil(args.pencil)
-    U = load_directions(args.directions, n, args.seed)
-    return standard_pencil(n, U)
+    U = load_directions(args.directions, args.dim, args.seed)
+    return standard_pencil(args.dim, U)
 
 
-def _cmd_pencil_check(args) -> int:
-    P = _pencil_from_args(args, args.dim)
+def _cmd_pencil_check(args):
+    P = _pencil_from_args(args)
     f = _load_function(args, P.n)
     radii = tuple(float(t) for t in args.radii.split(","))
     stage = disc_stage("disc_residuals", f, P, radii, args.tol)
-    worst, passed = stage.details["worst_residual"], stage.status == PASS
-    report = build_report(
-        "pencil-check",
-        {"pencil": args.pencil or args.directions, "tol": args.tol,
-         "radii": list(radii)},
-        [stage.to_dict()], {"passed": passed, "worst_residual": worst},
-        warnings=args.warnings)
+    worst = stage.details["worst_residual"]
     lines = [f"checked {stage.details['discs']} discs; worst residual "
-             f"{worst:.3g} (tol {args.tol:g})", "PASS" if passed else "FAIL"]
-    _emit(args, report, lines)
-    return _exit_code(passed)
+             f"{worst:.3g} (tol {args.tol:g})", stage.status.upper()]
+    return ({"pencil": args.pencil or args.directions, "tol": args.tol,
+             "radii": radii},
+            [stage], {"worst_residual": worst}, lines)
 
 
-def _cmd_subpencil(args) -> int:
-    P = _pencil_from_args(args, args.dim)
+def _cmd_subpencil(args):
+    P = _pencil_from_args(args)
     f = _load_function(args, P.n)
     result = find_subpencil(f, P, tol=args.tol, ell_max=args.ell_max)
-    ok = not result.empty
-    report = build_report(
-        "subpencil",
-        {"pencil": args.pencil or args.directions, "tol": args.tol,
-         "ell_max": args.ell_max},
-        [{"name": "subpencil", "status": "pass" if ok else "fail",
-          "details": {"patch_size": int(result.direction_indices.size),
-                      "m": result.m}}],
-        {"passed": ok, "patch_size": int(result.direction_indices.size),
-         "m": result.m},
-        warnings=args.warnings)
-    lines = [(f"subpencil: {result.direction_indices.size} directions at "
-              f"disc radius 1/{result.m}") if ok
-             else "subpencil: empty (no direction passes)"]
-    _emit(args, report, lines)
-    return _exit_code(ok)
+    found = {"patch_size": int(result.direction_indices.size), "m": result.m}
+    lines = ["subpencil: empty (no direction passes)" if result.empty
+             else (f"subpencil: {found['patch_size']} directions at "
+                   f"disc radius 1/{result.m}")]
+    return ({"pencil": args.pencil or args.directions, "tol": args.tol,
+             "ell_max": args.ell_max},
+            [Stage("subpencil", FAIL if result.empty else PASS, found)],
+            found, lines)
 
 
-def _cmd_normalize(args) -> int:
-    P = _pencil_from_args(args, args.dim)
+def _cmd_normalize(args):
+    P = _pencil_from_args(args)
     v0 = _parse_point(args.v0)
     kdata = tilde_normalize(P, v0, eps=args.eps)
-    stages = [{"name": "normalize", "status": "pass",
-               "details": kdata.checks}]
-    summary = {"passed": True, "checks": kdata.checks}
+    stages = [Stage("normalize", PASS, kdata.checks)]
+    summary = {"checks": kdata.checks}
     lines = ["normalization admissible at v0: "
              + ", ".join(f"{k}={v:.3g}" for k, v in kdata.checks.items())]
-    passed = True
     if args.expr or args.expr_file:
         f = _load_function(args, P.n)
         r_lo, r_hi = (float(t) for t in args.z1_ring.split())
         ring = np.concatenate([torus((r,), 24)[0]
                                for r in np.linspace(r_lo, r_hi, 6)])
         hg = compute_H_G(f, kdata, ring, tol_G=args.tol_g)
-        stages.append({"name": "H_G", "status": "pass" if hg.passed else "fail",
-                       "details": {"max_abs_G": hg.max_abs_G,
-                                   "min_abs_H": hg.min_abs_H}})
-        summary["max_abs_G"] = hg.max_abs_G
-        summary["min_abs_H"] = hg.min_abs_H
-        passed = hg.passed
+        found = {"max_abs_G": hg.max_abs_G, "min_abs_H": hg.min_abs_H}
+        stages.append(Stage("H_G", PASS if hg.passed else FAIL, found))
+        summary.update(found)
         lines.append(f"H/G on ring [{r_lo}, {r_hi}]: max|G|={hg.max_abs_G:.3g},"
                      f" min|H|={hg.min_abs_H:.3g} -> "
                      + ("PASS: " + hg.claim if hg.passed else "FAIL"))
-    summary["passed"] = passed
-    report = build_report(
-        "normalize",
-        {"pencil": args.pencil or args.directions,
-         "v0": [[c.real, c.imag] for c in v0], "eps": args.eps},
-        stages, summary,
-        warnings=args.warnings)
-    _emit(args, report, lines)
-    return _exit_code(passed)
+    return ({"pencil": args.pencil or args.directions,
+             "v0": v0, "eps": args.eps},
+            stages, summary, lines)
 
 
-def _cmd_certify(args) -> int:
-    if args.series_file:
-        f = FormalSeries.load(args.series_file)
-        n, order, config = f.n, f.max_order, {"source": args.series_file}
-    else:
-        f = _load_function(args, args.dim)
-        n, order = args.dim, args.order
-        config = {"source": args.expr or args.expr_file, "dim": n,
-                  "order": order, "tol": args.tol}
+def _cmd_certify(args):
+    f, n = _analysis_input(args)
+    order = f.max_order if args.series_file else args.order
+    config = ({"source": args.series_file} if args.series_file else
+              {"source": args.expr or args.expr_file, "dim": n,
+               "order": order, "tol": args.tol})
     K = args.K if args.K is not None else order
     result = run_stages(f, n, AnalyzeConfig(
         order=order, r0=args.r0, K=K, seed=args.seed, jet_tol=args.tol,
         rho_max=args.rho_max))
     cert = result.certificate
-    summary = {"passed": result.passed}
-    if cert is not None:
-        summary.update(M=cert.M, r_prime=list(cert.r_prime))
-    report = build_report(
-        "certify", {**config, "r0": args.r0, "K": K, "seed": args.seed},
-        [s.to_dict() for s in result.stages], summary,
-        warnings=args.warnings)
+    summary = {} if cert is None else {"M": cert.M, "r_prime": cert.r_prime}
     line = result.final_verdict
     if result.passed:
         rp = ", ".join(f"{r:.6g}" for r in cert.r_prime)
         line = f"certificate: M={cert.M:.6g}, r'=({rp})"
-    _emit(args, report, [line])
-    return _exit_code(result.passed)
+    return ({**config, "r0": args.r0, "K": K, "seed": args.seed},
+            result.stages, summary, [line])
 
 
 # -- argument parsing -----------------------------------------------------------
 
-def _add_common(sp, *, seed=True):
+def _subcommand(sub, name: str, func, help: str, *, seed=True):
+    """A subparser with the report flags, and --seed unless ``seed`` is off."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(func=func)
     if seed:
         sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--json", action="store_true",
                     help="print the full JSON report to stdout")
     sp.add_argument("--out", help="also write the JSON report to a file")
+    return sp
 
 
 def _add_function_args(sp):
@@ -383,15 +335,8 @@ def _add_function_args(sp):
     sp.add_argument("--expr-file", help="file containing one expression")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="forelli-lab",
-        description="numerical holomorphy lab: series, jets, radii, "
-                    "capacities and pencils of discs")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="full pipeline on a function or series")
+def _add_analysis_args(sp):
+    """The input and certificate flags of analyze and certify."""
     _add_function_args(sp)
     sp.add_argument("--series-file")
     sp.add_argument("--dim", type=int, default=2)
@@ -400,12 +345,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r0", type=float, default=0.5)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--rho-max", type=float, default=None)
+
+
+def _add_pencil_args(sp):
+    """The function and pencil flags of the pencil subcommands."""
+    _add_function_args(sp)
+    sp.add_argument("--pencil", help="pencil JSON file")
+    sp.add_argument("--dim", type=int, default=2)
+    sp.add_argument("--directions", default="sphere:200")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="forelli-lab",
+        description="numerical holomorphy lab: series, jets, radii, "
+                    "capacities and pencils of discs")
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sp = _subcommand(sub, "analyze", _cmd_analyze,
+                     "full pipeline on a function or series")
+    _add_analysis_args(sp)
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--directions", default="sphere:200")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("jet", help="extract a formal Taylor jet")
+    sp = _subcommand(sub, "jet", _cmd_jet, "extract a formal Taylor jet",
+                     seed=False)
     _add_function_args(sp)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--order", type=int, default=16)
@@ -416,27 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--center", help="expansion center, e.g. '1,0 0,0'")
     sp.add_argument("--series-out", help="write the jet in series text format")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_jet)
 
-    sp = sub.add_parser("slice", help="restrict a series to a ray")
+    sp = _subcommand(sub, "slice", _cmd_slice, "restrict a series to a ray",
+                     seed=False)
     sp.add_argument("--series-file", required=True)
     sp.add_argument("--a", required=True,
                     help="ray point, e.g. '1,0 2,0' for (1, 2)")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_slice)
 
-    sp = sub.add_parser("capacity", help="logarithmic capacity estimates")
+    sp = _subcommand(sub, "capacity", _cmd_capacity,
+                     "logarithmic capacity estimates")
     sp.add_argument("--set", help="'segment A B' | 'disc RE IM R' | 'points FILE'")
     sp.add_argument("--m", type=int, default=128)
     sp.add_argument("--siciak-ball", type=float, default=None,
                     help="extremal-function estimate for a ball of this radius")
     sp.add_argument("--degree", type=int, default=32)
     sp.add_argument("--trials", type=int, default=200)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_capacity)
 
-    sp = sub.add_parser("psh", help="plurisubharmonic family diagnostics")
+    sp = _subcommand(sub, "psh", _cmd_psh,
+                     "plurisubharmonic family diagnostics", seed=False)
     sp.add_argument("--family", required=True, help="series file")
     sp.add_argument("--r", type=float, default=1.0)
     sp.add_argument("--K", type=int, default=None)
@@ -445,52 +408,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--envelope", help="grid region 'x0 x1 y0 y1'")
     sp.add_argument("--envelope-num", type=int, default=101)
     sp.add_argument("--csv-out")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_psh)
 
-    sp = sub.add_parser("pencil-check", help="disc holomorphy residuals")
-    _add_function_args(sp)
-    sp.add_argument("--pencil", help="pencil JSON file")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--directions", default="sphere:200")
+    sp = _subcommand(sub, "pencil-check", _cmd_pencil_check,
+                     "disc holomorphy residuals")
+    _add_pencil_args(sp)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--radii", default="0.3,0.6,0.9")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pencil_check)
 
-    sp = sub.add_parser("subpencil", help="find a uniform holomorphy patch")
-    _add_function_args(sp)
-    sp.add_argument("--pencil")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--directions", default="sphere:200")
+    sp = _subcommand(sub, "subpencil", _cmd_subpencil,
+                     "find a uniform holomorphy patch")
+    _add_pencil_args(sp)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--ell-max", type=int, default=8)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_subpencil)
 
-    sp = sub.add_parser("normalize", help="disc-map normalization at v0")
-    _add_function_args(sp)
-    sp.add_argument("--pencil")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--directions", default="sphere:200")
+    sp = _subcommand(sub, "normalize", _cmd_normalize,
+                     "disc-map normalization at v0")
+    _add_pencil_args(sp)
     sp.add_argument("--v0", required=True, help="direction, e.g. '1,0 0,0'")
     sp.add_argument("--eps", type=float, default=0.4)
     sp.add_argument("--z1-ring", default="0.05 0.5")
     sp.add_argument("--tol-g", type=float, default=1e-6)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_normalize)
 
-    sp = sub.add_parser("certify", help="polydisc convergence certificate")
-    _add_function_args(sp)
-    sp.add_argument("--series-file")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--order", type=int, default=16)
-    sp.add_argument("--K", type=int, default=None)
-    sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--rho-max", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_certify)
+    sp = _subcommand(sub, "certify", _cmd_certify,
+                     "polydisc convergence certificate")
+    _add_analysis_args(sp)
     return ap
 
 
@@ -527,15 +468,14 @@ def _recorded_warnings():
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
         with _recorded_warnings() as args.warnings:
-            return args.func(args)
+            return _emit(args, *args.func(args))
     except (JetExtractionError, NewtonInversionError,
             DegenerateNormalizationError, EvalError,
             ChartUndecidableError, np.linalg.LinAlgError) as exc:
@@ -544,8 +484,8 @@ def run(argv=None) -> int:
     except PencilCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ConfigError, ParseError, SeriesFormatError,
-            NotHolomorphicTypeError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # parse, format and configuration errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -280,14 +280,23 @@ def _validate_pencil(spec: PencilSpec):
     if worst > 1e-10:
         raise PencilCheckError(
             f"map(0, u) differs from the base point by {worst:.3g}")
-    for u in sub:
-        for j in range(spec.n):
-            g = lambda lam: spec.map_batch(lam, np.broadcast_to(
-                u, lam.shape + (spec.n,)))[..., j]
-            res = disc_holo_residual(g, 0.9, modes=16)
-            if res > _PENCIL_HOLO_TOL:
-                raise PencilCheckError(
-                    f"disc through {u} has component {j+1} residual {res:.3g}")
+    def components(lam):
+        # lam is (component, direction, sample), the same for every
+        # component; each component of the map goes to its own row
+        U = np.broadcast_to(sub[:, None], lam.shape[1:] + (spec.n,))
+        return np.moveaxis(spec.map_batch(lam[0], U), -1, 0)
+
+    rho = 0.9
+    res, finite = _holo_residuals(components,
+                                  np.full((spec.n, len(sub)), rho), 16)
+    # the first bad disc in direction order, then component order
+    bad = (~finite | (res > _PENCIL_HOLO_TOL)).T
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), spec.n)
+        if not finite[j, i]:
+            raise EvalError(f"non-finite disc samples at radius {rho}")
+        raise PencilCheckError(f"disc through {sub[i]} has component {j+1} "
+                               f"residual {res[j, i]:.3g}")
     # mesh injectivity on pairs, modulo genuine cone identifications
     radii = np.array([0.25, 0.55, 0.85])
     phases = torus((1.0,), 6)[0]

@@ -95,17 +95,20 @@ class AnalysisReport:
     def stage(self, name: str) -> Optional[Stage]:
         return next((st for st in self.stages if st.name == name), None)
 
-    def to_dict(self, warnings: Optional[List[str]] = None) -> dict:
-        """The ``analyze`` report of this analysis."""
+    def summary(self) -> dict:
+        """The summary block of the ``analyze`` report."""
         c = self.certificate
         cert = None if c is None else {
             "M": c.M, "r0": c.r0, "r_prime": list(c.r_prime),
             "K_used": c.K_used, "margin": c.margin}
-        return build_report(
-            "analyze", self.config, [s.to_dict() for s in self.stages],
-            {"passed": self.passed, "final_verdict": self.final_verdict,
-             "certificate": cert, "per_direction": self.per_direction},
-            warnings)
+        return {"passed": self.passed, "final_verdict": self.final_verdict,
+                "certificate": cert, "per_direction": self.per_direction}
+
+    def to_dict(self, warnings: Optional[List[str]] = None) -> dict:
+        """The ``analyze`` report of this analysis."""
+        return build_report("analyze", self.config,
+                            [s.to_dict() for s in self.stages],
+                            self.summary(), warnings)
 
 
 # -- stages that analyze shares with the single-check subcommands --------------

@@ -1,10 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from forelli_lab import cli
 from forelli_lab.cli import run
 from forelli_lab.report import schema_text
 from forelli_lab.series import FormalSeries
@@ -324,9 +327,8 @@ class TestOneDirectionCheck:
         dirs = ("--directions", str(path), "--json")
         runs = [("analyze", "--series-file", self.exp_series(tmp_path, order))
                 for order in (4, 10)]
-        runs.append(("pencil-check", "--expr", "exp(z1+z2)"))
-        if kind != "wrong-dimension":
-            runs.append(("analyze", "--expr", "exp(z1+z2)", "--order", "8"))
+        runs += [("pencil-check", "--expr", "exp(z1+z2)"),
+                 ("analyze", "--expr", "exp(z1+z2)", "--order", "8")]
         for argv in runs:
             got, out, err = run_cli(capsys, *argv, *dirs)
             assert (got, err) == (code, message), argv
@@ -460,13 +462,24 @@ class TestSchemaSweep:
             ("jet", "--expr", "z1^2*z2*conj(z1)/normsq(z)", "--order", "4"),
             ("pencil-check", "--expr", "conj(z1)", "--directions",
              "sphere:40"),
+            ("subpencil", "--pencil", str(pencil), "--expr", "conj(z1)"),
+            ("normalize", "--pencil", str(pencil), "--v0", "1,0 0,0",
+             "--expr", "z1*conj(z2)"),
             ("certify", "--expr", "conj(z1)+z2", "--order", "8"),
         ]
+        out_file = tmp_path / "report.json"
         for want, argvs in ((0, invocations), (1, failing)):
             for argv in argvs:
-                code, out, err = run_cli(capsys, *argv, "--json")
+                code, out, err = run_cli(capsys, *argv, "--json",
+                                         "--out", str(out_file))
                 assert code == want, (argv, err)
                 validate(out)
+                assert out_file.read_text(encoding="utf-8") == out, argv
+                # the one exit rule: 1 exactly when some stage fails
+                report = json.loads(out)
+                failed = any(s["status"] == "fail" for s in report["stages"])
+                assert code == int(failed), argv
+                assert report["summary"]["passed"] is not failed, argv
 
 
 class TestOneBuilderPerStage:
@@ -691,3 +704,18 @@ class TestSubcommands:
 
     def test_version(self, capsys):
         assert run_cli(capsys, "--version")[0] == 0
+
+
+def test_one_report_builder():
+    """``cli`` builds every report in one place, from ``pipeline.Stage``s."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "build_report"]
+    stage_dicts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Dict)
+                   and any(isinstance(key, ast.Constant) and key.value ==
+                           "status" for key in node.keys)]
+    assert len(calls) == 1, calls
+    assert stage_dicts == []

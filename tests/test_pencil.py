@@ -10,7 +10,7 @@ from forelli_lab import (DegenerateNormalizationError, KData,
                          standard_pencil, standard_subpencil_radius,
                          tilde_normalize)
 from forelli_lab import pencil
-from forelli_lab.expr import as_callable
+from forelli_lab.expr import EvalError, as_callable
 from forelli_lab.pencil import (DISC_CHUNK_SAMPLES, _angular_graph,
                                 _gauss_newton_step, _largest_component,
                                 _realify, _renormalize, _tangent_frames,
@@ -251,8 +251,18 @@ class TestPencilValidation:
             pencil_from_exprs(2, ["l*u1 + 0.1", "l*u2"], sphere150[:40])
 
     def test_antiholomorphic_disc_rejected(self, sphere150):
-        with pytest.raises(PencilCheckError, match="residual"):
+        # the first sampled direction, and its first failing component
+        with pytest.raises(PencilCheckError) as exc:
             pencil_from_exprs(2, ["l*u1", "conj(l)*u2"], sphere150[:40])
+        assert str(exc.value) == (
+            "disc through [0.00075092+0.92286554j 0.18236313+0.33920837j] "
+            "has component 2 residual 0.347")
+
+    def test_non_finite_disc_is_a_numerical_failure(self, sphere150):
+        # exp overflows on the discs of the directions with Re u2 > 0.71
+        with np.errstate(all="ignore"), pytest.raises(
+                EvalError, match="^non-finite disc samples at radius 0.9$"):
+            pencil_from_exprs(2, ["l*u1", "l*exp(1000*u2)"], sphere150[:40])
 
     def test_collapsed_map_rejected(self, sphere150):
         with pytest.raises(PencilCheckError, match="injectivity"):
