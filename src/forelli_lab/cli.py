@@ -440,21 +440,26 @@ def _recorded_warnings():
     """Collect the UserWarnings that forelli_lab raises, for the report.
 
     Yields the list of distinct messages in first-seen order.  Each is
-    still shown once on stderr, as ``UserWarning: <message>`` without the
-    library's file and line, so the stderr bytes do not move with edits
-    to the source; other warnings, such as numpy's floating-point
-    RuntimeWarnings, pass through untouched and stay out of the report.
+    still shown once on stderr.  Every warning raised from the library's
+    own files, such as numpy's floating-point RuntimeWarnings in the
+    evaluator, prints as ``<Category>: <message>`` without the library's
+    file, line and source text, so the stderr bytes do not move with the
+    install path or with edits to the source.  Only UserWarnings enter the
+    report; the others keep their filters and reach any recorder of
+    warnings, such as ``pytest.warns``.
     """
+    def ours(filename):
+        return os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
+
     messages = []
     with warnings.catch_warnings():
         # past the once-per-location registry, so a repeated run records too
         warnings.filterwarnings("always", category=UserWarning,
                                 module=r"forelli_lab(\.|$)")
-        show = warnings.showwarning
+        show, form = warnings.showwarning, warnings.formatwarning
 
         def record(message, category, filename, lineno, file=None, line=None):
-            ours = os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
-            if ours and issubclass(category, UserWarning):
+            if ours(filename) and issubclass(category, UserWarning):
                 text = str(message)
                 if text not in messages:
                     messages.append(text)
@@ -463,8 +468,18 @@ def _recorded_warnings():
                 return
             show(message, category, filename, lineno, file, line)
 
+        def without_location(message, category, filename, lineno, line=None):
+            if ours(filename):
+                return f"{category.__name__}: {message}\n"
+            return form(message, category, filename, lineno, line)
+
         warnings.showwarning = record
-        yield messages
+        # catch_warnings restores showwarning but not formatwarning
+        warnings.formatwarning = without_location
+        try:
+            yield messages
+        finally:
+            warnings.formatwarning = form
 
 
 def run(argv=None) -> int:

@@ -23,13 +23,20 @@ dmax = (order - |mu|_1) // 2 give systems of the same shape, and each
 such stack is factored by a single batched SVD: about order/2 + 1 SVD
 calls per jet instead of one per mode.
 
+The stacks of design matrices are built one torus axis at a time, and
+the mode layout (the modes, their |mu| classes and the L simplices) by
+array arithmetic; the modes become tuples once, for the mode table.
+
 The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
 each torus is transformed only on the band |mu_k| <= order, and an Expr
 is evaluated on broadcastable torus axes rather than full arrays.  Tori
 of at least POOL_MIN_POINTS points of an Expr are sampled on a thread
 pool; numpy's array loops and FFTs release the GIL, and every torus
-writes only its own row of the mode table, so the jet is the same bit
-for bit.
+writes only its own row of the mode table.  Smaller Expr tori (n <= 2 at
+the default grids) are sampled in slabs on the calling thread: the tori
+that differ only in their last radius, up to POOL_MIN_POINTS points, in
+one evaluation and one band transform.  Either way the jet is the same
+bit for bit as one torus at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ COEFF_FLOOR = 1e-10
 COND_LIMIT = 1e14
 # Expr tori of at least this many points (n = 3 at the default grid 32)
 # are sampled on a thread pool; on smaller tori the GIL hand-off between
-# short numpy calls costs more than the second core gains
+# short numpy calls costs more than the second core gains, so they are
+# sampled in slabs of up to this many points on the calling thread
 POOL_MIN_POINTS = 32 ** 3
 # at most this many sampling threads: nothing above 2 cores was measured
 MAX_SAMPLE_WORKERS = 4
@@ -115,11 +123,24 @@ def radius_schedule(num: int, rho0: float = 0.2, sigma: float = 1.25,
     return rho0 * sigma ** np.arange(num)
 
 
-def _mode_list(n: int, order: int) -> List[tuple]:
-    """All mu in Z^n with |mu_1| + ... + |mu_n| <= order."""
+def _simplex(n: int, top: int) -> np.ndarray:
+    """The rows L in N^n with L_1 + ... + L_n <= top, in lexicographic
+    order (the order of itertools.product), as an (count, n) int array."""
     # rows of np.indices in C order run like itertools.product
+    L = np.indices((top + 1,) * n).reshape(n, -1).T
+    return L[L.sum(axis=1) <= top]
+
+
+def _modes(n: int, order: int) -> np.ndarray:
+    """All mu in Z^n with |mu_1| + ... + |mu_n| <= order, as rows in
+    lexicographic order."""
     mus = np.indices((2 * order + 1,) * n).reshape(n, -1).T - order
-    return [tuple(mu) for mu in mus[np.abs(mus).sum(axis=1) <= order].tolist()]
+    return mus[np.abs(mus).sum(axis=1) <= order]
+
+
+def _mode_list(n: int, order: int) -> List[tuple]:
+    """The modes of ``_modes`` as tuples."""
+    return [tuple(mu) for mu in _modes(n, order).tolist()]
 
 
 def extract_jet(f, n: int, order: int, *,
@@ -162,8 +183,7 @@ def extract_jet(f, n: int, order: int, *,
         base = func
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 
-    modes = _mode_list(n, order)
-    mus = np.array(modes, dtype=int).reshape(len(modes), n)
+    mus = _modes(n, order)
     rows = list(itertools.product(range(len(radii)), repeat=n))
     mode_vals = _sample_modes(func, isinstance(f, Expr), radii, rows, mus,
                               grid, order)
@@ -180,9 +200,14 @@ def extract_jet(f, n: int, order: int, *,
     # pass 1: tensor-Vandermonde solves.  The design matrix of mode mu
     # depends only on |mu|, so each |mu| class is factored once for all of
     # its sign variants, and classes with the same dmax = (order - |mu|_1)//2
-    # have the same shape and are factored by one stacked SVD.
-    classes, mode_class = np.unique(np.abs(mus), axis=0, return_inverse=True)
-    mode_class = mode_class.reshape(-1)
+    # have the same shape and are factored by one stacked SVD.  The classes
+    # run in lexicographic order of |mu|, which is the order of its C-order
+    # ravel.
+    class_shape = (order + 1,) * n
+    keys, mode_class = np.unique(
+        np.ravel_multi_index(tuple(np.abs(mus).T), class_shape),
+        return_inverse=True)
+    classes = np.stack(np.unravel_index(keys, class_shape), axis=1)
     class_dmax = (order - classes.sum(axis=1)) // 2
     # a mode's sign variant within its class: the bitmask of its negative
     # entries
@@ -198,16 +223,15 @@ def extract_jet(f, n: int, order: int, *,
     # data cannot determine above that level are zeroed
     data_unc = (10.0 * np.finfo(float).eps * np.linalg.norm(mode_vals, axis=0)
                 + math.sqrt(len(rows)) * noise_floor)
-    resid = np.empty((len(modes), len(rows)), dtype=complex)
+    resid = np.empty((len(mus), len(rows)), dtype=complex)
     class_cond = np.empty(len(classes))
     kept = []                   # (I + J exponent rows, coefficient) arrays
+    simplex = _simplex(n, order // 2)
     for dmax in np.unique(class_dmax):
-        Ls = np.array([L for L in itertools.product(range(dmax + 1), repeat=n)
-                       if sum(L) <= dmax], dtype=int).reshape(-1, n)
+        Ls = simplex[simplex.sum(axis=1) <= dmax]
         cls = np.flatnonzero(class_dmax == dmax)
         expo = classes[cls][:, None, :] + 2 * Ls[None, :, :]   # (K, #L, n)
-        A = np.prod(power[row_idx[None, :, None, :], expo[:, None, :, :]],
-                    axis=3)                                    # (K, rows, #L)
+        A = _design_stack(power, row_idx, expo)                # (K, rows, #L)
         col_scale = np.linalg.norm(A, axis=1)
         col_scale[col_scale == 0] = 1.0
         Um, sv, Vt = np.linalg.svd(A / col_scale[:, None, :],
@@ -239,7 +263,8 @@ def extract_jet(f, n: int, order: int, *,
     bad = np.flatnonzero(mode_cond > COND_LIMIT)
     if bad.size:
         raise JetExtractionError(
-            f"ill-conditioned radius schedule: mode {modes[bad[0]]} condition "
+            "ill-conditioned radius schedule: mode "
+            f"{tuple(mus[bad[0]].tolist())} condition "
             f"{mode_cond[bad[0]]:.3g} exceeds {COND_LIMIT:.3g}")
     worst_cond = max(1.0, float(mode_cond.max()))
 
@@ -258,8 +283,9 @@ def extract_jet(f, n: int, order: int, *,
     order_noise = np.zeros(order + 1)
     np.maximum.at(order_noise, base_orders[clean], misfit[clean])
     fail_eps = np.zeros(order + 1)
-    mode_table = [{"mode": mu, "base_order": d, "misfit": eps, "magnitude": mag}
-                  for mu, d, eps, mag in zip(modes, base_orders.tolist(),
+    mode_table = [{"mode": tuple(mu), "base_order": d, "misfit": eps,
+                   "magnitude": mag}
+                  for mu, d, eps, mag in zip(mus.tolist(), base_orders.tolist(),
                                              misfit.tolist(),
                                              magnitude.tolist())]
     for idx in np.flatnonzero(~clean):
@@ -313,12 +339,26 @@ def extract_jet(f, n: int, order: int, *,
         "worst_condition": worst_cond,
         "modes": mode_table,
         "first_failing_mode": first_failing,
-        "worst_condition_mode": {"mode": modes[worst],
+        "worst_condition_mode": {"mode": mode_table[worst]["mode"],
                                  "condition": float(mode_cond[worst])},
     }
     return JetResult(series=series, max_consistent_order=max_consistent,
                      per_order_residuals=residuals, verdict=verdict,
                      tol=tol, diagnostics=diagnostics)
+
+
+def _design_stack(power, row_idx, expo) -> np.ndarray:
+    """The stacked design matrices A[c, r, l] = prod_k power[row_idx[r, k],
+    expo[c, l, k]] of the exponent rows ``expo`` (K, #L, n).
+
+    The product runs one axis at a time: the same products in the same
+    order as np.prod over the (K, rows, #L, n) gather, without that
+    n times larger temporary.
+    """
+    A = power[row_idx[None, :, None, 0], expo[:, None, :, 0]]
+    for k in range(1, expo.shape[2]):
+        A *= power[row_idx[None, :, None, k], expo[:, None, :, k]]
+    return A
 
 
 def _sample_workers() -> int:
@@ -333,16 +373,26 @@ def _sample_workers() -> int:
 
 def _sample_modes(func, compact, radii, rows, mus, grid, order):
     """The Fourier modes ``mus`` of func on the torus of radii[row], for
-    each radius-index row, as an array (rows, modes).
+    each radius-index row of ``rows`` (itertools.product order over
+    range(len(radii))), as an array (rows, modes).
 
     With ``compact`` (Expr inputs) component k of a torus has shape (G,)
     on axis k and 1 elsewhere; otherwise each component is a fresh full
-    (G,) * n array.  Each torus is sampled, its band |m_k| <= order of
-    modes transformed and the modes gathered with one flat index array.
-    Compact tori of at least POOL_MIN_POINTS points run on a thread pool,
-    each in a copy of the caller's context (numpy keeps its error state
-    there); a callable may keep state, so it runs on the calling thread.
-    The error raised is that of the first failing torus in row order.
+    (G,) * n array, one torus per call.  The band |m_k| <= order of modes
+    is transformed and the modes gathered with one flat index array.
+
+    Compact tori of fewer than POOL_MIN_POINTS points are sampled in slabs
+    on the calling thread: the tori that share every radius index but the
+    last, up to POOL_MIN_POINTS points together, get one evaluation (the
+    last component carries a leading slab axis) and one band transform.
+    Inside a slab numpy's floating-point events that would warn raise; a
+    slab that raises or holds non-finite samples is redone torus by torus,
+    so its errors and warnings are those of one torus at a time.
+    Compact tori of at least POOL_MIN_POINTS points run one per task on
+    a thread pool, each in a copy of the caller's context (numpy keeps its
+    error state there); a callable may keep state, so it runs on the
+    calling thread.  The error raised is that of the first failing torus
+    in row order.
     """
     n = mus.shape[1]
     if compact:
@@ -354,6 +404,8 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
     band_index = np.ravel_multi_index(tuple((mus + order).T),
                                       (2 * order + 1,) * n)
     mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
+    strict = {kind: "ignore" if mode == "ignore" else "raise"
+              for kind, mode in np.geterr().items()}
 
     def sample(ri):
         rho = radii[list(rows[ri])]
@@ -370,12 +422,37 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
         vals = np.broadcast_to(vals, (grid,) * n)
         mode_vals[ri] = torus_modes(vals, n, order).ravel()[band_index]
 
+    def sample_slab(start, stop):
+        """Tori start..stop-1, which differ only in their last radius."""
+        if stop - start == 1:
+            return sample(start)
+        rho = radii[list(rows[start])]
+        last = radii[[row[-1] for row in rows[start:stop]]]
+        zs = tuple(rho[k] * unit[k] for k in range(n - 1)) + (
+            (last[:, None] * unit[-1]).reshape(
+                (stop - start,) + (1,) * (n - 1) + (grid,)),)
+        try:
+            with np.errstate(**strict):
+                vals = np.asarray(func(zs), dtype=complex)
+        except Exception:
+            vals = None             # redone below, where it raises
+        if vals is None or not np.all(np.isfinite(vals)):
+            for ri in range(start, stop):
+                sample(ri)
+            return
+        vals = np.broadcast_to(vals, (stop - start,) + (grid,) * n)
+        mode_vals[start:stop] = torus_modes(vals, n, order).reshape(
+            stop - start, -1)[:, band_index]
+
     workers = 1
     if compact and grid ** n >= POOL_MIN_POINTS:
         workers = _sample_workers()
     if workers == 1:
-        for ri in range(len(rows)):
-            sample(ri)
+        size = max(1, POOL_MIN_POINTS // grid ** n) if compact else 1
+        m = len(radii)
+        for first in range(0, len(rows), m):
+            for start in range(first, first + m, size):
+                sample_slab(start, min(start + size, first + m))
         return mode_vals
     contexts = [contextvars.copy_context() for _ in rows]
     with ThreadPoolExecutor(workers) as pool:

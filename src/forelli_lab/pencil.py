@@ -254,10 +254,11 @@ def pencil_from_exprs(n: int, map_exprs, directions,
     """Build a general pencil from per-component map expressions.
 
     Expressions use the variables l (the disc parameter), u1..un and
-    conj(u_k).  Validation checks the base point, per-disc holomorphy of
-    sampled discs, and injectivity of the map on a sampled mesh (two
-    mesh pairs may share an image only if they describe the same point
-    lambda*u of the parameter cone).
+    conj(u_k).  Validation checks per-disc holomorphy of sampled discs,
+    the base point map(0, u) = p at every direction (a non-finite
+    map(0, u) fails it), and injectivity of the map on a sampled mesh
+    (two mesh pairs may share an image only if they describe the same
+    point lambda*u of the parameter cone).
     """
     names = ("l",) + tuple(f"u{k+1}" for k in range(n))
     exprs = tuple(parse(e, var_names=names) if isinstance(e, str) else e
@@ -275,11 +276,6 @@ def pencil_from_exprs(n: int, map_exprs, directions,
 
 def _validate_pencil(spec: PencilSpec):
     sub = spec.directions[:: max(1, spec.num_directions // 24)]
-    at0 = spec.map_batch(np.zeros(len(sub)), sub)
-    worst = float(np.abs(at0 - spec.base_point).max())
-    if worst > 1e-10:
-        raise PencilCheckError(
-            f"map(0, u) differs from the base point by {worst:.3g}")
     def components(lam):
         # lam is (component, direction, sample), the same for every
         # component; each component of the map goes to its own row
@@ -297,6 +293,13 @@ def _validate_pencil(spec: PencilSpec):
             raise EvalError(f"non-finite disc samples at radius {rho}")
         raise PencilCheckError(f"disc through {sub[i]} has component {j+1} "
                                f"residual {res[j, i]:.3g}")
+    # one point per direction, so every direction is checked; after the
+    # discs, so that a map overflowing on them is a numerical failure
+    at0 = spec.map_batch(np.zeros(spec.num_directions), spec.directions)
+    worst = float(np.abs(at0 - spec.base_point).max())
+    if not worst <= 1e-10:          # a nan from a non-finite map(0, u) too
+        raise PencilCheckError(
+            f"map(0, u) differs from the base point by {worst:.3g}")
     # mesh injectivity on pairs, modulo genuine cone identifications
     radii = np.array([0.25, 0.55, 0.85])
     phases = torus((1.0,), 6)[0]
@@ -323,8 +326,13 @@ def load_pencil(source) -> PencilSpec:
     if isinstance(source, (str,)):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"pencil file {source}: the top level must be "
+                             "a JSON object")
     else:
         data = dict(source)
+    if "n" not in data:
+        raise ValueError('pencil has no "n" (the dimension)')
     n = int(data["n"])
     U = load_directions(data.get("directions", "sphere:200"), n, 0)
     p = None

@@ -210,6 +210,40 @@ class TestPencilFileDirections:
             assert err == f"verification failure: {message}\n"
 
 
+class TestPencilFileErrors:
+    """A pencil file that is not a pencil exits 1 or 2 with one line."""
+
+    NAN_BASE = ["l*u1", "l*exp(1000*u2)"]
+
+    def _pencil_check(self, capsys, tmp_path, data):
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(json.dumps(data))
+        return run_cli(capsys, "pencil-check", "--pencil", str(pencil),
+                       "--expr", "exp(z1)", "--json")
+
+    def test_non_finite_base_point(self, capsys, tmp_path):
+        # 0 * exp(1000 u2) is 0 * inf = nan at lambda = 0 for the
+        # directions with Re u2 > 0.71; none of them is among the sampled
+        # discs, whose meshes overflowed the KD-tree before
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = self._pencil_check(
+                capsys, tmp_path, {"n": 2, "map": self.NAN_BASE,
+                                   "directions": "sphere:200"})
+        assert (code, out) == (1, "")
+        assert err == ("verification failure: map(0, u) differs from the "
+                       "base point by nan\n")
+
+    @pytest.mark.parametrize("data,message", [
+        ({"map": ["l*u1", "l*u2"]}, 'pencil has no "n" (the dimension)'),
+        ([2, ["l*u1", "l*u2"]], "the top level must be a JSON object"),
+    ], ids=["no-n", "not-an-object"])
+    def test_malformed_file(self, capsys, tmp_path, data, message):
+        code, out, err = self._pencil_check(capsys, tmp_path, data)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
+
+
 class TestReportWarnings:
     """Library UserWarnings reach the report's warnings array."""
 
@@ -269,6 +303,19 @@ class TestReportWarnings:
         assert ".py:" not in proc.stderr
         assert proc.stderr == ("UserWarning: directions off the unit sphere "
                                "by up to 1; normalizing\n")
+
+    def test_runtime_warnings_printed_without_source_location(self):
+        # numpy's overflow in the evaluator prints as "RuntimeWarning:
+        # <message>", without the library's path and line
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "forelli_lab.cli", "pencil-check",
+             "--expr", "exp(1000*z1)", "--dim", "2", "--directions",
+             "sphere:200"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "forelli_lab/" not in proc.stderr
+        assert proc.stderr == "RuntimeWarning: overflow encountered in exp\n"
 
     def test_floating_point_warnings_stay_out(self, capsys):
         # exp overflows on some discs, and inf * 0 is invalid

@@ -482,3 +482,104 @@ class TestSamplingThreads:
             with pytest.raises(JetExtractionError,
                                match=r"evaluation failed .*: overflow"):
                 extract_jet(parse("exp(5000*z1)+z2*z3", dim=3), 3, 4)
+
+
+def _gathered_stack(power, row_idx, expo):
+    """The design stacks as np.prod over the whole (K, rows, #L, n) gather,
+    the construction the per-axis products replaced."""
+    return np.prod(power[row_idx[None, :, None, :], expo[:, None, :, :]],
+                   axis=3)
+
+
+class TestDesignStacksMatchGather:
+    """The per-axis design stacks are the gathered products, bit for bit."""
+
+    @pytest.mark.parametrize("n,order", [(1, 22), (2, 12), (2, 22), (3, 10)])
+    @pytest.mark.parametrize("rho_max", [None, 1.0])
+    def test_every_dmax_group(self, n, order, rho_max):
+        import itertools
+
+        from forelli_lab.jets import _design_stack, _mode_list, radius_schedule
+
+        radii = radius_schedule((order + 1) // 2 + 1, rho_max=rho_max)
+        row_idx = np.array(list(itertools.product(range(len(radii)),
+                                                  repeat=n)))
+        power = radii[:, None] ** np.arange(order + 1)
+        classes = np.unique(np.abs(np.array(_mode_list(n, order))), axis=0)
+        class_dmax = (order - classes.sum(axis=1)) // 2
+        for dmax in np.unique(class_dmax):
+            Ls = np.array([L for L in itertools.product(range(dmax + 1),
+                                                        repeat=n)
+                           if sum(L) <= dmax])
+            expo = (classes[class_dmax == dmax][:, None, :]
+                    + 2 * Ls[None, :, :])
+            got = _design_stack(power, row_idx, expo)
+            want = _gathered_stack(power, row_idx, expo)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), dmax
+
+
+class TestSlabsMatchOneTorusAtATime:
+    """n <= 2 Expr tori sampled in slabs give the per-torus samples, errors
+    and warnings."""
+
+    @staticmethod
+    def _run(monkeypatch, slabs, f, n, order, **kw):
+        """The jet (or its error) and the warnings, with slabs or with one
+        torus per evaluation on the calling thread."""
+        import warnings
+
+        from forelli_lab import JetExtractionError, jets
+        with monkeypatch.context() as patch:
+            if not slabs:
+                patch.setattr(jets, "POOL_MIN_POINTS", 1)
+                patch.setattr(jets, "_sample_workers", lambda: 1)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    outcome = extract_jet(f, n, order, **kw)
+                except JetExtractionError as exc:
+                    outcome = str(exc)
+        return outcome, [(w.category, str(w.message)) for w in seen]
+
+    @pytest.mark.parametrize("expr,n,order,kw,message", [
+        # the second of a slab of four
+        ("1/(z1-0.25)", 1, 4, {"radii": [0.2, 0.25, 0.35, 0.5]},
+         "evaluation failed on torus rho=(0.25,): division by zero in "
+         "'z1-0.25'"),
+        # the third of each slab of eight
+        ("1/(z2-0.3125)", 2, 10, {},
+         "evaluation failed on torus rho=(0.2, 0.3125): division by zero "
+         "in 'z2-0.3125'"),
+        # exp overflows from rho = 0.25 on: the second torus of the slab
+        ("exp(3000*z1)", 1, 8, {},
+         "non-finite samples on torus rho=(0.25,)"),
+        ("z1+exp(3000*z2)", 2, 8, {},
+         "non-finite samples on torus rho=(0.2, 0.25)"),
+    ])
+    def test_same_error(self, monkeypatch, expr, n, order, kw, message):
+        f = parse(expr, dim=n)
+        got = self._run(monkeypatch, True, f, n, order, **kw)
+        want = self._run(monkeypatch, False, f, n, order, **kw)
+        assert got == want
+        assert got[0] == message
+
+    def test_same_error_without_warnings(self, monkeypatch):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self._run(monkeypatch, True, parse("z1+exp(3000*z2)"), 2, 8)
+        assert got == ("non-finite samples on torus rho=(0.2, 0.25)", [])
+
+    @pytest.mark.parametrize("expr", ["z1+1/(1+exp(3000*re(z2)))",
+                                      "exp(z1+z2)"])
+    def test_same_jet(self, monkeypatch, expr):
+        # exp overflows to inf + 0j on the tori with rho_2 >= 0.25 and the
+        # quotient is 0 there: those slabs are redone torus by torus, and
+        # the jet and warnings are those of one torus at a time
+        f = parse(expr, dim=2)
+        (got, got_warned), (want, want_warned) = (
+            self._run(monkeypatch, slabs, f, 2, 8) for slabs in (True, False))
+        assert got_warned == want_warned
+        assert got.series.graded.coeffs.tobytes() == \
+            want.series.graded.coeffs.tobytes()
+        assert got.per_order_residuals == want.per_order_residuals
+        assert got.diagnostics == want.diagnostics
