@@ -76,9 +76,11 @@ def _emit(args, config: dict, stages: list[Stage], summary: dict,
           lines: list[str]) -> int:
     """Write a subcommand's report; exit 1 exactly when some stage fails."""
     passed = all(st.status != FAIL for st in stages)
-    text = to_json(build_report(args.command, config,
-                                [st.to_dict() for st in stages],
-                                {**summary, "passed": passed}, args.warnings))
+    if args.json or args.out:
+        text = to_json(build_report(args.command, config,
+                                    [st.to_dict() for st in stages],
+                                    {**summary, "passed": passed},
+                                    args.warnings))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -35,12 +35,17 @@ pool; numpy's array loops and FFTs release the GIL, and every torus
 writes only its own row of the mode table.  Smaller Expr tori (n <= 2 at
 the default grids) are sampled in slabs on the calling thread: the tori
 that differ only in their last radius, up to POOL_MIN_POINTS points, in
-one evaluation and one band transform.  Either way the jet is the same
-bit for bit as one torus at a time.
+one evaluation and one band transform.  After sampling on the calling
+thread (those tori and every callable), dmax groups of POOL_MIN_POINTS
+stack entries or more in total are solved by the calling thread, from
+the largest, and one helper, from the smallest; each group writes only
+its own rows.  Either way the jet is the same bit for bit as one torus
+and one group at a time, and so is the error.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import itertools
 import math
@@ -63,10 +68,12 @@ COEFF_FLOOR = 1e-10
 # a radius schedule whose scaled design matrix is worse conditioned than
 # this for some mode is refused
 COND_LIMIT = 1e14
-# Expr tori of at least this many points (n = 3 at the default grid 32)
-# are sampled on a thread pool; on smaller tori the GIL hand-off between
-# short numpy calls costs more than the second core gains, so they are
-# sampled in slabs of up to this many points on the calling thread
+# below this many entries the GIL hand-off between short numpy calls costs
+# more than a second core gains.  Expr tori of at least this many points
+# (n = 3 at the default grid 32) are sampled on a thread pool, smaller ones
+# in slabs of up to this many points on the calling thread; after sampling
+# on the calling thread, design stacks of at least this many entries in
+# total are solved there and on one helper thread
 POOL_MIN_POINTS = 32 ** 3
 # at most this many sampling threads: nothing above 2 cores was measured
 MAX_SAMPLE_WORKERS = 4
@@ -185,12 +192,12 @@ def extract_jet(f, n: int, order: int, *,
 
     mus = _modes(n, order)
     rows = list(itertools.product(range(len(radii)), repeat=n))
-    mode_vals = _sample_modes(func, isinstance(f, Expr), radii, rows, mus,
-                              grid, order)
+    compact = isinstance(f, Expr)
+    mode_vals = _sample_modes(func, compact, radii, rows, mus, grid, order)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
-    diag_rows = [ri for ri, row in enumerate(rows)
-                 if all(t == row[0] for t in row)]
+    # the rows (t, ..., t) of the product order, every (m^n - 1)/(m - 1)-th
+    diag_rows = slice(None, None, sum(len(radii) ** k for k in range(n)))
 
     global_scale = float(np.abs(mode_vals).max()) if mode_vals.size else 0.0
     # quadrature values carry O(eps_mach * scale) noise; misfits below that
@@ -223,12 +230,16 @@ def extract_jet(f, n: int, order: int, *,
     # data cannot determine above that level are zeroed
     data_unc = (10.0 * np.finfo(float).eps * np.linalg.norm(mode_vals, axis=0)
                 + math.sqrt(len(rows)) * noise_floor)
-    resid = np.empty((len(mus), len(rows)), dtype=complex)
+    res_abs = np.empty(len(mus))            # each mode's largest |misfit|
+    res_diag = np.empty((len(mus), len(radii)), dtype=complex)
     class_cond = np.empty(len(classes))
-    kept = []                   # (I + J exponent rows, coefficient) arrays
+    kept = {}                   # dmax: (I + J exponent rows, coefficient)
     simplex = _simplex(n, order // 2)
-    for dmax in np.unique(class_dmax):
-        Ls = simplex[simplex.sum(axis=1) <= dmax]
+    L_order, mode_dmax = simplex.sum(axis=1), class_dmax[mode_class]
+    groups = range(order // 2 + 1)      # every dmax: |mu| runs over 0..order
+
+    def solve(dmax):            # writes the rows of its classes and modes
+        Ls = simplex[L_order <= dmax]
         cls = np.flatnonzero(class_dmax == dmax)
         expo = classes[cls][:, None, :] + 2 * Ls[None, :, :]   # (K, #L, n)
         A = _design_stack(power, row_idx, expo)                # (K, rows, #L)
@@ -240,9 +251,9 @@ def extract_jet(f, n: int, order: int, *,
         np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 0)
         class_cond[cls] = cond
         if np.any(cond > COND_LIMIT):
-            continue            # reported below, at the first such mode
+            return              # reported below, at the first such mode
 
-        sel = np.flatnonzero(class_dmax[mode_class] == dmax)
+        sel = np.flatnonzero(mode_dmax == dmax)
         k, v = np.searchsorted(cls, mode_class[sel]), variant[sel]
         # right-hand sides as (class, rows, sign variant), zero-padded
         B = np.zeros((len(cls), len(rows), 2 ** n), dtype=complex)
@@ -250,14 +261,27 @@ def extract_jet(f, n: int, order: int, *,
         x_eq = Vt.transpose(0, 2, 1) @ (
             (Um.transpose(0, 2, 1) @ B) / sv[:, :, None])
         X = x_eq / col_scale[:, :, None]
-        resid[sel] = (A @ X - B)[k, :, v]
+        misfit = (A @ X - B)[k, :, v]                          # (modes, rows)
+        res_abs[sel] = np.abs(misfit).max(axis=1)
+        res_diag[sel] = misfit[:, diag_rows]
         x = X[k, :, v]                                         # (modes, #L)
         pinv_rows = np.sqrt(np.sum((Vt / sv[:, :, None]) ** 2, axis=1))
         noise = data_unc[sel, None] * pinv_rows[k] / col_scale[k]
         mi, li = np.nonzero(np.abs(x) > np.maximum(COEFF_FLOOR, noise))
         m = sel[mi]
-        kept.append((np.concatenate([mu_plus[m] + Ls[li], mu_minus[m] + Ls[li]],
-                                    axis=1), x[mi, li]))
+        kept[dmax] = (np.concatenate([mu_plus[m] + Ls[li],
+                                      mu_minus[m] + Ls[li]], axis=1),
+                      x[mi, li])
+
+    # per dmax, the classes and unknowns #L of its stack (see POOL_MIN_POINTS)
+    n_cls, n_unk = np.bincount(class_dmax), np.cumsum(np.bincount(L_order))
+    if ((not compact or grid ** n < POOL_MIN_POINTS) and _sample_workers() > 1
+            and len(rows) * (n_cls @ n_unk) >= POOL_MIN_POINTS):
+        _solve_on_two_threads(solve, sorted(      # largest SVD work first
+            groups, key=lambda d: -n_cls[d] * n_unk[d] ** 2))
+    else:
+        for dmax in groups:
+            solve(dmax)
 
     mode_cond = class_cond[mode_class]
     bad = np.flatnonzero(mode_cond > COND_LIMIT)
@@ -268,9 +292,9 @@ def extract_jet(f, n: int, order: int, *,
             f"{mode_cond[bad[0]]:.3g} exceeds {COND_LIMIT:.3g}")
     worst_cond = max(1.0, float(mode_cond.max()))
 
-    exponents, coeffs = (np.concatenate(parts) for parts in zip(*kept))
+    exponents, coeffs = (np.concatenate(parts)
+                         for parts in zip(*(kept[d] for d in groups)))
 
-    res_abs = np.abs(resid).max(axis=1)
     res_abs[res_abs <= noise_floor] = 0.0
 
     # pass 2: normalize misfits by the largest mode magnitude at each total
@@ -291,7 +315,7 @@ def extract_jet(f, n: int, order: int, *,
     for idx in np.flatnonzero(~clean):
         row = mode_table[idx]
         d = row["base_order"]
-        k_fail = _failure_order(resid[idx], diag_rows, radii,
+        k_fail = _failure_order(res_diag[idx], slice(None), radii,
                                 row["magnitude"], global_scale, d)
         row["failure_order"] = k_fail
         if k_fail <= order:
@@ -359,6 +383,37 @@ def _design_stack(power, row_idx, expo) -> np.ndarray:
     for k in range(1, expo.shape[2]):
         A *= power[row_idx[None, :, None, k], expo[:, None, :, k]]
     return A
+
+
+def _solve_on_two_threads(solve, groups) -> None:
+    """solve(g) for every group, the calling thread taking them from the
+    front of ``groups`` and one helper, in a copy of the caller's context,
+    from the back.  A group is skipped only above a failed one, so the
+    error raised, that of the smallest failing group, is the error of an
+    ascending loop."""
+    queue, failed = collections.deque(groups), []    # (group, error)
+
+    def drain(pop):
+        while True:
+            try:
+                group = pop()
+            except IndexError:      # no group left
+                return
+            if not failed or group < min(failed)[0]:
+                try:
+                    solve(group)
+                except Exception as exc:
+                    failed.append((group, exc))
+
+    with ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(contextvars.copy_context().run, drain, queue.pop)
+        try:
+            drain(queue.popleft)
+        finally:
+            queue.clear()           # on an interrupt the helper stops too
+            helper.result()
+    if failed:
+        raise min(failed)[1]
 
 
 def _sample_workers() -> int:

@@ -306,9 +306,16 @@ def _validate_pencil(spec: PencilSpec):
     lam = (radii[:, None] * phases[None, :]).ravel()
     L = np.tile(lam, len(sub))
     D = np.repeat(sub, lam.size, axis=0)
-    images = spec.map_batch(L, D)
+    points = _realify(spec.map_batch(L, D))
+    # |x - y|^2 <= max |2x|^2, |2y|^2: finite doubled squared norms keep
+    # the tree's squared distances finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = np.flatnonzero(~np.isfinite(np.sum((2 * points) ** 2, axis=1)))
+    if huge.size:
+        raise EvalError("mesh image overflows at (lambda, u) = "
+                        f"{(L[huge[0]].item(), tuple(D[huge[0]].tolist()))}")
     cone = L[:, None] * D
-    tree = cKDTree(_realify(images))
+    tree = cKDTree(points)
     for i, j in tree.query_pairs(_PENCIL_MESH_TOL):
         if np.abs(cone[i] - cone[j]).max() > 1e-8:
             raise PencilCheckError(

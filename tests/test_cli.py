@@ -233,6 +233,18 @@ class TestPencilFileErrors:
         assert err == ("verification failure: map(0, u) differs from the "
                        "base point by nan\n")
 
+    def test_huge_mesh_images(self, capsys, tmp_path):
+        # exp(700 u2) is finite but near 1e304 on the mesh, too large for
+        # the squared distances of the KD-tree
+        code, out, err = self._pencil_check(
+            capsys, tmp_path, {"n": 2, "map": ["l*u1", "l*exp(700*u2)"],
+                               "directions": "sphere:200"})
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: mesh image overflows at "
+                       "(lambda, u) = ((0.25+0j), ((0.7831233607037407"
+                       "+0.2447137426470852j), (0.5716410673098538"
+                       "-0.007712084321789922j)))\n")
+
     @pytest.mark.parametrize("data,message", [
         ({"map": ["l*u1", "l*u2"]}, 'pencil has no "n" (the dimension)'),
         ([2, ["l*u1", "l*u2"]], "the top level must be a JSON object"),
@@ -766,3 +778,22 @@ def test_one_report_builder():
                            "status" for key in node.keys)]
     assert len(calls) == 1, calls
     assert stage_dicts == []
+
+
+class TestTextMode:
+    @pytest.mark.parametrize("expr,order,code", [
+        ("exp(z1+z2)", 8, 0), ("z1^2*z2*conj(z1)/normsq(z)", 4, 1)])
+    def test_no_report_is_encoded(self, capsys, monkeypatch, expr, order,
+                                  code):
+        # without --json or --out the report is never built or encoded
+        from forelli_lab import cli
+        args = ("jet", "--expr", expr, "--order", str(order))
+        want = run_cli(capsys, *args)
+
+        def unused(*args):
+            raise AssertionError("report encoded in text mode")
+
+        monkeypatch.setattr(cli, "build_report", unused)
+        monkeypatch.setattr(cli, "to_json", unused)
+        assert run_cli(capsys, *args) == want
+        assert want[0] == code and want[1]

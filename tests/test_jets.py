@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,15 @@ from forelli_lab import (FULL_JET, JET_UP_TO, NO_JET, FormalSeries,
                          extract_jet, parse)
 
 from conftest import random_series
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """A sampling pool or solve helper left running, on an error path for
+    instance, fails the test that started it."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, threading.enumerate()
 
 
 class TestPolynomialRecovery:
@@ -583,3 +593,102 @@ class TestSlabsMatchOneTorusAtATime:
             want.series.graded.coeffs.tobytes()
         assert got.per_order_residuals == want.per_order_residuals
         assert got.diagnostics == want.diagnostics
+
+
+class TestSolveHelper:
+    """Large design stacks solved on the calling thread and one helper give
+    the serial jet, bit for bit, and the serial error."""
+
+    @staticmethod
+    def _jet(monkeypatch, workers, f, n, order, switch=None, **kw):
+        """The jet with ``workers`` threads allowed, and the number of
+        helper pools started."""
+        import sys
+
+        from forelli_lab import jets
+        pools = []
+
+        class Pool(jets.ThreadPoolExecutor):
+            def __init__(self, *args):
+                pools.append(args)
+                super().__init__(*args)
+
+        interval = sys.getswitchinterval()
+        with monkeypatch.context() as patch:
+            patch.setattr(jets, "_sample_workers", lambda: workers)
+            patch.setattr(jets, "ThreadPoolExecutor", Pool)
+            if switch:
+                sys.setswitchinterval(switch)
+            try:
+                jet = extract_jet(f, n, order, **kw)
+            finally:
+                sys.setswitchinterval(interval)
+        return jet, len(pools)
+
+    @pytest.mark.parametrize("f,n,order,kw", [
+        *[("exp(z1+z2)", 2, order, {"rho_max": rho_max})
+          for order in (16, 20, 22) for rho_max in (None, 1.0)],
+        ("1+z1*z2+z1^3-2*z2^2", 2, 22, {}),
+        ("conj(z1)+z2", 2, 20, {}),
+        # JetUpTo(1): failure orders read the diagonal misfits
+        ("z1^2*z2*conj(z1)/normsq(z)", 2, 16, {}),
+        (lambda z: np.exp(z[0] + z[1] * z[2]), 3, 8, {}),
+    ])
+    def test_helper_matches_serial(self, monkeypatch, f, n, order, kw):
+        if isinstance(f, str):
+            f = parse(f, dim=n)
+        want, serial_pools = self._jet(monkeypatch, 1, f, n, order, **kw)
+        assert serial_pools == 0
+        for switch in (None, 1e-6):
+            got, pools = self._jet(monkeypatch, 2, f, n, order, switch, **kw)
+            assert pools == 1
+            assert got.verdict_text() == want.verdict_text()
+            assert got.series.graded.exponents.tobytes() == \
+                want.series.graded.exponents.tobytes()
+            assert got.series.graded.coeffs.tobytes() == \
+                want.series.graded.coeffs.tobytes()
+            assert got.per_order_residuals == want.per_order_residuals
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_smallest_failing_group_raises(self, monkeypatch, workers):
+        # the groups of 21 and 55 unknowns (dmax 5 and 9 at order 22) fail:
+        # an ascending loop over dmax meets 21 first, while the calling
+        # thread starts with the 55-unknown group, the largest
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kw):
+            if a.shape[-1] in (21, 55):
+                raise np.linalg.LinAlgError(f"{a.shape[-1]} unknowns")
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="^21 unknowns$"):
+            self._jet(monkeypatch, workers, parse("exp(z1+z2)"), 2, 22)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("f,n,order", [
+        ("exp(z1)", 1, 22),
+        ("exp(z1+z2)", 2, 12),
+        ("1+z1*z2+z1^3-2*z2^2", 2, 12),
+        ("z1^2*z2*conj(z1)/normsq(z)", 2, 4),
+    ])
+    def test_small_jets_start_no_thread(self, monkeypatch, f, n, order):
+        from forelli_lab import jets
+
+        def no_pool(*args):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(jets, "_sample_workers", lambda: 2)
+        monkeypatch.setattr(jets, "ThreadPoolExecutor", no_pool)
+        extract_jet(parse(f, dim=n), n, order)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_condition_limit_with_and_without_helper(self, monkeypatch,
+                                                     workers):
+        from forelli_lab import JetExtractionError
+        with pytest.raises(JetExtractionError) as info:
+            self._jet(monkeypatch, workers, parse("exp(z1+z2)"), 2, 24)
+        assert str(info.value) == ("ill-conditioned radius schedule: mode "
+                                   "(-8, 0) condition 1.08e+14 exceeds 1e+14")
