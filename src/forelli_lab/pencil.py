@@ -319,8 +319,9 @@ def _validate_pencil(spec: PencilSpec):
     for i, j in tree.query_pairs(_PENCIL_MESH_TOL):
         if np.abs(cone[i] - cone[j]).max() > 1e-8:
             raise PencilCheckError(
-                f"mesh injectivity violated: parameters {(L[i], tuple(D[i]))} "
-                f"and {(L[j], tuple(D[j]))} share an image")
+                "mesh injectivity violated: parameters "
+                f"{(L[i].item(), tuple(D[i].tolist()))} and "
+                f"{(L[j].item(), tuple(D[j].tolist()))} share an image")
 
 
 def load_pencil(source) -> PencilSpec:
@@ -461,7 +462,7 @@ def check_holo_along_pencil(f, P: PencilSpec,
     radii = list(rho_schedule)
     rho = np.asarray(radii, dtype=float)
     discs = [(i, r) for i in range(P.num_directions) for r in range(len(radii))]
-    units = [tuple(u) for u in P.directions]
+    units = [tuple(u) for u in P.directions.tolist()]
     out = []
     for start, stop in chunks(len(discs), 4 * modes):
         part = discs[start:stop]

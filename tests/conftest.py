@@ -3,6 +3,16 @@ import pytest
 
 from forelli_lab import FormalSeries
 
+try:
+    from hypothesis import settings
+except ImportError:                    # property tests skip themselves
+    pass
+else:
+    # Tier 1: the same bounded set of examples on every run, no deadline
+    settings.register_profile("tier1", derandomize=True, deadline=None,
+                              max_examples=200)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture
 def rng():

@@ -245,6 +245,23 @@ class TestPencilFileErrors:
                        "+0.2447137426470852j), (0.5716410673098538"
                        "-0.007712084321789922j)))\n")
 
+    def test_mesh_injectivity_names_plain_numbers(self, capsys, tmp_path):
+        # l*l*u maps lambda and -lambda to one point: the message names
+        # both parameter pairs as Python complex numbers, not numpy reprs
+        code, out, err = self._pencil_check(
+            capsys, tmp_path, {"n": 2, "map": ["l*l*u1", "l*l*u2"],
+                               "directions": "sphere:200"})
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failure: mesh injectivity "
+                              "violated: parameters (")
+        assert err.endswith(" share an image\n") and err.count("\n") == 1
+        assert "np." not in err and "complex128" not in err
+        first, second = err[err.index("("):err.rindex(" share")].split(" and ")
+        for pair in (first, second):
+            lam, u = ast.literal_eval(pair)
+            assert type(lam) is complex
+            assert len(u) == 2 and all(type(c) is complex for c in u)
+
     @pytest.mark.parametrize("data,message", [
         ({"map": ["l*u1", "l*u2"]}, 'pencil has no "n" (the dimension)'),
         ([2, ["l*u1", "l*u2"]], "the top level must be a JSON object"),

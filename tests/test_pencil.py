@@ -100,6 +100,13 @@ class TestCheckAlongPencil:
         assert sq <= base + 1e-9
         assert aff <= base + 1e-9
 
+    def test_directions_are_python_complex(self, twisted):
+        res = check_holo_along_pencil(parse("exp(z1+z2)"), twisted)
+        for entry in res.residuals:
+            row = twisted.directions[entry.direction_index]
+            assert all(type(c) is complex for c in entry.direction)
+            assert entry.direction == tuple(complex(c) for c in row)
+
 
 def one_disc_at_a_time(f, P, rho_schedule=(0.3, 0.6, 0.9), modes=16):
     """The per-disc loop that the batched disc check replaced."""
