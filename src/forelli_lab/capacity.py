@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -217,9 +217,10 @@ def _trial_family(E: np.ndarray, degree: int, trials: int, seed: int):
     """The z-independent trial polynomials of ``siciak_lower_bound``.
 
     Returns d and two lists of (polynomial, sup over E) pairs: affine
-    forms (a, c0) and the degree-<= d family (coefficients in one
-    variable, rows of linear forms in several).  Polynomials whose sup
-    over E is 0 are kept, so that the draws stay in order.
+    forms (a, c0) and the degree-<= d family (in one variable its d + 1
+    coefficients, lowest first and zero-padded, so that the family is one
+    array; in several, rows of linear forms).  Polynomials whose sup over
+    E is 0 are kept, so that the draws stay in order.
     """
     rng = np.random.default_rng(seed)
     d = int(degree)
@@ -237,6 +238,7 @@ def _trial_family(E: np.ndarray, degree: int, trials: int, seed: int):
             deg = int(rng.integers(1, d + 1))
             p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], p))
+            p = np.concatenate([p, np.zeros(d - deg)])
         else:
             p = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
             on_E = np.abs(np.prod(E @ p.T, axis=1))
@@ -244,32 +246,53 @@ def _trial_family(E: np.ndarray, degree: int, trials: int, seed: int):
     return d, forms, polys
 
 
-def _growth_bound(E: np.ndarray, z: np.ndarray, family) -> float:
-    """``siciak_lower_bound`` at z from a precomputed ``_trial_family``."""
+def _growth_bounds(E: np.ndarray, Z: np.ndarray, family) -> List[float]:
+    """``siciak_lower_bound`` at each row z of Z from a precomputed
+    ``_trial_family``: |p(z)| of every trial p at every probe z as
+    (trials, probes) arrays, then one maximum per probe."""
     d, forms, polys = family
-    best = -math.inf
-    nz = float(np.linalg.norm(z))
     # trial family 1: d-th powers of affine-linear forms; for p = lin^d the
-    # normalization (1/d)(log|p| - log sup|p|) collapses to the linear ratio
-    if nz > 0:
-        a = np.conj(z) / nz
-        forms = [((a, 0j), float(np.abs(E @ a + 0j).max()))] + forms
-    for (a, c0), supE in forms:
-        at_z = abs(complex(z @ a) + c0)
-        if supE == 0 or at_z == 0:
-            continue
-        best = max(best, math.log(at_z) - math.log(supE))
+    # normalization (1/d)(log|p| - log sup|p|) collapses to the linear ratio;
+    # first the form <conj(z)/|z|, w> of each probe, with its sup over E
+    lead = np.zeros((2, len(Z)))
+    for j, z in enumerate(Z):
+        nz = float(np.linalg.norm(z))
+        if nz > 0:
+            a = np.conj(z) / nz
+            lead[:, j] = abs(complex(z @ a) + 0j), np.abs(E @ a + 0j).max()
     # trial family 2: random-coefficient polynomials of degree <= d
     # (univariate) or products of d random linear forms (several variables)
-    for p, supE in polys:
-        if p.ndim == 1:
-            at_z = abs(np.polynomial.polynomial.polyval(complex(z[0]), p))
-        else:
-            at_z = abs(complex(np.prod(z @ p.T)))
-        if supE == 0 or at_z == 0:
-            continue
-        best = max(best, (math.log(at_z) - math.log(supE)) / d)
-    return best if np.isfinite(best) else -math.inf
+    if Z.shape[1] == 1:
+        # at nv = 1, z @ a and polyval round as these real products do
+        x = Z[:, 0]
+        a, c0 = np.reshape([(f[0], c) for (f, c), _ in forms], (-1, 2)).T[..., None]
+        at_forms = np.hypot(x.real * a.real - x.imag * a.imag + c0.real,
+                            x.real * a.imag + x.imag * a.real + c0.imag)
+        C = np.array([p for p, _ in polys]).reshape(-1, d + 1)
+        vr, vi = C[:, d:].real, C[:, d:].imag
+        for j in range(d - 1, -1, -1):
+            vr, vi = (C[:, j:j + 1].real + (vr * x.real - vi * x.imag),
+                      C[:, j:j + 1].imag + (vr * x.imag + vi * x.real))
+        at_polys = np.hypot(vr, vi)
+    else:
+        # in several variables numpy's products round otherwise; keep them
+        at_forms = np.array([[abs(complex(z @ a) + c0) for z in Z]
+                             for (a, c0), _ in forms]).reshape(-1, len(Z))
+        at_polys = np.array([[abs(complex(np.prod(z @ p.T))) for z in Z]
+                             for p, _ in polys]).reshape(-1, len(Z))
+    at = np.concatenate([lead[:1], at_forms, at_polys])
+    sups = np.reshape([s for _, s in forms + polys], (-1, 1))
+    sup = np.concatenate([lead[1:], np.repeat(sups, len(Z), axis=1)])
+    # logs by math.log, as one trial at a time took them; 0 is skipped
+    keep = (at != 0) & (sup != 0)
+    logs = np.reshape(list(map(math.log, np.concatenate(
+        [at[keep], sup[keep]]).tolist())), (2, -1))
+    ratio = np.full(at.shape, -np.inf)
+    ratio[keep] = logs[0] - logs[1]
+    ratio[1 + len(forms):] /= d
+    # a nan never wins, as in max(); an infinite best gives -inf
+    return [b if math.isfinite(b) else -math.inf
+            for b in np.fmax.reduce(ratio).tolist()]
 
 
 def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
@@ -285,7 +308,7 @@ def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[0] != E.shape[1]:
         raise ValueError("z and E live in different dimensions")
-    return _growth_bound(E, z, _trial_family(E, degree, trials, seed))
+    return _growth_bounds(E, z[None], _trial_family(E, degree, trials, seed))[0]
 
 
 def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
@@ -297,7 +320,8 @@ def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
     gamma is estimated as the max over probe shells ||z|| = R and sampled
     directions of (V_lb(z) - log ||z||).  Estimates are one-sided in the
     V_E sense; downstream uses only need positivity.  The trial
-    polynomials and their sups over E are built once for all probes.
+    polynomials and their sups over E are built once, and evaluated at
+    all probes in one pass.
     """
     probe_radii = tuple(float(r) for r in probe_radii)
     if not probe_radii or max(probe_radii) < 10.0:
@@ -310,12 +334,12 @@ def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
     dirs = rng.standard_normal((directions, nv)) + 1j * rng.standard_normal(
         (directions, nv))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    family = _trial_family(E, degree, trials, seed) if len(dirs) else None
     gamma = -math.inf
-    for R in probe_radii:
-        for w in dirs:
-            vlb = _growth_bound(E, R * w, family)
-            gamma = max(gamma, vlb - math.log(R))
+    if len(dirs):
+        Z = (np.array(probe_radii)[:, None, None] * dirs).reshape(-1, nv)
+        bounds = _growth_bounds(E, Z, _trial_family(E, degree, trials, seed))
+        logs = [math.log(R) for R in probe_radii for _ in dirs]
+        gamma = max([gamma] + [b - r for b, r in zip(bounds, logs)])
     value = math.exp(-gamma) if np.isfinite(gamma) else 0.0
     return CapacityEstimate(value, "SiciakExtremal", E.shape[0],
                             {"gamma": gamma, "degree": degree,

@@ -134,12 +134,6 @@ def load_directions(spec, n: int, seed: int) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in vec] for vec in spec])
 
 
-def angular_distance(u, v) -> float:
-    inner = float(np.clip(np.real(np.vdot(np.asarray(u), np.asarray(v))),
-                          -1.0, 1.0))
-    return math.acos(inner)
-
-
 def _realify(points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(points)
     return np.column_stack([points.real, points.imag]).reshape(len(points), -1)
@@ -548,7 +542,8 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
         raise ValueError("normalization is implemented for n = 2 only")
     v0_arr = np.asarray(v0, dtype=complex)
     v0_arr = v0_arr / np.linalg.norm(v0_arr)
-    gap = min(angular_distance(v0_arr, u) for u in P.directions)
+    inner = float(np.real(P.directions @ np.conj(v0_arr)).max())
+    gap = math.acos(min(max(inner, -1.0), 1.0))
     if gap > 4.0 * max(P.resolution(), 1e-12):
         warnings.warn(f"v0 is {gap:.3g} rad from the nearest sampled "
                       "direction; the pencil is extrapolated there")

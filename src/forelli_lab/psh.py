@@ -11,6 +11,10 @@ Averages integrate u_k itself (not P_k) over the distinguished torus:
 that is the reading under which the sub-mean inequality and the
 Lipschitz estimate hold.  Points where P_k vanishes give a -inf
 integrand; they are clipped at CLIP_FLOOR and counted.
+
+Each u_k is a row of one ``SlicePolyFamily.values_at`` call for as many
+k as fit in pencil.DISC_CHUNK_SAMPLES values; averages and maxima reduce
+those rows, bit for bit what one k at a time gives.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .pencil import chunks
 from .series import torus
 from .slices import ChartPoly, SlicePolyFamily
 
@@ -54,11 +59,21 @@ class PshFamily:
 
     def u(self, k: int, points):
         """u_k at points; -inf exactly where P_k vanishes."""
-        if not 1 <= k <= self.K:
-            raise ValueError(f"k={k} outside 1..{self.K}")
-        vals = np.abs(self.family.polys[k](points))
+        return next(_u_rows(self, [k], points))[1][0]
+
+
+def _u_rows(family: PshFamily, ks, points):
+    """(ks, rows u_k(points)) for the ks in chunks of at most
+    pencil.DISC_CHUNK_SAMPLES values, one ``values_at`` call each."""
+    ks = np.asarray(ks)
+    bad = ks[(ks < 1) | (ks > family.K)]
+    if bad.size:
+        raise ValueError(f"k={bad[0]} outside 1..{family.K}")
+    for start, stop in chunks(len(ks), np.size(points) // max(1, family.nvars)):
+        k = ks[start:stop]
+        vals = np.abs(family.family.values_at(points, k))
         with np.errstate(divide="ignore"):
-            return np.log(vals) / k
+            yield k, np.log(vals) / k.reshape((-1,) + (1,) * (vals.ndim - 1))
 
 
 class TorusAverage(NamedTuple):
@@ -74,6 +89,12 @@ def average_on_torus(family: PshFamily, k: int, z, r,
     at CLIP_FLOOR and counted in the result; clipping biases the
     average downward and is reported, not fatal.
     """
+    return _torus_averages(family, [k], z, r, grid)[0]
+
+
+def _torus_averages(family: PshFamily, ks, z, r, grid: int
+                    ) -> List[TorusAverage]:
+    """``average_on_torus`` for each k in ks, from shared torus nodes."""
     if grid < 16:
         raise ValueError("grid must be >= 16 per angle")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -82,10 +103,13 @@ def average_on_torus(family: PshFamily, k: int, z, r,
         raise ValueError(f"center and polyradius need {family.nvars} components")
     nodes = torus(r, grid)
     pts = np.stack([z[k] + nodes[k] for k in range(len(z))], axis=-1)
-    vals = family.u(k, pts[..., 0] if len(z) == 1 else pts)
-    clipped = int(np.sum(~np.isfinite(vals)))
-    vals = np.maximum(vals, CLIP_FLOOR)
-    return TorusAverage(float(np.mean(vals)), clipped)
+    out = []
+    for k, rows in _u_rows(family, ks, pts[..., 0] if len(z) == 1 else pts):
+        rows = rows.reshape(len(k), -1)
+        out += map(TorusAverage,
+                   np.maximum(rows, CLIP_FLOOR).mean(axis=1).tolist(),
+                   np.sum(~np.isfinite(rows), axis=1).tolist())
+    return out
 
 
 class LipschitzCheck(NamedTuple):
@@ -142,9 +166,8 @@ def classify_trichotomy(family: PshFamily, r, K: Optional[int] = None,
         raise ValueError("need K >= 20")
     nv = family.nvars
     zero = np.zeros(nv, dtype=complex) if nv > 1 else 0j
-    averages = np.array([
-        average_on_torus(family, k, zero, r, grid).value
-        for k in range(1, K + 1)])
+    averages = np.array([a.value for a in _torus_averages(
+        family, range(1, K + 1), zero, r, grid)])
     tail_start = K - math.ceil(K / 2)
     alpha = float(averages[tail_start:].max())
     if alpha <= -threshold:
@@ -163,10 +186,8 @@ def classify_trichotomy(family: PshFamily, r, K: Optional[int] = None,
         flat = (xx + 1j * yy).ravel()
         sample_points = flat if nv == 1 else np.column_stack([flat] * nv)
         vmax = np.full(len(sample_points), -np.inf)
-        for k in pos:
-            uk = np.asarray(family.u(k, sample_points), dtype=float)
-            vk = uk / averages[k - 1]
-            vmax = np.maximum(vmax, vk)
+        for k, rows in _u_rows(family, pos, sample_points):
+            vmax = np.maximum(vmax, (rows / averages[k - 1, None]).max(axis=0))
         exceptional = sample_points[vmax < 1.0 - V_GAP]
         evidence["subsequence"] = pos
         evidence["exceptional_sample"] = exceptional.tolist()
@@ -204,8 +225,8 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
     nodes = xs[None, :] + 1j * ys[:, None]
     window = math.ceil(K / 2)
     u = np.full(nodes.shape, -np.inf)
-    for k in range(K - window + 1, K + 1):
-        u = np.maximum(u, family.u(k, nodes))
+    for _, rows in _u_rows(family, range(K - window + 1, K + 1), nodes):
+        u = np.maximum(u, rows.max(axis=0))
     u = np.maximum(u, CLIP_FLOOR)
     # one grid-sized array at a time: a stack of the nine shifts would pass
     # the 0.5 MB glibc threshold that pencil.DISC_CHUNK_SAMPLES notes

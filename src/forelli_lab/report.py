@@ -40,8 +40,8 @@ def sanitize(obj: Any) -> Any:
         return obj
     if isinstance(obj, complex):
         return [sanitize(obj.real), sanitize(obj.imag)]
-    if hasattr(obj, "item"):           # numpy scalars
-        return sanitize(obj.item())
+    if hasattr(obj, "item") and not getattr(obj, "ndim", 0):
+        return sanitize(obj.item())    # numpy scalars and 0-d arrays
     if hasattr(obj, "tolist"):         # numpy arrays
         return sanitize(obj.tolist())
     return str(obj)

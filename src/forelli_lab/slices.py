@@ -15,7 +15,8 @@ convergence with polyradius (1/(2M), r0/(2M), ..., r0/(2M)).
 Each P_k is an order block of the series' graded table.  Slices, chart
 polynomials and the certificate's block sums are all evaluated by the
 series module's monomial kernel on whole point arrays; no evaluation
-here loops over terms or over points.
+here loops over terms or over points, and a family's members share one
+kernel call per chunk of them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .pencil import DISC_CHUNK_SAMPLES
 from .series import FormalSeries, monomials, torus
 
 CHART_EPS = 1e-9   # directions with |v_1| up to this have no chart
@@ -143,8 +145,30 @@ class SlicePolyFamily:
     def K(self) -> int:
         return len(self.polys) - 1
 
-    def values_at(self, b) -> np.ndarray:
-        return np.array([p(b) for p in self.polys], dtype=complex)
+    def values_at(self, b, members=None) -> np.ndarray:
+        """P_k(b) for the k in members (default 0..K), shape (members,) + points.
+
+        One ``monomials`` call per chunk of members (at least one, at most
+        pencil.DISC_CHUNK_SAMPLES points x terms), then each member's own
+        columns times its coefficients: the bits of the member's own call.
+        """
+        b = _chart_points(b, self.nvars)
+        polys = self.polys if members is None else [self.polys[k] for k in members]
+        ends = np.cumsum([0] + [len(p.coeffs) for p in polys])
+        # numpy multiplies one-entry arrays in place without fused
+        # multiply-adds, so a lone point keeps its members apart
+        size = math.prod(b.shape[:-1])
+        cap = DISC_CHUNK_SAMPLES // size if size > 1 else 0
+        rows, lo = [], 0
+        while lo < len(polys):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + cap, "right")) - 1)
+            M = monomials(b, np.concatenate([p.exponents for p in polys[lo:hi]]))
+            rows += [M[..., s - ends[lo]:e - ends[lo]] @ p.coeffs for p, s, e
+                     in zip(polys[lo:hi], ends[lo:hi], ends[lo + 1:hi + 1])]
+            lo = hi
+        if len(rows) == 1:
+            return rows[0][None]
+        return np.array(rows, dtype=complex).reshape((len(rows),) + b.shape[:-1])
 
     def abs_values_at(self, b) -> np.ndarray:
         return np.abs(self.values_at(b))

@@ -7,7 +7,9 @@ from forelli_lab import (CapacityEstimate, ChartUndecidableError,
                          CompactSet1D, cap1d_transfinite, cap_siciak, energy,
                          leja_points, normality_check, siciak_lower_bound,
                          sphere_directions, cap_directions)
+from forelli_lab.capacity import _growth_bounds, _trial_family
 from forelli_lab.pencil import _realify
+from forelli_lab.series import torus
 from forelli_lab.slices import chart_map
 
 
@@ -205,6 +207,69 @@ class TestSiciakSharedTrials:
         with pytest.raises(ValueError, match="degree"):
             cap_siciak(E, degree=0)
         assert cap_siciak(E, degree=0, directions=0).value == 0.0
+
+
+def per_probe_gamma(E, degree, trials, probe_radii, directions, seed):
+    """cap_siciak's gamma with one siciak_one_probe call per probe."""
+    nv = E.shape[1]
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((directions, nv)) + 1j * rng.standard_normal(
+        (directions, nv))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    gamma = -math.inf
+    for R in probe_radii:
+        for w in dirs:
+            vlb = siciak_one_probe(E, R * w, degree, trials, seed=seed)
+            gamma = max(gamma, vlb - math.log(R))
+    return gamma, dirs
+
+
+class TestSiciakProbesAtOnce:
+    """All probes in one pass give each probe the per-probe bound's bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_ball_probe_by_probe(self, seed):
+        # the input of `capacity --siciak-ball 0.7`
+        E = torus((0.7,), 256)[0][:, None]
+        radii = (10.0, 30.0, 100.0)
+        gamma, dirs = per_probe_gamma(E, 32, 200, radii, 8, seed)
+        Z = np.array([R * w for R in radii for w in dirs])
+        bounds = _growth_bounds(E, Z, _trial_family(E, 32, 200, seed))
+        assert bounds == [siciak_one_probe(E, z, 32, 200, seed=seed)
+                          for z in Z]
+        est = cap_siciak(E, degree=32, trials=200, seed=seed, closed_form=0.7)
+        assert est.diagnostics["gamma"] == gamma
+        assert est.value == math.exp(-gamma)
+
+    @pytest.mark.parametrize("nv", [1, 2])
+    @pytest.mark.parametrize("degree, trials, directions", [
+        (12, 1, 8), (1, 40, 8), (1, 1, 3), (5, 0, 4), (32, 200, 2)])
+    def test_small_families(self, nv, degree, trials, directions):
+        E = TestSiciakSharedTrials.cloud(nv)
+        radii = (2.0, 10.0)
+        gamma, _ = per_probe_gamma(E, degree, trials, radii, directions, 7)
+        est = cap_siciak(E, degree=degree, trials=trials, probe_radii=radii,
+                         directions=directions, seed=7)
+        assert est.diagnostics["gamma"] == gamma
+
+    def test_no_directions(self):
+        E = TestSiciakSharedTrials.cloud(2)
+        est = cap_siciak(E, directions=0)
+        assert est.diagnostics["gamma"] == -math.inf and est.value == 0.0
+
+    @pytest.mark.parametrize("nv", [1, 3])
+    def test_set_of_zeros(self, nv):
+        # on E = {0} the leading forms and, in several variables, the
+        # products of linear forms have sup 0 and are skipped
+        E = np.zeros((6, nv), dtype=complex)
+        gamma, _ = per_probe_gamma(E, 4, 10, (10.0,), 3, 42)
+        assert cap_siciak(E, degree=4, trials=10, probe_radii=(10.0,),
+                          directions=3).diagnostics["gamma"] == gamma
+
+    def test_log_of_a_probe_radius(self):
+        E = TestSiciakSharedTrials.cloud(1)
+        with pytest.raises(ValueError, match="math domain error"):
+            cap_siciak(E, probe_radii=(0.0, 10.0))
 
 
 class TestNormalityCheck:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,36 @@ class TestTildeNormalize:
         P = standard_pencil(2, cap_directions(2, 0.2, 100, seed=3))
         with pytest.warns(UserWarning, match="extrapolated"):
             tilde_normalize(P, (0.0, 1.0), eps=0.2)
+
+    @pytest.mark.parametrize("v0", [(0.0, 1.0), (0.3, 1.0), (1j, 0.5)])
+    def test_far_direction_text(self, v0):
+        # the gap as the smallest angle of one direction at a time
+        from forelli_lab import cap_directions
+        P = standard_pencil(2, cap_directions(2, 0.2, 100, seed=3))
+        unit = np.asarray(v0, dtype=complex) / np.linalg.norm(v0)
+        gap = min(math.acos(float(np.clip(np.real(np.vdot(unit, u)), -1, 1)))
+                  for u in P.directions)
+        with pytest.warns(UserWarning) as caught:
+            tilde_normalize(P, v0, eps=0.2)
+        assert [str(w.message) for w in caught] == [
+            f"v0 is {gap:.3g} rad from the nearest sampled direction; "
+            "the pencil is extrapolated there"]
+
+    def test_bench_twisted_pencil_checks(self):
+        # the lab_session pencil at seed 1; its directions enter only the
+        # extrapolation test, so reversing or thinning them moves no check
+        rng = np.random.default_rng([1, 3])
+        U = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        checks = []
+        for directions in (U, U[::-1], U[::7]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kd = tilde_normalize(pencil_from_exprs(2, TWIST, directions),
+                                     (1.0, 0.0), eps=0.4)
+            checks.append(repr(kd.checks))
+        assert checks[0] == checks[1] == checks[2]
+        assert kd.checks["max_abs_k0"] <= 1e-8
 
 
 class TestComputeHG:

@@ -5,8 +5,15 @@ import pytest
 
 from forelli_lab import (CompactSet1D, average_on_torus, cap1d_transfinite,
                          classify_trichotomy, lipschitz_check, upper_envelope)
-from forelli_lab.psh import FINITE, MINUS_INFINITY, PLUS_INFINITY, PshFamily
+from forelli_lab.psh import (CLIP_FLOOR, FINITE, MINUS_INFINITY, PLUS_INFINITY,
+                             V_GAP, PshFamily)
+from forelli_lab.series import torus
 from forelli_lab.slices import ChartPoly
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def monomial_family(coef_fn, K, power_fn=lambda k: k):
@@ -210,3 +217,159 @@ class TestEnvelope:
             if abs(complex(x, y)) > 0.1:
                 assert u == pytest.approx(math.log(abs(complex(x, y))),
                                           abs=1e-12)
+
+
+# -- one k at a time, as the estimates read before values_at took member lists
+
+def ref_u(family, k, points):
+    vals = np.abs(family.family.polys[k](points))
+    with np.errstate(divide="ignore"):
+        return np.log(vals) / k
+
+
+def ref_average(family, k, z, r, grid=64):
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    nodes = torus(np.atleast_1d(np.asarray(r, dtype=float)), grid)
+    pts = np.stack([z[j] + nodes[j] for j in range(len(z))], axis=-1)
+    vals = ref_u(family, k, pts[..., 0] if len(z) == 1 else pts)
+    clipped = int(np.sum(~np.isfinite(vals)))
+    return float(np.mean(np.maximum(vals, CLIP_FLOOR))), clipped
+
+
+def ref_classify(family, r, K, grid, threshold):
+    nv = family.nvars
+    zero = np.zeros(nv, dtype=complex) if nv > 1 else 0j
+    averages = np.array([ref_average(family, k, zero, r, grid)[0]
+                         for k in range(1, K + 1)])
+    tail_start = K - math.ceil(K / 2)
+    alpha = float(averages[tail_start:].max())
+    evidence = {"tail_averages": averages[tail_start:].tolist()}
+    if alpha >= threshold:
+        pos = [k for k in range(tail_start + 1, K + 1) if averages[k - 1] > 0]
+        side = np.linspace(-1.0, 1.0, 21)
+        xx, yy = np.meshgrid(side, side)
+        flat = (xx + 1j * yy).ravel()
+        sample_points = flat if nv == 1 else np.column_stack([flat] * nv)
+        vmax = np.full(len(sample_points), -np.inf)
+        for k in pos:
+            vmax = np.maximum(vmax, ref_u(family, k, sample_points)
+                              / averages[k - 1])
+        evidence["subsequence"] = pos
+        evidence["exceptional_sample"] = \
+            sample_points[vmax < 1.0 - V_GAP].tolist()
+    return alpha, evidence
+
+
+def ref_envelope_u(family, nodes, K):
+    u = np.full(nodes.shape, -np.inf)
+    for k in range(K - math.ceil(K / 2) + 1, K + 1):
+        u = np.maximum(u, ref_u(family, k, nodes))
+    return np.maximum(u, CLIP_FLOOR)
+
+
+def random_family(rng, nv, K, max_terms):
+    polys = [ChartPoly(nv, rng.integers(0, k + 2, (T, nv)),
+                       rng.standard_normal(T) + 1j * rng.standard_normal(T))
+             for k, T in enumerate(rng.integers(0, max_terms + 1, K + 1))]
+    return PshFamily.from_polys(polys)
+
+
+class TestAgainstOneKAtATime:
+    K = 120
+
+    @pytest.mark.parametrize("coef, case", [
+        (lambda k: float(k) ** -k, MINUS_INFINITY),
+        (lambda k: float(k) ** k, PLUS_INFINITY),
+        (lambda k: 1.0, FINITE)])
+    @pytest.mark.parametrize("K", [120, 65, 64, 41])
+    def test_trichotomy_cases(self, coef, case, K):
+        fam = monomial_family(coef, self.K)
+        v = classify_trichotomy(fam, (1.0,), K, threshold=3.0)
+        alpha, evidence = ref_classify(fam, (1.0,), K, 64, 3.0)
+        assert v.case == case
+        assert math.copysign(1, v.alpha_r) == math.copysign(1, alpha)
+        assert v.alpha_r == alpha
+        for key, want in evidence.items():
+            assert v.evidence[key] == want
+        if case == PLUS_INFINITY:
+            assert v.evidence["exceptional_sample"]
+
+    @pytest.mark.parametrize("nv, grid", [(1, 16), (1, 64), (2, 16), (2, 33)])
+    def test_random_families(self, rng, nv, grid):
+        fam = random_family(rng, nv, 30, 5)       # members with no terms too
+        r = (0.8,) * nv
+        for threshold in (0.1, 50.0):
+            v = classify_trichotomy(fam, r, 30, grid, threshold=threshold)
+            alpha, evidence = ref_classify(fam, r, 30, grid, threshold)
+            assert repr(v.alpha_r) == repr(alpha)
+            for key, want in evidence.items():
+                assert repr(v.evidence[key]) == repr(want)
+        z = 0.2 - 0.1j if nv == 1 else (0.2, -0.1j)
+        for k in range(1, 31):
+            assert tuple(average_on_torus(fam, k, z, r, grid)) \
+                == ref_average(fam, k, z, r, grid)
+
+    def test_plus_case_in_two_variables(self):
+        fam = monomial_family(lambda k: float(k) ** k, 40)
+        polys = [ChartPoly(2, p.exponents.repeat(2, axis=1), p.coeffs)
+                 for p in fam.family.polys]
+        fam2 = PshFamily.from_polys(polys)
+        v = classify_trichotomy(fam2, (1.0, 1.0), 40, 16, threshold=3.0)
+        alpha, evidence = ref_classify(fam2, (1.0, 1.0), 40, 16, 3.0)
+        assert v.case == PLUS_INFINITY and v.alpha_r == alpha
+        assert v.evidence["exceptional_sample"] \
+            == evidence["exceptional_sample"] != []
+
+    def test_vanishing_member_is_clipped(self):
+        # P_k(2) = 0 exactly on the torus around 1 of radius 1, and P_5 is
+        # the empty polynomial, -inf everywhere
+        polys = [ChartPoly.from_dict(1, {(0,): -2.0, (1,): 1.0})] * 5 \
+            + [ChartPoly(1, np.zeros((0, 1), dtype=int), [])] * 2
+        fam = PshFamily.from_polys(polys)
+        for k, clipped in ((3, 1), (5, 64)):
+            avg = average_on_torus(fam, k, 1.0 + 0j, (1.0,), grid=64)
+            assert tuple(avg) == ref_average(fam, k, 1.0 + 0j, (1.0,), 64)
+            assert avg.clipped == clipped
+        assert fam.u(5, np.array([0.5, 2.0])).tolist() == [-np.inf, -np.inf]
+
+    @pytest.mark.parametrize("num", [9, 41, 64, 101])
+    def test_envelope(self, num):
+        fam = monomial_family(lambda k: float(k) ** k, 60)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), 60, num=num)
+        assert same_bits(field.u, ref_envelope_u(fam, field.nodes, 60))
+
+    def test_u_rows(self, rng):
+        fam = random_family(rng, 2, 12, 4)
+        pts = rng.standard_normal((7, 5, 2)) + 1j * rng.standard_normal((7, 5, 2))
+        for k in range(1, 13):
+            assert same_bits(fam.u(k, pts), ref_u(fam, k, pts))
+            assert same_bits(fam.u(k, pts[0, 0]), ref_u(fam, k, pts[0, 0]))
+
+
+class TestErrorsKept:
+    def test_small_grid(self):
+        fam = monomial_family(lambda k: 1.0, 30)
+        with pytest.raises(ValueError, match="^grid must be >= 16 per angle$"):
+            average_on_torus(fam, 0, 0j, (1.0,), grid=15)
+        with pytest.raises(ValueError, match="^grid must be >= 16 per angle$"):
+            classify_trichotomy(fam, (1.0,), 30, grid=8)
+
+    def test_lengths(self):
+        fam = monomial_family(lambda k: 1.0, 30)
+        with pytest.raises(ValueError, match="^center and polyradius need 1 "
+                                             "components$"):
+            classify_trichotomy(fam, (1.0, 1.0), 30)
+
+    @pytest.mark.parametrize("k", [0, -1, 31])
+    def test_k_outside_the_family(self, k):
+        fam = monomial_family(lambda k: 1.0, 30)
+        message = f"^k={k} outside 1..30$"
+        with pytest.raises(ValueError, match=message):
+            fam.u(k, np.zeros(4))
+        with pytest.raises(ValueError, match=message):
+            average_on_torus(fam, k, 0j, (1.0,))
+
+    def test_classify_past_the_family(self):
+        fam = monomial_family(lambda k: 1.0, 30)
+        with pytest.raises(ValueError, match="^k=31 outside 1..30$"):
+            classify_trichotomy(fam, (1.0,), 40)

@@ -105,7 +105,8 @@ class TestToJson:
 # -- sanitize against its isinstance chain -------------------------------------
 
 def reference_sanitize(obj):
-    """sanitize as it read before its exact-type fast path."""
+    """sanitize as it read before its exact-type fast path, with arrays of
+    one or more axes sent to .tolist() (they tried .item() first)."""
     if isinstance(obj, dict):
         return {str(k): reference_sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -122,7 +123,7 @@ def reference_sanitize(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if hasattr(obj, "item"):
+    if hasattr(obj, "item") and not getattr(obj, "ndim", 0):
         return reference_sanitize(obj.item())
     if hasattr(obj, "tolist"):
         return reference_sanitize(obj.tolist())
@@ -168,16 +169,18 @@ class TestSanitize:
         assert same(got, want)
         assert to_json(got) == dumps(want)
 
-    @pytest.mark.parametrize("value", [
-        np.arange(6).reshape(2, 3), np.array([[1 + 1j, math.nan]]),
-        {"values": np.linspace(0, 1, 4)}], ids=repr)
-    def test_arrays_of_several_entries_raise_as_before(self, value):
-        # .item() is tried before .tolist(), and fails on these
-        with pytest.raises(ValueError) as want:
-            reference_sanitize(value)
-        with pytest.raises(ValueError) as got:
-            sanitize(value)
-        assert str(got.value) == str(want.value)
+    @pytest.mark.parametrize("value, want", [
+        (np.arange(6).reshape(2, 3), [[0, 1, 2], [3, 4, 5]]),
+        (np.array([[1 + 1j, math.nan]]), [[[1.0, 1.0], ["nan", 0.0]]]),
+        ({"values": np.linspace(0, 1, 4)},
+         {"values": [0.0, 1 / 3, 2 / 3, 1.0]}),
+        (np.array([7]), [7]), (np.array([[1j]]), [[[0.0, 1.0]]]),
+        (np.array(7), 7), (np.zeros((2, 0)), [[], []]),
+    ], ids=["ints-2x3", "complex-nan", "dict-linspace", "one-entry",
+            "complex-1x1", "zero-d", "empty-2x0"])
+    def test_arrays_give_nested_lists(self, value, want):
+        # arrays of one or more axes go through .tolist(), 0-d ones .item()
+        assert same(sanitize(value), want)
 
 
 # -- every subcommand's report -------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from forelli_lab import (CertificateError, ChartPoly, FormalSeries,
                          NotHolomorphicTypeError, certify_polydisc, chart_map,
                          chart_poly_family, radius_root_test, slice_series)
+from forelli_lab.slices import SlicePolyFamily
 
 from conftest import geometric_product_series, random_series
 
@@ -431,3 +432,85 @@ class TestKernelAgainstLoops:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(
             "Cauchy bound" if case == "cauchy" else "order-1 block sum")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFamilyValues:
+    """``values_at`` gives each member the bits of its own ChartPoly call."""
+
+    @staticmethod
+    def family(rng, nv, K, max_terms):
+        polys = []
+        for k in range(K + 1):
+            T = int(rng.integers(0, max_terms + 1))
+            polys.append(ChartPoly(nv, rng.integers(0, k + 2, (T, nv)),
+                                   rng.standard_normal(T)
+                                   + 1j * rng.standard_normal(T)))
+        return SlicePolyFamily(nv, polys)
+
+    @staticmethod
+    def points(rng, nv, shape):
+        shape = tuple(shape) + ((nv,) if nv > 1 else ())
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("nv", [1, 2])
+    @pytest.mark.parametrize("max_terms", [1, 9])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (64,), (441,),
+                                       (48, 48), (101, 101)])
+    def test_rows_are_member_calls(self, rng, nv, max_terms, shape):
+        fam = self.family(rng, nv, 30, max_terms)
+        b = self.points(rng, nv, shape)
+        want = np.array([p(b) for p in fam.polys], dtype=complex)
+        assert same_bits(fam.values_at(b), want)
+        members = [29, 3, 3, 0, 17]
+        assert same_bits(fam.values_at(b, members), want[members])
+        assert same_bits(fam.abs_values_at(b), np.abs(want))
+
+    def test_single_term_members_at_one_point(self, rng):
+        # one-entry products round without fused multiply-adds in numpy
+        polys = [ChartPoly(2, [[k, 2 * k + 1]], [0.3 - 1.1j * k])
+                 for k in range(12)]
+        fam = SlicePolyFamily(2, polys)
+        for b in self.points(rng, 2, (40,)):
+            want = np.array([p(b) for p in polys])
+            assert same_bits(fam.values_at(b), want)
+            assert same_bits(fam.values_at(b[None]), want[:, None])
+
+    @pytest.mark.parametrize("K", [63, 64, 65, 127, 130])
+    def test_chunks_split_the_family(self, K):
+        # 64 one-term members fill a chunk of 64 points
+        polys = [ChartPoly(1, [[k]], [1.0 + 0.5j]) for k in range(K + 1)]
+        fam = SlicePolyFamily(1, polys)
+        b = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
+        want = np.array([p(b) for p in polys])
+        assert same_bits(fam.values_at(b), want)
+        assert same_bits(fam.values_at(b, range(1, K + 1)), want[1:])
+
+    def test_vanishing_and_empty_members(self):
+        polys = [ChartPoly(1, [[0], [1]], [-2.0, 1.0]),     # zero at b = 2
+                 ChartPoly(1, np.zeros((0, 1), dtype=int), []),
+                 ChartPoly(1, [[3]], [1j])]
+        fam = SlicePolyFamily(1, polys)
+        b = np.array([2.0, 0.5 + 1j, 0.0])
+        vals = fam.values_at(b)
+        assert same_bits(vals, np.array([p(b) for p in polys]))
+        assert vals[0, 0] == 0 and not vals[1].any() and vals[2, 2] == 0
+        assert fam.values_at(b, []).shape == (0, 3)
+        assert fam.values_at(np.zeros((0,)), [0, 2]).shape == (2, 0)
+
+    def test_chart_family_of_a_series(self, rng):
+        S = random_series(rng, 3, 9, num_terms=80, holomorphic=True)
+        fam = chart_poly_family(S, 9)
+        for shape in [(), (200,), (2368,)]:
+            b = self.points(rng, 2, shape)
+            want = np.array([p(b) for p in fam.polys], dtype=complex)
+            assert same_bits(fam.values_at(b), want)
+
+    def test_wrong_last_axis(self, rng):
+        fam = self.family(rng, 2, 5, 3)
+        with pytest.raises(ValueError, match="last axis 2"):
+            fam.values_at(np.ones((4, 3)))
