@@ -65,6 +65,13 @@ def containers(children):
 VALUES = st.recursive(LEAVES, containers, max_leaves=24)
 
 
+# The default repr of a plain object carries its memory address, which would
+# give its case a new name on every run; these fixed ids keep the names the
+# cases were first reported under.
+OBJECT_ID = "<object object at 0x7f6d1e519c20>"
+THING_ID = "<test_report.Thing object at 0x7f6d161b4250>"
+
+
 class TestToJson:
     @hypothesis.given(VALUES)
     def test_bytes_of_json_dumps(self, value):
@@ -92,7 +99,8 @@ class TestToJson:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("value", [
-        object(), {"a": [1, {"b": object()}]}, [set()], {"z": 1, None: 2},
+        pytest.param(object(), id=OBJECT_ID),
+        {"a": [1, {"b": object()}]}, [set()], {"z": 1, None: 2},
         {1: "a", "b": 2}, b"bytes", np.float32(1.0)], ids=repr)
     def test_unserializable_raises_type_error(self, value):
         with pytest.raises(TypeError) as want:
@@ -160,7 +168,8 @@ class TestSanitize:
         np.array(3.5), np.array(2 + 1j), np.array([7]), np.array([[1j]]),
         [math.nan, math.inf, -math.inf, -0.0], np.float64(math.nan),
         {1: 2, 3: [4, (5, 6)]}, {(1, 2): "tuple key", None: 1.5},
-        (1, (2.0, "three")), Thing(), Fraction(1, 3), Real(2.5),
+        (1, (2.0, "three")), pytest.param(Thing(), id=THING_ID),
+        Fraction(1, 3), Real(2.5),
         Real(math.inf), Whole(4), Colour.RED, True, None, "text", 10**30,
         {"stage": {"values": [np.float64(0.5)], "ok": np.bool_(False)}},
     ], ids=repr)
