@@ -364,21 +364,31 @@ class NormalityCheck:
 MAX_SHELL_STEPS = 64
 
 
-def _covered(tree, centers: np.ndarray, shell: np.ndarray, cover: float
-             ) -> np.ndarray:
-    """Per center c, whether every point c + shell has a sample within cover.
+def _covered(tree, centers: np.ndarray, R: float, dirs: np.ndarray,
+             cover: float, known: np.ndarray) -> np.ndarray:
+    """Per center c, whether every point c + R*d of the shell has a sample
+    within cover.
 
-    Queries at most pencil.DISC_CHUNK_SAMPLES points at a time.  The search is
+    known[:, i, j] holds the radius t and nearest-sample distance delta of
+    the last query on the ray centers[i] + t*dirs[j], and is updated here;
+    (0, 0) stands for the center, itself a sample.  A point with
+    |R - t| + delta <= cover*(1 - 1e-9), less the rounding of the points, is
+    covered by the triangle inequality and is not queried.  The others are
+    queried at most pencil.DISC_CHUNK_SAMPLES at a time, and the search is
     cut a hair above cover: a point with no sample that near gets an
     infinite distance, which the test reads the same as any beyond cover.
     """
-    out = []
-    for start, stop in chunks(len(centers), len(shell)):
-        points = centers[start:stop, None, :] + shell
-        dist = tree.query(points.reshape(-1, shell.shape[-1]),
-                          distance_upper_bound=cover * (1 + 1e-9))[0]
-        out.append(~np.any(dist.reshape(points.shape[:2]) > cover, axis=1))
-    return np.concatenate(out)
+    t, delta = known
+    slack = 1e-9 * cover + 1e-15 * dirs.shape[1] * (
+        np.abs(centers).max(axis=1)[:, None] + np.maximum(R, t))
+    ci, di = np.nonzero(np.abs(R - t) + delta > cover - slack)
+    points = centers[ci] + R * dirs[di]
+    dist = np.empty(len(points))
+    for start, stop in chunks(len(points), 1):
+        dist[start:stop] = tree.query(
+            points[start:stop], distance_upper_bound=cover * (1 + 1e-9))[0]
+    t[ci, di], delta[ci, di] = R, dist
+    return np.bincount(ci[dist > cover], minlength=len(centers)) == 0
 
 
 def normality_check(directions, *, max_centers: int = 128,
@@ -398,9 +408,9 @@ def normality_check(directions, *, max_centers: int = 128,
     chart points come from ``slices.chart_map``, which rejects a zero row.
 
     The shells grow in steps of the resolution h, up to MAX_SHELL_STEPS,
-    for all centers at once: each step queries the shells of the centers
-    still live, at most pencil.DISC_CHUNK_SAMPLES points per KD-tree
-    query, and a center leaves at its first shell that is not covered.
+    for all centers at once: each step queries the shell points of the
+    centers still live that no earlier query on their ray covers (see
+    _covered), and a center leaves at its first shell that is not covered.
     Its radius is then the last step all of whose shells were covered;
     the result names the first center with the largest radius.
     """
@@ -440,27 +450,22 @@ def normality_check(directions, *, max_centers: int = 128,
     cover = cover_factor * h
     radii = np.zeros(len(centers))
     live = np.arange(len(centers))     # centers whose shells are all covered
+    known = np.zeros((2, len(centers), len(dirs)))     # see _covered
     for j in range(1, MAX_SHELL_STEPS + 1):
         R = j * h
-        live = live[_covered(tree, centers[live], R * dirs, cover)]
         # for even j, 0.5 * R equals (j // 2) * h exactly, and every live
         # center passed that shell at step j // 2
-        if j % 2 and live.size:
-            live = live[_covered(tree, centers[live], 0.5 * R * dirs, cover)]
+        for shell in (R, 0.5 * R) if j % 2 else (R,):
+            ok = _covered(tree, centers[live], shell, dirs, cover, known)
+            live, known = live[ok], known[:, ok]
         if not live.size:
             break
         radii[live] = R
-    best_radius = 0.0
-    best_center = None
-    for c, radius in zip(centers, radii.tolist()):
-        if radius > best_radius:
-            best_radius = radius
-            best_center = c
+    best = int(np.argmax(radii))       # the first of the largest radii
+    best_radius = float(radii[best])
     ok = best_radius >= h > 0
-    center = None
-    if best_center is not None:
-        cc = best_center.reshape(-1, 2)
-        center = tuple(complex(a, b) for a, b in cc)
+    center = None if best_radius == 0 else tuple(
+        complex(a, b) for a, b in centers[best].reshape(-1, 2))
     return NormalityCheck(
         is_normal_sufficient=bool(ok), center=center, radius=best_radius,
         resolution=h, dropped=dropped,

@@ -8,13 +8,15 @@ Fourier mode mu in Z^n equals
 
 so each mode pins down the coefficients along one diagonal I - J = mu.
 Writing I = mu_+ + L, J = mu_- + L (L >= 0 componentwise), the unknowns
-of a mode form a simplex of shifted even powers, and sampling the full
-product grid of the radius schedule makes the per-mode linear system an
-(overdetermined) tensor Vandermonde solve.  The cross-radius misfit of
-that solve is the consistency certificate: a function admitting the jet
-fits every mode to quadrature accuracy, while homogeneous non-polynomial
-behaviour (for instance quotients by normsq) leaves a misfit whose decay
-order locates the first inconsistent jet order.
+of a mode form a simplex of shifted even powers, and sampling radius
+tuples unisolvent for every simplex (``_radius_rows``: the full product
+of the schedule for n <= 2, a lower set and the diagonal for n >= 3)
+makes the per-mode linear system an (overdetermined) Vandermonde solve.
+The cross-radius misfit of that solve is the consistency certificate: a
+function admitting the jet fits every mode to quadrature accuracy, while
+homogeneous non-polynomial behaviour (for instance quotients by normsq)
+leaves a misfit whose decay order locates the first inconsistent jet
+order.
 
 The design matrix of mode mu depends only on the componentwise |mu|, so
 the 2^k sign variants of a |mu| class share one factorisation and are
@@ -145,9 +147,16 @@ def _modes(n: int, order: int) -> np.ndarray:
     return mus[np.abs(mus).sum(axis=1) <= order]
 
 
-def _mode_list(n: int, order: int) -> List[tuple]:
-    """The modes of ``_modes`` as tuples."""
-    return [tuple(mu) for mu in _modes(n, order).tolist()]
+def _radius_rows(n: int, count: int, top: int) -> List[tuple]:
+    """Radius-index tuples of the sampled tori, in itertools.product order
+    over range(count): all of them for n <= 2 (fewer push n = 2 orders 20
+    and 22 past COND_LIMIT); for n >= 3 the lower set t_1 + ... + t_n <=
+    top, unisolvent for the simplex of unknowns of every |mu| class
+    (Biermann), and the diagonal (t, ..., t) that _failure_order reads."""
+    rows = itertools.product(range(count), repeat=n)
+    if n <= 2:
+        return list(rows)
+    return [t for t in rows if sum(t) <= top or len(set(t)) == 1]
 
 
 def extract_jet(f, n: int, order: int, *,
@@ -191,13 +200,13 @@ def extract_jet(f, n: int, order: int, *,
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 
     mus = _modes(n, order)
-    rows = list(itertools.product(range(len(radii)), repeat=n))
+    rows = _radius_rows(n, len(radii), m_needed)
     compact = isinstance(f, Expr)
     mode_vals = _sample_modes(func, compact, radii, rows, mus, grid, order)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
-    # the rows (t, ..., t) of the product order, every (m^n - 1)/(m - 1)-th
-    diag_rows = slice(None, None, sum(len(radii) ** k for k in range(n)))
+    # the indices of the rows (t, ..., t), in ascending t
+    diag_rows = np.flatnonzero((row_idx == row_idx[:, :1]).all(axis=1))
 
     global_scale = float(np.abs(mode_vals).max()) if mode_vals.size else 0.0
     # quadrature values carry O(eps_mach * scale) noise; misfits below that
@@ -359,6 +368,7 @@ def extract_jet(f, n: int, order: int, *,
     diagnostics = {
         "radii": radii.tolist(),
         "grid": grid,
+        "tori": len(rows),
         "coeff_floor": COEFF_FLOOR,
         "worst_condition": worst_cond,
         "modes": mode_table,
@@ -428,8 +438,8 @@ def _sample_workers() -> int:
 
 def _sample_modes(func, compact, radii, rows, mus, grid, order):
     """The Fourier modes ``mus`` of func on the torus of radii[row], for
-    each radius-index row of ``rows`` (itertools.product order over
-    range(len(radii))), as an array (rows, modes).
+    each radius-index row of ``rows`` (``_radius_rows``, in
+    itertools.product order), as an array (rows, modes).
 
     With ``compact`` (Expr inputs) component k of a torus has shape (G,)
     on axis k and 1 elsewhere; otherwise each component is a fresh full
@@ -504,10 +514,12 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
         workers = _sample_workers()
     if workers == 1:
         size = max(1, POOL_MIN_POINTS // grid ** n) if compact else 1
-        m = len(radii)
-        for first in range(0, len(rows), m):
-            for start in range(first, first + m, size):
-                sample_slab(start, min(start + size, first + m))
+        # the runs of rows that share every radius index but the last
+        for _, run in itertools.groupby(range(len(rows)),
+                                        key=lambda ri: rows[ri][:-1]):
+            run = list(run)
+            for start in range(run[0], run[-1] + 1, size):
+                sample_slab(start, min(start + size, run[-1] + 1))
         return mode_vals
     contexts = [contextvars.copy_context() for _ in rows]
     with ThreadPoolExecutor(workers) as pool:

@@ -116,12 +116,13 @@ def preset_directions(spec: str, n: int, seed: int) -> np.ndarray:
 
 
 def load_directions(spec, n: int, seed: int) -> np.ndarray:
-    """The raw rows of a direction set in C^n, as given, unchecked.
+    """The raw rows of a direction set in C^n, as given.
 
     ``spec`` is a ``preset_directions`` string (seeded by ``seed`` when
     it names no seed), the path of a JSON file holding a list of
     directions, or such a list itself; each direction is a list of
-    [re, im] component pairs.
+    [re, im] component pairs of numbers.  A list of another form raises
+    ValueError naming its first bad row.
     """
     if isinstance(spec, str):
         try:
@@ -131,7 +132,29 @@ def load_directions(spec, n: int, seed: int) -> np.ndarray:
                 raise
         with open(spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    return np.array([[complex(re, im) for re, im in vec] for vec in spec])
+    rows = np.array(spec, dtype=object)
+    if rows.size == 0 and rows.ndim <= 2:    # no direction: checked later
+        return rows.astype(complex)
+    if not (isinstance(spec, list) and rows.ndim == 3 and rows.shape[2] == 2
+            and set(map(type, rows.flat)) <= {int, float}):
+        raise ValueError(_bad_directions(spec))
+    # the [re, im] float pairs read as complex: complex(re, im) bit for bit
+    return rows.astype(float).view(complex)[..., 0]
+
+
+def _bad_directions(spec) -> str:
+    """Why ``spec`` is not a list of rows of [re, im] number pairs, naming
+    its first bad row."""
+    what = "directions must be a list of rows of [re, im] number pairs"
+    if not isinstance(spec, list):
+        return f"{what}, not a {type(spec).__name__}"
+    for i, vec in enumerate(spec):
+        if not (isinstance(vec, list) and len(vec) == len(spec[0])
+                and all(isinstance(c, list) and len(c) == 2
+                        and all(type(x) in (int, float) for x in c)
+                        for c in vec)):
+            return f"{what}; row {i} is {vec!r}"
+    return what
 
 
 def _realify(points: np.ndarray) -> np.ndarray:

@@ -377,6 +377,16 @@ class TestNormalityAgainstCenterLoop:
         assert res.diagnostics["capacity_lower_bound"] == (
             res.radius if res.is_normal_sufficient else 0.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+    @pytest.mark.parametrize("n,M", [(2, 200), (3, 200), (3, 1000)])
+    def test_analyze_sized_sets(self, n, M, seed):
+        # most shell points are covered by an earlier query on their ray
+        # and are not queried; the result is that of querying them all
+        U = sphere_directions(n, M, seed=seed)
+        res = normality_check(U)
+        assert (res.center, res.radius, res.resolution) \
+            == normality_one_center_at_a_time(U)
+
     @pytest.mark.parametrize("n,theta,M", [(2, 0.2, 500), (2, 0.6, 150),
                                            (3, 0.3, 400)])
     def test_cap_and_settings(self, n, theta, M):
@@ -391,8 +401,9 @@ class TestNormalityAgainstCenterLoop:
         from scipy.spatial import cKDTree
         from forelli_lab.capacity import _covered
         tree = cKDTree(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        shell = np.array([[0.75, 0.0], [0.0, -0.75]])
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0]])
         center = np.zeros((1, 2))
-        assert _covered(tree, center, shell, 0.75).tolist() == [True]
-        assert _covered(tree, center, shell,
-                        np.nextafter(0.75, 0.0)).tolist() == [False]
+        assert _covered(tree, center, 0.75, dirs, 0.75,
+                        np.zeros((2, 1, 2))).tolist() == [True]
+        assert _covered(tree, center, 0.75, dirs, np.nextafter(0.75, 0.0),
+                        np.zeros((2, 1, 2))).tolist() == [False]

@@ -210,6 +210,49 @@ class TestPencilFileDirections:
             assert err == f"verification failure: {message}\n"
 
 
+class TestMalformedDirections:
+    """A direction list that is not rows of [re, im] number pairs is a
+    usage error (exit 2) naming its first bad row, from --directions and
+    from a pencil file alike."""
+
+    WHAT = "error: directions must be a list of rows of [re, im] number pairs"
+
+    @pytest.mark.parametrize("dirs,message", [
+        ([[1, 0], [0, 1]], "; row 0 is [1, 0]"),
+        ({"a": 1}, ", not a dict"),
+        ([[[1, 0], [0, 0]], [[1, 0, 0], [0, 1]]],
+         "; row 1 is [[1, 0, 0], [0, 1]]"),
+        ([[[1, 0], [0, 0]], [[0, 0], ["1", 0]]],
+         "; row 1 is [[0, 0], ['1', 0]]"),
+        ([[[1, 0], [0, 0]], [[True, 0], [0, 1]]],
+         "; row 1 is [[True, 0], [0, 1]]"),
+    ], ids=["plain-numbers", "object", "three-entries", "string", "bool"])
+    def test_exit_2_naming_the_row(self, capsys, tmp_path, dirs, message):
+        dir_file = tmp_path / "dirs.json"
+        dir_file.write_text(json.dumps(dirs))
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(json.dumps({"n": 2, "directions": dirs}))
+        expr = ("--expr", "exp(z1+z2)")
+        for argv in (("analyze", *expr, "--order", "4", "--directions",
+                      str(dir_file)),
+                     ("pencil-check", *expr, "--directions", str(dir_file)),
+                     ("pencil-check", *expr, "--pencil", str(pencil))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"{self.WHAT}{message}\n"), \
+                argv
+
+    def test_rows_read_bit_for_bit(self, tmp_path):
+        from forelli_lab.pencil import load_directions
+        rows = [[[0.1, -0.0], [3, 1e-300]], [[-2.5e-17, 7], [1, 0.3]]]
+        dir_file = tmp_path / "dirs.json"
+        dir_file.write_text(json.dumps(rows))
+        want = np.array([[complex(re, im) for re, im in vec] for vec in rows])
+        for spec in (rows, str(dir_file)):
+            got = load_directions(spec, 2, 0)
+            assert got.dtype == complex and got.shape == (2, 2)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestPencilFileErrors:
     """A pencil file that is not a pencil exits 1 or 2 with one line."""
 

@@ -146,21 +146,27 @@ class TestEntireFunctions:
 def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
                    coeff_floor=1e-10):
     """Per-mode reference: one torus sample, one ``lstsq`` solve and one
-    pseudoinverse per Fourier mode, in ``_mode_list`` order.
+    pseudoinverse per Fourier mode, in ``_modes`` order.
+
+    The tori are the full product of the m radii for n <= 2; for n >= 3
+    they are the radius-index tuples t with t_1 + ... + t_n <= m and the
+    diagonal tuples (s, ..., s), in product order.
 
     Returns the verdict text, the coefficients {(I, J): (value, rounding)}
     with the solve-rounding part of each coefficient's uncertainty bound,
     the mode-table keys and the worst condition number.
     """
     import itertools
-    from forelli_lab.jets import _failure_order, _mode_list, radius_schedule
+    from forelli_lab.jets import _failure_order, _modes, radius_schedule
 
     radii = radius_schedule(max((order + 1) // 2 + 1, 2), rho0, sigma)
-    rows = list(itertools.product(range(len(radii)), repeat=n))
+    m = len(radii)
+    rows = [row for row in itertools.product(range(m), repeat=n)
+            if n <= 2 or sum(row) <= m or len(set(row)) == 1]
     theta = 2.0 * np.pi * np.arange(grid) / grid
     phases = [np.exp(1j * g)
               for g in np.meshgrid(*([theta] * n), indexing="ij")]
-    modes = _mode_list(n, order)
+    modes = [tuple(mu) for mu in _modes(n, order).tolist()]
     vals = np.empty((len(rows), len(modes)), dtype=complex)
     for ri, row in enumerate(rows):
         F = np.fft.fftn(f(tuple(radii[row[k]] * phases[k]
@@ -509,13 +515,13 @@ class TestDesignStacksMatchGather:
     def test_every_dmax_group(self, n, order, rho_max):
         import itertools
 
-        from forelli_lab.jets import _design_stack, _mode_list, radius_schedule
+        from forelli_lab.jets import _design_stack, _modes, radius_schedule
 
         radii = radius_schedule((order + 1) // 2 + 1, rho_max=rho_max)
         row_idx = np.array(list(itertools.product(range(len(radii)),
                                                   repeat=n)))
         power = radii[:, None] ** np.arange(order + 1)
-        classes = np.unique(np.abs(np.array(_mode_list(n, order))), axis=0)
+        classes = np.unique(np.abs(_modes(n, order)), axis=0)
         class_dmax = (order - classes.sum(axis=1)) // 2
         for dmax in np.unique(class_dmax):
             Ls = np.array([L for L in itertools.product(range(dmax + 1),
@@ -692,3 +698,152 @@ class TestSolveHelper:
             self._jet(monkeypatch, workers, parse("exp(z1+z2)"), 2, 24)
         assert str(info.value) == ("ill-conditioned radius schedule: mode "
                                    "(-8, 0) condition 1.08e+14 exceeds 1e+14")
+
+
+def _full_product(n, count, top):
+    import itertools
+    return list(itertools.product(range(count), repeat=n))
+
+
+class TestLowerSetRows:
+    """n >= 3 jets sample a lower set of radius tuples plus the diagonal;
+    n <= 2 jets sample the full product."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_n_up_to_two_is_the_full_product(self, n):
+        from forelli_lab.jets import _radius_rows
+        for count in range(2, 13):
+            for top in range(2, count + 1):
+                assert _radius_rows(n, count, top) == \
+                    _full_product(n, count, top)
+        jet = extract_jet(parse("exp(z1+z2)"), 2, 12)
+        assert jet.diagnostics["tori"] == 7 ** 2
+
+    @pytest.mark.parametrize("order,tori", [(4, 18), (6, 34), (8, 56),
+                                            (10, 84), (12, 121)])
+    def test_n3_lower_set_and_diagonal(self, order, tori):
+        from forelli_lab.jets import _radius_rows
+        m = order // 2 + 1
+        rows = _radius_rows(3, m, m)
+        assert len(rows) == tori
+        assert rows == sorted(rows)                 # product order
+        assert {(s,) * 3 for s in range(m)} <= set(rows)
+        lower = [t for t in rows if sum(t) <= m]
+        assert len(lower) == len(rows) - sum(3 * s > m for s in range(m))
+        for t in lower:                             # a lower set
+            for k in range(3):
+                if t[k]:
+                    assert t[:k] + (t[k] - 1,) + t[k + 1:] in rows
+        jet = extract_jet(parse("z1*z2*z3", dim=3), 3, order)
+        assert jet.diagnostics["tori"] == tori
+
+    def test_n3_callable_sees_each_torus_once_in_row_order(self,
+                                                            monkeypatch):
+        # the calling thread samples callables, and with one worker Expr
+        # tori, in runs that share all but the last radius index
+        from forelli_lab import jets
+        from forelli_lab.jets import _radius_rows
+        seen = []
+
+        def f(z):
+            seen.append(tuple(float(abs(c.flat[0])) for c in z))
+            return z[0] * z[1] + z[2]
+
+        jet = extract_jet(f, 3, 6)
+        radii = jet.diagnostics["radii"]
+        want = [tuple(radii[t] for t in row)
+                for row in _radius_rows(3, len(radii), len(radii))]
+        assert seen == pytest.approx(want, rel=1e-15)
+        monkeypatch.setattr(jets, "_sample_workers", lambda: 1)
+        serial = extract_jet(parse("z1*z2+z3", dim=3), 3, 6)
+        assert serial.series.graded.coeffs.tobytes() == \
+            jet.series.graded.coeffs.tobytes()
+
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_n3_every_class_has_full_rank(self, order):
+        # worst at the default schedule: 3.88e7 at order 12 and 2.35e10
+        # at order 15 (the full product: 7.35e5 and 3.11e7)
+        from forelli_lab.jets import (COND_LIMIT, _design_stack, _modes,
+                                      _radius_rows, _simplex,
+                                      radius_schedule)
+        m = max((order + 1) // 2 + 1, 2)
+        radii = radius_schedule(m)
+        row_idx = np.array(_radius_rows(3, m, m))
+        power = radii[:, None] ** np.arange(order + 1)
+        classes = np.unique(np.abs(_modes(3, order)), axis=0)
+        simplex = _simplex(3, order // 2)
+        for cls in classes:
+            Ls = simplex[simplex.sum(axis=1) <= (order - cls.sum()) // 2]
+            A = _design_stack(power, row_idx, (cls + 2 * Ls)[None])[0]
+            A = A / np.linalg.norm(A, axis=0)
+            sv = np.linalg.svd(A, compute_uv=False)
+            assert len(sv) == len(Ls) and sv[-1] > 0, cls
+            assert sv[0] / sv[-1] < COND_LIMIT, cls
+
+    def test_n3_exp_coefficients(self):
+        # the parent full-product design gave at most 5.7e-14 here
+        import itertools
+
+        from forelli_lab.jets import COEFF_FLOOR
+        f = parse("exp(z1+z2+z3)", dim=3)
+        for order in range(8, 16):
+            jet = extract_jet(f, 3, order)
+            assert jet.verdict == FULL_JET
+            assert all(not any(J) for _, J in jet.series.terms)
+            for I in itertools.product(range(order + 1), repeat=3):
+                if sum(I) > order:
+                    continue
+                want = 1.0 / math.prod(math.factorial(i) for i in I)
+                got = jet.series.coefficient(I)
+                if got == 0:                # dropped below the floor
+                    assert want <= COEFF_FLOOR, (order, I)
+                else:
+                    assert abs(got - want) <= 1e-13, (order, I)
+
+    def test_counterexample_verdicts(self):
+        # the function is homogeneous of degree 2: the zero jet through
+        # order 1 is the true answer.  The full product read NoJet at
+        # order 4 (mode (1, 1, 0) charged to order 1)
+        f = parse("z1^2*z2*conj(z1)/normsq(z)", dim=3)
+        jet = extract_jet(f, 3, 4)
+        assert jet.verdict_text() == "JetUpTo(1)"
+        assert jet.diagnostics["first_failing_mode"]["failure_order"] == 2
+        for order in range(5, 13):
+            assert extract_jet(f, 3, order).verdict == NO_JET, order
+        assert extract_jet(parse("z1^3*conj(z2)^2/normsq(z)", dim=3),
+                           3, 6).verdict == NO_JET
+
+    @pytest.mark.parametrize("f,order,kw", [
+        # the n = 3 jets of this file
+        ("z1*z2*z3", 4, {}),
+        ("exp(z1+z2+z3)", 6, {}),
+        ("exp(z1+z2+z3)", 8, {}),
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 8, {}),
+        ("z1*conj(z2)+z3^2", 6, {}),
+        ("exp(z1*z2+z3)", 6, {"center": (0.1, -0.2j, 0.05)}),
+        (lambda z: np.exp(z[0] + z[1] * z[2]), 8, {}),
+        ("z1^3*conj(z2)^2/normsq(z)", 6, {}),
+        ("1/(z3-0.25)", 4, {}),
+        # the jets of the n = 3 benchmark workload
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 6, {}),
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 10, {}),
+        ("1/((1-z1)*(1-z2)*(1-z3))", 6, {}),
+        ("1/((1-z1)*(1-z2)*(1-z3))", 8, {}),
+    ])
+    def test_same_verdicts_as_the_full_product(self, monkeypatch, f, order,
+                                               kw):
+        from forelli_lab import JetExtractionError, jets
+
+        def outcome():
+            try:
+                jet = extract_jet(parse(f, dim=3) if isinstance(f, str)
+                                  else f, 3, order, **kw)
+            except JetExtractionError as exc:
+                return str(exc)
+            first = jet.diagnostics["first_failing_mode"]
+            return (jet.verdict_text(), jet.max_consistent_order,
+                    first and first["failure_order"])
+
+        got = outcome()
+        monkeypatch.setattr(jets, "_radius_rows", _full_product)
+        assert got == outcome()
