@@ -31,18 +31,16 @@ array arithmetic; the modes become tuples once, for the mode table.
 
 The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
 each torus is transformed only on the band |mu_k| <= order, and an Expr
-is evaluated on broadcastable torus axes rather than full arrays.  Tori
-of at least POOL_MIN_POINTS points of an Expr are sampled on a thread
-pool; numpy's array loops and FFTs release the GIL, and every torus
-writes only its own row of the mode table.  Smaller Expr tori (n <= 2 at
-the default grids) are sampled in slabs on the calling thread: the tori
-that differ only in their last radius, up to POOL_MIN_POINTS points, in
-one evaluation and one band transform.  After sampling on the calling
-thread (those tori and every callable), dmax groups of POOL_MIN_POINTS
-stack entries or more in total are solved by the calling thread, from
-the largest, and one helper, from the smallest; each group writes only
-its own rows.  Either way the jet is the same bit for bit as one torus
-and one group at a time, and so is the error.
+is evaluated on broadcastable torus axes rather than full arrays.  An
+Expr is sampled in slabs, the tori that differ only in their last radius
+up to POOL_MIN_POINTS points, each in one evaluation and one band
+transform.  One runner, _on_two_threads, shares independent tasks
+between the calling thread and one helper; numpy's loops and FFTs
+release the GIL, and each task writes only its own rows.  It runs the
+slabs of Expr tori of at least POOL_MIN_POINTS points (n = 3 at grid 32:
+one torus a slab), or else the dmax groups of POOL_MIN_POINTS stack
+entries or more in total.  Either way the jet and its error are those of
+one task at a time.
 """
 
 from __future__ import annotations
@@ -71,14 +69,11 @@ COEFF_FLOOR = 1e-10
 # this for some mode is refused
 COND_LIMIT = 1e14
 # below this many entries the GIL hand-off between short numpy calls costs
-# more than a second core gains.  Expr tori of at least this many points
-# (n = 3 at the default grid 32) are sampled on a thread pool, smaller ones
-# in slabs of up to this many points on the calling thread; after sampling
-# on the calling thread, design stacks of at least this many entries in
-# total are solved there and on one helper thread
+# more than a second core gains.  Expr tori are sampled in slabs of up to
+# this many points; tori of at least this many points (n = 3 at the default
+# grid 32) are sampled on two threads, and otherwise (solving those on two
+# gained nothing) stacks of this many entries in all are solved on two
 POOL_MIN_POINTS = 32 ** 3
-# at most this many sampling threads: nothing above 2 cores was measured
-MAX_SAMPLE_WORKERS = 4
 
 
 class JetExtractionError(RuntimeError):
@@ -202,7 +197,10 @@ def extract_jet(f, n: int, order: int, *,
     mus = _modes(n, order)
     rows = _radius_rows(n, len(radii), m_needed)
     compact = isinstance(f, Expr)
-    mode_vals = _sample_modes(func, compact, radii, rows, mus, grid, order)
+    two = _sample_workers() > 1
+    two_samplers = two and compact and grid ** n >= POOL_MIN_POINTS
+    mode_vals = _sample_modes(func, compact, radii, rows, mus, grid, order,
+                              two_samplers)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     # the indices of the rows (t, ..., t), in ascending t
@@ -284,9 +282,9 @@ def extract_jet(f, n: int, order: int, *,
 
     # per dmax, the classes and unknowns #L of its stack (see POOL_MIN_POINTS)
     n_cls, n_unk = np.bincount(class_dmax), np.cumsum(np.bincount(L_order))
-    if ((not compact or grid ** n < POOL_MIN_POINTS) and _sample_workers() > 1
+    if (two and not two_samplers
             and len(rows) * (n_cls @ n_unk) >= POOL_MIN_POINTS):
-        _solve_on_two_threads(solve, sorted(      # largest SVD work first
+        _on_two_threads(solve, sorted(      # largest SVD work first
             groups, key=lambda d: -n_cls[d] * n_unk[d] ** 2))
     else:
         for dmax in groups:
@@ -324,8 +322,8 @@ def extract_jet(f, n: int, order: int, *,
     for idx in np.flatnonzero(~clean):
         row = mode_table[idx]
         d = row["base_order"]
-        k_fail = _failure_order(res_diag[idx], slice(None), radii,
-                                row["magnitude"], global_scale, d)
+        k_fail = _failure_order(res_diag[idx], radii, row["magnitude"],
+                                global_scale, d)
         row["failure_order"] = k_fail
         if k_fail <= order:
             fail_eps[k_fail] = max(fail_eps[k_fail], row["misfit"])
@@ -395,25 +393,25 @@ def _design_stack(power, row_idx, expo) -> np.ndarray:
     return A
 
 
-def _solve_on_two_threads(solve, groups) -> None:
-    """solve(g) for every group, the calling thread taking them from the
-    front of ``groups`` and one helper, in a copy of the caller's context,
-    from the back.  A group is skipped only above a failed one, so the
-    error raised, that of the smallest failing group, is the error of an
-    ascending loop."""
-    queue, failed = collections.deque(groups), []    # (group, error)
+def _on_two_threads(task, items) -> None:
+    """task(item) for every item, the calling thread taking them from the
+    front of ``items`` and one helper, in a copy of the caller's context
+    (numpy keeps its error state there), from the back.  An item is
+    skipped only above a failed one, so the error raised, that of the
+    smallest failing item, is the error of an ascending loop."""
+    queue, failed = collections.deque(items), []    # (item, error)
 
     def drain(pop):
         while True:
             try:
-                group = pop()
-            except IndexError:      # no group left
+                item = pop()
+            except IndexError:      # no item left
                 return
-            if not failed or group < min(failed)[0]:
+            if not failed or item < min(failed)[0]:
                 try:
-                    solve(group)
+                    task(item)
                 except Exception as exc:
-                    failed.append((group, exc))
+                    failed.append((item, exc))
 
     with ThreadPoolExecutor(1) as pool:
         helper = pool.submit(contextvars.copy_context().run, drain, queue.pop)
@@ -427,16 +425,15 @@ def _solve_on_two_threads(solve, groups) -> None:
 
 
 def _sample_workers() -> int:
-    """Threads for sampling tori: the CPUs this process may run on, at most
-    MAX_SAMPLE_WORKERS."""
+    """The CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:          # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_SAMPLE_WORKERS)
+        return os.cpu_count() or 1
 
 
-def _sample_modes(func, compact, radii, rows, mus, grid, order):
+def _sample_modes(func, compact, radii, rows, mus, grid, order,
+                  two_threads):
     """The Fourier modes ``mus`` of func on the torus of radii[row], for
     each radius-index row of ``rows`` (``_radius_rows``, in
     itertools.product order), as an array (rows, modes).
@@ -446,17 +443,16 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
     (G,) * n array, one torus per call.  The band |m_k| <= order of modes
     is transformed and the modes gathered with one flat index array.
 
-    Compact tori of fewer than POOL_MIN_POINTS points are sampled in slabs
-    on the calling thread: the tori that share every radius index but the
-    last, up to POOL_MIN_POINTS points together, get one evaluation (the
-    last component carries a leading slab axis) and one band transform.
-    Inside a slab numpy's floating-point events that would warn raise; a
-    slab that raises or holds non-finite samples is redone torus by torus,
-    so its errors and warnings are those of one torus at a time.
-    Compact tori of at least POOL_MIN_POINTS points run one per task on
-    a thread pool, each in a copy of the caller's context (numpy keeps its
-    error state there); a callable may keep state, so it runs on the
-    calling thread.  The error raised is that of the first failing torus
+    Compact tori are sampled in slabs: the tori that share every radius
+    index but the last, up to POOL_MIN_POINTS points together, get one
+    evaluation (the last component carries a leading slab axis) and one
+    band transform.  Inside a slab numpy's floating-point events that
+    would warn raise; a slab that raises or holds non-finite samples is
+    redone torus by torus, so its errors and warnings are those of one
+    torus at a time.  A callable gets one torus per slab.  With
+    ``two_threads`` (never for a callable, which may keep state) the slabs
+    run on ``_on_two_threads``, otherwise in row order on the calling
+    thread; either way the error raised is that of the first failing torus
     in row order.
     """
     n = mus.shape[1]
@@ -509,40 +505,33 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order):
         mode_vals[start:stop] = torus_modes(vals, n, order).reshape(
             stop - start, -1)[:, band_index]
 
-    workers = 1
-    if compact and grid ** n >= POOL_MIN_POINTS:
-        workers = _sample_workers()
-    if workers == 1:
-        size = max(1, POOL_MIN_POINTS // grid ** n) if compact else 1
-        # the runs of rows that share every radius index but the last
-        for _, run in itertools.groupby(range(len(rows)),
-                                        key=lambda ri: rows[ri][:-1]):
-            run = list(run)
-            for start in range(run[0], run[-1] + 1, size):
-                sample_slab(start, min(start + size, run[-1] + 1))
-        return mode_vals
-    contexts = [contextvars.copy_context() for _ in rows]
-    with ThreadPoolExecutor(workers) as pool:
-        # results in row order: the first failure raises, and the tasks
-        # not yet started are cancelled
-        for _ in pool.map(lambda ri: contexts[ri].run(sample, ri),
-                          range(len(rows))):
-            pass
+    size = max(1, POOL_MIN_POINTS // grid ** n) if compact else 1
+    # the runs of rows that share every radius index but the last, cut
+    # into slabs of at most ``size`` tori
+    runs = [list(run) for _, run in itertools.groupby(
+        range(len(rows)), key=lambda ri: rows[ri][:-1])]
+    slabs = [(start, min(start + size, run[-1] + 1))
+             for run in runs for start in range(run[0], run[-1] + 1, size)]
+    if two_threads:
+        _on_two_threads(lambda slab: sample_slab(*slab), slabs)
+    else:
+        for slab in slabs:
+            sample_slab(*slab)
     return mode_vals
 
 
-def _failure_order(resid, diag_rows, radii, bmax, global_scale, base_order):
+def _failure_order(resid_diag, radii, bmax, global_scale, base_order):
     """Charge a dirty mode to a jet order.
 
     The residual of the tensor-Vandermonde solve scales like rho^beta for
     the first inconsistent order beta.  The log-log slope is estimated as
-    the median of consecutive-pair slopes over the diagonal radius rows,
-    which ignores the sign-change dips the least-squares fit can leave at
-    mid-range radii.  When the diagonal carries no usable signal (the
-    misfit may cancel there by symmetry) fall back to the lowest order
-    the mode contributes to.
+    the median of consecutive-pair slopes over the misfits on the diagonal
+    radius rows (t, ..., t), ``resid_diag``, which ignores the sign-change
+    dips the least-squares fit can leave at mid-range radii.  When the
+    diagonal carries no usable signal (the misfit may cancel there by
+    symmetry) fall back to the lowest order the mode contributes to.
     """
-    ed = np.abs(resid[diag_rows])
+    ed = np.abs(resid_diag)
     floor = 1e-11 * max(bmax, 1e-3 * max(global_scale, 1e-12))
     mask = ed > floor
     if mask.sum() < 2:

@@ -344,9 +344,10 @@ def _validate_pencil(spec: PencilSpec):
 def load_pencil(source) -> PencilSpec:
     """Load a pencil from the JSON file format.
 
-    Keys: n; map (list of expressions in l, u1..un); directions (what
-    ``load_directions`` reads, a preset seeded with 0 when it names no
-    seed); optional p (base point).
+    Keys: n (a positive integer); map (list of expressions in l,
+    u1..un); directions (what ``load_directions`` reads, a preset seeded
+    with 0 when it names no seed); optional p (base point, a direction
+    row; nonzero only with a map).  A bad n or p raises ValueError.
     """
     if isinstance(source, (str,)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -358,11 +359,20 @@ def load_pencil(source) -> PencilSpec:
         data = dict(source)
     if "n" not in data:
         raise ValueError('pencil has no "n" (the dimension)')
-    n = int(data["n"])
+    n = data["n"]
+    if type(n) is not int or n < 1:         # JSON true is not a dimension
+        raise ValueError(f'pencil "n" must be a positive integer, not {n!r}')
+    try:                    # one row of n [re, im] pairs, as a direction
+        p = load_directions([data.get("p", [[0, 0]] * n)], n, 0)[0]
+    except ValueError:
+        p = None
+    if p is None or p.shape != (n,):
+        raise ValueError(f'pencil "p" must be one row of {n} [re, im] '
+                         f'number pairs, not {data["p"]!r}')
+    if p.any() and "map" not in data:
+        raise ValueError('pencil "p" is nonzero but there is no "map": '
+                         "the standard pencil has base point 0")
     U = load_directions(data.get("directions", "sphere:200"), n, 0)
-    p = None
-    if "p" in data:
-        p = np.array([complex(re, im) for re, im in data["p"]])
     if "map" in data:
         return pencil_from_exprs(n, data["map"], U, p)
     return standard_pencil(n, U)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,16 @@ else:
     settings.register_profile("tier1", derandomize=True, deadline=None,
                               max_examples=200)
     settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """A thread left running, on an error path for instance, fails the test
+    that started it: the jet's sampling and solve helper, the analysis's
+    capacity thread."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, threading.enumerate()
 
 
 @pytest.fixture

@@ -305,15 +305,45 @@ class TestPencilFileErrors:
             assert type(lam) is complex
             assert len(u) == 2 and all(type(c) is complex for c in u)
 
+    MAP = ["l*u1", "l*u2"]
+
     @pytest.mark.parametrize("data,message", [
-        ({"map": ["l*u1", "l*u2"]}, 'pencil has no "n" (the dimension)'),
-        ([2, ["l*u1", "l*u2"]], "the top level must be a JSON object"),
-    ], ids=["no-n", "not-an-object"])
+        ({"map": MAP}, 'pencil has no "n" (the dimension)'),
+        ([2, MAP], "the top level must be a JSON object"),
+        ({"n": 2.7, "map": MAP}, 'pencil "n" must be a positive integer, '
+                                 "not 2.7"),
+        ({"n": True, "map": MAP}, 'pencil "n" must be a positive integer, '
+                                  "not True"),
+        ({"n": 0}, 'pencil "n" must be a positive integer, not 0'),
+        ({"n": 2, "map": MAP, "p": [1, 0]},
+         'pencil "p" must be one row of 2 [re, im] number pairs, not [1, 0]'),
+        ({"n": 2, "map": MAP, "p": [[0, 0]]},
+         'pencil "p" must be one row of 2 [re, im] number pairs, '
+         "not [[0, 0]]"),
+        ({"n": 2, "map": MAP, "p": [[0, 0], [0, 0], [0, 0]]},
+         'pencil "p" must be one row of 2 [re, im] number pairs, '
+         "not [[0, 0], [0, 0], [0, 0]]"),
+        ({"n": 2, "p": [[1, 0], [0, 0]]},
+         'pencil "p" is nonzero but there is no "map": the standard pencil '
+         "has base point 0"),
+    ], ids=["no-n", "not-an-object", "n-float", "n-true", "n-zero",
+            "p-plain-numbers", "p-too-short", "p-too-long", "p-without-map"])
     def test_malformed_file(self, capsys, tmp_path, data, message):
         code, out, err = self._pencil_check(capsys, tmp_path, data)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith(message + "\n")
         assert err.count("\n") == 1
+
+    def test_base_point_reads_as_complex_pairs(self):
+        from forelli_lab import load_pencil
+        P = load_pencil({"n": 2, "map": ["l*u1+0.1-0.3*i", "l*u2+2+5*i"],
+                         "p": [[0.1, -0.3], [2, 5]],
+                         "directions": "sphere:40"})
+        assert P.base_point.tobytes() == np.array(
+            [complex(0.1, -0.3), complex(2, 5)]).tobytes()
+        # a zero base point needs no map
+        assert load_pencil({"n": 2, "p": [[0, 0], [0.0, 0]],
+                            "directions": "sphere:40"}).kind == "standard"
 
 
 class TestReportWarnings:
@@ -507,8 +537,9 @@ class TestDeterminism:
         assert "elapsed" not in out and "time" not in json.loads(out)
 
     def test_three_variables_byte_identical_on_one_cpu(self, tmp_path):
-        # the n = 3 jet samples its tori on a thread pool; a child pinned
-        # to one CPU runs them on one thread and writes the same bytes
+        # the n = 3 jet samples its tori on the calling thread and one
+        # helper; a child pinned to one CPU samples them on one thread and
+        # writes the same bytes
         import os
         import subprocess
         import sys

