@@ -37,8 +37,8 @@ from .pencil import (DegenerateNormalizationError, NewtonInversionError,
                      PencilCheckError, compute_H_G, find_subpencil,
                      load_directions, load_pencil, standard_pencil,
                      tilde_normalize)
-from .pipeline import (FAIL, PASS, AnalyzeConfig, Stage, disc_stage,
-                       forelli_analyze, jet_stage, run_stages)
+from .pipeline import (FAIL, PASS, AnalyzeConfig, Stage, disc_errors,
+                       disc_stage, forelli_analyze, jet_stage, run_stages)
 from .psh import (PshFamily, average_on_torus, classify_trichotomy,
                   envelope_to_csv, upper_envelope)
 from .report import build_report, to_json
@@ -252,8 +252,11 @@ def _cmd_pencil_check(args):
     radii = tuple(float(t) for t in args.radii.split(","))
     stage = disc_stage("disc_residuals", f, P, radii, args.tol)
     worst = stage.details["worst_residual"]
-    lines = [f"checked {stage.details['discs']} discs; worst residual "
-             f"{worst:.3g} (tol {args.tol:g})", stage.status.upper()]
+    line = (f"checked {stage.details['discs']} discs; worst residual "
+            f"{worst:.3g} (tol {args.tol:g})")
+    if stage.details["first_error"]:
+        line += "; " + disc_errors(stage.details)
+    lines = [line, stage.status.upper()]
     return ({"pencil": args.pencil or args.directions, "tol": args.tol,
              "radii": radii},
             [stage], {"worst_residual": worst}, lines)

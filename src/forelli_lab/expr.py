@@ -20,7 +20,9 @@ sum_k z_k zbar_k of the whole coordinate vector; ``normsq`` of a single
 expression e means e * conj(e).
 
 Evaluation is plain complex arithmetic, vectorized: points may be given
-as scalars or broadcastable numpy arrays per component.
+as scalars or broadcastable numpy arrays per component.  ``evaluate_jvp``
+is its forward-mode twin: the same value, and the derivatives along given
+real tangent directions.
 """
 
 from __future__ import annotations
@@ -311,53 +313,67 @@ def to_string(e: Expr) -> str:
 Point = Union[Sequence[complex], Tuple[np.ndarray, ...]]
 
 
-def _ev(node, comps):
-    # module-level rather than a closure: a recursive closure forms a
-    # reference cycle that keeps the input arrays alive until the
-    # cyclic garbage collector runs
+def _ev(node, comps, tans):
+    # (value, tangent) of node.  tans holds one tangent per variable; when
+    # it is None, so is every tangent and only values are computed, by the
+    # same operations either way.  Module-level rather than a closure: a
+    # recursive closure forms a reference cycle that keeps the input
+    # arrays alive until the cyclic garbage collector runs
+    d = tans is not None
     if isinstance(node, Num):
-        return node.value
+        return node.value, 0 if d else None
     if isinstance(node, Var):
         if node.index >= len(comps):
             raise EvalError(
                 f"variable {node.name} out of range for a point in C^{len(comps)}")
-        return comps[node.index]
+        return comps[node.index], tans[node.index] if d else None
     if isinstance(node, Neg):
-        return -_ev(node.arg, comps)
+        a, da = _ev(node.arg, comps, tans)
+        return -a, -da if d else None
     if isinstance(node, BinOp):
-        a = _ev(node.left, comps)
-        b = _ev(node.right, comps)
+        a, da = _ev(node.left, comps, tans)
+        b, db = _ev(node.right, comps, tans)
         if node.op == "+":
-            return a + b
+            return a + b, da + db if d else None
         if node.op == "-":
-            return a - b
+            return a - b, da - db if d else None
         if node.op == "*":
-            return a * b
+            return a * b, da * b + a * db if d else None
         den = np.asarray(b)
         if np.any(den == 0):
             raise EvalError("division by zero", to_string(node.right))
-        return a / b
+        q = a / b
+        return q, (da - q * db) / b if d else None
     if isinstance(node, Pow):
-        return _ev(node.base, comps) ** node.exponent
+        a, da = _ev(node.base, comps, tans)
+        k = node.exponent
+        return a ** k, (k * a ** (k - 1) * da if k else 0) if d else None
     if isinstance(node, Call):
         if node.func == "normsq":
             if isinstance(node.arg, WholeVector):
-                total = comps[0] * np.conj(comps[0])
-                for c in comps[1:]:
-                    total = total + c * np.conj(c)
-                return total
-            a = _ev(node.arg, comps)
-            return a * np.conj(a)
-        a = _ev(node.arg, comps)
+                squares = [_normsq(c, tans[k] if d else None, d)
+                           for k, c in enumerate(comps)]
+                total, dtotal = squares[0]
+                for c, dc in squares[1:]:
+                    total = total + c
+                    dtotal = dtotal + dc if d else None
+                return total, dtotal
+            return _normsq(*_ev(node.arg, comps, tans), d)
+        a, da = _ev(node.arg, comps, tans)
         if node.func == "conj":
-            return np.conj(a)
+            return np.conj(a), np.conj(da) if d else None
         if node.func == "exp":
-            return np.exp(a)
+            ea = np.exp(a)
+            return ea, ea * da if d else None
         if node.func == "re":
-            return np.real(a) + 0j
+            return np.real(a) + 0j, np.real(da) + 0j if d else None
         if node.func == "im":
-            return np.imag(a) + 0j
+            return np.imag(a) + 0j, np.imag(da) + 0j if d else None
     raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _normsq(a, da, d):
+    return a * np.conj(a), da * np.conj(a) + a * np.conj(da) if d else None
 
 
 def evaluate(e: Expr, z: Point):
@@ -367,11 +383,30 @@ def evaluate(e: Expr, z: Point):
     variable index; the error names the offending subexpression.
     """
     comps = [np.asarray(c, dtype=complex) for c in z]
-    result = _ev(e, comps)
-    arr = np.asarray(result, dtype=complex)
+    arr = np.asarray(_ev(e, comps, None)[0], dtype=complex)
     if arr.shape == ():
         return complex(arr)
     return arr
+
+
+def evaluate_jvp(e: Expr, z: Point, dz: Point):
+    """Value of ``e`` at ``z`` and its derivatives along real directions.
+
+    ``dz`` holds one tangent per variable of ``z``: the point moves as
+    z + t dz for real t, so conj(dz) is the tangent of conj(z).  Each
+    tangent broadcasts against the points, typically with one extra
+    leading axis that runs over the directions.  Returns (value,
+    tangent), the value bit for bit what ``evaluate`` returns and the
+    tangent d/dt e(z + t dz) at t = 0, broadcast to the shape of all the
+    points and tangents together; raises the errors of ``evaluate``.
+    """
+    comps = [np.asarray(c, dtype=complex) for c in z]
+    tans = [np.asarray(c, dtype=complex) for c in dz]
+    value, tangent = _ev(e, comps, tans)
+    arr = np.asarray(value, dtype=complex)
+    shape = np.broadcast_shapes(*(a.shape for a in comps + tans))
+    return (complex(arr) if arr.shape == () else arr,
+            np.broadcast_to(np.asarray(tangent, dtype=complex), shape))
 
 
 def max_var_index(e: Expr) -> int:

@@ -14,7 +14,9 @@ vanishes; the circles and their modes come from ``series.torus`` and
 ``series.torus_modes``.  Cauchy-Riemann residuals of ambient functions
 use central finite differences for the Wirtinger derivatives (the
 functions are only assumed C^1, so complex-step tricks are not
-available).
+available).  The pencil map itself is differentiated exactly: the
+standard map in closed form, a general map by forward-mode evaluation of
+its expressions (``expr.evaluate_jvp``).
 
 The direction sample carries an angular nearest-neighbour graph; "open
 subsets" of U are connected graph patches with their neighbourhoods, and
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import EvalError, Expr, evaluate, parse
+from .expr import EvalError, Expr, evaluate, evaluate_jvp, parse
 from .series import torus, torus_modes
 
 
@@ -121,8 +124,9 @@ def load_directions(spec, n: int, seed: int) -> np.ndarray:
     ``spec`` is a ``preset_directions`` string (seeded by ``seed`` when
     it names no seed), the path of a JSON file holding a list of
     directions, or such a list itself; each direction is a list of
-    [re, im] component pairs of numbers.  A list of another form raises
-    ValueError naming its first bad row.
+    [re, im] component pairs of finite numbers.  A list of another form,
+    or with a NaN, an infinity or an integer beyond the float range (JSON
+    admits all three), raises ValueError naming its first bad row.
     """
     if isinstance(spec, str):
         try:
@@ -136,10 +140,15 @@ def load_directions(spec, n: int, seed: int) -> np.ndarray:
     if rows.size == 0 and rows.ndim <= 2:    # no direction: checked later
         return rows.astype(complex)
     if not (isinstance(spec, list) and rows.ndim == 3 and rows.shape[2] == 2
-            and set(map(type, rows.flat)) <= {int, float}):
+            and all(map(_is_number, rows.flat))):
         raise ValueError(_bad_directions(spec))
     # the [re, im] float pairs read as complex: complex(re, im) bit for bit
     return rows.astype(float).view(complex)[..., 0]
+
+
+def _is_number(x) -> bool:
+    """Whether x is an int or float that reads as a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _bad_directions(spec) -> str:
@@ -151,7 +160,7 @@ def _bad_directions(spec) -> str:
     for i, vec in enumerate(spec):
         if not (isinstance(vec, list) and len(vec) == len(spec[0])
                 and all(isinstance(c, list) and len(c) == 2
-                        and all(type(x) in (int, float) for x in c)
+                        and all(map(_is_number, c))
                         for c in vec)):
             return f"{what}; row {i} is {vec!r}"
     return what
@@ -202,6 +211,21 @@ class PencilSpec:
                 for e in self.map_exprs]
         return np.stack(cols, axis=-1)
 
+    def map_tangents(self, lam, U, dlam, dU) -> np.ndarray:
+        """Derivatives of the map along real tangent directions.
+
+        Components come first here: lam has shape (b,) and U (n, b); dlam
+        and dU are their tangents along p directions, broadcastable to
+        (p, b) and (n, p, b).  Returns the derivatives, (n, p, b): the
+        product rule for the standard map, ``evaluate_jvp`` otherwise.
+        """
+        if self.kind == "standard":
+            return dlam * U[:, None] + lam * dU
+        comps = (lam,) + tuple(U)
+        tans = (dlam,) + tuple(dU)
+        return np.stack([evaluate_jvp(e, comps, tans)[1]
+                         for e in self.map_exprs])
+
     def disc(self, lam, index) -> np.ndarray:
         """Points of the disc through direction ``index`` at parameters lam.
 
@@ -250,6 +274,10 @@ def _unit_directions(n: int, U) -> np.ndarray:
         raise PencilCheckError("direction set must be nonempty")
     if U.shape[1] != n:
         raise PencilCheckError(f"directions live in C^{U.shape[1]}, expected C^{n}")
+    finite = np.isfinite(U).all(axis=1)
+    if not finite.all():
+        raise PencilCheckError(f"non-finite direction {np.argmin(finite)} "
+                               "in direction set")
     norms = np.linalg.norm(U, axis=1)
     if np.any(norms == 0):
         raise PencilCheckError("zero vector in direction set")
@@ -441,13 +469,18 @@ class PencilHoloResult:
         return clean[int(np.argmax([r.residual for r in clean]))]
 
     def evidence(self) -> dict:
-        """Report details: where the worst disc is, and how many failed."""
+        """Report details: where the worst disc is, how many discs failed
+        to evaluate, and the first of them with its error."""
         disc = self.worst_disc()
+        errors = [r for r in self.residuals if r.error is not None]
+        first = errors[0] if errors else None
         return {"worst_direction_index":
                     None if disc is None else disc.direction_index,
                 "worst_radius": None if disc is None else disc.radius,
-                "discs_with_error":
-                    sum(r.error is not None for r in self.residuals)}
+                "discs_with_error": len(errors),
+                "first_error": None if first is None else {
+                    "direction_index": first.direction_index,
+                    "radius": first.radius, "error": first.error}}
 
 
 #: Most samples (items x samples per item) that one batched evaluation
@@ -902,108 +935,121 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
 
     The points are independent, so each iteration works on the live
     points only, those whose residual is not yet within tol * scale; a
-    converged point is frozen.  The Jacobian is central differences, one
-    column per map call, and the step is the minimum-norm Gauss-Newton
-    step of ``_gauss_newton_step``.  Each point whose residual grows has
-    its step halved, up to three times.
+    converged point is frozen.  The arrays hold the live points on their
+    last axis.  The Jacobian is exact, one ``map_tangents`` call per
+    iteration along the real and imaginary parts of mu and the frame, and
+    the step is the minimum-norm Gauss-Newton step of
+    ``_gauss_newton_step``.  Each point whose residual grows has its step
+    halved, up to three times.
     """
     B, n = targets.shape
-    mu = np.array(lam0, dtype=complex)
-    V = np.array(dirs0, dtype=complex)
-    h = 1e-6
     p = 2 * n + 1                            # unknowns: mu, tangent of v
+    mu = np.array(lam0, dtype=complex)
+    V = np.array(np.transpose(dirs0), dtype=complex)            # (n, B)
+    T = np.transpose(targets)
+    dlam = np.zeros((p, 1), dtype=complex)   # mu moves along 1 and i only
+    dlam[:2, 0] = 1.0, 1j
 
     def resid(mu_v, V_v, tgt):
-        return _realify(P.map_batch(mu_v, V_v) - tgt)
+        d = P.map_batch(mu_v, V_v.T).T - tgt
+        return np.concatenate([d.real, d.imag])                 # (2n, b)
 
-    scale = np.maximum(1.0, np.linalg.norm(_realify(targets), axis=1))
-    R = resid(mu, V, targets)
+    scale = np.maximum(1.0, np.linalg.norm(
+        np.concatenate([T.real, T.imag]), axis=0))
+    R = resid(mu, V, T)
     live = np.arange(B)
     for _ in range(iters):
-        rnorm = np.linalg.norm(R[live], axis=1)
+        rnorm = np.linalg.norm(R[:, live], axis=0)
         keep = ~(rnorm <= tol * scale[live])     # a nan residual stays live
         live, rnorm = live[keep], rnorm[keep]
         if live.size == 0:
             break
         b = live.size
-        mu_l, V_l, tgt = mu[live], V[live], targets[live]
-        frames = _tangent_frames(V_l)                # (b, 2n-1, n) complex
-        J = np.empty((b, 2 * n, p))
-        V_unit = _renormalize(V_l)
-        for q, dmu in enumerate((h, 1j * h)):
-            J[:, :, q] = (resid(mu_l + dmu, V_unit, tgt)
-                          - resid(mu_l - dmu, V_unit, tgt)) / (2 * h)
-        for q in range(2, p):
-            dV = h * frames[:, q - 2, :]
-            J[:, :, q] = (resid(mu_l, _renormalize(V_l + dV), tgt)
-                          - resid(mu_l, _renormalize(V_l - dV), tgt)) / (2 * h)
-        step = _gauss_newton_step(J, R[live])
+        mu_l, V_l, tgt = mu[live], V[:, live], T[:, live]
+        frames = _frames(V_l)                        # (n, 2n-1, b) complex
+        dU = np.concatenate([np.zeros((n, 2, b), dtype=complex), frames],
+                            axis=1)
+        D = P.map_tangents(mu_l, V_l, dlam, dU)      # (n, p, b)
+        step = _gauss_newton_step(np.concatenate([D.real, D.imag]),
+                                  R[:, live])
         alpha = np.ones(b)
 
         def trial(rows):
             a = alpha[rows]
-            mu_t = mu_l[rows] + a * (step[rows, 0] + 1j * step[rows, 1])
-            V_t = _renormalize(V_l[rows] + np.einsum(
-                "b,bkn,bk->bn", a, frames[rows], step[rows, 2:]))
-            return mu_t, V_t, resid(mu_t, V_t, tgt[rows])
+            mu_t = mu_l[rows] + a * (step[0, rows] + 1j * step[1, rows])
+            V_t = _renormalize(V_l[:, rows] + np.einsum(
+                "nkb,kb->nb", frames[:, :, rows], a * step[2:, rows]), axis=0)
+            return mu_t, V_t, resid(mu_t, V_t, tgt[:, rows])
 
+        mu_new, V_new, R_new = trial(slice(None))
         rows = np.arange(b)
-        mu_new, V_new, R_new = trial(rows)
         for _damp in range(3):
-            rows = rows[np.linalg.norm(R_new[rows], axis=1) > rnorm[rows]]
+            rows = rows[np.linalg.norm(R_new[:, rows], axis=0) > rnorm[rows]]
             if rows.size == 0:
                 break
             alpha[rows] *= 0.5
-            mu_new[rows], V_new[rows], R_new[rows] = trial(rows)
-        mu[live], V[live], R[live] = mu_new, V_new, R_new
-    ok = np.linalg.norm(R, axis=1) <= 10 * tol * scale
-    return mu, V, ok
+            mu_new[rows], V_new[:, rows], R_new[:, rows] = trial(rows)
+        mu[live], V[:, live], R[:, live] = mu_new, V_new, R_new
+    ok = np.linalg.norm(R, axis=0) <= 10 * tol * scale
+    return mu, V.T, ok
 
 
 def _gauss_newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of J step = -R for a stack of wide Jacobians.
+    """Minimum-norm solution of J step = -R for wide Jacobians, batch last.
 
-    J has shape (b, m, p) with m < p.  When J has full row rank,
-    pinv(J) R = J^T (J J^T)^-1 R, so one stacked solve of the (b, m, m)
-    Gram matrices replaces one SVD per row.  The Gram matrix squares
-    cond(J), so a row whose step is non-finite or misses J step = -R by
-    more than 1e-6 |R| takes the pinv step instead, and every row does
-    when the stacked solve raises.
+    J has shape (m, p, b) with m < p and R shape (m, b): each entry is a
+    vector over the b points, and the step comes back as (p, b).  When J
+    has full row rank, pinv(J) R = J^T (J J^T)^-1 R, so the (m, m) Gram
+    matrices (one contraction, no temporary larger than J) are solved by
+    elimination across the points; they are symmetric positive definite,
+    so no pivot is needed.  The Gram matrix squares cond(J), so a point
+    whose step is non-finite (a zero pivot) or misses J step = -R by more
+    than 1e-6 |R| takes the pinv step instead.
     """
-    Jt = np.swapaxes(J, 1, 2)
-    try:
-        y = np.linalg.solve(J @ Jt, R[..., None])
-    except np.linalg.LinAlgError:
-        return -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
-    step = -(Jt @ y)[..., 0]
-    miss = np.linalg.norm(np.einsum("bij,bj->bi", J, step) + R, axis=1)
-    bad = ~(np.isfinite(step).all(axis=1)
-            & (miss <= 1e-6 * np.linalg.norm(R, axis=1)))
+    G = np.einsum("ipb,jpb->ijb", J, J)
+    m = len(G)
+    y = R.copy()
+    with np.errstate(all="ignore"):
+        for k in range(m - 1):
+            f = G[k + 1:, k] / G[k, k]
+            G[k + 1:, k + 1:] -= f[:, None] * G[k, k + 1:]
+            y[k + 1:] -= f * y[k]
+        for k in reversed(range(m)):
+            y[k] = (y[k] - np.einsum("jb,jb->b", G[k, k + 1:], y[k + 1:])
+                    ) / G[k, k]
+        step = -np.einsum("ipb,ib->pb", J, y)
+        miss = np.linalg.norm(np.einsum("ipb,pb->ib", J, step) + R, axis=0)
+    bad = ~(np.isfinite(step).all(axis=0)
+            & (miss <= 1e-6 * np.linalg.norm(R, axis=0)))
     if bad.any():
-        step[bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[bad]), R[bad])
+        Jb = np.moveaxis(J[:, :, bad], -1, 0)
+        step[:, bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(Jb),
+                                  R[:, bad].T).T
     return step
 
 
-def _renormalize(V: np.ndarray) -> np.ndarray:
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+def _renormalize(V: np.ndarray, axis: int = -1) -> np.ndarray:
+    return V / np.linalg.norm(V, axis=axis, keepdims=True)
+
+
+def _frames(V: np.ndarray) -> np.ndarray:
+    """Real-orthonormal tangent frames of S^(2n-1) at the columns of V.
+
+    V has shape (n, b); returns (n, 2n-1, b), frame vector k of point j
+    in [:, k, j].  Uses the Householder reflection mapping e1 to the
+    realified point: its remaining columns are an orthonormal basis of
+    the tangent space.  Points with x ~ e1 keep the canonical frame e2..ed.
+    """
+    n, b = V.shape
+    d = 2 * n
+    W = -np.concatenate([V.real, V.imag])             # (d, b), e1 - x
+    W[0] += 1.0
+    nsq = np.einsum("ib,ib->b", W, W)
+    coef = 2.0 * W[1:] / np.where(nsq > 1e-12, nsq, np.inf)
+    F = np.eye(d)[:, 1:, None] - W[:, None] * coef    # (d, d-1, b)
+    return F[:n] + 1j * F[n:]
 
 
 def _tangent_frames(V: np.ndarray) -> np.ndarray:
-    """Real-orthonormal tangent frames of S^(2n-1) at each row of V.
-
-    Uses the Householder reflection mapping e1 to the realified point:
-    its remaining columns are an orthonormal basis of the tangent space.
-    """
-    B, n = V.shape
-    d = 2 * n
-    X = _realify(V)                                   # (B, d) unit rows
-    W = -X.copy()
-    W[:, 0] += 1.0                                    # e1 - x
-    nsq = np.einsum("bi,bi->b", W, W)
-    frames_r = np.broadcast_to(np.eye(d)[1:], (B, d - 1, d)).copy()
-    good = nsq > 1e-12
-    coef = np.zeros((B, d - 1))
-    coef[good] = 2.0 * W[good, 1:] / nsq[good, None]
-    frames_r -= coef[:, :, None] * W[:, None, :]
-    # x ~ e1 rows keep the canonical frame e2..ed
-    return frames_r[:, :, :n] + 1j * frames_r[:, :, n:]
+    """``_frames`` with the points first: V (B, n) gives (B, 2n-1, n)."""
+    return _frames(V.T).transpose(2, 1, 0)

@@ -118,11 +118,22 @@ def disc_stage(name: str, f, pencil, radii, tol: float) -> Stage:
     the given radii; ``name`` is the stage's name in the caller's report."""
     holo = check_holo_along_pencil(f, pencil, radii, tol)
     worst = holo.worst()
-    return _judged(name, holo.passed,
-                   {"worst_residual": worst, "tol": tol,
-                    "discs": len(holo.residuals), **holo.evidence()},
-                   "hypothesis (2) fails: some disc has antiholomorphic "
-                   f"residual {worst:.3g}")
+    details = {"worst_residual": worst, "tol": tol,
+               "discs": len(holo.residuals), **holo.evidence()}
+    clauses = [disc_errors(details)] if details["first_error"] else []
+    if not clauses or worst > tol:
+        clauses.append(f"some disc has antiholomorphic residual {worst:.3g}")
+    return _judged(name, holo.passed, details,
+                   "hypothesis (2) fails: " + "; ".join(clauses))
+
+
+def disc_errors(details: dict) -> str:
+    """How many discs of a disc stage raised, and the first of them."""
+    first = details["first_error"]
+    return (f"{details['discs_with_error']} of {details['discs']} discs "
+            f"raised an error, the first at direction "
+            f"{first['direction_index']}, radius {first['radius']:g}: "
+            f"{first['error']}")
 
 
 def jet_stage(f, n: int, order: int, tol: float,

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,17 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_expression_with_a_leading_minus(self, capsys):
+        # argparse reads "-z1" after --expr as an option; the README gives
+        # the --expr=-z1 form
+        code, _, err = run_cli(capsys, "analyze", "--expr", "-z1",
+                               "--order", "4")
+        assert code == 2 and "expected one argument" in err
+        code, out, _ = run_cli(capsys, "analyze", "--expr=-z1", "--order", "4",
+                               "--directions", "sphere:100", "--json")
+        assert code == 0
+        assert json.loads(out)["summary"]["passed"] is True
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -101,7 +113,41 @@ class TestDiscEvidence:
         assert stage["details"]["discs"] == 300
         assert stage["details"]["worst_radius"] == 0.9
         assert stage["details"]["discs_with_error"] == 0
+        assert stage["details"]["first_error"] is None
         assert isinstance(stage["details"]["worst_direction_index"], int)
+
+    # z2/z1 divides by zero on every disc through (0, 1), and is
+    # holomorphic along the other two directions
+    ERRORED = [[[0.6, 0], [0.8, 0]], [[0, 0], [1, 0]], [[0.8, 0], [0, 0.6]]]
+    NAMED = ("3 of 9 discs raised an error, the first at direction 1, "
+             "radius 0.3: division by zero in 'z1'")
+
+    def test_pencil_check_names_errored_discs(self, capsys, tmp_path):
+        dir_file = tmp_path / "dirs.json"
+        dir_file.write_text(json.dumps(self.ERRORED))
+        argv = ("pencil-check", "--expr", "z2/z1", "--directions", str(dir_file))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        first, verdict = out.splitlines()
+        assert first.endswith(f"(tol 1e-08); {self.NAMED}")
+        assert verdict == "FAIL"
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        validate(out)
+        details = json.loads(out)["stages"][0]["details"]
+        assert details["discs_with_error"] == 3
+        assert details["first_error"] == {
+            "direction_index": 1, "radius": 0.3,
+            "error": "division by zero in 'z1'"}
+
+    def test_analyze_names_errored_discs(self, capsys, tmp_path):
+        dir_file = tmp_path / "dirs.json"
+        dir_file.write_text(json.dumps(self.ERRORED))
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "z2/z1",
+                               "--order", "4", "--directions", str(dir_file))
+        assert code == 1
+        verdict = [ln for ln in out.splitlines() if ln.startswith("verdict:")]
+        assert verdict[0].startswith(
+            f"verdict: hypothesis (2) fails: {self.NAMED}; hypothesis (1)")
 
 
 class TestJetEvidence:
@@ -226,7 +272,13 @@ class TestMalformedDirections:
          "; row 1 is [[0, 0], ['1', 0]]"),
         ([[[1, 0], [0, 0]], [[True, 0], [0, 1]]],
          "; row 1 is [[True, 0], [0, 1]]"),
-    ], ids=["plain-numbers", "object", "three-entries", "string", "bool"])
+        ([[[math.nan, 0], [1, 0]]], "; row 0 is [[nan, 0], [1, 0]]"),
+        ([[[1, 0], [0, 0]], [[0, 0], [0, -math.inf]]],
+         "; row 1 is [[0, 0], [0, -inf]]"),
+        ([[[1, 0], [0, 0]], [[10 ** 400, 0], [0, 1]]],
+         f"; row 1 is [[{10 ** 400}, 0], [0, 1]]"),
+    ], ids=["plain-numbers", "object", "three-entries", "string", "bool",
+            "nan", "infinity", "int-beyond-float"])
     def test_exit_2_naming_the_row(self, capsys, tmp_path, dirs, message):
         dir_file = tmp_path / "dirs.json"
         dir_file.write_text(json.dumps(dirs))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from forelli_lab import EvalError, ParseError, evaluate, parse, to_string
-from forelli_lab.expr import BinOp, Call, Neg, Num, Pow, Var
+from forelli_lab.expr import BinOp, Call, Neg, Num, Pow, Var, evaluate_jvp
 
 
 class TestParse:
@@ -144,3 +144,52 @@ class TestRoundTrip:
             b = np.broadcast_to(np.asarray(b), (100,))
             scale = np.maximum(1.0, np.abs(a))
             assert np.max(np.abs(a - b) / scale) <= 1e-12
+
+
+# every node type: + - * /, unary minus, ^, conj, exp, re, im, normsq of an
+# expression and of the whole vector, numbers and i
+EVERY_NODE = ("exp(z1*conj(z2))/(2 + normsq(z)) - re(z1)^3*im(z2)"
+              " + normsq(z1 - 0.5*z2)*-z1 + i*z2^0")
+
+
+class TestForwardMode:
+    def points(self, rng, count=50, directions=4):
+        z = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
+        dz = (rng.standard_normal((2, directions, count))
+              + 1j * rng.standard_normal((2, directions, count)))
+        return tuple(0.7 * z), tuple(dz)
+
+    def test_value_is_evaluate_bit_for_bit(self, rng):
+        e = parse(EVERY_NODE)
+        z, dz = self.points(rng)
+        value, _ = evaluate_jvp(e, z, dz)
+        assert np.array_equal(value, evaluate(e, z))
+        assert evaluate_jvp(e, (0.3, 1j), (1.0, 0.0))[0] == evaluate(e, (0.3, 1j))
+
+    def test_derivatives_match_central_differences(self, rng):
+        e = parse(EVERY_NODE)
+        z, dz = self.points(rng)
+        _, tangent = evaluate_jvp(e, z, dz)
+        assert tangent.shape == (4, 50)
+        h = 1e-6
+        shifted = lambda t: evaluate(e, tuple(c + t * d for c, d in zip(z, dz)))
+        fd = (shifted(h) - shifted(-h)) / (2 * h)
+        err = np.abs(tangent - fd) / np.maximum(1.0, np.abs(tangent))
+        assert err.max() <= 1e-7
+
+    def test_constant_has_zero_tangent(self):
+        value, tangent = evaluate_jvp(parse("2*i - 1"), (np.ones(3),),
+                                      (np.ones((2, 3)),))
+        assert value == -1 + 2j
+        assert tangent.shape == (2, 3) and not tangent.any()
+
+    @pytest.mark.parametrize("text,z", [("1/(1-z1)", (1.0,)),
+                                        ("z1/(z2 - normsq(z1))", (1j, 1.0)),
+                                        ("z3", (1.0, 2.0))])
+    def test_errors_are_evaluates(self, text, z):
+        e = parse(text)
+        with pytest.raises(EvalError) as want:
+            evaluate(e, z)
+        with pytest.raises(EvalError) as got:
+            evaluate_jvp(e, z, tuple(np.ones((2, 1)) for _ in z))
+        assert str(got.value) == str(want.value)

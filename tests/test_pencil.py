@@ -52,6 +52,14 @@ class TestStandardPencil:
         with pytest.raises(PencilCheckError):
             standard_pencil(2, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_non_finite_rejected(self, bad):
+        U = [(1.0, 0.0), (0.6, 0.8), (bad, 1.0)]
+        with pytest.raises(PencilCheckError, match="^non-finite direction 2 "):
+            standard_pencil(2, U)
+        with pytest.raises(PencilCheckError, match="^non-finite direction 2 "):
+            pencil_from_exprs(2, TWIST, U)
+
 
 class TestDiscResidual:
     def test_polynomial_clean(self):
@@ -168,6 +176,9 @@ class TestBatchedAgainstOneDisc:
                   for d in res.residuals if d.error is not None]
         assert errors == [(17, 0.3, "division by zero in 'z1-0.3'")]
         assert res.evidence()["discs_with_error"] == 1
+        assert res.evidence()["first_error"] == {
+            "direction_index": 17, "radius": 0.3,
+            "error": "division by zero in 'z1-0.3'"}
 
     def test_overflow_is_a_non_finite_error(self, with_e1):
         P = standard_pencil(2, with_e1)
@@ -214,7 +225,8 @@ class TestBatchedAgainstOneDisc:
         assert res.worst() == max(vals)
         assert res.evidence() == {
             "worst_direction_index": res.residuals[k].direction_index,
-            "worst_radius": res.residuals[k].radius, "discs_with_error": 0}
+            "worst_radius": res.residuals[k].radius, "discs_with_error": 0,
+            "first_error": None}
         # the largest |u1| direction at the largest radius
         assert res.evidence()["worst_direction_index"] == 17
         assert res.evidence()["worst_radius"] == 0.9
@@ -575,13 +587,15 @@ def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8, delta=1e-5):
 
 
 CUBIC = ["l*u1 + l^3*u2*conj(u2)", "l*u2"]
+EXP_QUOTIENT = ["l*u1*exp(l*u2)", "l*u2/(1 - l*u1/4)"]
 
 
 def seeded_pencil(kind, seed, count=200):
     U = sphere_directions(2, count, seed=seed)
     if kind == "standard":
         return standard_pencil(2, U)
-    return pencil_from_exprs(2, TWIST if kind == "twisted" else CUBIC, U)
+    exprs = {"twisted": TWIST, "cubic": CUBIC, "exp_quotient": EXP_QUOTIENT}
+    return pencil_from_exprs(2, exprs[kind], U)
 
 
 class TestInversionAgainstPinv:
@@ -609,7 +623,8 @@ class TestInversionAgainstPinv:
 
     @pytest.mark.parametrize("kind,seed,mesh", [
         ("twisted", 1, 1000), ("twisted", 2, 400), ("twisted", 3, 400),
-        ("cubic", 1, 1000), ("cubic", 4, 400), ("standard", 2, 1000)])
+        ("cubic", 1, 1000), ("cubic", 4, 400), ("standard", 2, 1000),
+        ("exp_quotient", 2, 400)])
     def test_same_radius(self, monkeypatch, kind, seed, mesh):
         P = seeded_pencil(kind, seed)
         W = np.sort(np.random.default_rng(seed).choice(200, 20, replace=False))
@@ -639,7 +654,58 @@ class TestInversionAgainstPinv:
             standard_subpencil_radius(P, W, V=V, mesh=50)
 
 
+class TestExactJacobian:
+    """Each Gauss-Newton iteration evaluates the Jacobian once; map_batch
+    gives only the residuals: the first one and each step's trials."""
+
+    @pytest.mark.parametrize("kind", ["twisted", "exp_quotient", "standard"])
+    def test_one_jacobian_per_iteration(self, monkeypatch, kind):
+        P = seeded_pencil(kind, 3)
+        events = []
+        spec = pencil.PencilSpec
+        batch, tangents, step = (spec.map_batch, spec.map_tangents,
+                                 pencil._gauss_newton_step)
+
+        def spy_batch(self, lam, U):
+            events.append(("residual", np.size(lam)))
+            return batch(self, lam, U)
+
+        def spy_tangents(self, lam, U, dlam, dU):
+            events.append(("jacobian", np.size(lam)))
+            return tangents(self, lam, U, dlam, dU)
+
+        def spy_step(J, R):
+            events.append(("step", R.shape[-1]))
+            return step(J, R)
+
+        monkeypatch.setattr(spec, "map_batch", spy_batch)
+        monkeypatch.setattr(spec, "map_tangents", spy_tangents)
+        monkeypatch.setattr(pencil, "_gauss_newton_step", spy_step)
+        B = 300
+        lam = 0.8 * np.exp(2j * np.pi * np.arange(B) / 7) * np.linspace(0.1, 1, B)
+        dirs = P.directions[np.arange(B) % P.num_directions]
+        # start off the straight-line preimage, so the standard pencil
+        # iterates too
+        start = _renormalize(dirs + 0.1 * np.roll(dirs, 1, axis=0))
+        mu, V, ok = pencil._invert_map(P, lam[:, None] * dirs, 0.9 * lam,
+                                       start, pencil._NEWTON_ITERS,
+                                       pencil._NEWTON_TOL)
+        assert ok.all()
+        assert events[0] == ("residual", B)
+        iterations = [i for i, e in enumerate(events) if e[0] == "jacobian"]
+        assert len(iterations) >= 2
+        for start, stop in zip(iterations, iterations[1:] + [len(events)]):
+            (_, b), *rest = events[start:stop]
+            assert rest[:2] == [("step", b), ("residual", b)]
+            damping = rest[2:]
+            assert len(damping) <= 3
+            assert all(kind == "residual" and 0 < size <= b
+                       for kind, size in damping)
+
+
 class TestGaussNewtonStep:
+    """The batch-last step against ``pinv`` on points-first stacks."""
+
     @staticmethod
     def pinv_step(J, R):
         return -np.einsum("bij,bj->bi", np.linalg.pinv(J), R)
@@ -648,16 +714,19 @@ class TestGaussNewtonStep:
     def stack(rng, b=7):
         return rng.standard_normal((b, 4, 5)), rng.standard_normal((b, 4))
 
+    @staticmethod
+    def step(J, R):
+        """``_gauss_newton_step`` on the (b, m, p) stack J, points first."""
+        return _gauss_newton_step(J.transpose(1, 2, 0), R.T).T
+
     def test_matches_pinv_on_full_rank_rows(self, rng):
         J, R = self.stack(rng, 200)
-        step = _gauss_newton_step(J, R)
+        step = self.step(J, R)
         ref = self.pinv_step(J, R)
         err = np.linalg.norm(step - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert err.max() <= 1e-12
 
-    def test_rank_deficient_row_takes_pinv(self, rng, monkeypatch):
-        J, R = self.stack(rng)
-        J[3] = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 5))  # rank 3
+    def rank_deficient_takes_pinv(self, monkeypatch, J, R, row):
         seen = []
         pinv = np.linalg.pinv
 
@@ -666,20 +735,26 @@ class TestGaussNewtonStep:
             return pinv(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "pinv", spy)
-        step = _gauss_newton_step(J, R)
+        step = self.step(J, R)
         monkeypatch.undo()
-        assert len(seen) == 1 and np.array_equal(seen[0], J[3:4])
+        assert len(seen) == 1 and np.array_equal(seen[0], J[row:row + 1])
         ref = self.pinv_step(J, R)
-        assert np.array_equal(step[3], self.pinv_step(J[3:4], R[3:4])[0])
-        rest = np.arange(len(J)) != 3
+        assert np.array_equal(step[row],
+                              self.pinv_step(J[row:row + 1], R[row:row + 1])[0])
+        rest = np.arange(len(J)) != row
         err = (np.linalg.norm(step[rest] - ref[rest], axis=1)
                / np.linalg.norm(ref[rest], axis=1))
         assert err.max() <= 1e-12
 
-    def test_singular_gram_stack_is_all_pinv(self, rng):
+    def test_rank_deficient_row_takes_pinv(self, rng, monkeypatch):
         J, R = self.stack(rng)
-        J[2, 1] = 0.0                                  # an exact zero row
-        assert np.array_equal(_gauss_newton_step(J, R), self.pinv_step(J, R))
+        J[3] = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 5))  # rank 3
+        self.rank_deficient_takes_pinv(monkeypatch, J, R, 3)
+
+    def test_singular_gram_row_takes_pinv(self, rng, monkeypatch):
+        J, R = self.stack(rng)
+        J[2, 1] = 0.0                    # an exact zero row: a zero pivot
+        self.rank_deficient_takes_pinv(monkeypatch, J, R, 2)
 
     def test_non_finite_row_raises_like_pinv(self, rng):
         J, R = self.stack(rng)
@@ -687,7 +762,7 @@ class TestGaussNewtonStep:
         with pytest.raises(np.linalg.LinAlgError) as want:
             self.pinv_step(J, R)
         with pytest.raises(np.linalg.LinAlgError) as got:
-            _gauss_newton_step(J, R)
+            self.step(J, R)
         assert str(got.value) == str(want.value)
 
 
