@@ -11,12 +11,12 @@ residual checks measure.
 Residuals are Fourier based: a function of one complex variable sampled
 on a circle is holomorphic iff its negative-index Fourier content
 vanishes; the circles and their modes come from ``series.torus`` and
-``series.torus_modes``.  Cauchy-Riemann residuals of ambient functions
-use central finite differences for the Wirtinger derivatives (the
-functions are only assumed C^1, so complex-step tricks are not
-available).  The pencil map itself is differentiated exactly: the
-standard map in closed form, a general map by forward-mode evaluation of
-its expressions (``expr.evaluate_jvp``).
+``series.torus_modes``.  Every derivative of an expression is exact:
+the pencil map's (the standard map in closed form, a general map by
+forward-mode evaluation, ``expr.evaluate_jvp``) and the Wirtinger
+derivatives of an ambient ``Expr`` function, which give the
+Cauchy-Riemann residuals, the normalization and its invariants.  Only a
+plain callable passed through the API is differenced (``_wirtinger``).
 
 The direction sample carries an angular nearest-neighbour graph; "open
 subsets" of U are connected graph patches with their neighbourhoods, and
@@ -38,7 +38,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import EvalError, Expr, evaluate, evaluate_jvp, parse
+from .expr import (EvalError, Expr, as_callable, evaluate, evaluate_jvp,
+                   parse)
 from .series import torus, torus_modes
 
 
@@ -59,18 +60,15 @@ _PENCIL_HOLO_TOL = 1e-8      # pencil_from_exprs: disc residual per component
 _PENCIL_MESH_TOL = 1e-10     # and the distance at which mesh images coincide
 _Z2_SAMPLES = 12             # tilde_normalize: the z2 ring of its checks,
 _NORMALIZE_NEWTON_TOL = 1e-12    # its first-component Newton solve,
-_FD_STEP = 1e-6              # that solve's difference step
 _TOL_K0 = 1e-8               # and the bounds of its three checks
 _TOL_SLOPE = 1e-6
 _TOL_HOLO = 1e-8
-_HG_DELTA = 1e-5             # compute_H_G: Wirtinger difference step
-_H_FLOOR = 1e-9              # and the floor |H| must clear
+_H_FLOOR = 1e-9              # compute_H_G: the floor |H| must clear
 _BISECT_STEPS = 10           # standard_subpencil_radius: bisection on r,
 _NEWTON_ITERS = 30           # the inversion's iterations and tolerance,
 _NEWTON_TOL = 1e-10
 _R_FLOOR = 1e-6              # and the radius below which no r is verified
 _SUBPENCIL_PHASES = 8        # find_subpencil: disc phases per ring
-_SUBPENCIL_DELTA = 1e-5      # and its Wirtinger difference step
 
 
 # -- direction sampling --------------------------------------------------------
@@ -211,20 +209,21 @@ class PencilSpec:
                 for e in self.map_exprs]
         return np.stack(cols, axis=-1)
 
-    def map_tangents(self, lam, U, dlam, dU) -> np.ndarray:
-        """Derivatives of the map along real tangent directions.
+    def map_tangents(self, lam, U, dlam, dU):
+        """The map and its derivatives along real tangent directions.
 
         Components come first here: lam has shape (b,) and U (n, b); dlam
         and dU are their tangents along p directions, broadcastable to
-        (p, b) and (n, p, b).  Returns the derivatives, (n, p, b): the
-        product rule for the standard map, ``evaluate_jvp`` otherwise.
+        (p, b) and (n, p, b).  Returns the values, (n, b), and the
+        derivatives, (n, p, b): the product rule for the standard map,
+        ``evaluate_jvp`` otherwise.
         """
         if self.kind == "standard":
-            return dlam * U[:, None] + lam * dU
-        comps = (lam,) + tuple(U)
-        tans = (dlam,) + tuple(dU)
-        return np.stack([evaluate_jvp(e, comps, tans)[1]
-                         for e in self.map_exprs])
+            return lam * U, dlam * U[:, None] + lam * dU
+        comps, tans = (lam,) + tuple(U), (dlam,) + tuple(dU)
+        out = [evaluate_jvp(e, comps, tans) for e in self.map_exprs]
+        return (np.stack([np.broadcast_to(v, lam.shape) for v, _ in out]),
+                np.stack([d for _, d in out]))
 
     def disc(self, lam, index) -> np.ndarray:
         """Points of the disc through direction ``index`` at parameters lam.
@@ -512,7 +511,6 @@ def check_holo_along_pencil(f, P: PencilSpec,
     chunk raises, or whose samples are not all finite, is redone on its
     own, so an error stays with its own disc and keeps its message.
     """
-    from .expr import as_callable
     func = as_callable(f, P.n)
 
     def on_discs(di):
@@ -545,26 +543,39 @@ def check_holo_along_pencil(f, P: PencilSpec,
     return PencilHoloResult(out, tol, ok)
 
 
-# -- Wirtinger residuals of ambient functions ----------------------------------
+# -- Wirtinger derivatives of ambient functions --------------------------------
 
-def wirtinger_dbar(f, points: np.ndarray, delta: float = 1e-5) -> np.ndarray:
-    """Central-difference d/dzbar_j of f at an array of points (..., n).
+def _wirtinger(f, points: np.ndarray, delta: float = 1e-5):
+    """d/dz_j and d/dzbar_j of f at an array of points (..., n).
 
-    Returns an array (..., n) of the n conjugate Wirtinger derivatives.
+    Returns two arrays (..., n), (D_x - i D_y)/2 and (D_x + i D_y)/2 from
+    the derivatives along the real and imaginary axis of each z_j.  An
+    ``Expr`` gets them exactly, from one ``evaluate_jvp`` call along the
+    2n coordinate tangents on one leading axis; a callable by central
+    differences with step delta, the one difference step of this module.
     """
     points = np.asarray(points, dtype=complex)
     n = points.shape[-1]
-    out = np.empty(points.shape, dtype=complex)
-    for j in range(n):
-        def shifted(step):
+    if isinstance(f, Expr):
+        eye = np.kron(np.eye(n), [[1.0], [1j]])      # rows: x_1, y_1, x_2, ..
+        D = evaluate_jvp(f, tuple(np.moveaxis(points, -1, 0)), tuple(
+            eye.T.reshape((n, 2 * n) + (1,) * (points.ndim - 1))))[1]
+    else:
+        def shifted(j, step):
             q = points.copy()
             q[..., j] = q[..., j] + step
-            return np.asarray(f(tuple(q[..., k] for k in range(n))),
-                              dtype=complex)
-        dx = (shifted(delta) - shifted(-delta)) / (2.0 * delta)
-        dy = (shifted(1j * delta) - shifted(-1j * delta)) / (2.0 * delta)
-        out[..., j] = 0.5 * (dx + 1j * dy)
-    return out
+            return np.broadcast_to(np.asarray(f(tuple(np.moveaxis(q, -1, 0))),
+                                              dtype=complex), points.shape[:-1])
+        D = np.stack([(shifted(j, s * delta) - shifted(j, -s * delta))
+                      / (2.0 * delta) for j in range(n) for s in (1, 1j)])
+    dx, dy = np.moveaxis(D[0::2], 0, -1), np.moveaxis(D[1::2], 0, -1)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
+def wirtinger_dbar(f, points: np.ndarray, delta: float = 1e-5) -> np.ndarray:
+    """d/dzbar_j of f at an array of points (..., n), as an array (..., n):
+    the second half of ``_wirtinger``, exact for an ``Expr``."""
+    return _wirtinger(f, points, delta)[1]
 
 
 # -- the disc-map normalization (n = 2) ----------------------------------------
@@ -573,24 +584,18 @@ def wirtinger_dbar(f, points: np.ndarray, delta: float = 1e-5) -> np.ndarray:
 class KData:
     """Normalized disc-map data h~(z1, z2) = (z1, k(z1, z2)).
 
-    ``k(w, z2)`` is vectorized over w for a fixed scalar z2.  ``rotation``
-    maps original coordinates to the working frame in which the chosen
+    ``k(w, z2)`` broadcasts over w and z2, and ``dk(w, z2)`` gives its
+    derivatives there, (dk/dw, dk/dz2, dk/dz2bar).  ``rotation`` maps
+    original coordinates to the working frame in which the chosen
     direction is (1, 0).
     """
 
     v0: np.ndarray
     rotation: np.ndarray
     eps: float
-    k: Callable[[np.ndarray, complex], np.ndarray]
+    k: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dk: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
     checks: dict = field(default_factory=dict)
-
-
-def _rotation_to_e1(v0: np.ndarray) -> np.ndarray:
-    v0 = np.asarray(v0, dtype=complex)
-    v0 = v0 / np.linalg.norm(v0)
-    q2 = np.array([-np.conj(v0[1]), np.conj(v0[0])])
-    Q = np.vstack([np.conj(v0), np.conj(q2)])
-    return Q
 
 
 def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
@@ -602,76 +607,80 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     takes the shape (z1, k(z1, z2)).  Verifies that k is holomorphic in
     z1, vanishes at z1 = 0, and has first z1-derivative equal to z2;
     failure of any of these raises PencilCheckError (pencil not
-    admissible at v0).
+    admissible at v0).  Every derivative is exact: h~'s come from one
+    ``map_tangents`` call along zeta, Re z2 and Im z2, and k's from them
+    by implicit differentiation of the Newton solve.
     """
     if P.n != 2:
         raise ValueError("normalization is implemented for n = 2 only")
-    v0_arr = np.asarray(v0, dtype=complex)
-    v0_arr = v0_arr / np.linalg.norm(v0_arr)
+    v0_arr = np.asarray(v0, dtype=complex) / np.linalg.norm(v0)
     inner = float(np.real(P.directions @ np.conj(v0_arr)).max())
     gap = math.acos(min(max(inner, -1.0), 1.0))
     if gap > 4.0 * max(P.resolution(), 1e-12):
         warnings.warn(f"v0 is {gap:.3g} rad from the nearest sampled "
                       "direction; the pencil is extrapolated there")
-    Q = _rotation_to_e1(v0_arr)
+    Q = np.array([np.conj(v0_arr), [-v0_arr[1], v0_arr[0]]])   # v0 -> e1
     Qh = Q.conj().T
+    dzeta, dz2 = np.array([[1.0], [0.0], [0.0]]), np.array([[0.0], [1.0], [1j]])
 
-    def htilde(z1, z2):
-        """h~ on an array of z1 at a fixed complex z2, in rotated coords."""
-        z1 = np.asarray(z1, dtype=complex)
-        s = math.sqrt(1.0 + abs(z2) ** 2)
-        u_rot = np.array([1.0, z2], dtype=complex) / s
-        u = Qh @ u_rot
-        U = np.broadcast_to(u, z1.shape + (2,))
-        img = P.map_batch(z1 * s, U)
-        return img @ Q.T          # rotate image: rows are points
+    def htilde(zeta, z2):
+        """h~ on flat arrays (zeta, z2) in rotated coords, (2, b), and its
+        derivatives along zeta, Re z2 and Im z2, (2, 3, b)."""
+        s = np.sqrt(1.0 + np.abs(z2) ** 2)
+        ds = (np.conj(z2) * dz2).real / s
+        u = np.stack([np.ones_like(z2), z2]) / s
+        du = (np.stack([0 * dz2, dz2]) - u[:, None] * ds) / s
+        val, D = P.map_tangents(zeta * s, Qh @ u, dzeta * s + zeta * ds,
+                                np.einsum("ij,jpb->ipb", Qh, du))
+        return Q @ val, np.einsum("ij,jpb->ipb", Q, D)
 
-    def k_func(w, z2):
-        w = np.asarray(w, dtype=complex)
-        flat = w.ravel()
-        zeta = flat.copy()
-        # derivative scale at 0 to seed Newton
-        d0 = (htilde(np.array([_FD_STEP]), z2)[0, 0]
-              - htilde(np.array([-_FD_STEP]), z2)[0, 0]) / (2 * _FD_STEP)
-        if abs(d0) < 1e-12:
-            raise PencilCheckError(
-                f"disc map degenerate along z1 at z2={z2}: a'(0)={d0:.3g}")
-        zeta = flat / d0
-        target = flat
+    def solve(w, z2):
+        """h~ and its derivatives where h~_1(zeta, z2) = w, by Newton, on
+        the broadcast shape of w and z2."""
+        w, z2 = np.broadcast_arrays(np.asarray(w, dtype=complex),
+                                    np.asarray(z2, dtype=complex))
+        shape, w, z2 = w.shape, w.ravel(), z2.ravel()
+        d0 = htilde(np.zeros_like(w), z2)[1][0, 0]    # a'(0) seeds Newton
+        if (np.abs(d0) < 1e-12).any():
+            i = int(np.argmax(np.abs(d0) < 1e-12))
+            raise PencilCheckError(f"disc map degenerate along z1 at "
+                                   f"z2={z2[i]}: a'(0)={d0[i]:.3g}")
+        zeta = w / d0
         for _ in range(60):
-            vals = htilde(zeta, z2)
-            a = vals[:, 0]
-            err = a - target
+            val, D = htilde(zeta, z2)
+            err = val[0] - w
             if np.abs(err).max() <= _NORMALIZE_NEWTON_TOL * max(
-                    1.0, np.abs(target).max()):
-                break
-            da = (htilde(zeta + _FD_STEP, z2)[:, 0]
-                  - htilde(zeta - _FD_STEP, z2)[:, 0]) / (2 * _FD_STEP)
-            da = np.where(np.abs(da) < 1e-14, 1e-14, da)
+                    1.0, np.abs(w).max()):
+                return val.reshape((2,) + shape), D.reshape((2, 3) + shape)
+            da = np.where(np.abs(D[0, 0]) < 1e-14, 1e-14, D[0, 0])
             zeta = zeta - err / da
-        else:
-            raise NewtonInversionError(
-                f"first-component inversion stalled at z2={z2}")
-        return htilde(zeta, z2)[:, 1].reshape(w.shape)
+        raise NewtonInversionError("first-component inversion stalled at "
+                                   f"z2={z2[np.argmax(np.abs(err))]}")
 
-    # admissibility checks
+    def derivatives(D):
+        """(dk/dw, dk/dz2, dk/dz2bar) from h~'s derivatives at a solution:
+        implicit, as h~_1 = w stays fixed."""
+        k_w = D[1, 0] / D[0, 0]
+        kx, ky = D[1, 1:] - k_w * D[0, 1:]
+        return k_w, 0.5 * (kx - 1j * ky), 0.5 * (kx + 1j * ky)
+
+    k = lambda w, z2: solve(w, z2)[0][1]
+    # admissibility checks, each one array call over the z2 ring
     failures = []
     z2s = torus((0.5 * eps,), _Z2_SAMPLES)[0]
-    k0 = np.array([k_func(np.zeros(1), z2)[0] for z2 in z2s])
-    worst_k0 = float(np.abs(k0).max())
+    k0, D = solve(0.0, z2s)
+    worst_k0 = float(np.abs(k0[1]).max())
     if worst_k0 > _TOL_K0:
         failures.append(f"k(0, z2) as large as {worst_k0:.3g}")
-    step = 1e-5
-    slopes = np.array([
-        (k_func(np.array([step]), z2)[0] - k_func(np.array([-step]), z2)[0])
-        / (2 * step) for z2 in z2s])
-    worst_slope = float(np.abs(slopes - z2s).max())
+    worst_slope = float(np.abs(derivatives(D)[0] - z2s).max())
     if worst_slope > _TOL_SLOPE:
         failures.append(f"dk/dz1(0, z2) off z2 by {worst_slope:.3g}")
-    worst_holo = 0.0
-    for z2 in z2s[:: max(1, _Z2_SAMPLES // 6)]:
-        res = disc_holo_residual(lambda lam: k_func(lam, z2), 0.4 * eps)
-        worst_holo = max(worst_holo, res)
+    rows, rho = z2s[:: max(1, _Z2_SAMPLES // 6), None], 0.4 * eps
+    res, finite = _holo_residuals(lambda lam: k(lam, rows),
+                                  np.full(len(rows), rho), 16)
+    if not finite.all():
+        raise EvalError(f"non-finite disc samples at radius {rho}")
+    worst_holo = float(res.max())
     if worst_holo > _TOL_HOLO:
         failures.append(f"k not holomorphic in z1: residual {worst_holo:.3g}")
     if failures:
@@ -680,7 +689,8 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     checks = {"max_abs_k0": worst_k0, "max_slope_defect": worst_slope,
               "max_holo_residual": worst_holo, "eps": eps}
     return KData(v0=np.asarray(v0, dtype=complex), rotation=Q, eps=eps,
-                 k=k_func, checks=checks)
+                 k=k, dk=lambda w, z2: derivatives(solve(w, z2)[1]),
+                 checks=checks)
 
 
 @dataclass
@@ -699,32 +709,24 @@ def compute_H_G(f, kdata: KData, z1_grid, *, tol_G: float = 1e-6) -> HGResult:
 
     H(z1) = |dk/dz2bar|^2 - |dk/dz2|^2 at (z1, 0); G(z1) combines the
     z2-Wirtinger derivatives of k and of F(z1, z2) = f(z1, k(z1, z2))
-    into the holomorphic expression that factors as H * df/dwbar.  A
-    pass (G below tol_G, H bounded away from zero on the punctured grid)
-    certifies the Cauchy-Riemann equations for f along the v0 disc.
+    into the holomorphic expression that factors as H * df/dwbar, F's by
+    the chain rule.  A pass (G below tol_G, H bounded away from zero on
+    the punctured grid) certifies df/dwbar = 0 along the v0 disc, the
+    equation across it with z1 held fixed; holomorphy along the disc is
+    hypothesis (2), which ``pencil-check`` tests.
     """
-    from .expr import as_callable
     z1 = np.asarray(z1_grid, dtype=complex)
-    func = as_callable(f, 2)
-    Qh = kdata.rotation.conj().T
-
-    def f_rot(z1v, wv):
-        pts = np.stack([z1v, wv], axis=-1) @ Qh.T
-        return np.asarray(func((pts[..., 0], pts[..., 1])), dtype=complex)
-
-    delta = _HG_DELTA
-    ks = {s: kdata.k(z1, s) for s in (delta, -delta, 1j * delta, -1j * delta)}
-    kx = (ks[delta] - ks[-delta]) / (2 * delta)
-    ky = (ks[1j * delta] - ks[-1j * delta]) / (2 * delta)
-    k_z2 = 0.5 * (kx - 1j * ky)
-    k_z2bar = 0.5 * (kx + 1j * ky)
+    as_callable(f, 2)          # checks an Expr's variables
+    _, k_z2, k_z2bar = kdata.dk(z1, 0.0)
     H = np.abs(k_z2bar) ** 2 - np.abs(k_z2) ** 2
 
-    Fs = {s: f_rot(z1, ks[s]) for s in ks}
-    Fx = (Fs[delta] - Fs[-delta]) / (2 * delta)
-    Fy = (Fs[1j * delta] - Fs[-1j * delta]) / (2 * delta)
-    F_z2 = 0.5 * (Fx - 1j * Fy)
-    F_z2bar = 0.5 * (Fx + 1j * Fy)
+    # w is coordinate 1 of the complex-linear map back to the original frame
+    Qh = kdata.rotation.conj().T
+    pts = np.stack([z1, kdata.k(z1, 0.0)], axis=-1) @ Qh.T
+    f_z, f_zbar = _wirtinger(f, pts)
+    f_w, f_wbar = f_z @ Qh[:, 1], f_zbar @ np.conj(Qh[:, 1])
+    F_z2 = f_w * k_z2 + f_wbar * np.conj(k_z2bar)
+    F_z2bar = f_w * k_z2bar + f_wbar * np.conj(k_z2)
     G = k_z2bar * F_z2 - k_z2 * F_z2bar
 
     max_G = float(np.abs(G).max())
@@ -734,7 +736,8 @@ def compute_H_G(f, kdata: KData, z1_grid, *, tol_G: float = 1e-6) -> HGResult:
             "H below the floor on the whole grid; normalization degenerate, "
             "verdict inconclusive")
     passed = bool(max_G <= tol_G and min_H >= _H_FLOOR)
-    claim = ("df/dwbar = 0 and df/dzbar = 0 along the v0 disc"
+    claim = ("df/dwbar = 0 along the v0 disc (holomorphy along the disc is "
+             "hypothesis (2): pencil-check)"
              if passed else "Cauchy-Riemann verification failed")
     return HGResult(z1_grid=z1, H=H, G=G, max_abs_G=max_G, min_abs_H=min_H,
                     passed=passed, claim=claim)
@@ -779,8 +782,7 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
     that fails there keeps residual inf; every table entry is what the
     direction gives on its own.
     """
-    from .expr import as_callable
-    func = as_callable(f, P.n)
+    as_callable(f, P.n)        # checks an Expr's variables
     M = P.num_directions
     # master disc sample: one ring per ell plus deep interior points, so the
     # points with |lam| <= 1/ell sample every smaller disc as well
@@ -791,7 +793,7 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
     def residuals(rows):
         """Per-ell worst CR residuals of the directions rows (or one index)."""
         pts = P.disc(np.broadcast_to(lam, np.shape(rows) + lam.shape), rows)
-        res = np.abs(wirtinger_dbar(func, pts, _SUBPENCIL_DELTA)).max(axis=-1)
+        res = np.abs(wirtinger_dbar(f, pts)).max(axis=-1)
         res = np.where(np.isfinite(res), res, np.inf)
         return np.array([res[..., mask].max(axis=-1) for mask in masks]).T
 
@@ -969,7 +971,7 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
         frames = _frames(V_l)                        # (n, 2n-1, b) complex
         dU = np.concatenate([np.zeros((n, 2, b), dtype=complex), frames],
                             axis=1)
-        D = P.map_tangents(mu_l, V_l, dlam, dU)      # (n, p, b)
+        D = P.map_tangents(mu_l, V_l, dlam, dU)[1]   # (n, p, b)
         step = _gauss_newton_step(np.concatenate([D.real, D.imag]),
                                   R[:, live])
         alpha = np.ones(b)
@@ -1048,8 +1050,3 @@ def _frames(V: np.ndarray) -> np.ndarray:
     coef = 2.0 * W[1:] / np.where(nsq > 1e-12, nsq, np.inf)
     F = np.eye(d)[:, 1:, None] - W[:, None] * coef    # (d, d-1, b)
     return F[:n] + 1j * F[n:]
-
-
-def _tangent_frames(V: np.ndarray) -> np.ndarray:
-    """``_frames`` with the points first: V (B, n) gives (B, 2n-1, n)."""
-    return _frames(V.T).transpose(2, 1, 0)

@@ -283,8 +283,9 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     puts it) plus ``sample_count`` random interior points.  The
     certificate is refused unless, on the truncated data, (a) every
     coefficient obeys the Cauchy bound |a_(k-|beta|, beta)| <= M^k
-    r0^(-|beta|), and (b) at CHECK_POINTS random points of
-    P^n(0; r') the order-k coefficient blocks sum below k^n 2^(-k).
+    r0^(-|beta|), with M^k read as max(M^k, sup_k) (the k-th root can
+    round M^k an ulp below sup_k), and (b) at CHECK_POINTS random points
+    of P^n(0; r') the order-k coefficient blocks sum below k^n 2^(-k).
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
@@ -313,7 +314,8 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
 
     # (a) Cauchy bounds on every stored coefficient
     beta_orders = g.orders - g.exponents[:, 0]
-    bounds = M ** g.orders * float(r0) ** (-beta_orders)
+    bounds = (np.maximum(M ** g.orders, sup[np.minimum(g.orders, K)])
+              * float(r0) ** (-beta_orders))
     violated = np.flatnonzero(in_range & (np.abs(g.coeffs) > bounds))
     if violated.size:
         t = violated[0]

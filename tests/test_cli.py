@@ -35,6 +35,18 @@ class TestExitCodes:
         assert report["summary"]["certificate"] is not None
         validate(out)
 
+    def test_certificate_bound_met_to_the_last_bit(self, capsys):
+        # P_3 = c z1^3 sets M = c^(1/3), and (c^(1/3))^3 rounds one ulp
+        # below c = 1.4139304537811759; the coefficient meets its bound
+        code, out, _ = run_cli(
+            capsys, "analyze", "--expr", "1/(2.17-z1)+1/(1.61-z1)"
+            "+exp(-1.34*z1+0.59*z1)*1.22*z1^3", "--order", "12", "--json")
+        assert code == 0
+        report = json.loads(out)
+        cert = report["summary"]["certificate"]
+        assert cert is not None and cert["M"] ** 3 < 1.4139304537811759
+        validate(out)
+
     def test_analyze_counterexample_fails(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--expr",
                                "z1^2*z2*conj(z1)/normsq(z)", "--order", "4",
@@ -760,6 +772,22 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["summary"]["max_abs_G"] <= 1e-7
         validate(out)
+
+    @pytest.mark.parametrize("expr", ["conj(z1)", "z1*conj(z1)"])
+    def test_normalize_claims_only_df_dwbar(self, capsys, tmp_path, expr):
+        # f is antiholomorphic along the v0 disc itself, yet df/dwbar = 0
+        # there: the H/G pass names only that equation
+        pencil = {"n": 2, "map": ["l*u1", "l*u2 + l^2*conj(u1)*u2"],
+                  "directions": "sphere:60:3"}
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps(pencil))
+        code, out, _ = run_cli(capsys, "normalize", "--pencil", str(path),
+                               "--v0", "1,0 0,0", "--expr", expr)
+        assert code == 0
+        assert out.splitlines()[1].endswith(
+            "-> PASS: df/dwbar = 0 along the v0 disc (holomorphy along the "
+            "disc is hypothesis (2): pencil-check)")
+        assert "dzbar" not in out
 
     def test_subpencil(self, capsys):
         code, out, _ = run_cli(capsys, "subpencil", "--expr", "exp(z1+z2)",

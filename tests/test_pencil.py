@@ -10,12 +10,14 @@ from forelli_lab import (DegenerateNormalizationError, KData,
                          parse, pencil_from_exprs, sphere_directions,
                          standard_pencil, standard_subpencil_radius,
                          tilde_normalize)
-from forelli_lab import pencil
+from forelli_lab import expr, pencil
 from forelli_lab.expr import EvalError, as_callable
 from forelli_lab.pencil import (DISC_CHUNK_SAMPLES, _angular_graph,
-                                _gauss_newton_step, _largest_component,
-                                _realify, _renormalize, _tangent_frames,
+                                _frames, _gauss_newton_step,
+                                _largest_component, _realify, _renormalize,
                                 wirtinger_dbar)
+from forelli_lab.series import torus
+from test_expr import EVERY_NODE
 
 TWIST = ["l*u1", "l*u2 + l^2*conj(u1)*u2"]
 
@@ -389,9 +391,13 @@ class TestComputeHG:
         assert hg.min_abs_H > 0
 
     def test_degenerate_normalization_detected(self):
-        # k(w, z2) = w * re(z2) has equal Wirtinger halves, so H = 0
+        # k(w, z2) = w * re(z2) has equal Wirtinger halves, w/2, so H = 0
+        def dk(w, z2):
+            w, z2 = np.broadcast_arrays(np.asarray(w), np.asarray(z2))
+            return np.real(z2), w / 2, w / 2
+
         kd = KData(v0=np.array([1.0, 0.0]), rotation=np.eye(2), eps=0.4,
-                   k=lambda w, z2: np.asarray(w) * np.real(z2))
+                   k=lambda w, z2: np.asarray(w) * np.real(z2), dk=dk)
         with pytest.raises(DegenerateNormalizationError):
             compute_H_G(parse("z1*z2"), kd, self.ring())
 
@@ -409,6 +415,16 @@ class TestComputeHG:
         dbar = np.abs(wirtinger_dbar(func, pts)).max()
         assert dbar <= 10 * tol_G
 
+    def test_claim_is_only_the_equation_across_the_disc(self, twisted):
+        # conj(z1) is antiholomorphic along the v0 disc itself, yet
+        # df/dwbar = 0 there: H/G passes, and pencil-check is what fails
+        kd = tilde_normalize(twisted, (1.0, 0.0))
+        hg = compute_H_G(parse("conj(z1)"), kd, self.ring())
+        assert hg.passed and hg.max_abs_G == 0.0
+        assert hg.claim == ("df/dwbar = 0 along the v0 disc (holomorphy "
+                            "along the disc is hypothesis (2): pencil-check)")
+        assert not check_holo_along_pencil(parse("conj(z1)"), twisted).passed
+
 
 def bump_function(center, radius):
     """Smooth (C^inf) bump supported in the ball around ``center``."""
@@ -423,6 +439,95 @@ def bump_function(center, radius):
         out = np.where(inside, np.exp(-d2 / np.maximum(r2 - d2, 1e-300)), 0.0)
         return out + 0j
     return f
+
+
+class TestExactDerivatives:
+    """The Wirtinger routine and dk against central differences."""
+
+    def test_expr_halves_match_central_differences(self, rng):
+        e = parse(EVERY_NODE)
+        pts = 0.7 * (rng.standard_normal((50, 2))
+                     + 1j * rng.standard_normal((50, 2)))
+        exact = pencil._wirtinger(e, pts)
+        differenced = pencil._wirtinger(as_callable(e, 2), pts)
+        for got, want in zip(exact, differenced):
+            assert got.shape == (50, 2)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(got))
+            assert err.max() <= 1e-7
+        assert np.array_equal(wirtinger_dbar(e, pts), exact[1])
+
+    def test_conj_free_expr_has_zero_dbar(self, rng):
+        pts = (rng.standard_normal((3, 40, 2))
+               + 1j * rng.standard_normal((3, 40, 2)))
+        dz, dzbar = pencil._wirtinger(parse("exp(z1*z2)/(4 - z1^2) + z2"), pts)
+        assert dz.shape == dzbar.shape == (3, 40, 2)
+        assert not dzbar.any() and np.isfinite(dz).all()
+
+    @pytest.mark.parametrize("f", [
+        lambda z: np.exp(z[0] + z[1]), lambda z: z[0] * np.conj(z[1]),
+        bump_function((0.0, 0.5), 0.3), lambda z: 2.0],
+        ids=["exp", "conj", "bump", "constant"])
+    def test_callable_dbar_is_the_parents(self, rng, f):
+        pts = 0.4 * (rng.standard_normal((3, 40, 2))
+                     + 1j * rng.standard_normal((3, 40, 2)))
+        for delta in (1e-5, 1e-3):
+            assert np.array_equal(wirtinger_dbar(f, pts, delta),
+                                  central_difference_dbar(f, pts, delta))
+        assert np.array_equal(wirtinger_dbar(f, pts),
+                              central_difference_dbar(f, pts, 1e-5))
+
+    @pytest.mark.parametrize("v0", [(1.0, 0.0), (0.8, 0.6)])
+    @pytest.mark.parametrize("kind", ["twisted", "cubic", "exp_quotient"])
+    def test_dk_matches_central_differences(self, kind, v0):
+        kd = tilde_normalize(seeded_pencil(kind, 5), v0, eps=0.4)
+        w = 0.15 * np.exp(2j * np.pi * np.arange(8) / 8)[:, None]
+        z2 = np.array([0.0, 0.1 - 0.05j, -0.08j])
+        h = 1e-5
+
+        def diff(dw, dz2):
+            return (kd.k(w + h * dw, z2 + h * dz2)
+                    - kd.k(w - h * dw, z2 - h * dz2)) / (2 * h)
+
+        kx, ky = diff(0, 1), diff(0, 1j)
+        want = diff(1, 0), 0.5 * (kx - 1j * ky), 0.5 * (kx + 1j * ky)
+        for got, ref in zip(kd.dk(w, z2), want):
+            assert got.shape == (8, 3)
+            assert np.abs(got - ref).max() <= 1e-6
+        hg = compute_H_G(parse("exp(z1+z2)"), kd, TestComputeHG.ring())
+        assert hg.passed and hg.max_abs_G <= 1e-15
+
+    def test_expr_inputs_are_never_shifted(self, monkeypatch):
+        # an Expr f is evaluated only where the search samples it, never
+        # as a callable (which the difference branch would call); the map
+        # of the normalization only through map_tangents
+        P = seeded_pencil("twisted", 2)
+        f = parse("exp(z1+z2)")
+        seen = []
+        jvp = pencil.evaluate_jvp
+
+        def spy(e, z, dz):
+            if e is f:
+                seen.append(np.stack(z, axis=-1))
+            return jvp(e, z, dz)
+
+        def refuse(*args):
+            raise AssertionError("evaluated outside the forward-mode fold")
+
+        monkeypatch.setattr(pencil, "evaluate_jvp", spy)
+        monkeypatch.setattr(expr, "evaluate", refuse)
+        sp = find_subpencil(f, P, tol=1e-6, ell_max=4)
+        assert sp.m == 1 and sp.direction_indices.size == P.num_directions
+        rings = np.array([0.93 / j for j in range(1, 5)] + [0.02])
+        lam = (rings[:, None] * torus((1.0,), 8)[0]).ravel()
+        M = P.num_directions
+        want = P.disc(np.broadcast_to(lam, (M,) + lam.shape), np.arange(M))
+        assert np.array_equal(np.concatenate(seen).reshape(-1, 2),
+                              want.reshape(-1, 2))
+        monkeypatch.setattr(pencil.PencilSpec, "map_batch", refuse)
+        seen.clear()
+        kd = tilde_normalize(P, (0.8, 0.6), eps=0.4)
+        assert compute_H_G(f, kd, TestComputeHG.ring()).passed
+        assert len(seen) == 1
 
 
 class TestFindSubpencil:
@@ -484,6 +589,11 @@ class TestSubpencilRadius:
 
 # -- reference copies of the per-row and per-direction code -------------------
 
+def tangent_frames(V):
+    """``pencil._frames`` with the points first: V (B, n) gives (B, 2n-1, n)."""
+    return _frames(V.T).transpose(2, 1, 0)
+
+
 def pinv_invert_map(P, targets, lam0, dirs0, iters, tol):
     """The Gauss-Newton inversion before live rows and the Gram step:
     ``pinv`` on every row, every iteration."""
@@ -501,7 +611,7 @@ def pinv_invert_map(P, targets, lam0, dirs0, iters, tol):
         rnorm = np.linalg.norm(R, axis=1)
         if np.all(rnorm <= tol * scale):
             break
-        frames = _tangent_frames(V)
+        frames = tangent_frames(V)
         p = 2 * n + 1
         J = np.empty((B, 2 * n, p))
         for q in range(p):
@@ -545,18 +655,36 @@ def ring_loop_offender(P, W, V):
     return None
 
 
-def cr_residual_on_points(f, points, delta=1e-5):
+def central_difference_dbar(f, points, delta):
+    """``wirtinger_dbar`` as it was, central differences for every f."""
+    points = np.asarray(points, dtype=complex)
+    n = points.shape[-1]
+    out = np.empty(points.shape, dtype=complex)
+    for j in range(n):
+        def shifted(step):
+            q = points.copy()
+            q[..., j] = q[..., j] + step
+            return np.asarray(f(tuple(q[..., k] for k in range(n))),
+                              dtype=complex)
+        dx = (shifted(delta) - shifted(-delta)) / (2.0 * delta)
+        dy = (shifted(1j * delta) - shifted(-1j * delta)) / (2.0 * delta)
+        out[..., j] = 0.5 * (dx + 1j * dy)
+    return out
+
+
+def cr_residual_on_points(f, points):
     """max_j |d f / dzbar_j| per point; +inf where evaluation fails."""
     try:
-        vals = np.abs(wirtinger_dbar(f, points, delta)).max(axis=-1)
+        vals = np.abs(wirtinger_dbar(f, points)).max(axis=-1)
     except Exception:
         return np.full(points.shape[:-1], np.inf)
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8, delta=1e-5):
-    """The direction-by-direction subpencil search the chunked one replaced."""
-    func = as_callable(f, P.n)
+def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8):
+    """The direction-by-direction subpencil search the chunked one replaced;
+    an Expr f goes to ``wirtinger_dbar`` as it is, after its variable check."""
+    as_callable(f, P.n)
     M = P.num_directions
     rings = np.array([0.93 / j for j in range(1, ell_max + 1)] + [0.02])
     phase = np.exp(2j * np.pi * np.arange(phases) / phases)
@@ -566,7 +694,7 @@ def per_direction_subpencil(f, P, tol=1e-6, ell_max=8, phases=8, delta=1e-5):
         U = np.broadcast_to(P.directions[i], lam.shape + (P.n,))
         try:
             pts = P.map_batch(lam, U)
-            res = cr_residual_on_points(func, pts, delta)
+            res = cr_residual_on_points(f, pts)
         except Exception:
             continue
         for ell in range(1, ell_max + 1):
@@ -782,7 +910,7 @@ class TestChunkedSubpencil:
         (parse("exp(800*z1)"), 1e-6, 8),
         (parse("z1^2*z2*conj(z1)/normsq(z)"), 1e-6, 5),
         (only_one_direction, 1e-6, 8),
-        (parse("exp(z1+z2)"), 1e-30, 4),              # empty patch
+        (parse("exp(z1+z2)+1e-3*conj(z1)"), 1e-30, 4),   # empty patch
     ], ids=["exp", "pole", "overflow", "counterexample", "one-direction",
             "empty"])
     @pytest.mark.parametrize("kind", ["standard", "twisted"])
