@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pencil import _realify, chunks
 from .series import torus
@@ -432,6 +431,7 @@ def normality_check(directions, *, max_centers: int = 128,
                                    "covered by any nonempty direction set"})
     if len(B) < 2:
         raise ChartUndecidableError("need at least 2 chart samples")
+    from scipy.spatial import cKDTree
     X = _realify(B)
     dim = X.shape[1]
     tree = cKDTree(X)

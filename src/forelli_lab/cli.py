@@ -487,6 +487,20 @@ def _recorded_warnings():
             warnings.formatwarning = form
 
 
+def _remedy(args, exc: Exception) -> str:
+    """What to change when the jet meets one of its order limits."""
+    text = str(exc)
+    if text.startswith("ill-conditioned radius schedule"):
+        return ("; remedy: lower --order, or respace the radius schedule "
+                "(e.g. --rho-max 1 caps its largest radius at 1)")
+    if text.startswith("grid ") and "2*order+1" in text:
+        grid = (f", or raise --grid to at least {2 * args.order + 1} (this "
+                "lifts only the grid bound; the jet may still stop at the "
+                "condition limit)" if hasattr(args, "grid") else "")
+        return "; remedy: lower --order" + grid
+    return ""
+
+
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -499,14 +513,14 @@ def run(argv=None) -> int:
     except (JetExtractionError, NewtonInversionError,
             DegenerateNormalizationError, EvalError,
             ChartUndecidableError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}{_remedy(args, exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PencilCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (FileNotFoundError, ValueError) as exc:
         # parse, format and configuration errors are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_remedy(args, exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

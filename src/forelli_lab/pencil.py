@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .expr import (EvalError, Expr, as_callable, evaluate, evaluate_jvp,
                    parse)
@@ -243,6 +242,7 @@ class PencilSpec:
         """
         if self.num_directions < 2:
             return math.pi
+        from scipy.spatial import cKDTree
         X = _realify(self.directions)
         take = min(len(X), 512)
         d = cKDTree(X).query(X[:take], k=2)[0][:, 1]
@@ -254,6 +254,7 @@ def _angular_graph(directions: np.ndarray, k: int = 8) -> List[np.ndarray]:
     M = len(directions)
     if M == 1:
         return [np.array([], dtype=int)]
+    from scipy.spatial import cKDTree
     X = _realify(directions)
     kk = min(k + 1, M)
     _, idx = cKDTree(X).query(X, k=kk)
@@ -320,23 +321,40 @@ def pencil_from_exprs(n: int, map_exprs, directions,
 
 def _validate_pencil(spec: PencilSpec):
     sub = spec.directions[:: max(1, spec.num_directions // 24)]
+    samples = []
+
     def components(lam):
         # lam is (component, direction, sample), the same for every
-        # component; each component of the map goes to its own row
-        U = np.broadcast_to(sub[:, None], lam.shape[1:] + (spec.n,))
-        return np.moveaxis(spec.map_batch(lam[0], U), -1, 0)
+        # component; the map's values, one component per row, and their
+        # derivatives along the lambda tangents 1 and i
+        vals, dh = spec.map_tangents(lam[0], sub.T[:, :, None],
+                                     np.array([1, 1j])[:, None, None],
+                                     np.zeros((spec.n, 1, 1, 1)))
+        samples.append((vals, dh))
+        return vals
 
     rho = 0.9
     res, finite = _holo_residuals(components,
                                   np.full((spec.n, len(sub)), rho), 16)
+    # d/dlambdabar on the FFT check's scale: the negative modes miss a
+    # lambda that enters through |lambda|^2, the exact derivative does not;
+    # a non-finite circle enters as zeros, as in the FFT check
+    vals, dh = samples[0]
+    dh = np.where(finite[:, None, :, None], dh, 0)
+    scale = np.fmax(1.0, np.abs(torus_modes(
+        np.where(finite[..., None], vals, 0), 1)).max(axis=-1))
+    dbar = 0.5 * np.abs(dh[:, 0] + 1j * dh[:, 1]).max(axis=-1) / scale
     # the first bad disc in direction order, then component order
-    bad = (~finite | (res > _PENCIL_HOLO_TOL)).T
+    bad = (~finite | (res > _PENCIL_HOLO_TOL) | (dbar > _PENCIL_HOLO_TOL)).T
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), spec.n)
         if not finite[j, i]:
             raise EvalError(f"non-finite disc samples at radius {rho}")
+        if res[j, i] > _PENCIL_HOLO_TOL:
+            raise PencilCheckError(f"disc through {sub[i]} has component "
+                                   f"{j+1} residual {res[j, i]:.3g}")
         raise PencilCheckError(f"disc through {sub[i]} has component {j+1} "
-                               f"residual {res[j, i]:.3g}")
+                               f"with |d/dlambdabar| {dbar[j, i]:.3g}")
     # one point per direction, so every direction is checked; after the
     # discs, so that a map overflowing on them is a numerical failure
     at0 = spec.map_batch(np.zeros(spec.num_directions), spec.directions)
@@ -358,6 +376,7 @@ def _validate_pencil(spec: PencilSpec):
     if huge.size:
         raise EvalError("mesh image overflows at (lambda, u) = "
                         f"{(L[huge[0]].item(), tuple(D[huge[0]].tolist()))}")
+    from scipy.spatial import cKDTree
     cone = L[:, None] * D
     tree = cKDTree(points)
     for i, j in tree.query_pairs(_PENCIL_MESH_TOL):
@@ -887,6 +906,7 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None,
             raise PencilCheckError(
                 f"direction {w} is within 2 mesh cells of the boundary of V")
 
+    from scipy.spatial import cKDTree
     res = P.resolution()
     dir_tree = cKDTree(_realify(P.directions))
 

@@ -17,6 +17,7 @@ import contextvars
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .capacity import ChartUndecidableError, normality_check
 from .jets import JetResult, extract_jet, jet_of_series
 from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
-from .report import build_report
+from .report import build_report, sanitize
 from .series import FormalSeries
 from .slices import (CertificateError, ConvergenceCertificate,
                      certify_polydisc, chart_map, chart_poly_family,
@@ -84,13 +85,30 @@ class AnalyzeConfig:
 
 @dataclass
 class AnalysisReport:
+    """One analysis, with the radii stage's estimate for each unit row of
+    ``directions``: None without a chart, empty if the stage did not run."""
     stages: List[Stage]
-    per_direction: List[dict]
     certificate: Optional[ConvergenceCertificate]
     final_verdict: str
     passed: bool
     config: dict
     jet: Optional[JetResult] = None
+    # the input, not a result: left out of ==, which an array would break
+    directions: Optional[np.ndarray] = field(default=None, compare=False)
+    R_estimate: List[Optional[float]] = field(default_factory=list)
+
+    @cached_property
+    def per_direction(self) -> List[dict]:
+        """Each row's ``direction``, ``chart`` point and ``R_estimate``, with
+        complex numbers as [re, im] pairs; built on first read."""
+        if not self.R_estimate:
+            return []
+        charts = iter(sanitize(chart_map(self.directions)[0]))
+        return [{"direction": row,
+                 "chart": None if radius is None else next(charts),
+                 "R_estimate": radius}
+                for row, radius in zip(sanitize(self.directions),
+                                       self.R_estimate)]
 
     def stage(self, name: str) -> Optional[Stage]:
         return next((st for st in self.stages if st.name == name), None)
@@ -102,7 +120,7 @@ class AnalysisReport:
             "M": c.M, "r0": c.r0, "r_prime": list(c.r_prime),
             "K_used": c.K_used, "margin": c.margin}
         return {"passed": self.passed, "final_verdict": self.final_verdict,
-                "certificate": cert, "per_direction": self.per_direction}
+                "certificate": cert, "R_estimate": self.R_estimate}
 
     def to_dict(self, warnings: Optional[List[str]] = None) -> dict:
         """The ``analyze`` report of this analysis."""
@@ -182,9 +200,9 @@ def certificate_stage(series: FormalSeries, r0: float, K: int, seed: int
 # -- analyze-only stages -------------------------------------------------------
 
 def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
-                 ) -> Tuple[List[Stage], List[dict]]:
+                 ) -> Tuple[List[Stage], List[Optional[float]]]:
     """The chart family and its root-test radii along the chart rays (1, b)
-    of the unit rows, with one per_direction entry per row."""
+    of the unit rows, with each row's radius, None where it has no chart."""
     family = chart_poly_family(series, K)
     stages = [Stage("chart_family", PASS, {"K": K, "nvars": family.nvars})]
     window = K // 2
@@ -196,24 +214,18 @@ def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
     charts, has_chart = chart_map(units)
     radii = radius_root_test(family.abs_values_at(
         charts[:, 0] if family.nvars == 1 else charts), K, window).radius
-    per_direction = [{"direction": [[v.real, v.imag] for v in unit],
-                      "chart": None, "R_estimate": None}
-                     for unit in units.tolist()]
-    charted = np.flatnonzero(has_chart)
-    for index, chart, radius in zip(charted.tolist(), charts.tolist(),
-                                    radii.tolist()):
-        per_direction[index].update(chart=[[v.real, v.imag] for v in chart],
-                                    R_estimate=radius)
+    estimates = iter(radii.tolist())
+    column = [next(estimates) if c else None for c in has_chart.tolist()]
     min_radius = float(radii.min(initial=math.inf))
     # the first direction with the smallest R
-    min_index = int(charted[np.argmin(radii)]) if radii.size else None
+    min_index = column.index(min_radius) if radii.size else None
     stages.append(_judged("directional_radii", min_radius > 0,
                           {"min_R_estimate": min_radius,
                            "min_R_direction_index": min_index,
                            "chart_excluded": len(units) - len(charts),
                            "window": window},
                           "some directional radius estimate is zero"))
-    return stages, per_direction
+    return stages, column
 
 
 def _capacity_stage(capacity: Future) -> Stage:
@@ -252,7 +264,10 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                              else U.shape[1], U)
     # the capacity check reads only U, so it runs on a background thread,
     # in a copy of the caller's context, while the discs and the jet are
-    # checked; leaving the block joins the thread on every exit
+    # checked; leaving the block joins the thread on every exit.  Its
+    # KD-tree's module is imported first, here: imported on that thread,
+    # beside the jet, each of its file reads would wait for the GIL
+    import scipy.spatial  # noqa: F401
     with ThreadPoolExecutor(1) as background:
         capacity = background.submit(contextvars.copy_context().run,
                                      normality_check, U)
@@ -289,8 +304,7 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     series = jet.series
     stages.append(holomorphic_type_stage(series))
 
-    per_direction: List[dict] = []
-    certificate = None
+    units, column, certificate = None, [], None
     later = (("chart_family", "directional_radii", "direction_capacity")
              if directions else ()) + ("certificate",)
     if stages[-1].status == FAIL:
@@ -299,7 +313,8 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
         K = min(cfg.K if cfg.K is not None else cfg.order, series.max_order)
         if directions:
             pencil, capacity = directions
-            radii, per_direction = _radii_stage(series, K, pencil.directions)
+            units = pencil.directions
+            radii, column = _radii_stage(series, K, units)
             stages += radii + [_capacity_stage(capacity)]
         stage, certificate = certificate_stage(series, cfg.r0, K, cfg.seed)
         stages.append(stage)
@@ -312,5 +327,5 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
         final = (f"holomorphic on B^{n}(0;r) u P_0(U) with certified "
                  f"polydisc polyradius ({rp}), modulo Hartogs extension "
                  "(out of scope)")
-    return AnalysisReport(stages, per_direction, certificate, final,
-                          not failures, cfg.to_dict(n), jet)
+    return AnalysisReport(stages, certificate, final, not failures,
+                          cfg.to_dict(n), jet, units, column)

@@ -92,6 +92,33 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_condition_limit_states_a_remedy(self, capsys):
+        argv = ("jet", "--expr", "exp(z1+z2)", "--order", "24")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: ill-conditioned radius schedule: "
+                       "mode (-8, 0) condition 1.08e+14 exceeds 1e+14; "
+                       "remedy: lower --order, or respace the radius "
+                       "schedule (e.g. --rho-max 1 caps its largest radius "
+                       "at 1)\n")
+        code, out, _ = run_cli(capsys, *argv, "--rho-max", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["stages"][0]["details"]["verdict"] == "FullJet"
+
+    @pytest.mark.parametrize("command,hint", [
+        ("jet", ", or raise --grid to at least 65 (this lifts only the grid "
+                "bound; the jet may still stop at the condition limit)"),
+        ("analyze", ", or raise --grid to at least 65 (this lifts only the "
+                    "grid bound; the jet may still stop at the condition "
+                    "limit)"),
+        ("certify", "")])           # certify has no --grid
+    def test_grid_limit_states_a_remedy(self, capsys, command, hint):
+        code, out, err = run_cli(capsys, command, "--expr", "exp(z1+z2)",
+                                 "--order", "32")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid 64 < 2*order+1 = 65; remedy: lower "
+                       f"--order{hint}\n")
+
     def test_pencil_check_negative_control(self, capsys):
         code, out, _ = run_cli(capsys, "pencil-check", "--expr", "conj(z1)",
                                "--directions", "sphere:40")
@@ -929,11 +956,78 @@ class TestSubcommands:
                                "--directions", "sphere:120", "--json")
         report = json.loads(out)
         assert report["config"]["dimension"] == n
-        assert len(report["summary"]["per_direction"][0]["direction"]) == n
+        assert len(report["summary"]["R_estimate"]) == 120
         validate(out)
 
     def test_version(self, capsys):
         assert run_cli(capsys, "--version")[0] == 0
+
+
+def test_import_leaves_scipy_spatial_out():
+    """Only the functions that build a KD-tree import scipy.spatial."""
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, forelli_lab.cli; "
+         "print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, env=None)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+class TestRadiusColumn:
+    """analyze reports one R_estimate per direction row, in row order."""
+
+    @staticmethod
+    def _column(capsys, tmp_path, rows):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps([[[v.real, v.imag] for v in row]
+                                    for row in rows.tolist()]))
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "1/(3-z1-2*z2)",
+                               "--order", "12", "--directions", str(path),
+                               "--json")
+        assert code in (0, 1)
+        validate(out)
+        return json.loads(out)["summary"]["R_estimate"]
+
+    def test_null_where_a_row_has_no_chart(self, capsys, tmp_path):
+        from forelli_lab import AnalyzeConfig, forelli_analyze, parse
+        from forelli_lab.pencil import sphere_directions
+        U = sphere_directions(2, 1000, seed=3)
+        U[[0, 417, 999], 0] = 0            # u1 = 0: chart-excluded
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        column = self._column(capsys, tmp_path, U)
+        assert len(column) == 1000
+        assert [i for i, r in enumerate(column) if r is None] == [0, 417, 999]
+        rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
+                              AnalyzeConfig(order=12))
+        assert column == [e["R_estimate"] for e in rep.per_direction]
+        # reversed rows give the reversed column
+        charted = [i for i, r in enumerate(column) if r is not None]
+        backward = self._column(capsys, tmp_path, U[::-1])
+        assert [r is None for r in backward] == [r is None for r in column][
+            ::-1]
+        assert [r for r in backward[::-1] if r is not None] == pytest.approx(
+            [column[i] for i in charted], rel=1e-12)
+
+    def test_polynomial_radii_are_inf(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "z1*z2+z1^3",
+                               "--order", "8", "--directions", "cap:0.3:120",
+                               "--json")
+        assert code == 0
+        validate(out)
+        assert json.loads(out)["summary"]["R_estimate"] == ["inf"] * 120
+
+    def test_schema_requires_the_column(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "exp(z1+z2)",
+                               "--order", "8", "--json")
+        report = json.loads(out)
+        for bad in ([1.0, "nan"], None, "inf"):
+            report["summary"]["R_estimate"] = bad
+            with pytest.raises(jsonschema.ValidationError):
+                validate(json.dumps(report))
+        del report["summary"]["R_estimate"]
+        with pytest.raises(jsonschema.ValidationError):
+            validate(json.dumps(report))
 
 
 def test_one_report_builder():

@@ -280,6 +280,16 @@ class TestPencilValidation:
             "disc through [0.00075092+0.92286554j 0.18236313+0.33920837j] "
             "has component 2 residual 0.347")
 
+    def test_lambda_through_its_modulus_rejected(self):
+        # on |lambda| = rho the samples of lambda |lambda|^2 u2 are those of
+        # rho^2 lambda u2, so no negative mode sees it; d/dlambdabar does
+        U = sphere_directions(2, 100, seed=1)
+        with pytest.raises(PencilCheckError) as exc:
+            pencil_from_exprs(2, ["l*u1", "l*u2 + l*conj(l)*u2"], U)
+        assert str(exc.value) == (
+            "disc through [0.12054851+0.63780275j 0.28660121+0.70465272j] "
+            "has component 2 with |d/dlambdabar| 0.685")
+
     def test_non_finite_disc_is_a_numerical_failure(self, sphere150):
         # exp overflows on the discs of the directions with Re u2 > 0.71
         with np.errstate(all="ignore"), pytest.raises(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,64 @@ class TestUnitRows:
         reported = np.array([[complex(re, im) for re, im in e["direction"]]
                              for e in rep.per_direction])
         assert np.array_equal(reported, rows)
+
+
+class TestRadiusColumn:
+    """The radii stage keeps one radius per row; the per-row echo of the
+    API is built only when read."""
+
+    def test_per_direction_entries(self):
+        # the reference, row by row from the stage's own functions: the
+        # unit row, its chart point and its radius, None without a chart
+        from forelli_lab.slices import (chart_map, chart_poly_family,
+                                        radius_root_test)
+        U = np.vstack([cap_directions(2, 0.3, 60, seed=5),
+                       [(0.0, 1.0), (0.0, 1j)], sphere_directions(2, 40)])
+        rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
+                              AnalyzeConfig(order=12))
+        rows = standard_pencil(2, U).directions
+        charts, has_chart = chart_map(rows)
+        family = chart_poly_family(rep.jet.series, 12)
+        radii = iter(radius_root_test(family.abs_values_at(charts[:, 0]),
+                                      12, 6).radius.tolist())
+        charts = iter(charts.tolist())
+        want = [{"direction": [[v.real, v.imag] for v in row],
+                 "chart": None, "R_estimate": None} for row in rows.tolist()]
+        for entry, charted in zip(want, has_chart):
+            if charted:
+                entry.update(chart=[[v.real, v.imag] for v in next(charts)],
+                             R_estimate=next(radii))
+        # repr shows every bit of a float, and the key order
+        assert json.dumps(rep.per_direction) == json.dumps(want)
+        assert rep.R_estimate == [entry["R_estimate"] for entry in want]
+        assert [i for i, r in enumerate(rep.R_estimate) if r is None] == [
+            60, 61]
+        assert rep.per_direction is rep.per_direction
+        assert rep == forelli_analyze(parse("1/(3-z1-2*z2)"), U,
+                                      AnalyzeConfig(order=12))
+
+    def test_empty_when_the_radii_stage_does_not_run(self):
+        U = sphere_directions(2, 50, seed=1)
+        short = forelli_analyze(parse("exp(z1+z2)"), U, AnalyzeConfig(order=6))
+        assert short.stage("directional_radii").status == "skipped"
+        zbar = forelli_analyze(parse("z1*conj(z2)"), U, AnalyzeConfig(order=8))
+        assert zbar.stage("directional_radii").status == "skipped"
+        for rep in (short, zbar):
+            assert rep.R_estimate == rep.per_direction == []
+            assert rep.summary()["R_estimate"] == []
+
+    def test_analyze_never_builds_the_echo(self, monkeypatch, capsys):
+        from forelli_lab import AnalysisReport
+        from forelli_lab.cli import run
+
+        def unused(self):
+            raise AssertionError("per_direction built")
+
+        monkeypatch.setattr(AnalysisReport, "per_direction", property(unused))
+        assert run(["analyze", "--expr", "exp(z1+z2)", "--order", "8",
+                    "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["summary"][
+            "R_estimate"]) == 200
 
 
 class TestDirectionCheck:

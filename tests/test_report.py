@@ -210,7 +210,9 @@ class TestReports:
         out = run_json(capsys, "analyze", "--expr", "exp(z1+z2+z3)", "--dim",
                        "3", "--order", "8", "--directions", "sphere:1000",
                        "--seed", "1")
-        assert len(json.loads(out)["summary"]["per_direction"]) == 1000
+        # one radius column, without an echo of the 1000 direction rows
+        assert len(json.loads(out)["summary"]["R_estimate"]) == 1000
+        assert len(out.encode()) < 40_000
         assert out == reencoded(out)
 
     def test_every_subcommand(self, capsys, tmp_path):
