@@ -25,8 +25,8 @@ from .capacity import (CapacityEstimate, ChartUndecidableError, CompactSet1D,
 from .psh import (EnvelopeField, LipschitzCheck, PshFamily, TorusAverage,
                   TrichotomyVerdict, average_on_torus, classify_trichotomy,
                   lipschitz_check, upper_envelope)
-from .pencil import (DegenerateNormalizationError, DiscResidual, HGResult,
-                     KData, NewtonInversionError, PencilCheckError,
+from .pencil import (DegenerateNormalizationError, HGResult, KData,
+                     NewtonInversionError, PencilCheckError,
                      PencilHoloResult, PencilSpec, SubpencilResult,
                      cap_directions, check_holo_along_pencil, compute_H_G,
                      disc_holo_residual, find_subpencil, load_pencil,

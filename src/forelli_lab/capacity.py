@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pencil import _realify, chunks
-from .series import torus
+from .series import _realify, chunks, torus
 from .slices import chart_map
 
 
@@ -373,7 +372,7 @@ def _covered(tree, centers: np.ndarray, R: float, dirs: np.ndarray,
     (0, 0) stands for the center, itself a sample.  A point with
     |R - t| + delta <= cover*(1 - 1e-9), less the rounding of the points, is
     covered by the triangle inequality and is not queried.  The others are
-    queried at most pencil.DISC_CHUNK_SAMPLES at a time, and the search is
+    queried at most series.DISC_CHUNK_SAMPLES at a time, and the search is
     cut a hair above cover: a point with no sample that near gets an
     infinite distance, which the test reads the same as any beyond cover.
     """

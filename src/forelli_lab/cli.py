@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -179,6 +180,9 @@ def _parse_set(spec: str) -> CompactSet1D:
 def _cmd_capacity(args):
     if args.siciak_ball is not None:
         rho = args.siciak_ball
+        if not 0 < rho < math.inf:          # a nan fails too
+            raise ValueError("--siciak-ball must be a positive finite "
+                             f"radius, not {rho}")
         samples = torus((rho,), 256)[0][:, None]
         est = cap_siciak(samples, degree=args.degree, trials=args.trials,
                          seed=args.seed, closed_form=rho)

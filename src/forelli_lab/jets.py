@@ -306,57 +306,44 @@ def extract_jet(f, n: int, order: int, *,
 
     # pass 2: normalize misfits by the largest mode magnitude at each total
     # order (absolute floor 1e-12 covers identically-zero orders) and charge
-    # dirty modes to their failure order
+    # each dirty mode to its failure order, -1 marking a clean mode; an
+    # order's residual is the largest misfit charged at or below it, or of
+    # a clean mode at it
     order_mag = np.zeros(order + 1)
     np.maximum.at(order_mag, base_orders, magnitude)
     misfit = res_abs / np.maximum(order_mag[base_orders], 1e-12)
     clean = misfit <= tol
     order_noise = np.zeros(order + 1)
     np.maximum.at(order_noise, base_orders[clean], misfit[clean])
+    failure = np.full(len(mus), -1)
+    failure[~clean] = _failure_orders(res_diag[~clean], radii,
+                                      magnitude[~clean], global_scale,
+                                      base_orders[~clean])
+    charged = np.flatnonzero((failure >= 0) & (failure <= order))
     fail_eps = np.zeros(order + 1)
+    np.maximum.at(fail_eps, failure[charged], misfit[charged])
+    residuals = np.maximum(np.maximum.accumulate(fail_eps), order_noise)
+
+    ok = residuals <= tol
+    max_consistent = order if ok.all() else int(np.argmin(ok)) - 1
+    verdict = (FULL_JET if max_consistent == order
+               else JET_UP_TO if max_consistent >= 1 else NO_JET)
+
     mode_table = [{"mode": tuple(mu), "base_order": d, "misfit": eps,
-                   "magnitude": mag}
-                  for mu, d, eps, mag in zip(mus.tolist(), base_orders.tolist(),
-                                             misfit.tolist(),
-                                             magnitude.tolist())]
-    for idx in np.flatnonzero(~clean):
-        row = mode_table[idx]
-        d = row["base_order"]
-        k_fail = _failure_order(res_diag[idx], radii, row["magnitude"],
-                                global_scale, d)
-        row["failure_order"] = k_fail
-        if k_fail <= order:
-            fail_eps[k_fail] = max(fail_eps[k_fail], row["misfit"])
-        else:
-            row["truncation_only"] = True
-
-    residuals = []
-    running = 0.0
-    for k in range(order + 1):
-        running = max(running, fail_eps[k])
-        residuals.append(max(running, order_noise[k]))
-
-    max_consistent = -1
-    for k in range(order + 1):
-        if residuals[k] <= tol:
-            max_consistent = k
-        else:
-            break
-    if max_consistent == order:
-        verdict = FULL_JET
-    elif max_consistent >= 1:
-        verdict = JET_UP_TO
-    else:
-        verdict = NO_JET
-
+                   "magnitude": mag,
+                   **({"failure_order": k} if k >= 0 else {}),
+                   **({"truncation_only": True} if k > order else {})}
+                  for mu, d, eps, mag, k in zip(
+                      mus.tolist(), base_orders.tolist(), misfit.tolist(),
+                      magnitude.tolist(), failure.tolist())]
     # the offenders: the dirty mode that fails at the lowest order (the
-    # largest misfit among ties), null exactly on FullJet, and the mode
-    # with the largest condition number (the first in mode order)
-    failing = [row for row in mode_table
-               if row.get("failure_order", order + 1) <= order]
+    # largest misfit among ties, then the first in mode order), null
+    # exactly on FullJet, and the mode with the largest condition number
+    # (the first in mode order)
     first_failing = None
-    if failing:
-        row = min(failing, key=lambda r: (r["failure_order"], -r["misfit"]))
+    if charged.size:
+        row = mode_table[charged[np.lexsort((-misfit[charged],
+                                             failure[charged]))[0]]]
         first_failing = {"mode": row["mode"],
                          "failure_order": row["failure_order"],
                          "misfit": row["misfit"], "tol": tol}
@@ -375,7 +362,7 @@ def extract_jet(f, n: int, order: int, *,
                                  "condition": float(mode_cond[worst])},
     }
     return JetResult(series=series, max_consistent_order=max_consistent,
-                     per_order_residuals=residuals, verdict=verdict,
+                     per_order_residuals=residuals.tolist(), verdict=verdict,
                      tol=tol, diagnostics=diagnostics)
 
 
@@ -520,29 +507,37 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
     return mode_vals
 
 
-def _failure_order(resid_diag, radii, bmax, global_scale, base_order):
-    """Charge a dirty mode to a jet order.
+def _failure_orders(resid_diag, radii, bmax, global_scale, base_orders):
+    """Charge dirty modes to jet orders, one per row of ``resid_diag``.
 
     The residual of the tensor-Vandermonde solve scales like rho^beta for
     the first inconsistent order beta.  The log-log slope is estimated as
     the median of consecutive-pair slopes over the misfits on the diagonal
-    radius rows (t, ..., t), ``resid_diag``, which ignores the sign-change
-    dips the least-squares fit can leave at mid-range radii.  When the
-    diagonal carries no usable signal (the misfit may cancel there by
-    symmetry) fall back to the lowest order the mode contributes to.
+    radius rows (t, ..., t), the row's entries of ``resid_diag`` above a
+    floor, which ignores the sign-change dips the least-squares fit can
+    leave at mid-range radii.  When the diagonal carries fewer than two
+    such entries (the misfit may cancel there by symmetry) fall back to
+    the lowest order the mode contributes to, its ``base_orders`` entry.
     """
     ed = np.abs(resid_diag)
-    floor = 1e-11 * max(bmax, 1e-3 * max(global_scale, 1e-12))
-    mask = ed > floor
-    if mask.sum() < 2:
-        return base_order
-    logs_r = np.log(radii[mask])
-    logs_e = np.log(ed[mask])
-    slopes = np.diff(logs_e) / np.diff(logs_r)
-    slope = float(np.median(slopes))
-    if not np.isfinite(slope):
-        return base_order
-    return max(int(round(slope)), 0)
+    floor = 1e-11 * np.maximum(bmax, 1e-3 * max(global_scale, 1e-12))
+    usable = ed > floor[:, None]
+    # each row's usable entries first, in radius order, then its others
+    at = np.argsort(~usable, axis=1, kind="stable")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (np.diff(np.log(np.take_along_axis(ed, at, axis=1)), axis=1)
+                  / np.diff(np.log(radii)[at], axis=1))
+    # the slopes between usable entries, ascending, then nan; the median
+    # of an even count is the mean of its middle two, as in np.median
+    pairs = usable.sum(axis=1, keepdims=True) - 1
+    slopes = np.sort(np.where(np.arange(len(radii) - 1) < pairs, slopes,
+                              np.nan), axis=1)
+    lo, hi = (np.take_along_axis(slopes, np.maximum(pairs - s, 0) // 2, axis=1)
+              for s in (1, 0))
+    slope = np.where(pairs % 2, lo, (lo + hi) / 2)[:, 0]
+    ok = (pairs[:, 0] >= 1) & np.isfinite(slope)
+    return np.where(ok, np.maximum(np.round(slope), 0),
+                    base_orders).astype(int)
 
 
 def jet_of_series(S: FormalSeries) -> JetResult:

@@ -33,13 +33,13 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import (EvalError, Expr, as_callable, evaluate, evaluate_jvp,
                    parse)
-from .series import torus, torus_modes
+from .series import _realify, chunks, torus, torus_modes
 
 
 class PencilCheckError(ValueError):
@@ -55,6 +55,7 @@ class NewtonInversionError(RuntimeError):
 
 
 # fixed numerical settings, grouped by the function that reads them
+_DISC_SAMPLES = 64           # the disc checks: samples per circle
 _PENCIL_HOLO_TOL = 1e-8      # pencil_from_exprs: disc residual per component
 _PENCIL_MESH_TOL = 1e-10     # and the distance at which mesh images coincide
 _Z2_SAMPLES = 12             # tilde_normalize: the z2 ring of its checks,
@@ -161,11 +162,6 @@ def _bad_directions(spec) -> str:
                         for c in vec)):
             return f"{what}; row {i} is {vec!r}"
     return what
-
-
-def _realify(points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(points)
-    return np.column_stack([points.real, points.imag]).reshape(len(points), -1)
 
 
 # -- pencil spec ---------------------------------------------------------------
@@ -334,22 +330,23 @@ def _validate_pencil(spec: PencilSpec):
         return vals
 
     rho = 0.9
-    res, finite = _holo_residuals(components,
-                                  np.full((spec.n, len(sub)), rho), 16)
+    res = _holo_residuals(components, np.full((spec.n, len(sub)), rho))
     # d/dlambdabar on the FFT check's scale: the negative modes miss a
     # lambda that enters through |lambda|^2, the exact derivative does not;
     # a non-finite circle enters as zeros, as in the FFT check
+    finite = ~np.isnan(res)
     vals, dh = samples[0]
     dh = np.where(finite[:, None, :, None], dh, 0)
     scale = np.fmax(1.0, np.abs(torus_modes(
         np.where(finite[..., None], vals, 0), 1)).max(axis=-1))
     dbar = 0.5 * np.abs(dh[:, 0] + 1j * dh[:, 1]).max(axis=-1) / scale
     # the first bad disc in direction order, then component order
-    bad = (~finite | (res > _PENCIL_HOLO_TOL) | (dbar > _PENCIL_HOLO_TOL)).T
+    bad = (~np.isfinite(res) | (res > _PENCIL_HOLO_TOL)
+           | (dbar > _PENCIL_HOLO_TOL)).T
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), spec.n)
-        if not finite[j, i]:
-            raise EvalError(f"non-finite disc samples at radius {rho}")
+        if not np.isfinite(res[j, i]):
+            raise _disc_error(res[j, i], rho)
         if res[j, i] > _PENCIL_HOLO_TOL:
             raise PencilCheckError(f"disc through {sub[i]} has component "
                                    f"{j+1} residual {res[j, i]:.3g}")
@@ -426,109 +423,104 @@ def load_pencil(source) -> PencilSpec:
 
 # -- disc holomorphy residuals -------------------------------------------------
 
-def _holo_residuals(g: Callable, rho, modes: int):
+def _holo_residuals(g: Callable, rho) -> np.ndarray:
     """The disc residual of g on the circles |lambda| = rho, one per rho.
 
     ``rho`` is a scalar or an array of radii; g gets the samples as an
-    array rho.shape + (4*modes,).  Returns the residuals and a per-circle
-    all-finite mask; a circle with non-finite samples enters the FFT as
-    zeros, so its residual means nothing.
+    array rho.shape + (_DISC_SAMPLES,).  A residual is nan where the
+    circle's samples are not all finite (they enter the FFT as zeros) and
+    inf where they are but their transform overflows.
     """
-    if modes < 16:
-        raise ValueError("modes must be >= 16")
-    count = 4 * modes
-    lam = np.asarray(rho, dtype=float)[..., None] * torus((1.0,), count)[0]
+    lam = np.asarray(rho, dtype=float)[..., None] * torus(
+        (1.0,), _DISC_SAMPLES)[0]
     vals = np.broadcast_to(np.asarray(g(lam), dtype=complex), lam.shape)
     finite = np.isfinite(vals).all(axis=-1)
-    c = torus_modes(np.where(finite[..., None], vals, 0), 1)
-    neg = c[..., count // 2:]      # indices -count/2 .. -1
-    return (np.abs(neg).max(axis=-1) / np.fmax(1.0, np.abs(c).max(axis=-1)),
-            finite)
+    mag = np.abs(torus_modes(np.where(finite[..., None], vals, 0), 1))
+    # indices -_DISC_SAMPLES/2 .. -1 are the negative modes; inf / inf
+    # comes only from an overflowed transform, which the inf below marks
+    with np.errstate(invalid="ignore"):
+        res = (mag[..., _DISC_SAMPLES // 2:].max(axis=-1)
+               / np.fmax(1.0, mag.max(axis=-1)))
+    return np.where(finite, np.where(np.isfinite(mag).all(axis=-1), res,
+                                     np.inf), np.nan)
 
 
-def disc_holo_residual(g: Callable, rho: float, modes: int = 16) -> float:
+def _disc_error(res, rho) -> EvalError:
+    """The error of a circle of radius rho whose residual is not finite."""
+    what = ("non-finite disc samples" if np.isnan(res)
+            else "disc transform overflows")
+    return EvalError(f"{what} at radius {rho}")
+
+
+def disc_holo_residual(g: Callable, rho: float) -> float:
     """Antiholomorphic Fourier content of lambda -> g(lambda) on |lambda|=rho.
 
-    Samples 4*modes points; the residual is the largest modulus over
-    negative-index Fourier coefficients, normalized by max(1, largest
+    Samples _DISC_SAMPLES = 64 points; the residual is the largest modulus
+    over negative-index Fourier coefficients, normalized by max(1, largest
     coefficient).  Zero (to quadrature accuracy) iff the samples come
-    from a holomorphic function of lambda.
+    from a holomorphic function of lambda.  Raises EvalError when a
+    sample is not finite, or when the samples are but their transform
+    overflows.
     """
-    res, finite = _holo_residuals(g, rho, modes)
-    if not finite:
-        raise EvalError(f"non-finite disc samples at radius {rho}")
+    res = _holo_residuals(g, rho)
+    if not np.isfinite(res):
+        raise _disc_error(res, rho)
     return float(res)
 
 
 @dataclass
-class DiscResidual:
-    direction_index: int
-    direction: Tuple[complex, ...]
-    radius: float
-    residual: float
-    error: Optional[str] = None
-
-
-@dataclass
 class PencilHoloResult:
-    residuals: List[DiscResidual]
+    """The disc check of a pencil: one disc per direction and radius.
+
+    ``residuals`` holds one residual per disc, direction-major (disc
+    i * len(radii) + r is direction i at radii[r]), nan where the disc
+    raised; ``errors`` maps each such disc index to its error text.
+    """
+
+    residuals: np.ndarray
+    radii: np.ndarray
+    errors: Dict[int, str]
     tol: float
     passed: bool
 
-    def worst(self) -> float:
-        disc = self.worst_disc()
-        return math.nan if disc is None else disc.residual
-
-    def worst_disc(self) -> Optional[DiscResidual]:
+    def _worst_disc(self) -> Optional[int]:
         """The first error-free disc with the largest residual, if any."""
-        clean = [r for r in self.residuals if r.error is None]
-        if not clean:
+        clean = np.delete(np.arange(len(self.residuals)), list(self.errors))
+        if not clean.size:
             return None
-        return clean[int(np.argmax([r.residual for r in clean]))]
+        return int(clean[np.argmax(self.residuals[clean])])
+
+    def worst(self) -> float:
+        k = self._worst_disc()
+        return math.nan if k is None else float(self.residuals[k])
 
     def evidence(self) -> dict:
         """Report details: where the worst disc is, how many discs failed
         to evaluate, and the first of them with its error."""
-        disc = self.worst_disc()
-        errors = [r for r in self.residuals if r.error is not None]
-        first = errors[0] if errors else None
-        return {"worst_direction_index":
-                    None if disc is None else disc.direction_index,
-                "worst_radius": None if disc is None else disc.radius,
-                "discs_with_error": len(errors),
+        k, first = self._worst_disc(), min(self.errors, default=None)
+        R = len(self.radii)
+        return {"worst_direction_index": None if k is None else k // R,
+                "worst_radius": None if k is None else float(self.radii[k % R]),
+                "discs_with_error": len(self.errors),
                 "first_error": None if first is None else {
-                    "direction_index": first.direction_index,
-                    "radius": first.radius, "error": first.error}}
-
-
-#: Most samples (items x samples per item) that one batched evaluation
-#: holds: disc samples here, shell points in the capacity check's KD-tree
-#: queries.  Freeing a block of about 0.5 MB or more makes glibc raise its
-#: mmap threshold, which changes how the rest of the process allocates;
-#: 4096 complex samples per array stay well below that.
-DISC_CHUNK_SAMPLES = 4096
-
-
-def chunks(count: int, samples_per_item: int):
-    """(start, stop) ranges over ``count`` items, each range holding at
-    most DISC_CHUNK_SAMPLES samples, or one item if that alone holds more."""
-    step = max(1, DISC_CHUNK_SAMPLES // max(1, samples_per_item))
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+                    "direction_index": first // R,
+                    "radius": float(self.radii[first % R]),
+                    "error": self.errors[first]}}
 
 
 def check_holo_along_pencil(f, P: PencilSpec,
                             rho_schedule: Sequence[float] = (0.3, 0.6, 0.9),
-                            tol: float = 1e-8, modes: int = 16
-                            ) -> PencilHoloResult:
+                            tol: float = 1e-8) -> PencilHoloResult:
     """Residual of lambda -> f(map(lambda, u)) per direction and radius.
 
     Every entry is what ``disc_holo_residual`` gives on that disc alone.
-    The discs are evaluated in chunks of at most DISC_CHUNK_SAMPLES
-    samples, one map call, one f call and one row FFT per chunk, so f
-    must act pointwise on coordinate arrays of any shape.  A disc whose
-    chunk raises, or whose samples are not all finite, is redone on its
-    own, so an error stays with its own disc and keeps its message.
+    The directions are evaluated in chunks of at most DISC_CHUNK_SAMPLES
+    samples, every radius of a direction in the same chunk: one map
+    call, one f call and one row FFT per chunk, on a (directions, radii,
+    samples) array, so f must act pointwise on coordinate arrays of any
+    shape.  A disc whose chunk raises, or whose residual is not finite,
+    is redone on its own, so an error stays with its own disc and keeps
+    its message.
     """
     func = as_callable(f, P.n)
 
@@ -536,30 +528,26 @@ def check_holo_along_pencil(f, P: PencilSpec,
         """lambda -> f(map(lambda, u)) on the discs through directions di."""
         return lambda lam: func(tuple(np.moveaxis(P.disc(lam, di), -1, 0)))
 
-    radii = list(rho_schedule)
-    rho = np.asarray(radii, dtype=float)
-    discs = [(i, r) for i in range(P.num_directions) for r in range(len(radii))]
-    units = [tuple(u) for u in P.directions.tolist()]
-    out = []
-    for start, stop in chunks(len(discs), 4 * modes):
-        part = discs[start:stop]
-        di, ri = np.array(part, dtype=int).T
+    radii = np.asarray(rho_schedule, dtype=float)
+    res = np.empty((P.num_directions, len(radii)))
+    for start, stop in chunks(P.num_directions,
+                              len(radii) * _DISC_SAMPLES):
         try:
-            res, finite = _holo_residuals(on_discs(di), rho[ri], modes)
+            res[start:stop] = _holo_residuals(
+                on_discs(np.arange(start, stop)),
+                np.broadcast_to(radii, (stop - start, len(radii))))
         except Exception:          # every disc of the chunk is redone
-            res, finite = [math.nan] * len(part), [False] * len(part)
-        for (i, r), value, ok in zip(part, res, finite):
-            entry = DiscResidual(i, units[i], float(radii[r]),
-                                 float(value) if ok else math.nan)
-            if not ok:
-                try:
-                    entry.residual = disc_holo_residual(on_discs(i), radii[r],
-                                                        modes)
-                except Exception as exc:   # per-disc failures are non-fatal
-                    entry.error = str(exc)
-            out.append(entry)
-    ok = all(e.error is None and e.residual <= tol for e in out)
-    return PencilHoloResult(out, tol, ok)
+            res[start:stop] = np.nan
+    res = res.ravel()
+    errors = {}
+    for k in np.flatnonzero(~np.isfinite(res)).tolist():
+        i, r = divmod(k, len(radii))
+        try:
+            res[k] = disc_holo_residual(on_discs(i), float(radii[r]))
+        except Exception as exc:   # per-disc failures are non-fatal
+            res[k], errors[k] = math.nan, str(exc)
+    return PencilHoloResult(res, radii, errors, tol,
+                            not errors and bool((res <= tol).all()))
 
 
 # -- Wirtinger derivatives of ambient functions --------------------------------
@@ -695,10 +683,9 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     if worst_slope > _TOL_SLOPE:
         failures.append(f"dk/dz1(0, z2) off z2 by {worst_slope:.3g}")
     rows, rho = z2s[:: max(1, _Z2_SAMPLES // 6), None], 0.4 * eps
-    res, finite = _holo_residuals(lambda lam: k(lam, rows),
-                                  np.full(len(rows), rho), 16)
-    if not finite.all():
-        raise EvalError(f"non-finite disc samples at radius {rho}")
+    res = _holo_residuals(lambda lam: k(lam, rows), np.full(len(rows), rho))
+    if not np.isfinite(res).all():
+        raise _disc_error(res[~np.isfinite(res)][0], rho)
     worst_holo = float(res.max())
     if worst_holo > _TOL_HOLO:
         failures.append(f"k not holomorphic in z1: residual {worst_holo:.3g}")
@@ -801,6 +788,8 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
     that fails there keeps residual inf; every table entry is what the
     direction gives on its own.
     """
+    if ell_max < 1:
+        raise ValueError(f"ell_max must be at least 1, not {ell_max}")
     as_callable(f, P.n)        # checks an Expr's variables
     M = P.num_directions
     # master disc sample: one ring per ell plus deep interior points, so the

@@ -13,7 +13,7 @@ Lipschitz estimate hold.  Points where P_k vanishes give a -inf
 integrand; they are clipped at CLIP_FLOOR and counted.
 
 Each u_k is a row of one ``SlicePolyFamily.values_at`` call for as many
-k as fit in pencil.DISC_CHUNK_SAMPLES values; averages and maxima reduce
+k as fit in series.DISC_CHUNK_SAMPLES values; averages and maxima reduce
 those rows, bit for bit what one k at a time gives.
 """
 
@@ -25,8 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .pencil import chunks
-from .series import torus
+from .series import chunks, torus
 from .slices import ChartPoly, SlicePolyFamily
 
 MINUS_INFINITY = "MinusInfinity"
@@ -64,7 +63,7 @@ class PshFamily:
 
 def _u_rows(family: PshFamily, ks, points):
     """(ks, rows u_k(points)) for the ks in chunks of at most
-    pencil.DISC_CHUNK_SAMPLES values, one ``values_at`` call each."""
+    series.DISC_CHUNK_SAMPLES values, one ``values_at`` call each."""
     ks = np.asarray(ks)
     bad = ks[(ks < 1) | (ks > family.K)]
     if bad.size:
@@ -229,7 +228,7 @@ def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
         u = np.maximum(u, rows.max(axis=0))
     u = np.maximum(u, CLIP_FLOOR)
     # one grid-sized array at a time: a stack of the nine shifts would pass
-    # the 0.5 MB glibc threshold that pencil.DISC_CHUNK_SAMPLES notes
+    # the 0.5 MB glibc threshold that series.DISC_CHUNK_SAMPLES notes
     padded = np.pad(u, 1, constant_values=-np.inf)
     u_star = u
     for i in range(3):

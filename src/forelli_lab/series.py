@@ -28,6 +28,9 @@ built by ``torus`` and transformed by ``torus_modes``.  On a grid of size
 G the torus of radii (r_1..r_n) has the nodes z_k = r_k exp(1j (2.0 pi
 j_k / G)), j_k = 0..G-1, held as arrays of shape (G,) * n in C order of
 (j_1..j_n); its Fourier mode m in Z^n sits at index m mod G of the modes.
+
+The batching rule of the lab lives here too: every batched evaluation
+is cut by ``chunks`` into pieces of at most DISC_CHUNK_SAMPLES samples.
 """
 
 from __future__ import annotations
@@ -58,6 +61,29 @@ def _check_index(alpha, n: int) -> MultiIndex:
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index {alpha} has a negative entry")
     return alpha
+
+
+#: Most samples (items x samples per item) that one batched evaluation
+#: holds: disc samples in the pencil checks, chart points x terms in the
+#: slice families, shell points in the capacity check's KD-tree queries.
+#: Freeing a block of about 0.5 MB or more makes glibc raise its mmap
+#: threshold, which changes how the rest of the process allocates; 4096
+#: complex samples per array stay well below that.
+DISC_CHUNK_SAMPLES = 4096
+
+
+def chunks(count: int, samples_per_item: int):
+    """(start, stop) ranges over ``count`` items, each range holding at
+    most DISC_CHUNK_SAMPLES samples, or one item if that alone holds more."""
+    step = max(1, DISC_CHUNK_SAMPLES // max(1, samples_per_item))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+def _realify(points: np.ndarray) -> np.ndarray:
+    """Rows of complex points as rows of their real and imaginary parts."""
+    points = np.atleast_2d(points)
+    return np.column_stack([points.real, points.imag]).reshape(len(points), -1)
 
 
 def monomials(points, exponents) -> np.ndarray:

@@ -27,11 +27,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .pencil import DISC_CHUNK_SAMPLES
-from .series import FormalSeries, monomials, torus
+from .series import DISC_CHUNK_SAMPLES, FormalSeries, monomials, torus
 
 CHART_EPS = 1e-9   # directions with |v_1| up to this have no chart
-CHECK_POINTS = 20  # random points of P^n(0; r') that check a certificate
 
 
 class NotHolomorphicTypeError(ValueError):
@@ -149,7 +147,7 @@ class SlicePolyFamily:
         """P_k(b) for the k in members (default 0..K), shape (members,) + points.
 
         One ``monomials`` call per chunk of members (at least one, at most
-        pencil.DISC_CHUNK_SAMPLES points x terms), then each member's own
+        series.DISC_CHUNK_SAMPLES points x terms), then each member's own
         columns times its coefficients: the bits of the member's own call.
         """
         b = _chart_points(b, self.nvars)
@@ -284,11 +282,18 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     certificate is refused unless, on the truncated data, (a) every
     coefficient obeys the Cauchy bound |a_(k-|beta|, beta)| <= M^k
     r0^(-|beta|), with M^k read as max(M^k, sup_k) (the k-th root can
-    round M^k an ulp below sup_k), and (b) at CHECK_POINTS random points
-    of P^n(0; r') the order-k coefficient blocks sum below k^n 2^(-k).
+    round M^k an ulp below sup_k), and (b) the order-k coefficient blocks
+    sum below k^n 2^(-k) on the open polydisc P^n(0; r').  A block sum
+    sum |a_I| |z^I| increases in every |z_j|, so its value at the corner
+    |z_j| = r'_j, one evaluation, is its supremum there: (b) holds when
+    that value is at most k^n 2^(-k).  ``seed`` draws the interior sup
+    samples.  K must be at least 1: with no order checked there is no
+    certificate.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, not {K}")
     family = chart_poly_family(S, K)       # validates holomorphic type
     n = S.n
     nv = family.nvars
@@ -324,23 +329,21 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
             f"|{abs(g.coeffs[t]):.6g}| > M^{g.orders[t]} r0^-{beta_orders[t]}"
             f" = {bounds[t]:.6g}; increase K or the boundary sampling")
 
-    # (b) order-block tail bounds at random points of the open polydisc
-    u = rng.random((CHECK_POINTS, 2, n))
-    pts = np.array(r_prime) * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    # (b) order-block tail bounds at the corner of the polydisc
     weights = np.abs(g.coeffs[in_range]) * monomials(
-        np.abs(pts), g.exponents[in_range, :n])
-    totals = weights @ (g.orders[in_range, None] == ks)    # (points, K)
+        np.array(r_prime), g.exponents[in_range, :n])
+    totals = weights @ (g.orders[in_range, None] == ks)    # (K,)
     block_bounds = ks ** n * 2.0 ** (-ks)
-    max_ratio = float((totals / block_bounds).max(initial=0.0))
-    refused = np.argwhere(totals >= block_bounds)       # points, then orders
+    max_ratio = float((totals / block_bounds).max())
+    refused = np.flatnonzero(totals > block_bounds)
     if refused.size:
-        p, j = refused[0]
+        j = refused[0]
         raise CertificateError(
-            f"order-{j + 1} block sum {totals[p, j]:.6g} >= k^n 2^-k = "
-            f"{block_bounds[j]:.6g} at z={pts[p]}; certificate refused")
+            f"order-{j + 1} block sum {totals[j]:.6g} > k^n 2^-k = "
+            f"{block_bounds[j]:.6g} at the corner |z| = r'; "
+            "certificate refused")
 
     diagnostics = {"boundary_samples": len(samples),
-                   "check_points": CHECK_POINTS,
                    "max_block_ratio": max_ratio, "seed": seed}
     return ConvergenceCertificate(M=M, r0=r0, r_prime=r_prime, K_used=K,
                                   margin=margin, diagnostics=diagnostics)

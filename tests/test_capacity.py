@@ -8,7 +8,7 @@ from forelli_lab import (CapacityEstimate, ChartUndecidableError,
                          leja_points, normality_check, siciak_lower_bound,
                          sphere_directions, cap_directions)
 from forelli_lab.capacity import _growth_bounds, _trial_family
-from forelli_lab.pencil import _realify
+from forelli_lab.series import _realify
 from forelli_lab.series import torus
 from forelli_lab.slices import chart_map
 

@@ -71,6 +71,31 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["certify", "analyze"])
+    def test_no_certificate_order_is_usage_error(self, capsys, tmp_path,
+                                                  command):
+        # converges only for |z1| < 0.3; with K = 0 no order was checked
+        path = tmp_path / "geometric.txt"
+        FormalSeries(2, 12, {((k, 0), (0, 0)): 0.3 ** -k
+                             for k in range(13)}).save(path)
+        code, out, err = run_cli(capsys, command, "--series-file", str(path),
+                                 "--K", "0")
+        assert (code, out, err) == (2, "", "error: K must be at least 1, "
+                                           "not 0\n")
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_siciak_ball_must_be_a_radius(self, capsys, radius):
+        code, out, err = run_cli(capsys, "capacity", "--siciak-ball", radius)
+        assert (code, out) == (2, "")
+        assert err == ("error: --siciak-ball must be a positive finite "
+                       f"radius, not {float(radius)}\n")
+
+    def test_subpencil_needs_a_disc_index(self, capsys):
+        code, out, err = run_cli(capsys, "subpencil", "--expr", "exp(z1)",
+                                 "--ell-max", "0")
+        assert (code, out, err) == (2, "", "error: ell_max must be at least "
+                                           "1, not 0\n")
+
     def test_expression_with_a_leading_minus(self, capsys):
         # argparse reads "-z1" after --expr as an option; the README gives
         # the --expr=-z1 form
@@ -140,6 +165,19 @@ class TestDiscEvidence:
         assert 0 <= details["worst_direction_index"] < 40
         assert details["worst_radius"] in (0.3, 0.6, 0.9)
         assert details["worst_residual"] >= 0.5
+
+    def test_overflowed_transform_is_an_errored_disc(self, capsys):
+        # the samples of direction 168 at radius 0.9 are finite, their
+        # transform is not; the largest residual of the others is 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(capsys, "pencil-check", "--expr",
+                                   "exp(800*z1)", "--directions",
+                                   "sphere:300:2")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "checked 900 discs; worst residual 1 (tol 1e-08); 6 of 900 discs "
+            "raised an error, the first at direction 28, radius 0.9: "
+            "non-finite disc samples at radius 0.9")
 
     def test_analyze_disc_stage_evidence(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--expr", "conj(z1)+z2",
@@ -884,7 +922,8 @@ class TestSubcommands:
                      if s["name"] == "certificate"][0]
             diagnostics = stage["details"]["diagnostics"]
             assert 0 < diagnostics["max_block_ratio"] < 1
-            assert diagnostics["check_points"] == 20
+            assert set(diagnostics) == {"boundary_samples",
+                                        "max_block_ratio", "seed"}
             assert diagnostics["seed"] == 42
 
     @pytest.mark.parametrize("source", ["expr", "series"])

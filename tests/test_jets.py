@@ -134,6 +134,52 @@ class TestEntireFunctions:
         assert bool(jet.series.is_holomorphic_type())
 
 
+def _reference_failure_order(resid_diag, radii, bmax, global_scale,
+                             base_order):
+    """One mode's failure order by the per-mode loop that the array
+    ``jets._failure_orders`` replaced: the rounded median of the log-log
+    slopes between consecutive diagonal misfits above the floor, or
+    ``base_order`` without two such misfits or a finite slope."""
+    ed = np.abs(resid_diag)
+    floor = 1e-11 * max(bmax, 1e-3 * max(global_scale, 1e-12))
+    mask = ed > floor
+    if mask.sum() < 2:
+        return base_order
+    slopes = np.diff(np.log(ed[mask])) / np.diff(np.log(radii[mask]))
+    slope = float(np.median(slopes))
+    if not np.isfinite(slope):
+        return base_order
+    return max(int(round(slope)), 0)
+
+
+class TestFailureOrders:
+    @pytest.mark.parametrize("count", [2, 3, 4, 7, 12])
+    def test_rows_match_the_per_mode_loop(self, rng, count):
+        from forelli_lab.jets import _failure_orders, radius_schedule
+        radii = radius_schedule(count)
+        modes = 400
+        # misfits spanning the floor, some rows with 0, 1 or 2 entries
+        # above it, exact zeros and exact power laws (half-integer slopes)
+        scale = 10.0 ** rng.uniform(-16, 0, (modes, count))
+        scale[rng.random((modes, count)) < 0.3] = 0.0
+        resid = scale * np.exp(2j * np.pi * rng.random((modes, count)))
+        beta = rng.integers(0, 20, modes) / 2
+        resid[:50] = radii ** beta[:50, None]
+        bmax = 10.0 ** rng.uniform(-14, 1, modes)
+        base = rng.integers(0, 12, modes)
+        got = _failure_orders(resid, radii, bmax, 2.0, base)
+        want = [_reference_failure_order(resid[i], radii, bmax[i], 2.0,
+                                         int(base[i])) for i in range(modes)]
+        assert got.tolist() == want
+
+    def test_no_dirty_mode(self):
+        from forelli_lab.jets import _failure_orders
+        got = _failure_orders(np.empty((0, 3), dtype=complex),
+                              np.array([0.2, 0.25, 0.3]), np.empty(0), 1.0,
+                              np.empty(0, dtype=int))
+        assert got.shape == (0,)
+
+
 def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
                    coeff_floor=1e-10):
     """Per-mode reference: one torus sample, one ``lstsq`` solve and one
@@ -148,7 +194,7 @@ def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
     the mode-table keys and the worst condition number.
     """
     import itertools
-    from forelli_lab.jets import _failure_order, _modes, radius_schedule
+    from forelli_lab.jets import _modes, radius_schedule
 
     radii = radius_schedule(max((order + 1) // 2 + 1, 2), rho0, sigma)
     m = len(radii)
@@ -203,7 +249,7 @@ def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
         if eps <= tol:
             clean[d] = max(clean[d], eps)
             continue
-        k = _failure_order(resid[diag], radii, bmax, scale, d)
+        k = _reference_failure_order(resid[diag], radii, bmax, scale, d)
         if k <= order:
             failed[k] = max(failed[k], eps)
     residuals = np.maximum(np.maximum.accumulate(failed), clean)

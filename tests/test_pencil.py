@@ -12,11 +12,10 @@ from forelli_lab import (DegenerateNormalizationError, KData,
                          tilde_normalize)
 from forelli_lab import expr, pencil
 from forelli_lab.expr import EvalError, as_callable
-from forelli_lab.pencil import (DISC_CHUNK_SAMPLES, _angular_graph,
-                                _frames, _gauss_newton_step,
-                                _largest_component, _realify, _renormalize,
+from forelli_lab.pencil import (_angular_graph, _frames, _gauss_newton_step,
+                                _largest_component, _renormalize,
                                 wirtinger_dbar)
-from forelli_lab.series import torus
+from forelli_lab.series import DISC_CHUNK_SAMPLES, _realify, torus
 from test_expr import EVERY_NODE
 
 TWIST = ["l*u1", "l*u2 + l^2*conj(u1)*u2"]
@@ -78,11 +77,21 @@ class TestDiscResidual:
 
     def test_soundness_sweep(self, rng):
         for _ in range(20):
-            deg = int(rng.integers(0, 9))   # <= modes/2 with modes = 16
+            deg = int(rng.integers(0, 9))   # far below the 64 samples
             coef = rng.standard_normal(deg + 1) \
                 + 1j * rng.standard_normal(deg + 1)
             g = lambda lam: np.polynomial.polynomial.polyval(lam, coef)
-            assert disc_holo_residual(g, 0.8, modes=16) <= 1e-10
+            assert disc_holo_residual(g, 0.8) <= 1e-10
+
+    @pytest.mark.parametrize("g, what", [
+        (lambda lam: 1 / (lam - 0.5), "non-finite disc samples"),
+        # finite samples whose Fourier sum overflows
+        (lambda lam: np.full(lam.shape, 1e307), "disc transform overflows"),
+    ], ids=["non-finite", "overflow"])
+    def test_unusable_circle_raises(self, g, what):
+        with pytest.raises(EvalError, match=f"^{what} at radius 0\\.5$"), \
+                np.errstate(all="ignore"):
+            disc_holo_residual(g, 0.5)
 
 
 class TestCheckAlongPencil:
@@ -111,15 +120,8 @@ class TestCheckAlongPencil:
         assert sq <= base + 1e-9
         assert aff <= base + 1e-9
 
-    def test_directions_are_python_complex(self, twisted):
-        res = check_holo_along_pencil(parse("exp(z1+z2)"), twisted)
-        for entry in res.residuals:
-            row = twisted.directions[entry.direction_index]
-            assert all(type(c) is complex for c in entry.direction)
-            assert entry.direction == tuple(complex(c) for c in row)
 
-
-def one_disc_at_a_time(f, P, rho_schedule=(0.3, 0.6, 0.9), modes=16):
+def one_disc_at_a_time(f, P, rho_schedule=(0.3, 0.6, 0.9)):
     """The per-disc loop that the batched disc check replaced."""
     func = as_callable(f, P.n)
     out = []
@@ -127,22 +129,20 @@ def one_disc_at_a_time(f, P, rho_schedule=(0.3, 0.6, 0.9), modes=16):
         for rho in rho_schedule:
             try:
                 g = lambda lam: func(tuple(np.moveaxis(P.disc(lam, i), -1, 0)))
-                out.append((i, float(rho), disc_holo_residual(g, rho, modes),
-                            None))
+                out.append((i, float(rho), disc_holo_residual(g, rho), None))
             except Exception as exc:
                 out.append((i, float(rho), math.nan, str(exc)))
     return out
 
 
-def assert_same_discs(result, reference, P):
-    got = [(d.direction_index, d.radius, d.residual, d.error)
-           for d in result.residuals]
+def assert_same_discs(result, reference):
+    R = len(result.radii)
+    got = [(k // R, float(result.radii[k % R]), float(res),
+            result.errors.get(k)) for k, res in enumerate(result.residuals)]
     assert len(got) == len(reference)
     for g, r in zip(got, reference):
         assert g[0] == r[0] and g[1] == r[1] and g[3] == r[3]
         assert g[2] == r[2] or (math.isnan(g[2]) and math.isnan(r[2])), (g, r)
-    for d in result.residuals:
-        assert d.direction == tuple(P.directions[d.direction_index])
     assert result.passed == all(e is None and res <= result.tol
                                 for _, _, res, e in reference)
 
@@ -154,7 +154,10 @@ def with_e1(sphere150):
 
 
 class TestBatchedAgainstOneDisc:
-    """Batched chunks must give each disc exactly its one-disc result."""
+    """Batched chunks must give each disc exactly its one-disc result.
+
+    Disc k of a result is direction k // len(radii) at radius
+    radii[k % len(radii)]."""
 
     @pytest.mark.parametrize("expr", ["exp(z1+z2)", "conj(z1)", "1/(z1-0.3)",
                                       "z1^2*z2*conj(z1)/normsq(z)",
@@ -163,20 +166,34 @@ class TestBatchedAgainstOneDisc:
     def test_bit_identical(self, with_e1, kind, expr):
         P = (standard_pencil(2, with_e1) if kind == "standard"
              else pencil_from_exprs(2, TWIST, with_e1))
-        # 151 directions x 3 radii: several chunks, one boundary inside a
-        # direction's radii
-        assert 3 * P.num_directions > DISC_CHUNK_SAMPLES // 64
+        # 151 directions x 3 radii: several chunks of whole directions
+        assert P.num_directions > DISC_CHUNK_SAMPLES // (3 * 64)
         with np.errstate(over="ignore", invalid="ignore"):
             res = check_holo_along_pencil(parse(expr), P)
             ref = one_disc_at_a_time(parse(expr), P)
-        assert_same_discs(res, ref, P)
+        assert_same_discs(res, ref)
+
+    def test_chunks_hold_whole_directions(self, standard):
+        shapes = []
+
+        def f(z):
+            shapes.append(z[0].shape)
+            return z[0] * z[1]
+
+        res = check_holo_along_pencil(f, standard, (0.2, 0.4, 0.6, 0.8))
+        rows = DISC_CHUNK_SAMPLES // (4 * 64)
+        assert shapes == [(min(rows, standard.num_directions - start), 4, 64)
+                          for start in range(0, standard.num_directions,
+                                             rows)]
+        assert len(res.residuals) == 4 * standard.num_directions
+        assert res.passed and not res.errors
 
     def test_exact_zero_errors_only_its_disc(self, with_e1):
         P = standard_pencil(2, with_e1)
         res = check_holo_along_pencil(parse("1/(z1-0.3)"), P)
-        errors = [(d.direction_index, d.radius, d.error)
-                  for d in res.residuals if d.error is not None]
-        assert errors == [(17, 0.3, "division by zero in 'z1-0.3'")]
+        # direction 17 at radius 0.3, the first of the three radii
+        assert res.errors == {17 * 3: "division by zero in 'z1-0.3'"}
+        assert np.isnan(res.residuals[17 * 3])
         assert res.evidence()["discs_with_error"] == 1
         assert res.evidence()["first_error"] == {
             "direction_index": 17, "radius": 0.3,
@@ -186,30 +203,37 @@ class TestBatchedAgainstOneDisc:
         P = standard_pencil(2, with_e1)
         with np.errstate(over="ignore", invalid="ignore"):
             res = check_holo_along_pencil(parse("exp(800*z1)"), P)
-        errors = [(d.direction_index, d.error)
-                  for d in res.residuals if d.error is not None]
-        assert (17, "non-finite disc samples at radius 0.9") in errors
+        # direction 17, (1, 0), at radius 0.9, the last of the three radii
+        assert res.errors[17 * 3 + 2] == "non-finite disc samples at radius 0.9"
         assert not res.passed
 
-    def test_too_few_modes_errors_every_disc(self, standard):
-        res = check_holo_along_pencil(parse("z1"), standard, modes=8)
-        assert all(d.error == "modes must be >= 16" for d in res.residuals)
-        assert len(res.residuals) == 3 * standard.num_directions
-        assert res.worst_disc() is None and math.isnan(res.worst())
-        assert_same_discs(res, one_disc_at_a_time(parse("z1"), standard,
-                                                  modes=8), standard)
+    def test_transform_overflow_is_an_error(self):
+        # direction 168 at radius 0.9: finite samples, overflowing FFT
+        P = standard_pencil(2, sphere_directions(2, 300, seed=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = check_holo_along_pencil(parse("exp(800*z1)"), P)
+        assert res.errors[168 * 3 + 2] == "disc transform overflows at radius 0.9"
+        assert np.isnan(res.residuals[168 * 3 + 2])
+        assert np.isfinite(np.delete(res.residuals, list(res.errors))).all()
+        assert res.worst() == 1.0
+        assert res.evidence()["discs_with_error"] == len(res.errors) == 6
 
-    def test_other_modes_and_radii(self, twisted):
+    def test_all_discs_errored(self, standard):
+        res = check_holo_along_pencil(parse("1/(z1-z1)"), standard)
+        assert len(res.errors) == len(res.residuals) == 3 * 150
+        assert math.isnan(res.worst()) and not res.passed
+        assert res.evidence()["worst_direction_index"] is None
+
+    def test_other_radii(self, twisted):
         f = parse("exp(z1)*z2 + conj(z2)^2")
         radii = (0.2, 1.0, 2.5, 0.7)
-        res = check_holo_along_pencil(f, twisted, radii, modes=40)
-        assert_same_discs(res, one_disc_at_a_time(f, twisted, radii, 40),
-                          twisted)
+        res = check_holo_along_pencil(f, twisted, radii)
+        assert_same_discs(res, one_disc_at_a_time(f, twisted, radii))
 
     def test_plain_callable(self, standard):
         f = lambda z: np.exp(z[0]) * z[1] ** 2 + 0.5 * np.conj(z[1])
         assert_same_discs(check_holo_along_pencil(f, standard),
-                          one_disc_at_a_time(f, standard), standard)
+                          one_disc_at_a_time(f, standard))
 
     def test_callable_that_only_takes_one_disc(self, standard):
         def f(z):
@@ -217,17 +241,16 @@ class TestBatchedAgainstOneDisc:
                 raise TypeError("one disc at a time")
             return np.sin(z[0]) + z[1]
         assert_same_discs(check_holo_along_pencil(f, standard),
-                          one_disc_at_a_time(f, standard), standard)
+                          one_disc_at_a_time(f, standard))
 
     def test_worst_disc_evidence(self, with_e1):
         P = standard_pencil(2, with_e1)
         res = check_holo_along_pencil(parse("conj(z1)"), P)
-        vals = [d.residual for d in res.residuals]
-        k = int(np.argmax(vals))
-        assert res.worst() == max(vals)
+        k = int(np.argmax(res.residuals))
+        assert res.worst() == res.residuals.max()
         assert res.evidence() == {
-            "worst_direction_index": res.residuals[k].direction_index,
-            "worst_radius": res.residuals[k].radius, "discs_with_error": 0,
+            "worst_direction_index": k // 3,
+            "worst_radius": (0.3, 0.6, 0.9)[k % 3], "discs_with_error": 0,
             "first_error": None}
         # the largest |u1| direction at the largest radius
         assert res.evidence()["worst_direction_index"] == 17
@@ -237,7 +260,6 @@ class TestBatchedAgainstOneDisc:
 def angular_graph_by_sets(directions, k=8):
     """The set loop that the array-built angular graph replaced."""
     from scipy.spatial import cKDTree
-    from forelli_lab.pencil import _realify
     M = len(directions)
     if M == 1:
         return [np.array([], dtype=int)]

@@ -296,9 +296,16 @@ def ref_slice(S, a):
     return coeffs, (len(S) + 2 * N + 2) * EPS * scale
 
 
+def block_sums(S, K, z):
+    """The order-k block sums sum |a_I| |z^I|, k = 1..K, term by term."""
+    return [sum(abs(c) * float(np.prod(np.abs(z) ** np.array(I)))
+                for (I, _J), c in S.terms_of_order(k).items())
+            for k in range(1, K + 1)]
+
+
 def ref_certificate(S, r0, K, sample_count=64, margin=0.05, angular_grid=48,
-                    check_points=20, seed=42):
-    """(M, r_prime, max_block_ratio) by the sampled per-point loops."""
+                    seed=42):
+    """(M, r_prime, max_block_ratio) by per-point and per-term loops."""
     family = chart_poly_family(S, K)
     n, nv = S.n, S.n - 1
     rng = np.random.default_rng(seed)
@@ -326,21 +333,14 @@ def ref_certificate(S, r0, K, sample_count=64, margin=0.05, angular_grid=48,
                 f"Cauchy bound violated at z^{I}: |{abs(c):.6g}| > "
                 f"M^{k} r0^-{beta_order} = {bound:.6g}; "
                 "increase K or the boundary sampling")
-    pts = []
-    for _ in range(check_points):
-        radii = np.array(r_prime) * np.sqrt(rng.random(n))
-        pts.append(radii * np.exp(2j * np.pi * rng.random(n)))
     max_ratio = 0.0
-    for z in pts:
-        for k in range(1, K + 1):
-            total = sum(abs(c) * float(np.prod(np.abs(z) ** np.array(I)))
-                        for (I, _J), c in S.terms_of_order(k).items())
-            bound = k ** n * 2.0 ** (-k)
-            if total >= bound:
-                raise CertificateError(
-                    f"order-{k} block sum {total:.6g} >= k^n 2^-k = "
-                    f"{bound:.6g} at z={z}; certificate refused")
-            max_ratio = max(max_ratio, total / bound)
+    for k, total in enumerate(block_sums(S, K, np.array(r_prime)), start=1):
+        bound = k ** n * 2.0 ** (-k)
+        if total > bound:
+            raise CertificateError(
+                f"order-{k} block sum {total:.6g} > k^n 2^-k = {bound:.6g} "
+                "at the corner |z| = r'; certificate refused")
+        max_ratio = max(max_ratio, total / bound)
     return M, r_prime, max_ratio
 
 
@@ -409,7 +409,7 @@ class TestKernelAgainstLoops:
         (geometric_product_series(n_max=8, max_order=8), 1, 8),
         (exp_sum_series(3, 7), 0.4, 7),
     ], ids=["n1-exp", "n2-exp", "n2-geometric-int-r0", "n3-exp"])
-    def test_certificate(self, S, r0, K):
+    def test_certificate(self, rng, S, r0, K):
         M, r_prime, max_ratio = ref_certificate(S, r0, K, seed=11)
         cert = certify_polydisc(S, r0, K, seed=11)
         assert cert.M == pytest.approx(M, rel=1e-12)
@@ -417,6 +417,28 @@ class TestKernelAgainstLoops:
         assert max_ratio > 0
         assert cert.diagnostics["max_block_ratio"] == pytest.approx(
             max_ratio, rel=1e-12)
+        # the corner bounds every block sum on the polydisc
+        corner = block_sums(S, K, np.array(r_prime))
+        for _ in range(20):
+            u = rng.random((2, S.n))
+            z = np.array(r_prime) * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+            assert all(np.array(block_sums(S, K, z)) <= corner)
+
+    def test_corner_at_the_bound_is_certified(self):
+        # 1/(1 - z1/0.3): M = 1/0.3 and the order-1 block sum is exactly
+        # 1/2 at the corner, its supremum on the open polydisc
+        S = FormalSeries(2, 12, {((k, 0), (0, 0)): 0.3 ** -k
+                                 for k in range(13)})
+        cert = certify_polydisc(S, 0.5, 12)
+        assert cert.diagnostics["max_block_ratio"] == 1.0
+        assert ref_certificate(S, 0.5, 12)[2] == 1.0
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_order_is_no_certificate(self, K):
+        S = FormalSeries(2, 12, {((k, 0), (0, 0)): 0.3 ** -k
+                                 for k in range(13)})
+        with pytest.raises(ValueError, match=f"^K must be at least 1, not {K}$"):
+            certify_polydisc(S, 0.5, K)
 
     @pytest.mark.parametrize("case", ["cauchy", "block"])
     def test_refusal_message(self, case):

@@ -56,3 +56,23 @@ def test_tracer_installs_and_restores():
     assert tracer.calls["slices.chart_poly_call"] == 1
     assert tracer.counts["slices.chart_poly_call.points"] == 2
     assert library_state(tracing) == before
+
+
+def test_counters_keep_their_meaning():
+    """The counts read from return values still count discs and modes."""
+    tracing = load_tracing()
+    P = forelli_lab.standard_pencil(
+        2, forelli_lab.sphere_directions(2, 30, seed=1))
+    order = 6
+    with tracing.Tracer() as tracer:
+        holo = forelli_lab.check_holo_along_pencil(
+            forelli_lab.parse("exp(z1+z2)"), P, (0.3, 0.6, 0.9, 0.95))
+        jet = forelli_lab.extract_jet(forelli_lab.parse("exp(z1)*z2"), 2,
+                                      order)
+    assert holo.passed and jet.full
+    # one disc per direction and radius
+    assert tracer.counts["pencil.discs_checked"] == 30 * 4
+    # one mode per mu in Z^2 with |mu_1| + |mu_2| <= order
+    modes = sum(1 for a in range(-order, order + 1)
+                for b in range(-order, order + 1) if abs(a) + abs(b) <= order)
+    assert tracer.counts["jets.modes_solved"] == modes == 85
