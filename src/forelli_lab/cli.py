@@ -449,13 +449,13 @@ def _recorded_warnings():
     """Collect the UserWarnings that forelli_lab raises, for the report.
 
     Yields the list of distinct messages in first-seen order.  Each is
-    still shown once on stderr.  Every warning raised from the library's
-    own files, such as numpy's floating-point RuntimeWarnings in the
-    evaluator, prints as ``<Category>: <message>`` without the library's
-    file, line and source text, so the stderr bytes do not move with the
-    install path or with edits to the source.  Only UserWarnings enter the
-    report; the others keep their filters and reach any recorder of
-    warnings, such as ``pytest.warns``.
+    still shown once on stderr.  Every warning shown during the run, the
+    library's own and those raised in numpy's files (its FFT's overflow,
+    for one), prints as ``<Category>: <message>`` without a file, line or
+    source text, so the stderr bytes do not move with the install path or
+    with edits to the source.  Only UserWarnings enter the report; the
+    others keep their filters and reach any recorder of warnings, such as
+    ``pytest.warns``.
     """
     def ours(filename):
         return os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
@@ -478,9 +478,7 @@ def _recorded_warnings():
             show(message, category, filename, lineno, file, line)
 
         def without_location(message, category, filename, lineno, line=None):
-            if ours(filename):
-                return f"{category.__name__}: {message}\n"
-            return form(message, category, filename, lineno, line)
+            return f"{category.__name__}: {message}\n"
 
         warnings.showwarning = record
         # catch_warnings restores showwarning but not formatwarning

@@ -137,28 +137,30 @@ def load_directions(spec, n: int, seed: int) -> np.ndarray:
     rows = np.array(spec, dtype=object)
     if rows.size == 0 and rows.ndim <= 2:    # no direction: checked later
         return rows.astype(complex)
-    if not (isinstance(spec, list) and rows.ndim == 3 and rows.shape[2] == 2
-            and all(map(_is_number, rows.flat))):
+    try:
+        ok = (isinstance(spec, list) and rows.ndim == 3 and rows.shape[2] == 2
+              and set(map(type, rows.flat)) <= {int, float}
+              and np.isfinite(pairs := rows.astype(float)).all())
+    except OverflowError:                    # an int beyond the float range
+        ok = False
+    if not ok:
         raise ValueError(_bad_directions(spec))
     # the [re, im] float pairs read as complex: complex(re, im) bit for bit
-    return rows.astype(float).view(complex)[..., 0]
-
-
-def _is_number(x) -> bool:
-    """Whether x is an int or float that reads as a finite float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    return pairs.view(complex)[..., 0]
 
 
 def _bad_directions(spec) -> str:
     """Why ``spec`` is not a list of rows of [re, im] number pairs, naming
-    its first bad row."""
+    its first bad row: one with a NaN, an infinity, or a number that is
+    not an int or float in the float range."""
     what = "directions must be a list of rows of [re, im] number pairs"
     if not isinstance(spec, list):
         return f"{what}, not a {type(spec).__name__}"
     for i, vec in enumerate(spec):
         if not (isinstance(vec, list) and len(vec) == len(spec[0])
                 and all(isinstance(c, list) and len(c) == 2
-                        and all(map(_is_number, c))
+                        and all(type(x) in (int, float)
+                                and abs(x) <= sys.float_info.max for x in c)
                         for c in vec)):
             return f"{what}; row {i} is {vec!r}"
     return what
@@ -874,22 +876,23 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None,
     the unit disc with preimage direction in V.  Divergence counts as
     "outside the image", shrinking r; dropping below ``_R_FLOOR`` raises.
     Membership in V is one boolean mask over the directions, read both by
-    the 2-ring margin check on W and by the test of each candidate r.
+    the 2-ring margin check on W (with V given) and by the test of each
+    candidate r.  A test inverts first the points that failed the last
+    failing one and stops at a bad one; its outcome, "some point is bad",
+    and so the radius do not depend on that order.
     """
     W = np.asarray(W, dtype=int)
     M = P.num_directions
-    if V is None:
-        in_V = np.ones(M, dtype=bool)
-    else:
-        v = np.array([int(j) for j in V], dtype=int)
-        in_V = np.zeros(M, dtype=bool)
-        in_V[v[(v >= 0) & (v < M)]] = True
+    in_V = np.ones(M, dtype=bool)
+    near_out = ~in_V                         # the whole sample: no boundary
+    if V is not None:
+        in_V = np.isin(np.arange(M), [int(j) for j in V])
+        # angular margin >= 2 graph cells: the 2-ring of W stays in V
+        near_out = ~in_V
+        for _ in range(2):
+            near_out = near_out | _has_neighbour_in(P, near_out)
     if W.size == 0:
         raise ValueError("W must be nonempty")
-    # angular margin >= 2 graph cells: the 2-ring of W stays in V
-    near_out = ~in_V
-    for _ in range(2):
-        near_out = near_out | _has_neighbour_in(P, near_out)
     for w in W:
         if w < 0 or near_out[w]:             # a negative w is not in V
             raise PencilCheckError(
@@ -903,13 +906,13 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None,
     mesh_dirs = P.directions[W[idx % len(W)]]
     mesh_rho = 0.05 + 0.90 * ((idx * _GOLDEN) % 1.0)
     mesh_phase = np.exp(2j * np.pi * ((idx * _GOLDEN ** 2) % 1.0))
-    last_witness = [None]
 
-    def test(r: float) -> bool:
-        lam = r * mesh_rho * mesh_phase
+    def bad_points(radius, rows) -> np.ndarray:
+        """Which mesh points of ``rows`` fail, point i at radius[i]."""
+        lam = radius * mesh_rho * mesh_phase
         targets = lam[:, None] * mesh_dirs
-        mu, V_dir, ok = _invert_map(P, targets, lam, mesh_dirs,
-                                    _NEWTON_ITERS, _NEWTON_TOL)
+        mu, V_dir, ok = _invert_map(P, targets[rows], lam[rows],
+                                    mesh_dirs[rows], _NEWTON_ITERS, _NEWTON_TOL)
         bad = ~ok
         bad |= np.abs(mu) >= 1.0 - 1e-9
         _, nearest = dir_tree.query(_realify(V_dir))
@@ -917,24 +920,44 @@ def standard_subpencil_radius(P: PencilSpec, W, *, V=None,
         chord = np.linalg.norm(_realify(V_dir) - _realify(
             P.directions[nearest]), axis=1)
         bad |= chord > 2.0 * res + 1e-9
-        if bad.any():
-            last_witness[0] = targets[int(np.nonzero(bad)[0][0])]
+        return bad
+
+    suspects = np.zeros(mesh, dtype=bool)    # bad in the last failing test
+    ahead = [None, None]         # a radius, and which suspects fail there
+
+    def test(r: float, up: float) -> bool:
+        """Whether every mesh point passes at r: the suspects first, then
+        the rest, with the suspects at ``up``, the next r should r pass."""
+        rows = np.flatnonzero(suspects)
+        if rows.size:
+            bad = (ahead[1] if ahead[0] == r
+                   else bad_points(np.full(mesh, r), rows))
+            if bad.any():
+                suspects[rows[~bad]] = False
+                return False
+        bad = bad_points(np.where(suspects, up, r), idx)
+        ahead[:] = up, bad[rows]
+        if (bad & ~suspects).any():
+            suspects[:] = bad & ~suspects
             return False
         return True
 
-    if test(1.0):
+    if test(1.0, 1.0):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if test(mid):
+        if test(mid, 0.5 * (mid + hi)):
             lo = mid
         else:
             hi = mid
     if lo < _R_FLOOR:
+        # the last failing test over the whole mesh: its first bad point
+        first = np.argmax(bad_points(np.full(mesh, hi), idx))
+        witness = (hi * mesh_rho * mesh_phase)[:, None] * mesh_dirs
         raise NewtonInversionError(
             f"no verifiable radius above {_R_FLOOR}; inversion failed down to "
-            f"r={hi:.3g} at mesh point {last_witness[0]}")
+            f"r={hi:.3g} at mesh point {witness[first]}")
     return lo
 
 
@@ -947,11 +970,11 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
     The points are independent, so each iteration works on the live
     points only, those whose residual is not yet within tol * scale; a
     converged point is frozen.  The arrays hold the live points on their
-    last axis.  The Jacobian is exact, one ``map_tangents`` call per
-    iteration along the real and imaginary parts of mu and the frame, and
-    the step is the minimum-norm Gauss-Newton step of
-    ``_gauss_newton_step``.  Each point whose residual grows has its step
-    halved, up to three times.
+    last axis, read as slices (no gather) while every point is live.
+    The Jacobian is exact, one ``map_tangents`` call per iteration along
+    the real and imaginary parts of mu and the frame, and the step is the
+    minimum-norm Gauss-Newton step of ``_gauss_newton_step``.  Each point
+    whose residual grows has its step halved, up to three times.
     """
     B, n = targets.shape
     p = 2 * n + 1                            # unknowns: mu, tangent of v
@@ -968,16 +991,17 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
     scale = np.maximum(1.0, np.linalg.norm(
         np.concatenate([T.real, T.imag]), axis=0))
     R = resid(mu, V, T)
-    live = np.arange(B)
+    live = slice(None)                       # every point, until one converges
     for _ in range(iters):
         rnorm = np.linalg.norm(R[:, live], axis=0)
         keep = ~(rnorm <= tol * scale[live])     # a nan residual stays live
-        live, rnorm = live[keep], rnorm[keep]
-        if live.size == 0:
+        if not keep.all():
+            live, rnorm = np.arange(B)[live][keep], rnorm[keep]
+        b = rnorm.size
+        if b == 0:
             break
-        b = live.size
         mu_l, V_l, tgt = mu[live], V[:, live], T[:, live]
-        frames = _frames(V_l)                        # (n, 2n-1, b) complex
+        frames = _frames(V_l)                        # (n, 2n-1, b)
         dU = np.concatenate([np.zeros((n, 2, b), dtype=complex), frames],
                             axis=1)
         D = P.map_tangents(mu_l, V_l, dlam, dU)[1]   # (n, p, b)
@@ -993,9 +1017,10 @@ def _invert_map(P: PencilSpec, targets, lam0, dirs0, iters: int, tol: float):
             return mu_t, V_t, resid(mu_t, V_t, tgt[:, rows])
 
         mu_new, V_new, R_new = trial(slice(None))
-        rows = np.arange(b)
+        rows = slice(None)
         for _damp in range(3):
-            rows = rows[np.linalg.norm(R_new[:, rows], axis=0) > rnorm[rows]]
+            rows = np.arange(b)[rows][
+                np.linalg.norm(R_new[:, rows], axis=0) > rnorm[rows]]
             if rows.size == 0:
                 break
             alpha[rows] *= 0.5
@@ -1048,14 +1073,14 @@ def _frames(V: np.ndarray) -> np.ndarray:
 
     V has shape (n, b); returns (n, 2n-1, b), frame vector k of point j
     in [:, k, j].  Uses the Householder reflection mapping e1 to the
-    realified point: its remaining columns are an orthonormal basis of
-    the tangent space.  Points with x ~ e1 keep the canonical frame e2..ed.
+    realified point: its remaining columns, as complex vectors, are an
+    orthonormal basis of the tangent space (canonical e2..ed at x ~ e1).
     """
     n, b = V.shape
-    d = 2 * n
-    W = -np.concatenate([V.real, V.imag])             # (d, b), e1 - x
-    W[0] += 1.0
-    nsq = np.einsum("ib,ib->b", W, W)
-    coef = 2.0 * W[1:] / np.where(nsq > 1e-12, nsq, np.inf)
-    F = np.eye(d)[:, 1:, None] - W[:, None] * coef    # (d, d-1, b)
-    return F[:n] + 1j * F[n:]
+    W = -V
+    W[0] += 1.0                                       # e1 - x
+    Wr = np.concatenate([W.real, W.imag])
+    nsq = np.einsum("ib,ib->b", Wr, Wr)
+    coef = 2.0 * Wr[1:] / np.where(nsq > 1e-12, nsq, np.inf)
+    E = np.concatenate([np.eye(n)[:, 1:], 1j * np.eye(n)], axis=1)
+    return E[:, :, None] - W[:, None] * coef          # (n, 2n-1, b)

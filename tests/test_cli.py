@@ -548,6 +548,22 @@ class TestReportWarnings:
         assert "forelli_lab/" not in proc.stderr
         assert proc.stderr == "RuntimeWarning: overflow encountered in exp\n"
 
+    def test_numpy_warnings_printed_without_install_path(self):
+        # the FFT of the overflowed samples warns from numpy's own file;
+        # it prints as "RuntimeWarning: <message>" too, with no path and
+        # no source line
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "forelli_lab.cli", "pencil-check",
+             "--expr", "exp(800*z1)", "--directions", "sphere:300:2",
+             "--dim", "2"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "site-packages" not in proc.stderr
+        assert ".py:" not in proc.stderr
+        assert proc.stderr == ("RuntimeWarning: overflow encountered in exp\n"
+                               "RuntimeWarning: overflow encountered in fft\n")
+
     def test_floating_point_warnings_stay_out(self, capsys):
         # exp overflows on some discs, and inf * 0 is invalid
         with pytest.warns(RuntimeWarning, match="overflow"):

@@ -62,6 +62,61 @@ class TestStandardPencil:
             pencil_from_exprs(2, TWIST, U)
 
 
+def per_number_load_directions(spec):
+    """``load_directions`` on a list, with its per-number check as it was."""
+    import sys
+
+    def is_number(x):
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+    rows = np.array(spec, dtype=object)
+    if rows.size == 0 and rows.ndim <= 2:
+        return rows.astype(complex)
+    if not (isinstance(spec, list) and rows.ndim == 3 and rows.shape[2] == 2
+            and all(map(is_number, rows.flat))):
+        raise ValueError(pencil._bad_directions(spec))
+    return rows.astype(float).view(complex)[..., 0]
+
+
+class TestLoadDirections:
+    """One array pass accepts and rejects what the per-number check did,
+    with the same message."""
+
+    @pytest.mark.parametrize("spec", [
+        [[[1, 0], [0, 0]], [[0.6, 0.0], [0.8, -0.0]]],
+        [[[1, 0], [0, 0]], [[True, 0], [0, 1]]],
+        [[[1, 0], [0, 0]], [["1", 0], [0, 1]]],
+        [[[1, 0], [0, 0]], [[0, 1], [None, 0]]],
+        [[[1, 0], [0, 0]], [[float("nan"), 0], [0, 1]]],
+        [[[1, 0], [0, 0]], [[0, 0], [0, float("-inf")]]],
+        [[[1, 0], [0, 0]], [[10 ** 400, 0], [0, 1]]],
+        [[[1, 0], [0, 0]], [[-10 ** 400, 0], [0, 1]]],
+        [[[10 ** 300, 0], [0, 0]], [[0, 1], [1, 0]]],
+        [[[1, 0], [0, 0]], [[0, 1]]],
+        [[[1, 0], [0, 0]], [[0, 1], [1, 0, 0]]],
+        [[[1, 0], [0, 0]], [[0, 1], [1]]],
+        [[[1, 0]], [[0, 1], [1, 0]]],
+        [[1, 0], [0, 1]],
+        [[[[1, 0]], [[0, 1]]]],
+        [[[1, 0], [0, 0]], [[0, 1], {"re": 1}]],
+        [], [[]],
+    ], ids=["numbers", "bool", "string", "null", "nan", "infinity",
+            "int-beyond-float", "negative-beyond-float", "large-int",
+            "short-row", "three-entries", "one-entry", "ragged", "flat",
+            "too-deep", "object", "empty", "empty-row"])
+    def test_same_verdict_and_message(self, spec):
+        try:
+            want = per_number_load_directions(spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                pencil.load_directions(spec, 2, 0)
+            assert str(got.value) == str(exc)
+        else:
+            got = pencil.load_directions(spec, 2, 0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestDiscResidual:
     def test_polynomial_clean(self):
         assert disc_holo_residual(lambda lam: lam ** 3, 0.9) <= 1e-12
@@ -674,6 +729,59 @@ def pinv_invert_map(P, targets, lam0, dirs0, iters, tol):
     return mu, V, ok
 
 
+def full_mesh_radius(P, W, *, V=None, mesh=1000):
+    """``standard_subpencil_radius`` before suspects first: every candidate
+    r inverts the whole mesh, and the error names the first bad point of
+    the last failing r.  W is taken as given, with no margin check."""
+    from scipy.spatial import cKDTree
+    M = P.num_directions
+    in_V = np.ones(M, dtype=bool)
+    if V is not None:
+        in_V = np.zeros(M, dtype=bool)
+        in_V[np.asarray(V, dtype=int)] = True
+    res = P.resolution()
+    dir_tree = cKDTree(_realify(P.directions))
+    W = np.asarray(W, dtype=int)
+    idx = np.arange(mesh)
+    mesh_dirs = P.directions[W[idx % len(W)]]
+    mesh_rho = 0.05 + 0.90 * ((idx * pencil._GOLDEN) % 1.0)
+    mesh_phase = np.exp(2j * np.pi * ((idx * pencil._GOLDEN ** 2) % 1.0))
+    last_witness = [None]
+
+    def test(r):
+        lam = r * mesh_rho * mesh_phase
+        targets = lam[:, None] * mesh_dirs
+        mu, V_dir, ok = pencil._invert_map(P, targets, lam, mesh_dirs,
+                                           pencil._NEWTON_ITERS,
+                                           pencil._NEWTON_TOL)
+        bad = ~ok
+        bad |= np.abs(mu) >= 1.0 - 1e-9
+        _, nearest = dir_tree.query(_realify(V_dir))
+        bad |= ~in_V[nearest]
+        chord = np.linalg.norm(_realify(V_dir) - _realify(
+            P.directions[nearest]), axis=1)
+        bad |= chord > 2.0 * res + 1e-9
+        if bad.any():
+            last_witness[0] = targets[int(np.nonzero(bad)[0][0])]
+            return False
+        return True
+
+    if test(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(pencil._BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if test(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo < pencil._R_FLOOR:
+        raise pencil.NewtonInversionError(
+            f"no verifiable radius above {pencil._R_FLOOR}; inversion failed "
+            f"down to r={hi:.3g} at mesh point {last_witness[0]}")
+    return lo
+
+
 def ring_loop_offender(P, W, V):
     """The first w of W whose 2-ring leaves V, by the set loop it replaced."""
     V_set = set(range(P.num_directions)) if V is None else set(int(v) for v in V)
@@ -812,6 +920,92 @@ class TestInversionAgainstPinv:
         with pytest.raises(PencilCheckError,
                            match=f"^direction {w} is within 2 mesh cells"):
             standard_subpencil_radius(P, W, V=V, mesh=50)
+
+
+def inverted_rows(monkeypatch):
+    """The number of mesh rows of each ``_invert_map`` call, as they come."""
+    sizes = []
+    invert = pencil._invert_map
+
+    def spy(P, targets, *args):
+        sizes.append(len(targets))
+        return invert(P, targets, *args)
+
+    monkeypatch.setattr(pencil, "_invert_map", spy)
+    return sizes
+
+
+class TestSuspectsFirst:
+    """Testing the last failing mesh points first gives the radius of the
+    full-mesh bisection, bit for bit, from fewer inverted rows."""
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["all", "patch"])
+    @pytest.mark.parametrize("mesh", [400, 1000])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["twisted", "cubic", "exp_quotient",
+                                      "standard"])
+    def test_same_radius(self, kind, seed, mesh, patch):
+        P = seeded_pencil(kind, seed)
+        if patch:
+            # a cap around e1, W every direction two cells inside it
+            V = np.nonzero(np.abs(P.directions[:, 0]) > 0.5)[0]
+            W = [w for w in V if ring_loop_offender(P, [w], V) is None]
+            assert W
+        else:
+            V = None
+            W = np.sort(np.random.default_rng(seed).choice(200, 20,
+                                                           replace=False))
+        got = standard_subpencil_radius(P, W, V=V, mesh=mesh)
+        assert got == full_mesh_radius(P, W, V=V, mesh=mesh)
+
+    def test_rows_inverted(self, monkeypatch):
+        P = seeded_pencil("twisted", 1)
+        W = np.sort(np.random.default_rng(1).choice(200, 20, replace=False))
+        sizes = inverted_rows(monkeypatch)
+        want = full_mesh_radius(P, W, mesh=1000)
+        assert sizes == [1000] * 11              # 1.0, then ten bisections
+        sizes.clear()
+        assert standard_subpencil_radius(P, W, mesh=1000) == want
+        # a test that reaches the rest inverts the whole mesh (the rest at
+        # r, the suspects at the next r up); the suspects alone come first
+        # after a failing test, and fail the next test by themselves
+        assert sizes == [1000, 44, 1000, 1000, 11, 4, 2, 1000, 1000, 1000,
+                         1, 1000]
+        assert sum(sizes) == 7062
+
+    def test_error_names_the_first_bad_point(self, monkeypatch):
+        # an inversion that never takes a step: only a start that already
+        # solves the map converges, so every r fails; W[0] = e1 is such a
+        # start, so mesh point 0 passes and mesh point 1 is the first bad one
+        invert = pencil._invert_map
+        monkeypatch.setattr(
+            pencil, "_invert_map",
+            lambda P, targets, lam0, dirs0, iters, tol:
+            invert(P, targets, lam0, dirs0, 0, tol))
+        U = np.insert(sphere_directions(2, 150, seed=7), 0, [1.0, 0.0],
+                      axis=0)
+        P = pencil_from_exprs(2, TWIST, U)
+        W = [0, 40, 80]
+        with pytest.raises(pencil.NewtonInversionError) as want:
+            full_mesh_radius(P, W, mesh=400)
+        with pytest.raises(pencil.NewtonInversionError) as got:
+            standard_subpencil_radius(P, W, mesh=400)
+        assert str(got.value) == str(want.value) == (
+            "no verifiable radius above 1e-06; inversion failed down to "
+            "r=0.000977 at mesh point [ 0.00029785+0.00021201j "
+            "-0.00033155+0.00032696j]")
+
+    def test_no_direction_graph_without_V(self, monkeypatch, sphere150):
+        # with no V there is no boundary and no margin to check
+        P = standard_pencil(2, sphere150)
+        calls = []
+        monkeypatch.setattr(pencil, "_angular_graph",
+                            lambda *args: calls.append(args))
+        assert standard_subpencil_radius(P, [3, 9], mesh=50) == 1.0
+        assert calls == []
+        with pytest.raises(PencilCheckError,
+                           match="^direction -1 is within 2 mesh cells"):
+            standard_subpencil_radius(P, [3, -1], mesh=50)
 
 
 class TestExactJacobian:
