@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -309,39 +309,37 @@ def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
     return _growth_bounds(E, z[None], _trial_family(E, degree, trials, seed))[0]
 
 
-def cap_siciak(E_samples, degree: int = 32, trials: int = 200,
-               probe_radii: Sequence[float] = (10.0, 30.0, 100.0), *,
-               directions: int = 8, seed: int = 42,
+#: The probe shells ||z|| = R of ``cap_siciak``, and its directions.
+SICIAK_PROBE_RADII = (10.0, 30.0, 100.0)
+SICIAK_DIRECTIONS = 8
+
+
+def cap_siciak(E_samples, degree: int = 32, trials: int = 200, *,
+               seed: int = 42,
                closed_form: Optional[float] = None) -> CapacityEstimate:
     """Capacity exp(-gamma) from the growth defect of V_E lower bounds.
 
-    gamma is estimated as the max over probe shells ||z|| = R and sampled
-    directions of (V_lb(z) - log ||z||).  Estimates are one-sided in the
-    V_E sense; downstream uses only need positivity.  The trial
-    polynomials and their sups over E are built once, and evaluated at
-    all probes in one pass.
+    gamma is estimated as the max over the probe shells ||z|| = R in
+    SICIAK_PROBE_RADII and SICIAK_DIRECTIONS sampled directions of
+    (V_lb(z) - log ||z||).  Estimates are one-sided in the V_E sense;
+    downstream uses only need positivity.  The trial polynomials and their
+    sups over E are built once, and evaluated at all probes in one pass.
     """
-    probe_radii = tuple(float(r) for r in probe_radii)
-    if not probe_radii or max(probe_radii) < 10.0:
-        raise ValueError("largest probe radius must be >= 10")
-    if list(probe_radii) != sorted(probe_radii):
-        raise ValueError("probe radii must be increasing")
     E = np.atleast_2d(np.asarray(E_samples, dtype=complex))
     nv = E.shape[1]
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, nv)) + 1j * rng.standard_normal(
-        (directions, nv))
+    shape = (SICIAK_DIRECTIONS, nv)
+    dirs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    gamma = -math.inf
-    if len(dirs):
-        Z = (np.array(probe_radii)[:, None, None] * dirs).reshape(-1, nv)
-        bounds = _growth_bounds(E, Z, _trial_family(E, degree, trials, seed))
-        logs = [math.log(R) for R in probe_radii for _ in dirs]
-        gamma = max([gamma] + [b - r for b, r in zip(bounds, logs)])
+    Z = (np.array(SICIAK_PROBE_RADII)[:, None, None] * dirs).reshape(-1, nv)
+    bounds = _growth_bounds(E, Z, _trial_family(E, degree, trials, seed))
+    logs = [math.log(R) for R in SICIAK_PROBE_RADII for _ in dirs]
+    gamma = max([-math.inf] + [b - r for b, r in zip(bounds, logs)])
     value = math.exp(-gamma) if np.isfinite(gamma) else 0.0
     return CapacityEstimate(value, "SiciakExtremal", E.shape[0],
                             {"gamma": gamma, "degree": degree,
-                             "trials": trials, "probe_radii": probe_radii,
+                             "trials": trials,
+                             "probe_radii": SICIAK_PROBE_RADII,
                              "closed_form": closed_form})
 
 
@@ -360,6 +358,11 @@ class NormalityCheck:
 
 #: Largest number of shell steps, in units of the resolution h.
 MAX_SHELL_STEPS = 64
+#: Most ball centers tried, probe directions per chart dimension of a
+#: shell, and the covering distance in units of h.
+MAX_CENTERS = 128
+SHELL_DIRECTIONS = 16
+COVER_FACTOR = 2.0
 
 
 def _covered(tree, centers: np.ndarray, R: float, dirs: np.ndarray,
@@ -389,9 +392,7 @@ def _covered(tree, centers: np.ndarray, R: float, dirs: np.ndarray,
     return np.bincount(ci[dist > cover], minlength=len(centers)) == 0
 
 
-def normality_check(directions, *, max_centers: int = 128,
-                    shell_directions: int = 16, cover_factor: float = 2.0
-                    ) -> NormalityCheck:
+def normality_check(directions) -> NormalityCheck:
     """Inscribed-ball positivity check for the chart image of a direction set.
 
     Finds the largest ball around a chart sample point whose interior is
@@ -442,11 +443,11 @@ def normality_check(directions, *, max_centers: int = 128,
 
     # deterministic probe directions on the unit sphere of R^dim
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((shell_directions * dim, dim))
+    dirs = rng.standard_normal((SHELL_DIRECTIONS * dim, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
-    centers = X[:: max(1, len(X) // max_centers)]
-    cover = cover_factor * h
+    centers = X[:: max(1, len(X) // MAX_CENTERS)]
+    cover = COVER_FACTOR * h
     radii = np.zeros(len(centers))
     live = np.arange(len(centers))     # centers whose shells are all covered
     known = np.zeros((2, len(centers), len(dirs)))     # see _covered

@@ -64,6 +64,18 @@ def _parse_point(text: str) -> tuple:
     return tuple(comps)
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of every tolerance flag: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:          # a nan fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
 def _load_function(args, n: int):
     if args.expr:
         return parse(args.expr, dim=n)
@@ -352,7 +364,7 @@ def _add_analysis_args(sp):
     sp.add_argument("--order", type=int, default=16)
     sp.add_argument("--K", type=int, default=None)
     sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.add_argument("--rho-max", type=float, default=None)
 
 
@@ -388,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=1.25)
     sp.add_argument("--rho-max", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.add_argument("--center", help="expansion center, e.g. '1,0 0,0'")
     sp.add_argument("--series-out", help="write the jet in series text format")
 
@@ -421,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "pencil-check", _cmd_pencil_check,
                      "disc holomorphy residuals")
     _add_pencil_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_tolerance, default=1e-8)
     sp.add_argument("--radii", default="0.3,0.6,0.9")
 
     sp = _subcommand(sub, "subpencil", _cmd_subpencil,
                      "find a uniform holomorphy patch")
     _add_pencil_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.add_argument("--ell-max", type=int, default=8)
 
     sp = _subcommand(sub, "normalize", _cmd_normalize,
@@ -436,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v0", required=True, help="direction, e.g. '1,0 0,0'")
     sp.add_argument("--eps", type=float, default=0.4)
     sp.add_argument("--z1-ring", default="0.05 0.5")
-    sp.add_argument("--tol-g", type=float, default=1e-6)
+    sp.add_argument("--tol-g", type=_tolerance, default=1e-6)
 
     sp = _subcommand(sub, "certify", _cmd_certify,
                      "polydisc convergence certificate")

@@ -117,9 +117,13 @@ class JetResult:
 def radius_schedule(num: int, rho0: float = 0.2, sigma: float = 1.25,
                     rho_max: Optional[float] = None) -> np.ndarray:
     """Geometric radius schedule rho0 * sigma^t, optionally rescaled so the
-    largest radius equals rho_max (keeps the nodes distinct)."""
+    largest radius equals rho_max (keeps the nodes distinct).  Each of
+    rho0, sigma and a given rho_max must be finite."""
     if num < 2:
         raise ValueError("need at least 2 radii")
+    for name, value in (("rho0", rho0), ("sigma", sigma), ("rho_max", rho_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     if rho_max is not None and rho0 * sigma ** (num - 1) > rho_max:
         if rho_max <= rho0:
             raise ValueError("rho_max must exceed rho0")

@@ -69,6 +69,7 @@ _NEWTON_ITERS = 30           # the inversion's iterations and tolerance,
 _NEWTON_TOL = 1e-10
 _R_FLOOR = 1e-6              # and the radius below which no r is verified
 _SUBPENCIL_PHASES = 8        # find_subpencil: disc phases per ring
+_WIRTINGER_STEP = 1e-5       # _wirtinger: central-difference step, callables
 
 
 # -- direction sampling --------------------------------------------------------
@@ -554,14 +555,14 @@ def check_holo_along_pencil(f, P: PencilSpec,
 
 # -- Wirtinger derivatives of ambient functions --------------------------------
 
-def _wirtinger(f, points: np.ndarray, delta: float = 1e-5):
+def _wirtinger(f, points: np.ndarray):
     """d/dz_j and d/dzbar_j of f at an array of points (..., n).
 
     Returns two arrays (..., n), (D_x - i D_y)/2 and (D_x + i D_y)/2 from
     the derivatives along the real and imaginary axis of each z_j.  An
     ``Expr`` gets them exactly, from one ``evaluate_jvp`` call along the
     2n coordinate tangents on one leading axis; a callable by central
-    differences with step delta, the one difference step of this module.
+    differences with step _WIRTINGER_STEP, the module's one difference step.
     """
     points = np.asarray(points, dtype=complex)
     n = points.shape[-1]
@@ -575,16 +576,17 @@ def _wirtinger(f, points: np.ndarray, delta: float = 1e-5):
             q[..., j] = q[..., j] + step
             return np.broadcast_to(np.asarray(f(tuple(np.moveaxis(q, -1, 0))),
                                               dtype=complex), points.shape[:-1])
-        D = np.stack([(shifted(j, s * delta) - shifted(j, -s * delta))
-                      / (2.0 * delta) for j in range(n) for s in (1, 1j)])
+        h = _WIRTINGER_STEP
+        D = np.stack([(shifted(j, s * h) - shifted(j, -s * h)) / (2.0 * h)
+                      for j in range(n) for s in (1, 1j)])
     dx, dy = np.moveaxis(D[0::2], 0, -1), np.moveaxis(D[1::2], 0, -1)
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def wirtinger_dbar(f, points: np.ndarray, delta: float = 1e-5) -> np.ndarray:
+def wirtinger_dbar(f, points: np.ndarray) -> np.ndarray:
     """d/dzbar_j of f at an array of points (..., n), as an array (..., n):
     the second half of ``_wirtinger``, exact for an ``Expr``."""
-    return _wirtinger(f, points, delta)[1]
+    return _wirtinger(f, points)[1]
 
 
 # -- the disc-map normalization (n = 2) ----------------------------------------
@@ -616,13 +618,20 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     takes the shape (z1, k(z1, z2)).  Verifies that k is holomorphic in
     z1, vanishes at z1 = 0, and has first z1-derivative equal to z2;
     failure of any of these raises PencilCheckError (pencil not
-    admissible at v0).  Every derivative is exact: h~'s come from one
+    admissible at v0).  A v0 that is zero or not of length 2 raises
+    ValueError.  Every derivative is exact: h~'s come from one
     ``map_tangents`` call along zeta, Re z2 and Im z2, and k's from them
     by implicit differentiation of the Newton solve.
     """
     if P.n != 2:
         raise ValueError("normalization is implemented for n = 2 only")
-    v0_arr = np.asarray(v0, dtype=complex) / np.linalg.norm(v0)
+    v0_arr = np.asarray(v0, dtype=complex)
+    if v0_arr.shape != (2,):
+        raise ValueError(f"v0 must have 2 components, not shape "
+                         f"{v0_arr.shape}")
+    if not v0_arr.any():
+        raise ValueError("v0 must be nonzero")
+    v0_arr = v0_arr / np.linalg.norm(v0)
     inner = float(np.real(P.directions @ np.conj(v0_arr)).max())
     gap = math.acos(min(max(inner, -1.0), 1.0))
     if gap > 4.0 * max(P.resolution(), 1e-12):

@@ -17,7 +17,6 @@ import contextvars
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,11 +24,11 @@ import numpy as np
 from .capacity import ChartUndecidableError, normality_check
 from .jets import JetResult, extract_jet, jet_of_series
 from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
-from .report import build_report, sanitize
+from .report import build_report
 from .series import FormalSeries
-from .slices import (CertificateError, ConvergenceCertificate,
-                     certify_polydisc, chart_map, chart_poly_family,
-                     radius_root_test)
+from .slices import (CERTIFICATE_SAMPLES, CertificateError,
+                     ConvergenceCertificate, certify_polydisc, chart_map,
+                     chart_poly_family, radius_root_test)
 
 PASS = "pass"
 FAIL = "fail"
@@ -57,7 +56,6 @@ RHO0 = 0.2                      # jet: innermost torus radius
 SIGMA = 1.25                    # and the ratio of successive radii
 DISC_TOL = 1e-8                 # disc_holomorphy: residual bound
 DISC_RADII = (0.3, 0.6, 0.9)    # and the disc radii checked
-CERTIFICATE_SAMPLES = 64        # certificate: random chart points of the sup
 
 
 @dataclass
@@ -78,37 +76,21 @@ class AnalyzeConfig:
             "seed": self.seed, "jet_tol": self.jet_tol, "rho0": RHO0,
             "sigma": SIGMA, "rho_max": self.rho_max, "grid": self.grid,
             "disc_tol": DISC_TOL, "disc_radii": list(DISC_RADII),
-            "root_window": None,             # the root test's window is K//2
             "certificate_samples": CERTIFICATE_SAMPLES,
         }
 
 
 @dataclass
 class AnalysisReport:
-    """One analysis, with the radii stage's estimate for each unit row of
-    ``directions``: None without a chart, empty if the stage did not run."""
+    """One analysis, with the radii stage's estimate for each direction
+    row: None without a chart, empty if the stage did not run."""
     stages: List[Stage]
     certificate: Optional[ConvergenceCertificate]
     final_verdict: str
     passed: bool
     config: dict
     jet: Optional[JetResult] = None
-    # the input, not a result: left out of ==, which an array would break
-    directions: Optional[np.ndarray] = field(default=None, compare=False)
     R_estimate: List[Optional[float]] = field(default_factory=list)
-
-    @cached_property
-    def per_direction(self) -> List[dict]:
-        """Each row's ``direction``, ``chart`` point and ``R_estimate``, with
-        complex numbers as [re, im] pairs; built on first read."""
-        if not self.R_estimate:
-            return []
-        charts = iter(sanitize(chart_map(self.directions)[0]))
-        return [{"direction": row,
-                 "chart": None if radius is None else next(charts),
-                 "R_estimate": radius}
-                for row, radius in zip(sanitize(self.directions),
-                                       self.R_estimate)]
 
     def stage(self, name: str) -> Optional[Stage]:
         return next((st for st in self.stages if st.name == name), None)
@@ -187,7 +169,7 @@ def certificate_stage(series: FormalSeries, r0: float, K: int, seed: int
     """The polydisc convergence certificate of a zbar-free series, or the
     reason it is refused."""
     try:
-        cert = certify_polydisc(series, r0, K, CERTIFICATE_SAMPLES, seed=seed)
+        cert = certify_polydisc(series, r0, K, seed=seed)
     except CertificateError as exc:
         return Stage("certificate", FAIL, {"error": str(exc)},
                      f"certificate refused: {exc}"), None
@@ -304,7 +286,7 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     series = jet.series
     stages.append(holomorphic_type_stage(series))
 
-    units, column, certificate = None, [], None
+    column, certificate = [], None
     later = (("chart_family", "directional_radii", "direction_capacity")
              if directions else ()) + ("certificate",)
     if stages[-1].status == FAIL:
@@ -313,8 +295,7 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
         K = min(cfg.K if cfg.K is not None else cfg.order, series.max_order)
         if directions:
             pencil, capacity = directions
-            units = pencil.directions
-            radii, column = _radii_stage(series, K, units)
+            radii, column = _radii_stage(series, K, pencil.directions)
             stages += radii + [_capacity_stage(capacity)]
         stage, certificate = certificate_stage(series, cfg.r0, K, cfg.seed)
         stages.append(stage)
@@ -328,4 +309,4 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
                  f"polydisc polyradius ({rp}), modulo Hartogs extension "
                  "(out of scope)")
     return AnalysisReport(stages, certificate, final, not failures,
-                          cfg.to_dict(n), jet, units, column)
+                          cfg.to_dict(n), jet, column)

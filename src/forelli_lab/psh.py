@@ -35,6 +35,7 @@ FINITE = "Finite"
 CLIP_FLOOR = -1e3     # where the -inf values of u_k are clipped
 V_GAP = 0.5           # classify_trichotomy: exceptional where v < 1 - V_GAP
 ENVELOPE_GAP = 0.5    # upper_envelope: exceptional where u < u* - ENVELOPE_GAP
+LIPSCHITZ_SLACK = 1e-3    # lipschitz_check: quadrature error of two averages
 
 
 @dataclass
@@ -118,11 +119,11 @@ class LipschitzCheck(NamedTuple):
 
 
 def lipschitz_check(family: PshFamily, k: int, z, w, r, s, r0: float,
-                    grid: int = 256, *, slack: float = 1e-3) -> LipschitzCheck:
-    """Check |u_k^r(z) - u_k^s(w)| < (|r - s| + |z - w|)/r0 + slack.
+                    grid: int = 256) -> LipschitzCheck:
+    """Check |u_k^r(z) - u_k^s(w)| < (|r - s| + |z - w|)/r0 + LIPSCHITZ_SLACK.
 
     All polyradius entries must exceed r0; distances are the sums of
-    componentwise moduli.  ``slack`` absorbs quadrature error of the two
+    componentwise moduli.  The slack absorbs quadrature error of the two
     torus averages.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -135,7 +136,7 @@ def lipschitz_check(family: PshFamily, k: int, z, w, r, s, r0: float,
     aw = average_on_torus(family, k, w, s, grid)
     lhs = abs(az.value - aw.value)
     rhs = float((np.abs(r - s).sum() + np.abs(z - w).sum()) / r0)
-    return LipschitzCheck(lhs, rhs, lhs < rhs + slack)
+    return LipschitzCheck(lhs, rhs, lhs < rhs + LIPSCHITZ_SLACK)
 
 
 @dataclass

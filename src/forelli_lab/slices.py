@@ -31,6 +31,12 @@ from .series import DISC_CHUNK_SAMPLES, FormalSeries, monomials, torus
 
 CHART_EPS = 1e-9   # directions with |v_1| up to this have no chart
 
+# the certificate's sup: boundary angles per chart variable, random interior
+# points, and the relative margin that pads it
+CERTIFICATE_GRID = 48
+CERTIFICATE_SAMPLES = 64
+CERTIFICATE_MARGIN = 0.05
+
 
 class NotHolomorphicTypeError(ValueError):
     """The operation requires a zbar-free series."""
@@ -69,9 +75,9 @@ class SliceSeries:
         """The pure t^p coefficients c[p, 0] (all of them for holo type)."""
         return self.coeffs[:, 0].copy()
 
-    def is_t_only(self, tol: float = 0.0) -> bool:
-        off = self.coeffs[:, 1:]
-        return bool(np.all(np.abs(off) <= tol))
+    def is_t_only(self) -> bool:
+        """Whether every coefficient with a power of tbar is exactly 0."""
+        return not self.coeffs[:, 1:].any()
 
 
 def slice_series(S: FormalSeries, a) -> SliceSeries:
@@ -270,15 +276,14 @@ class ConvergenceCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def certify_polydisc(S: FormalSeries, r0: float, K: int,
-                     sample_count: int = 64, *, margin: float = 0.05,
-                     angular_grid: int = 48,
+def certify_polydisc(S: FormalSeries, r0: float, K: int, *,
                      seed: int = 42) -> ConvergenceCertificate:
     """Build and verify a polydisc convergence certificate for S.
 
-    M is max(1 + margin, sup |P_k(b)|^(1/k)) with the sup sampled over
-    the distinguished boundary |b_i| = 2 r0 (where the maximum principle
-    puts it) plus ``sample_count`` random interior points.  The
+    M is max(1 + CERTIFICATE_MARGIN, sup |P_k(b)|^(1/k)) with the sup
+    sampled over the distinguished boundary |b_i| = 2 r0 (where the
+    maximum principle puts it), CERTIFICATE_GRID angles per chart
+    variable, plus CERTIFICATE_SAMPLES random interior points.  The
     certificate is refused unless, on the truncated data, (a) every
     coefficient obeys the Cauchy bound |a_(k-|beta|, beta)| <= M^k
     r0^(-|beta|), with M^k read as max(M^k, sup_k) (the k-th root can
@@ -287,11 +292,11 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     sum |a_I| |z^I| increases in every |z_j|, so its value at the corner
     |z_j| = r'_j, one evaluation, is its supremum there: (b) holds when
     that value is at most k^n 2^(-k).  ``seed`` draws the interior sup
-    samples.  K must be at least 1: with no order checked there is no
-    certificate.
+    samples.  r0 must be positive and finite, and K at least 1: with no
+    order checked there is no certificate.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:              # a nan fails too
+        raise ValueError(f"r0 must be positive and finite, not {r0}")
     if K < 1:
         raise ValueError(f"K must be at least 1, not {K}")
     family = chart_poly_family(S, K)       # validates holomorphic type
@@ -300,16 +305,16 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     rng = np.random.default_rng(seed)
 
     # one row per grid node; with nv = 0 the grid is one empty point
-    boundary = np.array(torus((2.0 * r0,) * nv, angular_grid),
-                        dtype=complex).reshape(nv, angular_grid ** nv).T
-    radii = 2.0 * r0 * np.sqrt(rng.random((sample_count, nv)))
-    phases = np.exp(2j * np.pi * rng.random((sample_count, nv)))
+    boundary = np.array(torus((2.0 * r0,) * nv, CERTIFICATE_GRID),
+                        dtype=complex).reshape(nv, CERTIFICATE_GRID ** nv).T
+    radii = 2.0 * r0 * np.sqrt(rng.random((CERTIFICATE_SAMPLES, nv)))
+    phases = np.exp(2j * np.pi * rng.random((CERTIFICATE_SAMPLES, nv)))
     samples = np.concatenate([boundary, radii * phases])     # (count, nv)
 
     # with one chart variable the (count, 1) samples are bare points
     sup = family.abs_values_at(samples).reshape(K + 1, -1).max(axis=1)
-    M = max([1.0 + margin] + [vmax ** (1.0 / k) for k, vmax
-                              in enumerate(sup.tolist()) if k and vmax > 0])
+    M = max([1.0 + CERTIFICATE_MARGIN] + [vmax ** (1.0 / k) for k, vmax in
+             enumerate(sup.tolist()) if k and vmax > 0])
     r_prime = (1.0 / (2.0 * M),) + (r0 / (2.0 * M),) * (n - 1)
 
     # S is zbar-free, so a term's order is |I| and its chart degree |I| - I_1
@@ -346,4 +351,5 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int,
     diagnostics = {"boundary_samples": len(samples),
                    "max_block_ratio": max_ratio, "seed": seed}
     return ConvergenceCertificate(M=M, r0=r0, r_prime=r_prime, K_used=K,
-                                  margin=margin, diagnostics=diagnostics)
+                                  margin=CERTIFICATE_MARGIN,
+                                  diagnostics=diagnostics)

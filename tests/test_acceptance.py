@@ -173,6 +173,7 @@ def criterion_6_trichotomy():
 
 
 def criterion_7_lipschitz():
+    slack = fl.psh.LIPSCHITZ_SLACK          # 1e-3
     rng = np.random.default_rng(SEED)
     failures = 0
     worst_margin = math.inf
@@ -188,14 +189,13 @@ def criterion_7_lipschitz():
         s = (r0 + 0.05 + rng.random(),)
         z = 0.8 * complex(rng.standard_normal(), rng.standard_normal())
         w = 0.8 * complex(rng.standard_normal(), rng.standard_normal())
-        chk = fl.lipschitz_check(fam, k, z, w, r, s, r0, grid=512,
-                                 slack=1e-3)
-        worst_margin = min(worst_margin, chk.rhs + 1e-3 - chk.lhs)
+        chk = fl.lipschitz_check(fam, k, z, w, r, s, r0, grid=512)
+        worst_margin = min(worst_margin, chk.rhs + slack - chk.lhs)
         if not chk.passed:
             failures += 1
     passed = failures == 0
     return passed, _report("lipschitz_estimate",
-                           {"trials": 100, "slack": 1e-3}, passed,
+                           {"trials": 100, "slack": slack}, passed,
                            {"failures": failures,
                             "worst_margin": worst_margin})
 

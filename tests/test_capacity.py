@@ -7,6 +7,7 @@ from forelli_lab import (CapacityEstimate, ChartUndecidableError,
                          CompactSet1D, cap1d_transfinite, cap_siciak, energy,
                          leja_points, normality_check, siciak_lower_bound,
                          sphere_directions, cap_directions)
+from forelli_lab import capacity
 from forelli_lab.capacity import _growth_bounds, _trial_family
 from forelli_lab.series import _realify
 from forelli_lab.series import torus
@@ -124,10 +125,6 @@ class TestSiciak:
         b = cap_siciak(self.disc_samples(1.4), degree=32, trials=200)
         assert b.value == pytest.approx(2 * a.value, rel=0.05)
 
-    def test_probe_radius_validation(self):
-        with pytest.raises(ValueError):
-            cap_siciak(self.disc_samples(1.0), probe_radii=(2.0, 5.0))
-
 
 def siciak_one_probe(E_samples, z, degree, trials=200, *, seed=42):
     """The per-probe body of siciak_lower_bound before its trial
@@ -202,11 +199,9 @@ class TestSiciakSharedTrials:
         assert est.diagnostics["gamma"] == gamma
         assert est.value == math.exp(-gamma)
 
-    def test_degree_checked_only_when_probing(self):
-        E = self.cloud(2)
+    def test_degree_checked(self):
         with pytest.raises(ValueError, match="degree"):
-            cap_siciak(E, degree=0)
-        assert cap_siciak(E, degree=0, directions=0).value == 0.0
+            cap_siciak(self.cloud(2), degree=0)
 
 
 def per_probe_gamma(E, degree, trials, probe_radii, directions, seed):
@@ -222,6 +217,12 @@ def per_probe_gamma(E, degree, trials, probe_radii, directions, seed):
             vlb = siciak_one_probe(E, R * w, degree, trials, seed=seed)
             gamma = max(gamma, vlb - math.log(R))
     return gamma, dirs
+
+
+def probe_with(monkeypatch, radii, directions):
+    """cap_siciak with other probe shells and directions per shell."""
+    monkeypatch.setattr(capacity, "SICIAK_PROBE_RADII", radii)
+    monkeypatch.setattr(capacity, "SICIAK_DIRECTIONS", directions)
 
 
 class TestSiciakProbesAtOnce:
@@ -244,32 +245,23 @@ class TestSiciakProbesAtOnce:
     @pytest.mark.parametrize("nv", [1, 2])
     @pytest.mark.parametrize("degree, trials, directions", [
         (12, 1, 8), (1, 40, 8), (1, 1, 3), (5, 0, 4), (32, 200, 2)])
-    def test_small_families(self, nv, degree, trials, directions):
+    def test_small_families(self, nv, degree, trials, directions,
+                            monkeypatch):
         E = TestSiciakSharedTrials.cloud(nv)
         radii = (2.0, 10.0)
         gamma, _ = per_probe_gamma(E, degree, trials, radii, directions, 7)
-        est = cap_siciak(E, degree=degree, trials=trials, probe_radii=radii,
-                         directions=directions, seed=7)
+        probe_with(monkeypatch, radii, directions)
+        est = cap_siciak(E, degree=degree, trials=trials, seed=7)
         assert est.diagnostics["gamma"] == gamma
 
-    def test_no_directions(self):
-        E = TestSiciakSharedTrials.cloud(2)
-        est = cap_siciak(E, directions=0)
-        assert est.diagnostics["gamma"] == -math.inf and est.value == 0.0
-
     @pytest.mark.parametrize("nv", [1, 3])
-    def test_set_of_zeros(self, nv):
+    def test_set_of_zeros(self, nv, monkeypatch):
         # on E = {0} the leading forms and, in several variables, the
         # products of linear forms have sup 0 and are skipped
         E = np.zeros((6, nv), dtype=complex)
         gamma, _ = per_probe_gamma(E, 4, 10, (10.0,), 3, 42)
-        assert cap_siciak(E, degree=4, trials=10, probe_radii=(10.0,),
-                          directions=3).diagnostics["gamma"] == gamma
-
-    def test_log_of_a_probe_radius(self):
-        E = TestSiciakSharedTrials.cloud(1)
-        with pytest.raises(ValueError, match="math domain error"):
-            cap_siciak(E, probe_radii=(0.0, 10.0))
+        probe_with(monkeypatch, (10.0,), 3)
+        assert cap_siciak(E, degree=4, trials=10).diagnostics["gamma"] == gamma
 
 
 class TestNormalityCheck:
@@ -389,11 +381,14 @@ class TestNormalityAgainstCenterLoop:
 
     @pytest.mark.parametrize("n,theta,M", [(2, 0.2, 500), (2, 0.6, 150),
                                            (3, 0.3, 400)])
-    def test_cap_and_settings(self, n, theta, M):
+    def test_cap_and_settings(self, n, theta, M, monkeypatch):
         U = cap_directions(n, theta, M, seed=M)
         for kw in ({}, {"max_centers": 7}, {"shell_directions": 3},
                    {"cover_factor": 1.2}, {"cover_factor": 4.0}):
-            res = normality_check(U, **kw)
+            with monkeypatch.context() as m:
+                for key, value in kw.items():
+                    m.setattr(capacity, key.upper(), value)
+                res = normality_check(U)
             assert (res.center, res.radius, res.resolution) \
                 == normality_one_center_at_a_time(U, **kw), kw
 

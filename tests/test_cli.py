@@ -90,6 +90,49 @@ class TestExitCodes:
         assert err == ("error: --siciak-ball must be a positive finite "
                        f"radius, not {float(radius)}\n")
 
+    @pytest.mark.parametrize("command", ["certify", "analyze"])
+    @pytest.mark.parametrize("r0", ["0", "-1", "nan", "inf"])
+    def test_r0_must_be_positive_and_finite(self, capsys, command, r0):
+        code, out, err = run_cli(capsys, command, "--expr", "exp(z1+z2)",
+                                 "--order", "8", "--r0", r0)
+        assert (code, out, err) == (2, "", "error: r0 must be positive and "
+                                           f"finite, not {float(r0)}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--expr", "exp(z1+z2)", "--order", "8", "--tol"),
+        ("jet", "--expr", "exp(z1+z2)", "--order", "8", "--tol"),
+        ("certify", "--expr", "exp(z1+z2)", "--order", "8", "--tol"),
+        ("pencil-check", "--expr", "exp(z1+z2)", "--tol"),
+        ("subpencil", "--expr", "exp(z1+z2)", "--tol"),
+        ("normalize", "--v0", "1,0 0,0", "--expr", "exp(z1+z2)", "--tol-g")],
+        ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
+    def test_tolerance_must_be_finite_and_not_negative(self, capsys, argv,
+                                                        value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[-1]}: must be a finite "
+                            f"number >= 0, not {value!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("jet", "--rho0", "nan"), ("jet", "--sigma", "inf"),
+        ("jet", "--rho-max", "nan"), ("analyze", "--rho-max", "nan"),
+        ("certify", "--rho-max", "inf")])
+    def test_radius_schedule_must_be_finite(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--expr", "exp(z1+z2)",
+                                 "--order", "8")
+        name = argv[1][2:].replace("-", "_")
+        assert (code, out, err) == (2, "", f"error: {name} must be finite, "
+                                           f"not {float(argv[2])}\n")
+
+    @pytest.mark.parametrize("v0,error", [
+        ("1,0", "v0 must have 2 components, not shape (1,)"),
+        ("1,0 0,0 1,0", "v0 must have 2 components, not shape (3,)"),
+        ("0,0 0,0", "v0 must be nonzero")])
+    def test_normalize_checks_v0(self, capsys, v0, error):
+        code, out, err = run_cli(capsys, "normalize", "--v0", v0)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     def test_subpencil_needs_a_disc_index(self, capsys):
         code, out, err = run_cli(capsys, "subpencil", "--expr", "exp(z1)",
                                  "--ell-max", "0")
@@ -1055,7 +1098,7 @@ class TestRadiusColumn:
         assert [i for i, r in enumerate(column) if r is None] == [0, 417, 999]
         rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
                               AnalyzeConfig(order=12))
-        assert column == [e["R_estimate"] for e in rep.per_direction]
+        assert column == rep.R_estimate
         # reversed rows give the reversed column
         charted = [i for i, r in enumerate(column) if r is not None]
         backward = self._column(capsys, tmp_path, U[::-1])

@@ -98,6 +98,16 @@ class TestValidation:
         with pytest.raises(JetExtractionError, match="ill-conditioned"):
             extract_jet(parse("z1*z2"), 2, 6, radii=radii)
 
+    @pytest.mark.parametrize("name", ["rho0", "sigma", "rho_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_schedule_must_be_finite(self, name, value):
+        from forelli_lab import radius_schedule
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, not {value}$"):
+            radius_schedule(5, **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            extract_jet(parse("z1"), 1, 8, **{name: value})
+
     def test_evaluation_failure_reported(self):
         from forelli_lab import JetExtractionError
         with pytest.raises(JetExtractionError, match="evaluation failed"):

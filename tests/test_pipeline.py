@@ -15,8 +15,7 @@ class TestEntireFunction:
         assert rep.passed
         assert rep.stage("jet").details["verdict"] == "FullJet"
         assert rep.stage("holomorphic_type").status == "pass"
-        radii = [e["R_estimate"] for e in rep.per_direction]
-        assert all(r is not None and r >= 0.9 for r in radii)
+        assert all(r is not None and r >= 0.9 for r in rep.R_estimate)
         assert rep.certificate is not None
         assert rep.certificate.r_prime[0] > 0
         assert "Hartogs" in rep.final_verdict
@@ -85,7 +84,7 @@ class TestRadiiEvidence:
         rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
                               AnalyzeConfig(order=12))
         details = rep.stage("directional_radii").details
-        radii = [e["R_estimate"] for e in rep.per_direction]
+        radii = rep.R_estimate
         index = details["min_R_direction_index"]
         assert radii[index] == details["min_R_estimate"] == min(radii)
         assert index == radii.index(min(radii))
@@ -99,48 +98,41 @@ class TestRadiiEvidence:
         assert details["min_R_direction_index"] is None
 
 
+def radius_column(series, K, rows):
+    """The reference column, row by row from the radii stage's own
+    functions: each unit row's radius, None without a chart."""
+    from forelli_lab.slices import (chart_map, chart_poly_family,
+                                    radius_root_test)
+    charts, has_chart = chart_map(rows)
+    family = chart_poly_family(series, K)
+    radii = iter(radius_root_test(family.abs_values_at(charts[:, 0]),
+                                  K, K // 2).radius.tolist())
+    return [next(radii) if charted else None for charted in has_chart]
+
+
 class TestUnitRows:
     def test_reported_directions_are_the_checked_rows(self):
         # the radii stage reads the pencil's unit rows, bit for bit
         U = sphere_directions(2, 1000, seed=42)
         rep = forelli_analyze(parse("exp(z1+z2)"), U, AnalyzeConfig(order=8))
         rows = standard_pencil(2, U).directions
-        reported = np.array([[complex(re, im) for re, im in e["direction"]]
-                             for e in rep.per_direction])
-        assert np.array_equal(reported, rows)
+        assert rep.R_estimate == radius_column(rep.jet.series, 8, rows)
 
 
 class TestRadiusColumn:
-    """The radii stage keeps one radius per row; the per-row echo of the
-    API is built only when read."""
+    """The radii stage keeps one radius per row, in row order."""
 
     def test_per_direction_entries(self):
-        # the reference, row by row from the stage's own functions: the
-        # unit row, its chart point and its radius, None without a chart
-        from forelli_lab.slices import (chart_map, chart_poly_family,
-                                        radius_root_test)
         U = np.vstack([cap_directions(2, 0.3, 60, seed=5),
                        [(0.0, 1.0), (0.0, 1j)], sphere_directions(2, 40)])
         rep = forelli_analyze(parse("1/(3-z1-2*z2)"), U,
                               AnalyzeConfig(order=12))
         rows = standard_pencil(2, U).directions
-        charts, has_chart = chart_map(rows)
-        family = chart_poly_family(rep.jet.series, 12)
-        radii = iter(radius_root_test(family.abs_values_at(charts[:, 0]),
-                                      12, 6).radius.tolist())
-        charts = iter(charts.tolist())
-        want = [{"direction": [[v.real, v.imag] for v in row],
-                 "chart": None, "R_estimate": None} for row in rows.tolist()]
-        for entry, charted in zip(want, has_chart):
-            if charted:
-                entry.update(chart=[[v.real, v.imag] for v in next(charts)],
-                             R_estimate=next(radii))
-        # repr shows every bit of a float, and the key order
-        assert json.dumps(rep.per_direction) == json.dumps(want)
-        assert rep.R_estimate == [entry["R_estimate"] for entry in want]
+        # repr shows every bit of a float
+        assert json.dumps(rep.R_estimate) == json.dumps(
+            radius_column(rep.jet.series, 12, rows))
         assert [i for i, r in enumerate(rep.R_estimate) if r is None] == [
             60, 61]
-        assert rep.per_direction is rep.per_direction
         assert rep == forelli_analyze(parse("1/(3-z1-2*z2)"), U,
                                       AnalyzeConfig(order=12))
 
@@ -151,21 +143,8 @@ class TestRadiusColumn:
         zbar = forelli_analyze(parse("z1*conj(z2)"), U, AnalyzeConfig(order=8))
         assert zbar.stage("directional_radii").status == "skipped"
         for rep in (short, zbar):
-            assert rep.R_estimate == rep.per_direction == []
+            assert rep.R_estimate == []
             assert rep.summary()["R_estimate"] == []
-
-    def test_analyze_never_builds_the_echo(self, monkeypatch, capsys):
-        from forelli_lab import AnalysisReport
-        from forelli_lab.cli import run
-
-        def unused(self):
-            raise AssertionError("per_direction built")
-
-        monkeypatch.setattr(AnalysisReport, "per_direction", property(unused))
-        assert run(["analyze", "--expr", "exp(z1+z2)", "--order", "8",
-                    "--json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["summary"][
-            "R_estimate"]) == 200
 
 
 class TestDirectionCheck:

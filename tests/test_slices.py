@@ -7,6 +7,7 @@ import pytest
 from forelli_lab import (CertificateError, ChartPoly, FormalSeries,
                          NotHolomorphicTypeError, certify_polydisc, chart_map,
                          chart_poly_family, radius_root_test, slice_series)
+from forelli_lab import slices
 from forelli_lab.slices import SlicePolyFamily
 
 from conftest import geometric_product_series, random_series
@@ -214,14 +215,20 @@ class TestCertificate:
         with pytest.raises(NotHolomorphicTypeError):
             certify_polydisc(S, 0.5, 8)
 
-    def test_refusal_on_undersampling(self):
+    @pytest.mark.parametrize("r0", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_r0_that_is_not_positive_and_finite(self, r0):
+        S = FormalSeries.variable(1, 2, 8)
+        with pytest.raises(ValueError, match="^r0 must be positive and "
+                                             f"finite, not {r0}$"):
+            certify_polydisc(S, r0, 8)
+
+    def test_refusal_on_undersampling(self, monkeypatch):
         # (z2 - z1)^6 has its chart maximum away from the single sampled
         # boundary point, so the Cauchy check catches the understated M
-        one = FormalSeries.constant(1.0, 2, 8)
+        undersample(monkeypatch)
         S = (FormalSeries.variable(2, 2, 8) - FormalSeries.variable(1, 2, 8)) ** 6
         with pytest.raises(CertificateError):
-            certify_polydisc(S, 0.5, 8, sample_count=0, angular_grid=1,
-                             margin=0.0)
+            certify_polydisc(S, 0.5, 8)
 
     def test_tail_bound_soundness(self, rng):
         # partial sums at points of 0.9 r' obey the k^n 2^-k block bound
@@ -301,6 +308,13 @@ def block_sums(S, K, z):
     return [sum(abs(c) * float(np.prod(np.abs(z) ** np.array(I)))
                 for (I, _J), c in S.terms_of_order(k).items())
             for k in range(1, K + 1)]
+
+
+def undersample(monkeypatch):
+    """One boundary sample, no interior samples and no margin."""
+    for name, value in (("CERTIFICATE_SAMPLES", 0), ("CERTIFICATE_GRID", 1),
+                        ("CERTIFICATE_MARGIN", 0.0)):
+        monkeypatch.setattr(slices, name, value)
 
 
 def ref_certificate(S, r0, K, sample_count=64, margin=0.05, angular_grid=48,
@@ -441,16 +455,17 @@ class TestKernelAgainstLoops:
             certify_polydisc(S, 0.5, K)
 
     @pytest.mark.parametrize("case", ["cauchy", "block"])
-    def test_refusal_message(self, case):
+    def test_refusal_message(self, case, monkeypatch):
         # (z2 - z1)^6 fails the Cauchy check (a); z1 - z2 vanishes at the
         # single boundary sample, so M = 1 passes (a) and check (b) refuses
         z1, z2 = (FormalSeries.variable(k, 2, 8) for k in (1, 2))
         S = (z2 - z1) ** 6 if case == "cauchy" else z1 - z2
-        kwargs = dict(sample_count=0, angular_grid=1, margin=0.0)
         with pytest.raises(CertificateError) as want:
-            ref_certificate(S, 0.5, 8, **kwargs)
+            ref_certificate(S, 0.5, 8, sample_count=0, angular_grid=1,
+                            margin=0.0)
+        undersample(monkeypatch)
         with pytest.raises(CertificateError) as got:
-            certify_polydisc(S, 0.5, 8, **kwargs)
+            certify_polydisc(S, 0.5, 8)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(
             "Cauchy bound" if case == "cauchy" else "order-1 block sum")
