@@ -31,7 +31,7 @@ print("\nP_3(b) at b=2:", family.polys[3](2.0), "(= 1 + 2 + 4 + 8)")
 # formula P_k(b) = sum_{j<=k} b^j lets us push K to 200
 for b in (0.5, 2.0, 4.0):
     vals = [abs(sum(b ** j for j in range(k + 1))) for k in range(201)]
-    rt = radius_root_test(vals, 200)
+    rt = radius_root_test(vals)
     print("radius along (1, %-3g): estimate %.4f   (truth %.4f)"
           % (b, rt.radius, min(1.0, 1.0 / b)))
 

@@ -47,7 +47,7 @@ for name, fam in (("z^k/k^k", collapsing), ("k^k z^k", exploding),
     print("%-9s alpha_r = %8.4f  -> %s" % (name, v.alpha_r, v.case))
 
 # --- envelopes and the exceptional set ------------------------------------------
-field = upper_envelope(exploding, ((-1, 1), (-1, 1)), K, num=101)
+field = upper_envelope(exploding, ((-1, 1), (-1, 1)), num=101)
 print("\nk^k z^k: %d exceptional grid nodes, all within |z| <= %.3f"
       % (len(field.exceptional),
          max((abs(z) for z in field.exceptional), default=0.0)))

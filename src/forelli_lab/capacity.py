@@ -16,6 +16,7 @@ positivity check used to certify that a direction set is normal.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,21 +32,35 @@ class ChartUndecidableError(RuntimeError):
     """All directions fell in the excluded chart locus v_1 = 0."""
 
 
+def _finite(what: str, values) -> None:
+    """Refuse the first number of ``values`` that is not finite."""
+    for value in values:
+        if not cmath.isfinite(value):
+            raise ValueError(f"{what} must be finite, not {value}")
+
+
 @dataclass
 class CompactSet1D:
-    """A compact planar set with a deterministic candidate-point sampler."""
+    """A compact planar set with a deterministic candidate-point sampler.
+
+    Every number that defines the set must be finite, and a disc radius
+    positive.
+    """
 
     kind: str                  # disc | segment | finite | cloud
     params: tuple
 
     @classmethod
     def disc(cls, center: complex, radius: float) -> "CompactSet1D":
-        if radius <= 0:
-            raise ValueError("disc radius must be positive")
+        _finite("disc center", [complex(center)])
+        if not 0 < radius < math.inf:          # a nan fails too
+            raise ValueError(
+                f"disc radius must be positive and finite, not {radius}")
         return cls("disc", (complex(center), float(radius)))
 
     @classmethod
     def segment(cls, a: complex, b: complex) -> "CompactSet1D":
+        _finite("segment endpoints", [complex(a), complex(b)])
         if a == b:
             raise ValueError("segment endpoints must differ")
         return cls("segment", (complex(a), complex(b)))
@@ -55,6 +70,7 @@ class CompactSet1D:
         pts = tuple(complex(p) for p in points)
         if not pts:
             raise ValueError("empty point set")
+        _finite("points", pts)
         return cls("finite", (pts,))
 
     @classmethod
@@ -62,6 +78,7 @@ class CompactSet1D:
         pts = tuple(complex(p) for p in points)
         if not pts:
             raise ValueError("empty sample cloud")
+        _finite("cloud points", pts)
         return cls("cloud", (pts,))
 
     def closed_form(self) -> Optional[float]:
@@ -293,25 +310,30 @@ def _growth_bounds(E: np.ndarray, Z: np.ndarray, family) -> List[float]:
             for b in np.fmax.reduce(ratio).tolist()]
 
 
-def siciak_lower_bound(E_samples, z, degree: int, trials: int = 200, *,
-                       seed: int = 42) -> float:
+#: The trial polynomials of ``siciak_lower_bound`` and the seed that
+#: draws them.
+SICIAK_TRIALS = 200
+SICIAK_SEED = 42
+#: The probe shells ||z|| = R of ``cap_siciak``, and its directions.
+SICIAK_PROBE_RADII = (10.0, 30.0, 100.0)
+SICIAK_DIRECTIONS = 8
+
+
+def siciak_lower_bound(E_samples, z, degree: int) -> float:
     """Lower bound for the extremal growth function V_E(z).
 
-    Maximizes (1/d)(log|p(z)| - log sup_E |p|) over trial polynomials:
-    powers of random affine-linear forms plus the distinguished family
-    <conj(z)/|z|, w>^d.  The sup over E is taken on the given sample, so
-    bounds are honest up to the sample's coverage of E.
+    Maximizes (1/d)(log|p(z)| - log sup_E |p|) over SICIAK_TRIALS trial
+    polynomials drawn from SICIAK_SEED: powers of random affine-linear
+    forms plus the distinguished family <conj(z)/|z|, w>^d.  The sup over
+    E is taken on the given sample, so bounds are honest up to the
+    sample's coverage of E.
     """
     E = np.atleast_2d(np.asarray(E_samples, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[0] != E.shape[1]:
         raise ValueError("z and E live in different dimensions")
-    return _growth_bounds(E, z[None], _trial_family(E, degree, trials, seed))[0]
-
-
-#: The probe shells ||z|| = R of ``cap_siciak``, and its directions.
-SICIAK_PROBE_RADII = (10.0, 30.0, 100.0)
-SICIAK_DIRECTIONS = 8
+    return _growth_bounds(E, z[None], _trial_family(
+        E, degree, SICIAK_TRIALS, SICIAK_SEED))[0]
 
 
 def cap_siciak(E_samples, degree: int = 32, trials: int = 200, *,

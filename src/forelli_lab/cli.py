@@ -235,7 +235,7 @@ def _cmd_psh(args):
         lines.append(f"  alpha_r = {verdict.alpha_r:.6g} -> {verdict.case}")
     if args.envelope:
         x0, x1, y0, y1 = (float(t) for t in args.envelope.split())
-        field = upper_envelope(family, ((x0, x1), (y0, y1)), K,
+        field = upper_envelope(family, ((x0, x1), (y0, y1)),
                                num=args.envelope_num)
         stages.append(Stage("envelope", PASS,
                             {"exceptional_count": len(field.exceptional),
@@ -465,9 +465,9 @@ def _recorded_warnings():
     library's own and those raised in numpy's files (its FFT's overflow,
     for one), prints as ``<Category>: <message>`` without a file, line or
     source text, so the stderr bytes do not move with the install path or
-    with edits to the source.  Only UserWarnings enter the report; the
-    others keep their filters and reach any recorder of warnings, such as
-    ``pytest.warns``.
+    with edits to the source, and each distinct such line prints once.
+    Only UserWarnings enter the report; the others keep their filters and
+    reach any recorder of warnings, such as ``pytest.warns``, every time.
     """
     def ours(filename):
         return os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR
@@ -489,12 +489,19 @@ def _recorded_warnings():
                 return
             show(message, category, filename, lineno, file, line)
 
-        def without_location(message, category, filename, lineno, line=None):
-            return f"{category.__name__}: {message}\n"
+        printed = set()
+
+        def once_without_location(message, category, filename, lineno,
+                                  line=None):
+            text = f"{category.__name__}: {message}\n"
+            if text in printed:     # two places raised the same warning
+                return ""
+            printed.add(text)
+            return text
 
         warnings.showwarning = record
         # catch_warnings restores showwarning but not formatwarning
-        warnings.formatwarning = without_location
+        warnings.formatwarning = once_without_location
         try:
             yield messages
         finally:

@@ -159,7 +159,6 @@ def _radius_rows(n: int, count: int, top: int) -> List[tuple]:
 
 
 def extract_jet(f, n: int, order: int, *,
-                radii: Optional[Sequence[float]] = None,
                 rho0: float = 0.2, sigma: float = 1.25,
                 rho_max: Optional[float] = None,
                 grid: Optional[int] = None,
@@ -172,9 +171,10 @@ def extract_jet(f, n: int, order: int, *,
     (G,) on axis k and 1 elsewhere, so a subexpression in fewer than n
     variables runs on fewer points.  A callable gets fresh, writeable
     arrays of the full shape (G,) * n, which it may stack or write into.
-    The radius schedule must contain at least ceil(order/2) + 1 entries
-    and the angular grid at least 2*order + 1 points per dimension.  A
-    nonzero ``center`` translates the expansion point.
+    The tori have the ceil(order/2) + 1 radii of ``radius_schedule(rho0,
+    sigma, rho_max)``, which must be positive and distinct, and the
+    angular grid at least 2*order + 1 points per dimension.  A nonzero
+    ``center`` translates the expansion point.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -183,12 +183,8 @@ def extract_jet(f, n: int, order: int, *,
     if grid < 2 * order + 1:
         raise ValueError(f"grid {grid} < 2*order+1 = {2 * order + 1}")
     m_needed = max((order + 1) // 2 + 1, 2)    # ceil(order/2) + 1
-    if radii is None:
-        radii = radius_schedule(m_needed, rho0, sigma, rho_max)
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < m_needed:
-        raise ValueError(
-            f"{len(radii)} radii given; order {order} needs >= {m_needed}")
+    radii = np.asarray(radius_schedule(m_needed, rho0, sigma, rho_max),
+                       dtype=float)
     if np.any(radii <= 0) or len(set(radii.tolist())) != len(radii):
         raise ValueError("radii must be positive and distinct")
 

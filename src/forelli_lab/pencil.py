@@ -81,13 +81,9 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 def cap_directions(n: int, theta: float, count: int,
-                   center: Optional[Sequence[complex]] = None,
                    seed: int = 0) -> np.ndarray:
-    """Sample a geodesic cap of angular radius theta around ``center``."""
-    if center is None:
-        center = np.eye(n, dtype=complex)[0]
-    c = np.asarray(center, dtype=complex)
-    c = c / np.linalg.norm(c)
+    """Sample a geodesic cap of angular radius theta around e1 = (1, 0, ...)."""
+    c = np.eye(n, dtype=complex)[0]
     rng = np.random.default_rng(seed)
     out = np.empty((count, n), dtype=complex)
     for i in range(count):
@@ -320,28 +316,19 @@ def pencil_from_exprs(n: int, map_exprs, directions,
 
 def _validate_pencil(spec: PencilSpec):
     sub = spec.directions[:: max(1, spec.num_directions // 24)]
-    samples = []
-
-    def components(lam):
-        # lam is (component, direction, sample), the same for every
-        # component; the map's values, one component per row, and their
-        # derivatives along the lambda tangents 1 and i
-        vals, dh = spec.map_tangents(lam[0], sub.T[:, :, None],
-                                     np.array([1, 1j])[:, None, None],
-                                     np.zeros((spec.n, 1, 1, 1)))
-        samples.append((vals, dh))
-        return vals
-
+    # the map's values on the rho circle of each direction of sub, one
+    # component per row, and their derivatives along the lambda tangents
+    # 1 and i
     rho = 0.9
-    res = _holo_residuals(components, np.full((spec.n, len(sub)), rho))
+    lam = np.full((len(sub), 1), rho) * torus((1.0,), _DISC_SAMPLES)[0]
+    vals, dh = spec.map_tangents(lam, sub.T[:, :, None],
+                                 np.array([1, 1j])[:, None, None],
+                                 np.zeros((spec.n, 1, 1, 1)))
+    res, scale = _disc_residuals(vals)
     # d/dlambdabar on the FFT check's scale: the negative modes miss a
     # lambda that enters through |lambda|^2, the exact derivative does not;
     # a non-finite circle enters as zeros, as in the FFT check
-    finite = ~np.isnan(res)
-    vals, dh = samples[0]
-    dh = np.where(finite[:, None, :, None], dh, 0)
-    scale = np.fmax(1.0, np.abs(torus_modes(
-        np.where(finite[..., None], vals, 0), 1)).max(axis=-1))
+    dh = np.where(~np.isnan(res)[:, None, :, None], dh, 0)
     dbar = 0.5 * np.abs(dh[:, 0] + 1j * dh[:, 1]).max(axis=-1) / scale
     # the first bad disc in direction order, then component order
     bad = (~np.isfinite(res) | (res > _PENCIL_HOLO_TOL)
@@ -426,26 +413,35 @@ def load_pencil(source) -> PencilSpec:
 
 # -- disc holomorphy residuals -------------------------------------------------
 
+def _disc_residuals(vals) -> Tuple[np.ndarray, np.ndarray]:
+    """The disc residual of samples on circles, one per circle, and its
+    scale, max(1, largest Fourier modulus), from one transform.
+
+    ``vals`` holds the samples of a circle on its last axis.  A residual
+    is nan where the circle's samples are not all finite (they enter the
+    FFT as zeros) and inf where they are but their transform overflows.
+    """
+    finite = np.isfinite(vals).all(axis=-1)
+    mag = np.abs(torus_modes(np.where(finite[..., None], vals, 0), 1))
+    scale = np.fmax(1.0, mag.max(axis=-1))
+    # indices -_DISC_SAMPLES/2 .. -1 are the negative modes; inf / inf
+    # comes only from an overflowed transform, which the inf below marks
+    with np.errstate(invalid="ignore"):
+        res = mag[..., _DISC_SAMPLES // 2:].max(axis=-1) / scale
+    return np.where(finite, np.where(np.isfinite(mag).all(axis=-1), res,
+                                     np.inf), np.nan), scale
+
+
 def _holo_residuals(g: Callable, rho) -> np.ndarray:
     """The disc residual of g on the circles |lambda| = rho, one per rho.
 
     ``rho`` is a scalar or an array of radii; g gets the samples as an
-    array rho.shape + (_DISC_SAMPLES,).  A residual is nan where the
-    circle's samples are not all finite (they enter the FFT as zeros) and
-    inf where they are but their transform overflows.
+    array rho.shape + (_DISC_SAMPLES,).
     """
     lam = np.asarray(rho, dtype=float)[..., None] * torus(
         (1.0,), _DISC_SAMPLES)[0]
-    vals = np.broadcast_to(np.asarray(g(lam), dtype=complex), lam.shape)
-    finite = np.isfinite(vals).all(axis=-1)
-    mag = np.abs(torus_modes(np.where(finite[..., None], vals, 0), 1))
-    # indices -_DISC_SAMPLES/2 .. -1 are the negative modes; inf / inf
-    # comes only from an overflowed transform, which the inf below marks
-    with np.errstate(invalid="ignore"):
-        res = (mag[..., _DISC_SAMPLES // 2:].max(axis=-1)
-               / np.fmax(1.0, mag.max(axis=-1)))
-    return np.where(finite, np.where(np.isfinite(mag).all(axis=-1), res,
-                                     np.inf), np.nan)
+    return _disc_residuals(np.broadcast_to(np.asarray(g(lam), dtype=complex),
+                                           lam.shape))[0]
 
 
 def _disc_error(res, rho) -> EvalError:
@@ -516,22 +512,27 @@ def check_holo_along_pencil(f, P: PencilSpec,
                             tol: float = 1e-8) -> PencilHoloResult:
     """Residual of lambda -> f(map(lambda, u)) per direction and radius.
 
-    Every entry is what ``disc_holo_residual`` gives on that disc alone.
-    The directions are evaluated in chunks of at most DISC_CHUNK_SAMPLES
-    samples, every radius of a direction in the same chunk: one map
-    call, one f call and one row FFT per chunk, on a (directions, radii,
-    samples) array, so f must act pointwise on coordinate arrays of any
-    shape.  A disc whose chunk raises, or whose residual is not finite,
-    is redone on its own, so an error stays with its own disc and keeps
-    its message.
+    The radii must be finite numbers in (0, 1), since a pencil's discs
+    are parametrized by the unit disc.  Every entry is what
+    ``disc_holo_residual`` gives on that disc alone.  The directions are
+    evaluated in chunks of at most DISC_CHUNK_SAMPLES samples, every
+    radius of a direction in the same chunk: one map call, one f call
+    and one row FFT per chunk, on a (directions, radii, samples) array,
+    so f must act pointwise on coordinate arrays of any shape.  A disc
+    whose chunk raises, or whose residual is not finite, is redone on its
+    own, so an error stays with its own disc and keeps its message.
     """
+    radii = np.asarray(rho_schedule, dtype=float)
+    outside = radii[~((radii > 0) & (radii < 1))]     # a nan is outside too
+    if outside.size:
+        raise ValueError("disc radii must be finite numbers in (0, 1), "
+                         f"not {outside[0]}")
     func = as_callable(f, P.n)
 
     def on_discs(di):
         """lambda -> f(map(lambda, u)) on the discs through directions di."""
         return lambda lam: func(tuple(np.moveaxis(P.disc(lam, di), -1, 0)))
 
-    radii = np.asarray(rho_schedule, dtype=float)
     res = np.empty((P.num_directions, len(radii)))
     for start, stop in chunks(P.num_directions,
                               len(radii) * _DISC_SAMPLES):
@@ -618,8 +619,8 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     takes the shape (z1, k(z1, z2)).  Verifies that k is holomorphic in
     z1, vanishes at z1 = 0, and has first z1-derivative equal to z2;
     failure of any of these raises PencilCheckError (pencil not
-    admissible at v0).  A v0 that is zero or not of length 2 raises
-    ValueError.  Every derivative is exact: h~'s come from one
+    admissible at v0).  A v0 that is zero, not finite or not of length 2
+    raises ValueError, as does an eps that is not positive and finite.  Every derivative is exact: h~'s come from one
     ``map_tangents`` call along zeta, Re z2 and Im z2, and k's from them
     by implicit differentiation of the Newton solve.
     """
@@ -629,8 +630,12 @@ def tilde_normalize(P: PencilSpec, v0, eps: float = 0.4) -> KData:
     if v0_arr.shape != (2,):
         raise ValueError(f"v0 must have 2 components, not shape "
                          f"{v0_arr.shape}")
+    if not np.isfinite(v0_arr).all():
+        raise ValueError(f"v0 must be finite, not {tuple(v0_arr.tolist())}")
     if not v0_arr.any():
         raise ValueError("v0 must be nonzero")
+    if not 0 < eps < math.inf:              # a nan fails too
+        raise ValueError(f"eps must be positive and finite, not {eps}")
     v0_arr = v0_arr / np.linalg.norm(v0)
     inner = float(np.real(P.directions @ np.conj(v0_arr)).max())
     gap = math.acos(min(max(inner, -1.0), 1.0))
@@ -730,9 +735,13 @@ def compute_H_G(f, kdata: KData, z1_grid, *, tol_G: float = 1e-6) -> HGResult:
     the chain rule.  A pass (G below tol_G, H bounded away from zero on
     the punctured grid) certifies df/dwbar = 0 along the v0 disc, the
     equation across it with z1 held fixed; holomorphy along the disc is
-    hypothesis (2), which ``pencil-check`` tests.
+    hypothesis (2), which ``pencil-check`` tests.  Every grid point must
+    be finite.
     """
     z1 = np.asarray(z1_grid, dtype=complex)
+    if not np.isfinite(z1).all():
+        raise ValueError("z1 grid points must be finite, not "
+                         f"{z1[~np.isfinite(z1)][0]}")
     as_callable(f, 2)          # checks an Expr's variables
     _, k_z2, k_z2bar = kdata.dk(z1, 0.0)
     H = np.abs(k_z2bar) ** 2 - np.abs(k_z2) ** 2

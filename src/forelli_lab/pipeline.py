@@ -27,8 +27,8 @@ from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
 from .report import build_report
 from .series import FormalSeries
 from .slices import (CERTIFICATE_SAMPLES, CertificateError,
-                     ConvergenceCertificate, certify_polydisc, chart_map,
-                     chart_poly_family, radius_root_test)
+                     ConvergenceCertificate, _check_r0, certify_polydisc,
+                     chart_map, chart_poly_family, radius_root_test)
 
 PASS = "pass"
 FAIL = "fail"
@@ -104,11 +104,12 @@ class AnalysisReport:
         return {"passed": self.passed, "final_verdict": self.final_verdict,
                 "certificate": cert, "R_estimate": self.R_estimate}
 
-    def to_dict(self, warnings: Optional[List[str]] = None) -> dict:
-        """The ``analyze`` report of this analysis."""
+    def to_dict(self) -> dict:
+        """The ``analyze`` report of this analysis, with an empty
+        ``warnings`` array: the command line records a run's warnings."""
         return build_report("analyze", self.config,
                             [s.to_dict() for s in self.stages],
-                            self.summary(), warnings)
+                            self.summary())
 
 
 # -- stages that analyze shares with the single-check subcommands --------------
@@ -195,7 +196,7 @@ def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
         return stages, []
     charts, has_chart = chart_map(units)
     radii = radius_root_test(family.abs_values_at(
-        charts[:, 0] if family.nvars == 1 else charts), K, window).radius
+        charts[:, 0] if family.nvars == 1 else charts)).radius
     estimates = iter(radii.tolist())
     column = [next(estimates) if c else None for c in has_chart.tolist()]
     min_radius = float(radii.min(initial=math.inf))
@@ -266,8 +267,10 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     Without it, as ``certify`` runs, the disc, chart-family, radii and
     capacity stages are left out.  The one skip rule: once the
     holomorphic-type stage fails, every later stage is reported skipped,
-    since each reads the series as zbar-free.
+    since each reads the series as zbar-free.  An r0 that is not positive
+    and finite is refused before the first stage.
     """
+    _check_r0(cfg.r0)
     stages: List[Stage] = []
     if isinstance(f, FormalSeries):
         skipped = ("disc_holomorphy", "jet") if directions else ("jet",)

@@ -85,9 +85,10 @@ def average_on_torus(family: PshFamily, k: int, z, r,
                      grid: int = 64) -> TorusAverage:
     """Trapezoidal average of u_k over the distinguished torus of P(z; r).
 
-    -inf integrand points (zeros of P_k on the sampling grid) are clipped
-    at CLIP_FLOOR and counted in the result; clipping biases the
-    average downward and is reported, not fatal.
+    The center z must be finite and every polyradius entry positive and
+    finite.  -inf integrand points (zeros of P_k on the sampling grid)
+    are clipped at CLIP_FLOOR and counted in the result; clipping biases
+    the average downward and is reported, not fatal.
     """
     return _torus_averages(family, [k], z, r, grid)[0]
 
@@ -101,6 +102,11 @@ def _torus_averages(family: PshFamily, ks, z, r, grid: int
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if len(z) != family.nvars or len(r) != family.nvars:
         raise ValueError(f"center and polyradius need {family.nvars} components")
+    if not np.isfinite(z).all():
+        raise ValueError(f"center must be finite, not {tuple(z.tolist())}")
+    if not ((r > 0) & (r < math.inf)).all():          # a nan fails too
+        raise ValueError("polyradius entries must be positive and finite, "
+                         f"not {tuple(r.tolist())}")
     nodes = torus(r, grid)
     pts = np.stack([z[k] + nodes[k] for k in range(len(z))], axis=-1)
     out = []
@@ -206,20 +212,23 @@ class EnvelopeField:
     window: int
 
 
-def upper_envelope(family: PshFamily, grid_region, K: Optional[int] = None, *,
+def upper_envelope(family: PshFamily, grid_region, *,
                    num: int = 101) -> EnvelopeField:
     """Estimate (u, u*) on a rectangular grid; sample {u < u* - ENVELOPE_GAP}.
 
     One chart variable only.  u is the windowed max of u_k over the tail
-    half of indices; u* dilates u by a max over the 8 neighbouring
-    nodes.  The exceptional sample is diagnostic: its 1-d capacity can
-    be estimated downstream to check the vanishing-capacity prediction.
+    half of the family's indices, k = K - ceil(K/2) + 1..K with K =
+    ``family.K``; u* dilates u by a max over the 8 neighbouring nodes.
+    The region ((x0, x1), (y0, y1)) must be finite.  The exceptional
+    sample is diagnostic: its 1-d capacity can be estimated downstream to
+    check the vanishing-capacity prediction.
     """
     if family.nvars != 1:
         raise NotImplementedError("envelope grids are built in 1 chart variable")
-    if K is None:
-        K = family.K
     (x0, x1), (y0, y1) = grid_region
+    if not np.isfinite([x0, x1, y0, y1]).all():
+        raise ValueError(f"envelope region must be finite, not {grid_region}")
+    K = family.K
     xs = np.linspace(x0, x1, num)
     ys = np.linspace(y0, y1, num)
     nodes = xs[None, :] + 1j * ys[:, None]

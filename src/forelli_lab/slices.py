@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -221,14 +221,13 @@ class RootTestResult:
     K: int
 
 
-def radius_root_test(values, K: Optional[int] = None,
-                     window: Optional[int] = None) -> RootTestResult:
+def radius_root_test(values) -> RootTestResult:
     """Estimate the convergence radius from |P_k(b)|, k = 0..K.
 
-    ``values[k]`` is |P_k(b)| (the k = 0 entry is ignored).  The limsup
-    of (1/k) log |P_k| is approximated by its maximum over the last
-    ``window`` indices (default K//2); the radius estimate is
-    exp(-limsup).  Requires K >= 2*window and window >= 4.
+    ``values[k]`` is |P_k(b)| (the k = 0 entry is ignored), so K is
+    len(values) - 1.  The limsup of (1/k) log |P_k| is approximated by
+    its maximum over the last window = K//2 indices; the radius estimate
+    is exp(-limsup).  Requires window >= 4, that is K >= 8.
 
     ``values`` may also be an array (K+1, ...) with one column per point
     b, as ``abs_values_at`` returns it: the test runs along axis 0, and
@@ -236,19 +235,13 @@ def radius_root_test(values, K: Optional[int] = None,
     entries are, bit for bit, the floats a 1-D call on each column gives.
     """
     values = np.asarray(values, dtype=float)
-    if K is None:
-        K = len(values) - 1
-    if window is None:
-        window = K // 2
+    K = len(values) - 1
+    window = K // 2
     if window < 4:
-        raise ValueError("window must be >= 4")
-    if K < 2 * window:
-        raise ValueError(f"K={K} too small for window {window} (need K >= 2*window)")
-    if len(values) < K + 1:
-        raise ValueError(f"need K+1 = {K + 1} values, got {len(values)}")
+        raise ValueError(f"window must be >= 4, not {window} (K={K})")
     ks = np.arange(1, K + 1).reshape((K,) + (1,) * (values.ndim - 1))
     with np.errstate(divide="ignore"):
-        seq = np.log(values[1:K + 1]) / ks
+        seq = np.log(values[1:]) / ks
     tail = seq[K - window:]
     log_rate = np.where(np.isfinite(tail), tail, -np.inf).max(axis=0)
     # math.exp per entry: np.exp may differ from it in the last bit
@@ -276,6 +269,12 @@ class ConvergenceCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_r0(r0: float) -> None:
+    """Refuse a certificate base radius that is not positive and finite."""
+    if not 0 < r0 < math.inf:              # a nan fails too
+        raise ValueError(f"r0 must be positive and finite, not {r0}")
+
+
 def certify_polydisc(S: FormalSeries, r0: float, K: int, *,
                      seed: int = 42) -> ConvergenceCertificate:
     """Build and verify a polydisc convergence certificate for S.
@@ -295,8 +294,7 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int, *,
     samples.  r0 must be positive and finite, and K at least 1: with no
     order checked there is no certificate.
     """
-    if not 0 < r0 < math.inf:              # a nan fails too
-        raise ValueError(f"r0 must be positive and finite, not {r0}")
+    _check_r0(r0)
     if K < 1:
         raise ValueError(f"K must be at least 1, not {K}")
     family = chart_poly_family(S, K)       # validates holomorphic type

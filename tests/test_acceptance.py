@@ -66,7 +66,7 @@ def criterion_2_directional_radius():
         vals = np.empty(K + 1)
         for k in range(K + 1):
             vals[k] = abs(sum(b ** j for j in range(k + 1)))
-        rt = fl.radius_root_test(vals, K)
+        rt = fl.radius_root_test(vals)
         truth = min(1.0, 1.0 / abs(b))
         rel = abs(rt.radius / truth - 1.0)
         results[str(b)] = {"estimate": rt.radius, "truth": truth,
@@ -156,7 +156,7 @@ def criterion_6_trichotomy():
     va = fl.classify_trichotomy(fam_a, (1.0,), K, threshold=thr)
     vb = fl.classify_trichotomy(fam_b, (1.0,), K, threshold=thr)
     vc = fl.classify_trichotomy(fam_c, (1.0,), K, threshold=thr)
-    field = fl.upper_envelope(fam_b, ((-1, 1), (-1, 1)), K, num=101)
+    field = fl.upper_envelope(fam_b, ((-1, 1), (-1, 1)), num=101)
     if field.exceptional:
         cloud = fl.CompactSet1D.sample_cloud(field.exceptional)
         exc_cap = fl.cap1d_transfinite(cloud, 8).value

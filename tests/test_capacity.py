@@ -90,6 +90,26 @@ class TestTransfiniteDiameter:
         with pytest.raises(ValueError):
             CapacityEstimate(-0.1, "TransfiniteDiameter", 8)
 
+    @pytest.mark.parametrize("build,error", [
+        (lambda: CompactSet1D.disc(0, math.nan),
+         "disc radius must be positive and finite, not nan"),
+        (lambda: CompactSet1D.disc(0, math.inf),
+         "disc radius must be positive and finite, not inf"),
+        (lambda: CompactSet1D.disc(0, 0.0),
+         "disc radius must be positive and finite, not 0.0"),
+        (lambda: CompactSet1D.disc(complex(math.nan, 0), 0.7),
+         "disc center must be finite, not (nan+0j)"),
+        (lambda: CompactSet1D.segment(0, math.nan),
+         "segment endpoints must be finite, not (nan+0j)"),
+        (lambda: CompactSet1D.finite_points([0, 1j, math.inf]),
+         "points must be finite, not (inf+0j)"),
+        (lambda: CompactSet1D.sample_cloud([complex(0, math.nan)]),
+         "cloud points must be finite, not nanj")])
+    def test_sets_must_be_finite(self, build, error):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == error
+
 
 class TestSiciak:
     @staticmethod
@@ -176,11 +196,12 @@ class TestSiciakSharedTrials:
         return rng.standard_normal((m, nv)) + 1j * rng.standard_normal((m, nv))
 
     @pytest.mark.parametrize("nv", [1, 2, 3])
-    def test_lower_bound_matches_per_probe_body(self, nv):
+    def test_lower_bound_matches_per_probe_body(self, nv, monkeypatch):
         E = self.cloud(nv)
         for z in (E[3], 5.0 * E[7], np.zeros(nv), np.full(nv, 40.0 + 3j)):
             for degree, trials in ((16, 60), (4, 1)):
-                assert siciak_lower_bound(E, z, degree, trials) \
+                monkeypatch.setattr(capacity, "SICIAK_TRIALS", trials)
+                assert siciak_lower_bound(E, z, degree) \
                     == siciak_one_probe(E, z, degree, trials)
 
     @pytest.mark.parametrize("nv", [1, 2, 3])

@@ -24,6 +24,13 @@ def validate(out: str):
     jsonschema.validate(json.loads(out), json.loads(schema_text()))
 
 
+def powers_of_z2(tmp_path) -> str:
+    """A series file whose terms are z2^k, k <= 24: a psh family."""
+    path = tmp_path / "z2k.txt"
+    FormalSeries(2, 24, {((0, k), (0, 0)): 1.0 for k in range(25)}).save(path)
+    return str(path)
+
+
 class TestExitCodes:
     def test_analyze_pass(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--expr", "exp(z1+z2)",
@@ -93,10 +100,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["certify", "analyze"])
     @pytest.mark.parametrize("r0", ["0", "-1", "nan", "inf"])
     def test_r0_must_be_positive_and_finite(self, capsys, command, r0):
-        code, out, err = run_cli(capsys, command, "--expr", "exp(z1+z2)",
-                                 "--order", "8", "--r0", r0)
-        assert (code, out, err) == (2, "", "error: r0 must be positive and "
-                                           f"finite, not {float(r0)}\n")
+        # the zbar input fails its holomorphic_type stage, before the
+        # certificate: r0 is refused before the first stage
+        for expr in ("exp(z1+z2)", "z1*conj(z2)"):
+            code, out, err = run_cli(capsys, command, "--expr", expr,
+                                     "--order", "8", "--r0", r0)
+            assert (code, out, err) == (
+                2, "", f"error: r0 must be positive and finite, not "
+                       f"{float(r0)}\n")
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--expr", "exp(z1+z2)", "--order", "8", "--tol"),
@@ -128,9 +139,56 @@ class TestExitCodes:
     @pytest.mark.parametrize("v0,error", [
         ("1,0", "v0 must have 2 components, not shape (1,)"),
         ("1,0 0,0 1,0", "v0 must have 2 components, not shape (3,)"),
-        ("0,0 0,0", "v0 must be nonzero")])
+        ("0,0 0,0", "v0 must be nonzero"),
+        ("nan,0 0,0", "v0 must be finite, not ((nan+0j), 0j)")])
     def test_normalize_checks_v0(self, capsys, v0, error):
         code, out, err = run_cli(capsys, "normalize", "--v0", v0)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.4"])
+    def test_normalize_checks_eps(self, capsys, eps):
+        code, out, err = run_cli(capsys, "normalize", "--v0", "1,0 0,0",
+                                 "--eps", eps)
+        assert (code, out, err) == (2, "", "error: eps must be positive and "
+                                           f"finite, not {float(eps)}\n")
+
+    def test_normalize_checks_the_ring(self, capsys):
+        code, out, err = run_cli(capsys, "normalize", "--v0", "1,0 0,0",
+                                 "--expr", "exp(z1+z2)", "--z1-ring",
+                                 "0.05 nan")
+        assert (code, out, err) == (2, "", "error: z1 grid points must be "
+                                           "finite, not (nan+nanj)\n")
+
+    @pytest.mark.parametrize("radii,bad", [
+        ("nan", "nan"), ("-0.5", "-0.5"), ("0.3,1.5", "1.5"),
+        ("0.3,1", "1.0"), ("0", "0.0"), ("inf", "inf")])
+    def test_pencil_check_radii_in_the_unit_interval(self, capsys, radii, bad):
+        code, out, err = run_cli(capsys, "pencil-check", "--expr",
+                                 "exp(z1+z2)", "--radii", radii)
+        assert (code, out, err) == (2, "", "error: disc radii must be finite "
+                                           f"numbers in (0, 1), not {bad}\n")
+
+    @pytest.mark.parametrize("spec,error", [
+        ("disc 0 0 nan", "disc radius must be positive and finite, not nan"),
+        ("disc 0 0 inf", "disc radius must be positive and finite, not inf"),
+        ("disc nan 0 0.7", "disc center must be finite, not (nan+0j)"),
+        ("segment 0 nan", "segment endpoints must be finite, not (nan+0j)")])
+    def test_capacity_set_must_be_finite(self, capsys, spec, error):
+        code, out, err = run_cli(capsys, "capacity", "--set", spec)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("argv,error", [
+        (("--r", "nan", "--classify"),
+         "polyradius entries must be positive and finite, not (nan,)"),
+        (("--r", "nan"),
+         "polyradius entries must be positive and finite, not (nan,)"),
+        (("--r", "-1"),
+         "polyradius entries must be positive and finite, not (-1.0,)"),
+        (("--envelope", "-1 1 -1 nan"),
+         "envelope region must be finite, not ((-1.0, 1.0), (-1.0, nan))")])
+    def test_psh_numbers_must_be_finite(self, capsys, tmp_path, argv, error):
+        code, out, err = run_cli(capsys, "psh", "--family",
+                                 powers_of_z2(tmp_path), *argv)
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
     def test_subpencil_needs_a_disc_index(self, capsys):
@@ -192,6 +250,34 @@ class TestExitCodes:
                                "--directions", "sphere:40")
         assert code == 1
         assert "FAIL" in out
+
+
+# (subcommand, option) for every option of type float or cli._tolerance
+FLOAT_FLAGS = [(name, action.option_strings[0])
+               for name, sp in next(a for a in cli.build_parser()._actions
+                                    if a.dest == "command").choices.items()
+               for action in sp._actions
+               if action.type in (float, cli._tolerance)]
+
+
+@pytest.mark.parametrize("command,option", FLOAT_FLAGS,
+                         ids=[" ".join(flag) for flag in FLOAT_FLAGS])
+def test_nan_on_every_float_flag(capsys, tmp_path, command, option):
+    # a minimal valid run of each subcommand; a new float flag that turns
+    # a nan into a verdict fails here
+    valid = {"analyze": ["--expr", "exp(z1+z2)", "--order", "8",
+                         "--directions", "sphere:100"],
+             "jet": ["--expr", "exp(z1+z2)", "--order", "8"],
+             "certify": ["--expr", "exp(z1+z2)", "--order", "8"],
+             "capacity": ["--siciak-ball", "0.7"],
+             "psh": ["--family", powers_of_z2(tmp_path)],
+             "pencil-check": ["--expr", "exp(z1+z2)"],
+             "subpencil": ["--expr", "exp(z1+z2)"],
+             "normalize": ["--v0", "1,0 0,0", "--expr", "exp(z1+z2)"]}
+    code, out, err = run_cli(capsys, command, *valid[command], option, "nan")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "nan" in errors[0]
 
 
 class TestDiscEvidence:
@@ -606,6 +692,37 @@ class TestReportWarnings:
         assert ".py:" not in proc.stderr
         assert proc.stderr == ("RuntimeWarning: overflow encountered in exp\n"
                                "RuntimeWarning: overflow encountered in fft\n")
+
+    def test_each_distinct_line_printed_once(self, tmp_path):
+        # the fold's value rule and its derivative rule both multiply
+        # exp(800 l) = inf by 0; the two warnings print as one line
+        import subprocess
+        import sys
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"n": 2, "map": ["l*u1", "exp(800*l)*u2"],
+                                    "directions": "sphere:100"}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "forelli_lab.cli", "pencil-check",
+             "--pencil", str(path), "--expr", "z1"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "RuntimeWarning: overflow encountered in exp\n"
+            "RuntimeWarning: overflow encountered in multiply\n"
+            "RuntimeWarning: invalid value encountered in multiply\n"
+            "numerical failure: non-finite disc samples at radius 0.9\n")
+
+    def test_recorders_see_every_warning(self, capsys, tmp_path):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"n": 2, "map": ["l*u1", "exp(800*l)*u2"],
+                                    "directions": "sphere:100"}))
+        with pytest.warns(RuntimeWarning) as seen:
+            code, _, _ = run_cli(capsys, "pencil-check", "--pencil",
+                                 str(path), "--expr", "z1")
+        # stderr prints it once; the recorder gets every copy
+        assert code == 3
+        assert [str(w.message) for w in seen].count(
+            "invalid value encountered in multiply") >= 2
 
     def test_floating_point_warnings_stay_out(self, capsys):
         # exp overflows on some discs, and inf * 0 is invalid

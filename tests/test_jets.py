@@ -88,15 +88,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="grid"):
             extract_jet(parse("z1"), 1, 40, grid=64)
 
-    def test_too_few_radii(self):
-        with pytest.raises(ValueError, match="radii"):
-            extract_jet(parse("z1"), 1, 8, radii=[0.2, 0.3])
-
     def test_ill_conditioned_schedule(self):
         from forelli_lab import JetExtractionError
-        radii = [0.2 * (1 + 1e-9) ** t for t in range(5)]
         with pytest.raises(JetExtractionError, match="ill-conditioned"):
-            extract_jet(parse("z1*z2"), 2, 6, radii=radii)
+            extract_jet(parse("z1*z2"), 2, 6, sigma=1 + 1e-9)
 
     @pytest.mark.parametrize("name", ["rho0", "sigma", "rho_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -111,7 +106,7 @@ class TestValidation:
     def test_evaluation_failure_reported(self):
         from forelli_lab import JetExtractionError
         with pytest.raises(JetExtractionError, match="evaluation failed"):
-            extract_jet(parse("1/(z1-0.25)"), 1, 4, radii=[0.25, 0.35, 0.5])
+            extract_jet(parse("1/(z1-0.25)"), 1, 4, rho0=0.25)
 
     def test_exact_series_wrapper(self):
         from forelli_lab import jet_of_series
@@ -634,8 +629,8 @@ class TestSlabsMatchOneTorusAtATime:
         return outcome, [(w.category, str(w.message)) for w in seen]
 
     @pytest.mark.parametrize("expr,n,order,kw,message", [
-        # the second of a slab of four
-        ("1/(z1-0.25)", 1, 4, {"radii": [0.2, 0.25, 0.35, 0.5]},
+        # the second of a slab of three, rho = 0.2 * 1.25
+        ("1/(z1-0.25)", 1, 4, {},
          "evaluation failed on torus rho=(0.25,): division by zero in "
          "'z1-0.25'"),
         # the third of each slab of eight

@@ -165,6 +165,14 @@ class TestCheckAlongPencil:
         res = check_holo_along_pencil(f, standard, tol=1e-8)
         assert res.passed
 
+    @pytest.mark.parametrize("radii,bad", [
+        ((0.3, math.nan), "nan"), ((0.0,), "0.0"), ((0.5, 1.0), "1.0"),
+        ((-0.5,), "-0.5"), ((math.inf,), "inf")])
+    def test_radii_in_the_unit_interval(self, standard, radii, bad):
+        with pytest.raises(ValueError, match=r"^disc radii must be finite "
+                           rf"numbers in \(0, 1\), not {bad}$"):
+            check_holo_along_pencil(parse("z1"), standard, radii)
+
     def test_composition_closure(self, twisted):
         f = parse("exp(z1+z2)")
         base = check_holo_along_pencil(f, twisted, tol=1e-9).worst()
@@ -281,7 +289,7 @@ class TestBatchedAgainstOneDisc:
 
     def test_other_radii(self, twisted):
         f = parse("exp(z1)*z2 + conj(z2)^2")
-        radii = (0.2, 1.0, 2.5, 0.7)
+        radii = (0.2, 0.95, 0.45, 0.7)
         res = check_holo_along_pencil(f, twisted, radii)
         assert_same_discs(res, one_disc_at_a_time(f, twisted, radii))
 
@@ -409,11 +417,20 @@ class TestTildeNormalize:
         ((1.0,), r"v0 must have 2 components, not shape \(1,\)"),
         ((1.0, 0.0, 0.0), r"v0 must have 2 components, not shape \(3,\)"),
         ([[1.0, 0.0]], r"v0 must have 2 components, not shape \(1, 2\)"),
-        ((0.0, 0j), "v0 must be nonzero")])
+        ((0.0, 0j), "v0 must be nonzero"),
+        ((math.nan, 0.0), r"v0 must be finite, not \(\(nan\+0j\), 0j\)"),
+        ((1.0, math.inf),
+         r"v0 must be finite, not \(\(1\+0j\), \(inf\+0j\)\)")])
     def test_v0_checked(self, v0, error):
         P = standard_pencil(2, sphere_directions(2, 40, seed=1))
         with pytest.raises(ValueError, match=f"^{error}$"):
             tilde_normalize(P, v0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.4])
+    def test_eps_checked(self, standard, eps):
+        with pytest.raises(ValueError, match="^eps must be positive and "
+                                             f"finite, not {eps}$"):
+            tilde_normalize(standard, (1.0, 0.0), eps=eps)
 
     def test_single_disc_pencil(self):
         # the map extends analytically to any direction, so a one-disc
@@ -486,6 +503,12 @@ class TestComputeHG:
         assert hg.passed
         assert hg.max_abs_G <= 1e-7
         assert hg.min_abs_H > 0
+
+    def test_grid_must_be_finite(self, standard):
+        kd = tilde_normalize(standard, (1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^z1 grid points must be "
+                                             r"finite, not \(nan\+0j\)$"):
+            compute_H_G(parse("z1*z2"), kd, [0.1, math.nan, 0.2])
 
     def test_degenerate_normalization_detected(self):
         # k(w, z2) = w * re(z2) has equal Wirtinger halves, w/2, so H = 0

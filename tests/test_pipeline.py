@@ -105,8 +105,8 @@ def radius_column(series, K, rows):
                                     radius_root_test)
     charts, has_chart = chart_map(rows)
     family = chart_poly_family(series, K)
-    radii = iter(radius_root_test(family.abs_values_at(charts[:, 0]),
-                                  K, K // 2).radius.tolist())
+    radii = iter(radius_root_test(
+        family.abs_values_at(charts[:, 0])).radius.tolist())
     return [next(radii) if charted else None for charted in has_chart]
 
 

@@ -71,6 +71,30 @@ class TestTorusAverage:
             avg = average_on_torus(fam, 5, z, (r,), grid=256)
             assert uk <= avg.value + 1e-3
 
+    def test_center_must_be_finite(self):
+        fam = monomial_family(lambda k: 1.0, 30)
+        error = r"^center must be finite, not \(\(nan\+0j\),\)$"
+        with pytest.raises(ValueError, match=error):
+            average_on_torus(fam, 9, math.nan, (1.0,))
+        with pytest.raises(ValueError, match=error):
+            lipschitz_check(fam, 9, math.nan, 0j, (1.0,), (1.0,), 0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_polyradius_must_be_positive_and_finite(self, r):
+        # every torus average refuses it: classify_trichotomy's, and
+        # lipschitz_check's where r exceeds its r0
+        fam = monomial_family(lambda k: 1.0, 30)
+        error = ("^polyradius entries must be positive and finite, "
+                 rf"not \({r},\)$")
+        calls = [lambda: average_on_torus(fam, 9, 0j, (r,)),
+                 lambda: classify_trichotomy(fam, (r,), 30)]
+        if not r <= 0.5:
+            calls.append(lambda: lipschitz_check(fam, 9, 0j, 0j, (r,),
+                                                 (1.0,), 0.5))
+        for call in calls:
+            with pytest.raises(ValueError, match=error):
+                call()
+
     def test_grid_refinement_stable(self):
         fam = monomial_family(lambda k: 1.0, 30)
         a = average_on_torus(fam, 9, 0.4 + 0.1j, (1.1,), grid=64).value
@@ -172,7 +196,7 @@ class TestEnvelope:
 
     def test_power_family_envelope_is_log_abs(self):
         fam = monomial_family(lambda k: 1.0, self.K)
-        field = upper_envelope(fam, ((-1, 1), (-1, 1)), self.K, num=81)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), num=81)
         nodes = field.nodes
         mask = np.abs(nodes) > 0.1
         assert np.allclose(field.u[mask], np.log(np.abs(nodes[mask])),
@@ -182,7 +206,7 @@ class TestEnvelope:
 
     def test_superexponential_family_exceptional_capacity(self):
         fam = monomial_family(lambda k: float(k) ** k, self.K)
-        field = upper_envelope(fam, ((-1, 1), (-1, 1)), self.K, num=101)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), num=101)
         assert field.exceptional
         assert all(abs(z) <= 0.1 for z in field.exceptional)
         cloud = CompactSet1D.sample_cloud(field.exceptional)
@@ -191,15 +215,21 @@ class TestEnvelope:
 
     def test_constant_family_no_exceptional(self):
         fam = constant_family(1.0, 40)
-        field = upper_envelope(fam, ((-1, 1), (-1, 1)), 40, num=41)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), num=41)
         assert np.all(field.u == 0.0)
         assert np.all(field.u_star == 0.0)
         assert not field.exceptional
 
+    def test_region_must_be_finite(self):
+        fam = constant_family(1.0, 40)
+        with pytest.raises(ValueError, match=r"^envelope region must be "
+                           r"finite, not \(\(-1, 1\), \(-1, nan\)\)$"):
+            upper_envelope(fam, ((-1, 1), (-1, math.nan)), num=5)
+
     def test_csv_export(self):
         from forelli_lab.psh import envelope_to_csv
         fam = constant_family(1.0, 40)
-        field = upper_envelope(fam, ((0, 1), (0, 1)), 40, num=5)
+        field = upper_envelope(fam, ((0, 1), (0, 1)), num=5)
         text = envelope_to_csv(field)
         assert text.splitlines()[0] == "x,y,u,u_star"
         assert len(text.splitlines()) == 26
@@ -207,7 +237,7 @@ class TestEnvelope:
     def test_csv_fields_are_plain_numbers(self):
         from forelli_lab.psh import envelope_to_csv
         fam = monomial_family(lambda k: 1.0, 40)
-        field = upper_envelope(fam, ((-1, 1), (-1, 1)), 40, num=9)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), num=9)
         lines = envelope_to_csv(field).splitlines()[1:]
         rows = [[float(t) for t in line.split(",")] for line in lines]
         assert len(rows) == 81 and all(len(r) == 4 for r in rows)
@@ -335,7 +365,7 @@ class TestAgainstOneKAtATime:
     @pytest.mark.parametrize("num", [9, 41, 64, 101])
     def test_envelope(self, num):
         fam = monomial_family(lambda k: float(k) ** k, 60)
-        field = upper_envelope(fam, ((-1, 1), (-1, 1)), 60, num=num)
+        field = upper_envelope(fam, ((-1, 1), (-1, 1)), num=num)
         assert same_bits(field.u, ref_envelope_u(fam, field.nodes, 60))
 
     def test_u_rows(self, rng):

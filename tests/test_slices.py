@@ -138,28 +138,28 @@ class TestRootTest:
         return [abs(sum(b ** j for j in range(k + 1))) for k in range(K + 1)]
 
     def test_geometric_radius(self):
-        rt = radius_root_test(self.geometric_values(2.0, 200), 200)
+        rt = radius_root_test(self.geometric_values(2.0, 200))
         assert 0.475 <= rt.radius <= 0.525
 
     def test_all_zero_tail(self):
         vals = [1.0] + [0.0] * 200
-        rt = radius_root_test(vals, 200)
+        rt = radius_root_test(vals)
         assert rt.radius == math.inf
 
     def test_factorial_family_matches_stirling(self):
         # |P_k| = k!; largest K whose factorial still fits a double is 170
         K = 150
         vals = [1.0] + [float(math.factorial(k)) for k in range(1, K + 1)]
-        rt = radius_root_test(vals, K)
+        rt = radius_root_test(vals)
         stirling = math.exp(-math.lgamma(K + 1) / K)
         assert rt.radius < 0.05
         assert rt.radius == pytest.approx(stirling, rel=1e-9)
 
     def test_window_preconditions(self):
-        with pytest.raises(ValueError):
-            radius_root_test([1.0] * 8, 7, window=4)
-        with pytest.raises(ValueError):
-            radius_root_test([1.0] * 201, 200, window=3)
+        # K = 7 values past the first: window K//2 = 3
+        with pytest.raises(ValueError, match="window must be >= 4, not 3"):
+            radius_root_test([1.0] * 8)
+        assert radius_root_test([1.0] * 9).window == 4
 
     def test_columns_match_one_column_at_a_time(self, rng):
         # one call on a (K+1, points) array gives each column's floats, bit
@@ -170,7 +170,7 @@ class TestRootTest:
             np.arange(K + 1)[:, None])
         values[rng.random(values.shape) < 0.1] = 0.0
         values[K // 2:, :5] = 0.0                     # vanishing tails
-        rt = radius_root_test(values, K)
+        rt = radius_root_test(values)
         assert rt.radius.shape == rt.log_rate.shape == (300,)
         for j, column in enumerate(values.T):
             with np.errstate(divide="ignore"):
@@ -178,7 +178,7 @@ class TestRootTest:
             finite = seq[K - K // 2:][np.isfinite(seq[K - K // 2:])]
             log_rate = float(finite.max()) if finite.size else -math.inf
             radius = math.exp(-log_rate) if finite.size else math.inf
-            one = radius_root_test(column, K)
+            one = radius_root_test(column)
             assert type(one.radius) is type(one.log_rate) is float
             assert one.radius == rt.radius[j] == radius
             assert one.log_rate == rt.log_rate[j] == log_rate
@@ -189,8 +189,8 @@ class TestRootTest:
         K, c = 200, 10.0
         base = self.geometric_values(2.0, K)
         scaled = [c * v for v in base]
-        r1 = radius_root_test(base, K)
-        r2 = radius_root_test(scaled, K)
+        r1 = radius_root_test(base)
+        r2 = radius_root_test(scaled)
         k_min = K - r1.window + 1
         assert abs(r2.log_rate - r1.log_rate) <= math.log(c) / k_min + 1e-12
 
