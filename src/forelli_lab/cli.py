@@ -7,7 +7,8 @@ the report.  Exit codes: 0 no stage fails, 1 some stage fails (a series
 with a zbar term fails analyze and certify alike) or a direction set or
 pencil fails its check, 2 usage or configuration error, 3 numerical
 failure (ill-conditioning, inversion divergence, degenerate
-normalization).
+normalization), 141 stdout closed before the report was written (as
+``forelli-lab ... | head``; nothing is printed about it).
 
 stdout carries the report (plain-text summary by default, the full JSON
 document with --json); stderr carries diagnostics.  JSON output contains
@@ -50,6 +51,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_PIPE = 141                 # 128 + SIGPIPE: stdout closed by its reader
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -136,8 +138,6 @@ def _cmd_jet(args):
     n = args.dim
     f = _load_function(args, n)
     center = _parse_point(args.center) if args.center else None
-    if center is not None and len(center) != n:
-        raise ValueError(f"center has {len(center)} components, expected {n}")
     stage, jet = jet_stage(f, n, args.order, args.tol, rho0=args.rho0,
                            sigma=args.sigma, rho_max=args.rho_max,
                            grid=args.grid, center=center)
@@ -158,14 +158,11 @@ def _cmd_jet(args):
 def _cmd_slice(args):
     S = FormalSeries.load(args.series_file)
     a = _parse_point(args.a)
-    if len(a) != S.n:
-        raise ValueError(f"point has {len(a)} components, series has n={S.n}")
-    sl = slice_series(S, a)
-    coeffs = [{"p": p, "q": q, "coeff": [sl.coeffs[p, q].real,
-                                         sl.coeffs[p, q].imag]}
+    table = slice_series(S, a).coeffs.tolist()      # Python complex entries
+    coeffs = [{"p": p, "q": q, "coeff": [table[p][q].real, table[p][q].imag]}
               for p in range(S.max_order + 1)
               for q in range(S.max_order + 1 - p)
-              if sl.coeffs[p, q] != 0]
+              if table[p][q] != 0]
     lines = [f"slice along a={a} of {args.series_file}:"]
     lines += [f"  t^{c['p']} tbar^{c['q']}: {c['coeff']}" for c in coeffs]
     return ({"series_file": args.series_file, "a": a},
@@ -546,7 +543,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()          # a closed stdout raises here at the latest
+    except BrokenPipeError:
+        # the reader closed stdout early (``forelli-lab ... | head``):
+        # stdout goes to devnull so the interpreter's last flush stays
+        # quiet, and the exit status is the one SIGPIPE would have left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

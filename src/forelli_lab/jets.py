@@ -10,8 +10,10 @@ so each mode pins down the coefficients along one diagonal I - J = mu.
 Writing I = mu_+ + L, J = mu_- + L (L >= 0 componentwise), the unknowns
 of a mode form a simplex of shifted even powers, and sampling radius
 tuples unisolvent for every simplex (``_radius_rows``: the full product
-of the schedule for n <= 2, a lower set and the diagonal for n >= 3)
-makes the per-mode linear system an (overdetermined) Vandermonde solve.
+of the schedule for n = 1, a lower set and the diagonal for n >= 2; at
+n = 2 that is 45/69/97/112 tori at orders 12/16/20/22 instead of the
+product's 49/81/121/144) makes the per-mode linear system an
+(overdetermined) Vandermonde solve.
 The cross-radius misfit of that solve is the consistency certificate: a
 function admitting the jet fits every mode to quadrature accuracy, while
 homogeneous non-polynomial behaviour (for instance quotients by normsq)
@@ -45,6 +47,7 @@ one task at a time.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import contextvars
 import itertools
@@ -74,6 +77,9 @@ COND_LIMIT = 1e14
 # grid 32) are sampled on two threads, and otherwise (solving those on two
 # gained nothing) stacks of this many entries in all are solved on two
 POOL_MIN_POINTS = 32 ** 3
+# n = 2 tori keep the radius-index pairs t_1 + t_2 <= m + N2_SLACK (m radii)
+# and the diagonal: 112 of the 144 pairs at order 22
+N2_SLACK = 2
 
 
 class JetExtractionError(RuntimeError):
@@ -148,13 +154,17 @@ def _modes(n: int, order: int) -> np.ndarray:
 
 def _radius_rows(n: int, count: int, top: int) -> List[tuple]:
     """Radius-index tuples of the sampled tori, in itertools.product order
-    over range(count): all of them for n <= 2 (fewer push n = 2 orders 20
-    and 22 past COND_LIMIT); for n >= 3 the lower set t_1 + ... + t_n <=
-    top, unisolvent for the simplex of unknowns of every |mu| class
-    (Biermann), and the diagonal (t, ..., t) that _failure_order reads."""
+    over range(count): all of them for n = 1; otherwise a lower set,
+    unisolvent for the simplex of unknowns of every |mu| class (Biermann),
+    and the diagonal (t, ..., t) that _failure_orders reads.  The lower
+    set is t_1 + ... + t_n <= top for n >= 3 and t_1 + t_2 <= top +
+    N2_SLACK for n = 2 (a smaller slack pushes orders 20 and 22 past
+    COND_LIMIT)."""
     rows = itertools.product(range(count), repeat=n)
-    if n <= 2:
+    if n == 1:
         return list(rows)
+    if n == 2:
+        top += N2_SLACK
     return [t for t in rows if sum(t) <= top or len(set(t)) == 1]
 
 
@@ -174,7 +184,7 @@ def extract_jet(f, n: int, order: int, *,
     The tori have the ceil(order/2) + 1 radii of ``radius_schedule(rho0,
     sigma, rho_max)``, which must be positive and distinct, and the
     angular grid at least 2*order + 1 points per dimension.  A nonzero
-    ``center`` translates the expansion point.
+    ``center``, n finite components, translates the expansion point.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -191,6 +201,12 @@ def extract_jet(f, n: int, order: int, *,
     func = as_callable(f, n)
     if center is not None:
         center = tuple(complex(c) for c in center)
+        if len(center) != n:
+            raise ValueError(f"center has {len(center)} components, "
+                             f"expected {n}")
+        for c in center:
+            if not cmath.isfinite(c):
+                raise ValueError(f"center must be finite, not {c}")
         base = func
         func = lambda z: base(tuple(z[k] + center[k] for k in range(n)))
 

@@ -27,8 +27,9 @@ from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
 from .report import build_report
 from .series import FormalSeries
 from .slices import (CERTIFICATE_SAMPLES, CertificateError,
-                     ConvergenceCertificate, _check_r0, certify_polydisc,
-                     chart_map, chart_poly_family, radius_root_test)
+                     ConvergenceCertificate, _check_K, _check_r0,
+                     certify_polydisc, chart_map, chart_poly_family,
+                     radius_root_test)
 
 PASS = "pass"
 FAIL = "fail"
@@ -268,9 +269,14 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     capacity stages are left out.  The one skip rule: once the
     holomorphic-type stage fails, every later stage is reported skipped,
     since each reads the series as zbar-free.  An r0 that is not positive
-    and finite is refused before the first stage.
+    and finite, and a certificate order K below 1, are refused before the
+    first stage.  K is cfg.K (else the order), capped at the order of the
+    series or jet.
     """
     _check_r0(cfg.r0)
+    K = min(cfg.K if cfg.K is not None else cfg.order,
+            f.max_order if isinstance(f, FormalSeries) else cfg.order)
+    _check_K(K)
     stages: List[Stage] = []
     if isinstance(f, FormalSeries):
         skipped = ("disc_holomorphy", "jet") if directions else ("jet",)
@@ -295,7 +301,6 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
     if stages[-1].status == FAIL:
         stages += [Stage(name, SKIPPED) for name in later]
     else:
-        K = min(cfg.K if cfg.K is not None else cfg.order, series.max_order)
         if directions:
             pencil, capacity = directions
             radii, column = _radii_stage(series, K, pencil.directions)

@@ -21,6 +21,7 @@ kernel call per chunk of them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -81,10 +82,14 @@ class SliceSeries:
 
 
 def slice_series(S: FormalSeries, a) -> SliceSeries:
-    """Restrict S to the ray t -> t*a:  c[p,q] = sum_{|I|=p,|J|=q} C a^I abar^J."""
+    """Restrict S to the ray t -> t*a:  c[p,q] = sum_{|I|=p,|J|=q} C a^I abar^J.
+    The ray point a has S.n finite components."""
     a = np.asarray(a, dtype=complex)
     if len(a) != S.n:
         raise ValueError(f"ray point has {len(a)} components, expected {S.n}")
+    for c in a.tolist():
+        if not cmath.isfinite(c):
+            raise ValueError(f"ray point must be finite, not {c}")
     N = S.max_order
     g = S.graded
     terms = g.coeffs * monomials(np.concatenate([a, np.conj(a)]), g.exponents)
@@ -275,6 +280,13 @@ def _check_r0(r0: float) -> None:
         raise ValueError(f"r0 must be positive and finite, not {r0}")
 
 
+def _check_K(K: int) -> None:
+    """Refuse a certificate top order below 1: with no order checked there
+    is no certificate."""
+    if K < 1:
+        raise ValueError(f"K must be at least 1, not {K}")
+
+
 def certify_polydisc(S: FormalSeries, r0: float, K: int, *,
                      seed: int = 42) -> ConvergenceCertificate:
     """Build and verify a polydisc convergence certificate for S.
@@ -295,8 +307,7 @@ def certify_polydisc(S: FormalSeries, r0: float, K: int, *,
     order checked there is no certificate.
     """
     _check_r0(r0)
-    if K < 1:
-        raise ValueError(f"K must be at least 1, not {K}")
+    _check_K(K)
     family = chart_poly_family(S, K)       # validates holomorphic type
     n = S.n
     nv = family.nvars

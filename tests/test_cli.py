@@ -44,14 +44,14 @@ class TestExitCodes:
 
     def test_certificate_bound_met_to_the_last_bit(self, capsys):
         # P_3 = c z1^3 sets M = c^(1/3), and (c^(1/3))^3 rounds one ulp
-        # below c = 1.4139304537811759; the coefficient meets its bound
+        # below c = 1.6300947068828706; the coefficient meets its bound
         code, out, _ = run_cli(
-            capsys, "analyze", "--expr", "1/(2.17-z1)+1/(1.61-z1)"
-            "+exp(-1.34*z1+0.59*z1)*1.22*z1^3", "--order", "12", "--json")
+            capsys, "analyze", "--expr", "1/(2.41-z1)+1/(2.11-z1)"
+            "+exp(0.69*z1+0.13*z1)*1.55*z1^3", "--order", "12", "--json")
         assert code == 0
         report = json.loads(out)
         cert = report["summary"]["certificate"]
-        assert cert is not None and cert["M"] ** 3 < 1.4139304537811759
+        assert cert is not None and cert["M"] ** 3 < 1.6300947068828706
         validate(out)
 
     def test_analyze_counterexample_fails(self, capsys):
@@ -108,6 +108,39 @@ class TestExitCodes:
             assert (code, out, err) == (
                 2, "", f"error: r0 must be positive and finite, not "
                        f"{float(r0)}\n")
+
+    @pytest.mark.parametrize("command", ["certify", "analyze"])
+    def test_K_below_one_refused_before_the_first_stage(self, capsys,
+                                                         command):
+        # the zbar input fails its holomorphic_type stage, before the
+        # certificate: K is refused before the first stage, as r0 is
+        for expr in ("exp(z1+z2)", "z1*conj(z2)"):
+            code, out, err = run_cli(capsys, command, "--expr", expr,
+                                     "--order", "8", "--K", "0", "--json")
+            assert (code, out, err) == (2, "", "error: K must be at least "
+                                               "1, not 0\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("jet", "--expr", "exp(z1+z2)", "--order", "6", "--center",
+          "nan,0 0,0"), "center must be finite, not (nan+0j)"),
+        (("jet", "--expr", "exp(z1+z2)", "--order", "6", "--center",
+          "0,0 1,inf"), "center must be finite, not (1+infj)"),
+        (("jet", "--expr", "exp(z1+z2)", "--order", "6", "--center",
+          "0,0"), "center has 1 components, expected 2"),
+        (("slice", "--a", "nan,0 1,0"), "ray point must be finite, not "
+                                        "(nan+0j)"),
+        (("slice", "--a", "1,0 0,-inf"), "ray point must be finite, not "
+                                         "-infj"),
+        (("slice", "--a", "1,0"), "ray point has 1 components, expected 2")],
+        ids=["center-nan", "center-inf", "center-length", "ray-nan",
+             "ray-inf", "ray-length"])
+    def test_point_must_be_finite(self, capsys, tmp_path, argv, message):
+        if argv[0] == "slice":
+            path = tmp_path / "s.txt"
+            FormalSeries(2, 4, {((1, 0), (0, 0)): 1.0}).save(path)
+            argv = ("slice", "--series-file", str(path)) + argv[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--expr", "exp(z1+z2)", "--order", "8", "--tol"),
@@ -223,7 +256,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == ("numerical failure: ill-conditioned radius schedule: "
-                       "mode (-8, 0) condition 1.08e+14 exceeds 1e+14; "
+                       "mode (-6, 0) condition 3.42e+14 exceeds 1e+14; "
                        "remedy: lower --order, or respace the radius "
                        "schedule (e.g. --rho-max 1 caps its largest radius "
                        "at 1)\n")
@@ -987,6 +1020,39 @@ class TestSubcommands:
         assert code == 0
         coeffs = json.loads(out)["summary"]["coefficients"]
         assert coeffs == [{"p": 1, "q": 0, "coeff": [3.0, 0.0]}]
+
+    def test_slice_text_prints_plain_numbers(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        FormalSeries(2, 6, {((1, 0), (0, 0)): 1.0, ((0, 1), (0, 0)): 1.0,
+                            ((0, 1), (1, 0)): -0.5j}).save(path)
+        code, out, _ = run_cli(capsys, "slice", "--series-file", str(path),
+                               "--a", "1,0 2,0")
+        assert code == 0
+        assert out.splitlines()[1:] == ["  t^1 tbar^0: [3.0, 0.0]",
+                                        "  t^1 tbar^1: [0.0, -1.0]"]
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader keeps one line of a 0.3 MB report, several times the
+        # pipe's buffer, and closes the pipe: no traceback, the SIGPIPE
+        # status
+        import subprocess
+        import sys
+        path = tmp_path / "big.txt"
+        FormalSeries(2, 120, {((i, 0), (0, j)): 1.0 for i in range(121)
+                              for j in range(121 - i)}).save(path)
+        with subprocess.Popen(
+                [sys.executable, "-m", "forelli_lab.cli", "slice",
+                 "--series-file", str(path), "--a", "1,0 0.5,0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err = proc.stderr.read()
+        assert first.startswith(b"slice along a=")
+        assert (code, err) == (cli.EXIT_PIPE, b"")
 
     def test_psh_classify(self, capsys, tmp_path):
         path = tmp_path / "geo.txt"

@@ -103,6 +103,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             extract_jet(parse("z1"), 1, 8, **{name: value})
 
+    @pytest.mark.parametrize("center,message", [
+        ((math.nan, 0), r"^center must be finite, not \(nan\+0j\)$"),
+        ((0, complex(1, math.inf)), r"^center must be finite, not "
+                                    r"\(1\+infj\)$"),
+        ((0,), "^center has 1 components, expected 2$")])
+    def test_center_must_be_finite(self, center, message):
+        with pytest.raises(ValueError, match=message):
+            extract_jet(parse("exp(z1+z2)"), 2, 6, center=center)
+
     def test_evaluation_failure_reported(self):
         from forelli_lab import JetExtractionError
         with pytest.raises(JetExtractionError, match="evaluation failed"):
@@ -190,9 +199,9 @@ def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
     """Per-mode reference: one torus sample, one ``lstsq`` solve and one
     pseudoinverse per Fourier mode, in ``_modes`` order.
 
-    The tori are the full product of the m radii for n <= 2; for n >= 3
-    they are the radius-index tuples t with t_1 + ... + t_n <= m and the
-    diagonal tuples (s, ..., s), in product order.
+    The tori are the m radii for n = 1; for n >= 2 they are the
+    radius-index tuples t with t_1 + ... + t_n <= m (m + 2 for n = 2) and
+    the diagonal tuples (s, ..., s), in product order.
 
     Returns the verdict text, the coefficients {(I, J): (value, rounding)}
     with the solve-rounding part of each coefficient's uncertainty bound,
@@ -203,8 +212,9 @@ def _reference_jet(f, n, order, grid, rho0=0.2, sigma=1.25, tol=1e-6,
 
     radii = radius_schedule(max((order + 1) // 2 + 1, 2), rho0, sigma)
     m = len(radii)
+    top = m + 2 if n == 2 else m
     rows = [row for row in itertools.product(range(m), repeat=n)
-            if n <= 2 or sum(row) <= m or len(set(row)) == 1]
+            if n == 1 or sum(row) <= top or len(set(row)) == 1]
     theta = 2.0 * np.pi * np.arange(grid) / grid
     phases = [np.exp(1j * g)
               for g in np.meshgrid(*([theta] * n), indexing="ij")]
@@ -305,7 +315,7 @@ class TestBatchedSolverMatchesReference:
         from forelli_lab import JetExtractionError
         with pytest.raises(JetExtractionError,
                            match=r"ill-conditioned radius schedule: "
-                                 r"mode \(-8, 0\) condition"):
+                                 r"mode \(-6, 0\) condition"):
             extract_jet(parse("exp(z1+z2)"), 2, 24)
 
 
@@ -753,6 +763,16 @@ class TestSolveHelper:
         monkeypatch.setattr(jets, "ThreadPoolExecutor", no_pool)
         extract_jet(parse(f, dim=n), n, order)
 
+    @pytest.mark.parametrize("order,pools", [(12, 0), (13, 1), (14, 1)])
+    def test_helper_starts_after_order_12(self, monkeypatch, order, pools):
+        # the n = 2 stacks hold 45 * 588 = 26 460 entries at order 12,
+        # 56 * 756 = 42 336 at order 13 and 56 * 960 = 53 760 at order 14,
+        # against POOL_MIN_POINTS = 32 768
+        jet, started = self._jet(monkeypatch, 2, parse("exp(z1+z2)"), 2,
+                                 order)
+        assert started == pools
+        assert jet.verdict == FULL_JET
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_condition_limit_with_and_without_helper(self, monkeypatch,
                                                      workers):
@@ -760,7 +780,7 @@ class TestSolveHelper:
         with pytest.raises(JetExtractionError) as info:
             self._jet(monkeypatch, workers, parse("exp(z1+z2)"), 2, 24)
         assert str(info.value) == ("ill-conditioned radius schedule: mode "
-                                   "(-8, 0) condition 1.08e+14 exceeds 1e+14")
+                                   "(-6, 0) condition 3.42e+14 exceeds 1e+14")
 
 
 def _full_product(n, count, top):
@@ -769,18 +789,62 @@ def _full_product(n, count, top):
 
 
 class TestLowerSetRows:
-    """n >= 3 jets sample a lower set of radius tuples plus the diagonal;
-    n <= 2 jets sample the full product."""
+    """n >= 2 jets sample a lower set of radius tuples plus the diagonal;
+    n = 1 jets sample all radii."""
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_n_up_to_two_is_the_full_product(self, n):
+    def test_n1_is_the_full_product(self):
         from forelli_lab.jets import _radius_rows
         for count in range(2, 13):
             for top in range(2, count + 1):
-                assert _radius_rows(n, count, top) == \
-                    _full_product(n, count, top)
-        jet = extract_jet(parse("exp(z1+z2)"), 2, 12)
-        assert jet.diagnostics["tori"] == 7 ** 2
+                assert _radius_rows(1, count, top) == \
+                    _full_product(1, count, top)
+        assert extract_jet(parse("exp(z1)", dim=1), 1, 12).diagnostics[
+            "tori"] == 7
+
+    @pytest.mark.parametrize("order,tori", [(12, 45), (16, 69), (20, 97),
+                                            (22, 112)])
+    def test_n2_lower_set_and_diagonal(self, order, tori):
+        from forelli_lab.jets import N2_SLACK, _radius_rows
+        for count in range(2, 13):
+            for top in range(2, count + 1):
+                rows = _radius_rows(2, count, top)
+                assert rows == sorted(rows)         # product order
+                assert {(s, s) for s in range(count)} <= set(rows)
+                lower = [t for t in rows if sum(t) <= top + N2_SLACK]
+                assert lower == [t for t in _full_product(2, count, top)
+                                 if sum(t) <= top + N2_SLACK]
+                assert len(rows) == len(lower) + sum(
+                    2 * s > top + N2_SLACK for s in range(count))
+                for t1, t2 in lower:                # a lower set
+                    assert t1 == 0 or (t1 - 1, t2) in rows
+                    assert t2 == 0 or (t1, t2 - 1) in rows
+        m = order // 2 + 1
+        assert len(_radius_rows(2, m, m)) == tori
+        jet = extract_jet(parse("exp(z1+z2)"), 2, order)
+        assert jet.diagnostics["tori"] == tori
+
+    @pytest.mark.parametrize("rho_max", [None, 1.0])
+    def test_n2_exp_no_worse_conditioned_than_the_full_product(
+            self, monkeypatch, rho_max):
+        # the lower set's worst condition is 0.77-0.87 of the product's
+        # on the default schedule and 0.78-0.91 with rho_max 1
+        from forelli_lab import jets
+        f = parse("exp(z1+z2)")
+        for order in range(12, 23):
+            jet = extract_jet(f, 2, order, rho_max=rho_max)
+            with monkeypatch.context() as patch:
+                patch.setattr(jets, "_radius_rows", _full_product)
+                full = extract_jet(f, 2, order, rho_max=rho_max)
+            assert full.diagnostics["tori"] > jet.diagnostics["tori"]
+            assert (jet.diagnostics["worst_condition"]
+                    <= full.diagnostics["worst_condition"]), order
+            assert jet.verdict == FULL_JET, order
+            assert all(not any(J) for _, J in jet.series.terms)
+            for i1 in range(order + 1):
+                for i2 in range(order + 1 - i1):
+                    want = 1.0 / (math.factorial(i1) * math.factorial(i2))
+                    got = jet.series.coefficient((i1, i2))
+                    assert abs(got - want) <= 1e-6, (order, i1, i2)
 
     @pytest.mark.parametrize("order,tori", [(4, 18), (6, 34), (8, 56),
                                             (10, 84), (12, 121)])

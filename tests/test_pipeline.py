@@ -156,6 +156,28 @@ class TestDirectionCheck:
             forelli_analyze(S, sphere_directions(3, 200))
 
 
+class TestConfigRefusedBeforeTheFirstStage:
+    @pytest.mark.parametrize("cfg,message", [
+        (AnalyzeConfig(order=8, K=0), "^K must be at least 1, not 0$"),
+        (AnalyzeConfig(order=0), "^K must be at least 1, not 0$"),
+        # K is capped at the order of the jet
+        (AnalyzeConfig(order=0, K=5), "^K must be at least 1, not 0$"),
+        (AnalyzeConfig(order=8, r0=float("nan")),
+         "^r0 must be positive and finite, not nan$")])
+    def test_no_stage_runs(self, monkeypatch, cfg, message):
+        # the zbar input would skip the certificate stage
+        from forelli_lab import pipeline
+
+        def no_stage(*args, **kw):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline, "disc_stage", no_stage)
+        monkeypatch.setattr(pipeline, "jet_stage", no_stage)
+        with pytest.raises(ValueError, match=message):
+            forelli_analyze(parse("z1*conj(z2)"), sphere_directions(2, 50),
+                            cfg)
+
+
 class TestReportShape:
     def test_to_dict_is_json_ready(self):
         import json

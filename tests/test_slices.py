@@ -54,6 +54,16 @@ class TestSlice:
             want = sum(b ** j for j in range(k + 1))
             assert sl.coefficient(k, 0) == pytest.approx(want)
 
+    @pytest.mark.parametrize("a,message", [
+        ((math.nan, 1.0), r"^ray point must be finite, not \(nan\+0j\)$"),
+        ((1.0, complex(0, -math.inf)), "^ray point must be finite, not "
+                                       "-infj$"),
+        ((1.0,), "^ray point has 1 components, expected 2$")])
+    def test_ray_point_must_be_finite(self, a, message):
+        S = FormalSeries.variable(1, 2, 4)
+        with pytest.raises(ValueError, match=message):
+            slice_series(S, a)
+
     def test_linear_in_series(self, rng):
         A = random_series(rng, 2, 6)
         B = random_series(rng, 2, 6)
