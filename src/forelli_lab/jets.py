@@ -38,11 +38,14 @@ Expr is sampled in slabs, the tori that differ only in their last radius
 up to POOL_MIN_POINTS points, each in one evaluation and one band
 transform.  One runner, _on_two_threads, shares independent tasks
 between the calling thread and one helper; numpy's loops and FFTs
-release the GIL, and each task writes only its own rows.  It runs the
-slabs of Expr tori of at least POOL_MIN_POINTS points (n = 3 at grid 32:
-one torus a slab), or else the dmax groups of POOL_MIN_POINTS stack
-entries or more in total.  Either way the jet and its error are those of
-one task at a time.
+release the GIL, and each task writes only its own rows.  Each phase
+decides alone: the slabs run on it when at least two hold more than
+POOL_MIN_POINTS / 2 points (n = 2 from order 7 on at grid 64; at grid 32
+every n = 3 torus is a slab of POOL_MIN_POINTS), the dmax groups when
+the stacks hold POOL_MIN_POINTS entries or more in total (n = 2 from
+order 13 on, n = 3 from order 8).  Sampling ends before solving starts,
+so at most one helper is alive.  The jet, its error and its warnings are
+those of one task at a time.
 """
 
 from __future__ import annotations
@@ -73,9 +76,9 @@ COEFF_FLOOR = 1e-10
 COND_LIMIT = 1e14
 # below this many entries the GIL hand-off between short numpy calls costs
 # more than a second core gains.  Expr tori are sampled in slabs of up to
-# this many points; tori of at least this many points (n = 3 at the default
-# grid 32) are sampled on two threads, and otherwise (solving those on two
-# gained nothing) stacks of this many entries in all are solved on two
+# this many points, on two threads when at least two slabs hold more than
+# half of it, and design stacks of this many entries in all are solved on
+# two
 POOL_MIN_POINTS = 32 ** 3
 # n = 2 tori keep the radius-index pairs t_1 + t_2 <= m + N2_SLACK (m radii)
 # and the diagonal: 112 of the 144 pairs at order 22
@@ -212,11 +215,9 @@ def extract_jet(f, n: int, order: int, *,
 
     mus = _modes(n, order)
     rows = _radius_rows(n, len(radii), m_needed)
-    compact = isinstance(f, Expr)
     two = _sample_workers() > 1
-    two_samplers = two and compact and grid ** n >= POOL_MIN_POINTS
-    mode_vals = _sample_modes(func, compact, radii, rows, mus, grid, order,
-                              two_samplers)
+    mode_vals = _sample_modes(func, isinstance(f, Expr), radii, rows, mus,
+                              grid, order, two)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     # the indices of the rows (t, ..., t), in ascending t
@@ -298,8 +299,7 @@ def extract_jet(f, n: int, order: int, *,
 
     # per dmax, the classes and unknowns #L of its stack (see POOL_MIN_POINTS)
     n_cls, n_unk = np.bincount(class_dmax), np.cumsum(np.bincount(L_order))
-    if (two and not two_samplers
-            and len(rows) * (n_cls @ n_unk) >= POOL_MIN_POINTS):
+    if two and len(rows) * (n_cls @ n_unk) >= POOL_MIN_POINTS:
         _on_two_threads(solve, sorted(      # largest SVD work first
             groups, key=lambda d: -n_cls[d] * n_unk[d] ** 2))
     else:
@@ -443,20 +443,21 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
 
     With ``compact`` (Expr inputs) component k of a torus has shape (G,)
     on axis k and 1 elsewhere; otherwise each component is a fresh full
-    (G,) * n array, one torus per call.  The band |m_k| <= order of modes
-    is transformed and the modes gathered with one flat index array.
+    (G,) * n array, one torus per call, on the calling thread (a callable
+    may keep state).  The band |m_k| <= order of modes is transformed and
+    the modes gathered with one flat index array.
 
     Compact tori are sampled in slabs: the tori that share every radius
     index but the last, up to POOL_MIN_POINTS points together, get one
     evaluation (the last component carries a leading slab axis) and one
-    band transform.  Inside a slab numpy's floating-point events that
-    would warn raise; a slab that raises or holds non-finite samples is
-    redone torus by torus, so its errors and warnings are those of one
-    torus at a time.  A callable gets one torus per slab.  With
-    ``two_threads`` (never for a callable, which may keep state) the slabs
-    run on ``_on_two_threads``, otherwise in row order on the calling
-    thread; either way the error raised is that of the first failing torus
-    in row order.
+    band transform, under an np.errstate in which numpy's floating-point
+    events that would warn raise.  The slabs that raise or hold non-finite
+    samples are redone afterwards, in row order, torus by torus on the
+    calling thread, so the errors and warnings are those of one torus at a
+    time, the first failing torus in row order raising.  With
+    ``two_threads`` and at least two slabs of more than POOL_MIN_POINTS / 2
+    points the slabs run on ``_on_two_threads``, otherwise in row order on
+    the calling thread.
     """
     n = mus.shape[1]
     if compact:
@@ -468,8 +469,6 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
     band_index = np.ravel_multi_index(tuple((mus + order).T),
                                       (2 * order + 1,) * n)
     mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
-    strict = {kind: "ignore" if mode == "ignore" else "raise"
-              for kind, mode in np.geterr().items()}
 
     def sample(ri):
         rho = radii[list(rows[ri])]
@@ -486,10 +485,18 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
         vals = np.broadcast_to(vals, (grid,) * n)
         mode_vals[ri] = torus_modes(vals, n, order).ravel()[band_index]
 
-    def sample_slab(start, stop):
+    if not compact:
+        for ri in range(len(rows)):
+            sample(ri)
+        return mode_vals
+
+    strict = {kind: "ignore" if mode == "ignore" else "raise"
+              for kind, mode in np.geterr().items()}
+    redo = []                   # the slabs that raised or went non-finite
+
+    def sample_slab(slab):
         """Tori start..stop-1, which differ only in their last radius."""
-        if stop - start == 1:
-            return sample(start)
+        start, stop = slab
         rho = radii[list(rows[start])]
         last = radii[[row[-1] for row in rows[start:stop]]]
         zs = tuple(rho[k] * unit[k] for k in range(n - 1)) + (
@@ -499,27 +506,31 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
             with np.errstate(**strict):
                 vals = np.asarray(func(zs), dtype=complex)
         except Exception:
-            vals = None             # redone below, where it raises
+            vals = None
         if vals is None or not np.all(np.isfinite(vals)):
-            for ri in range(start, stop):
-                sample(ri)
+            redo.append(slab)
             return
         vals = np.broadcast_to(vals, (stop - start,) + (grid,) * n)
         mode_vals[start:stop] = torus_modes(vals, n, order).reshape(
             stop - start, -1)[:, band_index]
 
-    size = max(1, POOL_MIN_POINTS // grid ** n) if compact else 1
+    size = max(1, POOL_MIN_POINTS // grid ** n)
     # the runs of rows that share every radius index but the last, cut
     # into slabs of at most ``size`` tori
     runs = [list(run) for _, run in itertools.groupby(
         range(len(rows)), key=lambda ri: rows[ri][:-1])]
     slabs = [(start, min(start + size, run[-1] + 1))
              for run in runs for start in range(run[0], run[-1] + 1, size)]
-    if two_threads:
-        _on_two_threads(lambda slab: sample_slab(*slab), slabs)
+    large = sum(2 * (stop - start) * grid ** n > POOL_MIN_POINTS
+                for start, stop in slabs)
+    if two_threads and large >= 2:
+        _on_two_threads(sample_slab, slabs)
     else:
         for slab in slabs:
-            sample_slab(*slab)
+            sample_slab(slab)
+    for start, stop in sorted(redo):
+        for ri in range(start, stop):
+            sample(ri)
     return mode_vals
 
 

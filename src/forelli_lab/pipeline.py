@@ -6,16 +6,17 @@ jet (hypothesis 1), zbar-freeness of the jet, per-direction root-test
 radii of the slice family, positivity of the chart capacity of the
 direction set, and finally an explicit polydisc convergence certificate.
 Every stage records a verdict; non-fatal failures keep the pipeline
-going so the report shows all diagnostics.  The final claim is always
-"modulo Hartogs extension": continuation beyond the certified polydisc
-is out of scope here.
+going so the report shows all diagnostics.  The capacity stage reads
+only the directions, so its normality check is computed once per
+direction set and kept for the next analysis of the same rows.  The
+final claim is always "modulo Hartogs extension": continuation beyond
+the certified polydisc is out of scope here.
 """
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -212,11 +213,18 @@ def _radii_stage(series: FormalSeries, K: int, units: np.ndarray
     return stages, column
 
 
-def _capacity_stage(capacity: Future) -> Stage:
-    """Capacity positivity of the chart image of U, from the normality
-    check that ``capacity`` resolves to."""
+@functools.lru_cache(maxsize=4)     # a few direction sets per process
+def _normality(shape: Tuple[int, ...], rows: bytes):
+    """normality_check of the complex128 rows with these bytes.  Only a
+    result is kept, and its callers only read it: an error is raised
+    again on every call."""
+    return normality_check(np.frombuffer(rows, dtype=complex).reshape(shape))
+
+
+def _capacity_stage(U: np.ndarray) -> Stage:
+    """Capacity positivity of the chart image of the direction rows U."""
     try:
-        norm = capacity.result()
+        norm = _normality(U.shape, U.tobytes())
     except (ChartUndecidableError, ValueError) as exc:
         return Stage("direction_capacity", FAIL, {"error": str(exc)},
                      str(exc))
@@ -246,25 +254,16 @@ def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
     U = np.atleast_2d(np.asarray(directions, dtype=complex))
     pencil = standard_pencil(f.n if isinstance(f, FormalSeries)
                              else U.shape[1], U)
-    # the capacity check reads only U, so it runs on a background thread,
-    # in a copy of the caller's context, while the discs and the jet are
-    # checked; leaving the block joins the thread on every exit.  Its
-    # KD-tree's module is imported first, here: imported on that thread,
-    # beside the jet, each of its file reads would wait for the GIL
-    import scipy.spatial  # noqa: F401
-    with ThreadPoolExecutor(1) as background:
-        capacity = background.submit(contextvars.copy_context().run,
-                                     normality_check, U)
-        return run_stages(f, pencil.n, cfg, (pencil, capacity))
+    return run_stages(f, pencil.n, cfg, (pencil, U))
 
 
 def run_stages(f, n: int, cfg: AnalyzeConfig,
-               directions: Optional[Tuple[PencilSpec, Future]] = None
+               directions: Optional[Tuple[PencilSpec, np.ndarray]] = None
                ) -> AnalysisReport:
     """The stages of an analysis of f in C^n, in order.
 
-    ``directions`` is the standard pencil of the direction set with a
-    future of the set's normality check, as forelli_analyze passes them.
+    ``directions`` is the standard pencil of the direction set with the
+    set's rows, as forelli_analyze passes them.
     Without it, as ``certify`` runs, the disc, chart-family, radii and
     capacity stages are left out.  The one skip rule: once the
     holomorphic-type stage fails, every later stage is reported skipped,
@@ -302,9 +301,9 @@ def run_stages(f, n: int, cfg: AnalyzeConfig,
         stages += [Stage(name, SKIPPED) for name in later]
     else:
         if directions:
-            pencil, capacity = directions
+            pencil, U = directions
             radii, column = _radii_stage(series, K, pencil.directions)
-            stages += radii + [_capacity_stage(capacity)]
+            stages += radii + [_capacity_stage(U)]
         stage, certificate = certificate_stage(series, cfg.r0, K, cfg.seed)
         stages.append(stage)
 

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from forelli_lab import FormalSeries
+from forelli_lab import FormalSeries, pipeline
 
 try:
     from hypothesis import settings
@@ -19,11 +19,19 @@ else:
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
     """A thread left running, on an error path for instance, fails the test
-    that started it: the jet's sampling and solve helper, the analysis's
-    capacity thread."""
+    that started it: the jet's sampling and solve helper."""
     before = threading.active_count()
     yield
     assert threading.active_count() <= before, threading.enumerate()
+
+
+@pytest.fixture(autouse=True)
+def fresh_capacity_checks():
+    """Every test starts with no kept normality check, so a test that
+    patches the check cannot read a result that another test kept."""
+    pipeline._normality.cache_clear()
+    yield
+    pipeline._normality.cache_clear()
 
 
 @pytest.fixture

@@ -450,17 +450,23 @@ def test_deepcopy_of_a_jet():
 
 
 def _count_pools(patch):
-    """Patch ``jets.ThreadPoolExecutor`` to record every pool started, and
-    return the record."""
+    """Patch ``jets._on_two_threads`` to record the task of every helper
+    started, by name ("sample_slab" or "solve"), and to fail a task that
+    runs beside more than one helper; return the record."""
     from forelli_lab import jets
-    pools = []
+    pools, run = [], jets._on_two_threads
+    before = threading.active_count()
 
-    class Pool(jets.ThreadPoolExecutor):
-        def __init__(self, *args):
-            pools.append(args)
-            super().__init__(*args)
+    def recording(task, items):
+        pools.append(task.__name__)
 
-    patch.setattr(jets, "ThreadPoolExecutor", Pool)
+        def checked(item):
+            assert threading.active_count() <= before + 1
+            task(item)
+
+        run(checked, items)
+
+    patch.setattr(jets, "_on_two_threads", recording)
     return pools
 
 
@@ -471,7 +477,7 @@ class TestSamplingThreads:
     @staticmethod
     def _jet(monkeypatch, workers, f, n, order, center=None):
         """The jet with ``workers`` CPUs, its mode table, the threads that
-        transformed tori and the number of thread pools started."""
+        transformed tori and the tasks of the helpers started."""
         from forelli_lab import jets
 
         sample, transform = jets._sample_modes, jets.torus_modes
@@ -491,7 +497,7 @@ class TestSamplingThreads:
             patch.setattr(jets, "torus_modes", recording_transform)
             pools = _count_pools(patch)
             jet = extract_jet(f, n, order, center=center)
-        return jet, modes[0], threads, len(pools)
+        return jet, modes[0], threads, pools
 
     @staticmethod
     def _assert_same_jet(got, want):
@@ -510,16 +516,18 @@ class TestSamplingThreads:
         ("exp(z1*z2+z3)", 6, (0.1, -0.2j, 0.05)),
     ])
     def test_pool_matches_one_worker(self, monkeypatch, expr, order, center):
-        # two CPUs: the calling thread and one helper sample the tori, on
-        # the one pool of the jet (the solve stays on the calling thread)
+        # two CPUs: the calling thread and one helper sample the tori (every
+        # n = 3 torus at grid 32 is a slab of 32^3 points), then solve the
+        # design stacks if they hold 32^3 entries in all: 41 552 at order 8,
+        # 8 806 at order 6 and 1 278 at order 4
         f = parse(expr, dim=3)
         got, got_modes, threads, pools = self._jet(monkeypatch, 2, f, 3,
                                                    order, center)
         want, want_modes, serial, serial_pools = self._jet(
             monkeypatch, 1, f, 3, order, center)
-        assert (serial, serial_pools) == ({threading.get_ident()}, 0)
+        assert (serial, serial_pools) == ({threading.get_ident()}, [])
         assert threading.get_ident() in threads and len(threads) <= 2
-        assert pools == 1
+        assert pools == ["sample_slab"] + ["solve"] * (order >= 8)
         assert got_modes.tobytes() == want_modes.tobytes()
         self._assert_same_jet(got, want)
 
@@ -538,7 +546,7 @@ class TestSamplingThreads:
         finally:
             sys.setswitchinterval(interval)
         for got, got_modes, threads, pools in runs:
-            assert len(threads) <= 2 and pools == 1
+            assert len(threads) <= 2 and pools == ["sample_slab"]
             assert got_modes.tobytes() == want_modes.tobytes()
             self._assert_same_jet(got, want)
 
@@ -681,14 +689,72 @@ class TestSlabsMatchOneTorusAtATime:
         assert got.diagnostics == want.diagnostics
 
 
+class TestWarningsMatchOneThread:
+    """With two workers an Expr jet gives one worker's jet or error and its
+    warnings, in order: the two threads evaluate slabs only where numpy's
+    warnings raise, and the calling thread redoes the slabs that failed
+    torus by torus, in row order."""
+
+    @staticmethod
+    def _run(monkeypatch, workers, f, n, order):
+        """The jet's verdict, coefficient bytes and residuals, or its error;
+        the warnings recorded; and the tasks of the helpers started."""
+        import warnings
+
+        from forelli_lab import JetExtractionError, jets
+        with monkeypatch.context() as patch:
+            patch.setattr(jets, "_sample_workers", lambda: workers)
+            pools = _count_pools(patch)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    jet = extract_jet(f, n, order)
+                    outcome = (jet.verdict_text(),
+                               jet.series.graded.coeffs.tobytes(),
+                               jet.per_order_residuals)
+                except JetExtractionError as exc:
+                    outcome = str(exc)
+        return outcome, [(w.category, str(w.message)) for w in seen], pools
+
+    @pytest.mark.parametrize("expr,n,order,warned", [
+        # exp overflows from rho = 0.25 on: the first such torus raises
+        ("exp(3000*z1)", 1, 8, 1),
+        ("z1+exp(3000*z2)", 2, 14, 1),
+        ("z1+exp(3000*z3)", 3, 6, 1),
+        # the quotient is 0 there: every such torus warns and recovers
+        ("z1+1/(1+exp(3000*re(z1)))", 1, 8, 4),
+        ("z1+1/(1+exp(3000*re(z2)))", 2, 14, 48),
+        ("z1+1/(1+exp(3000*re(z3)))", 3, 6, 21),
+    ])
+    def test_same_warnings(self, monkeypatch, expr, n, order, warned):
+        # the failed slabs are collected from both threads, also when they
+        # switch often
+        import sys
+        f = parse(expr, dim=n)
+        want, want_warned, serial = self._run(monkeypatch, 1, f, n, order)
+        assert serial == []
+        assert want_warned == [
+            (RuntimeWarning, "overflow encountered in exp")] * warned
+        interval = sys.getswitchinterval()
+        for switch in (interval, 1e-6):
+            sys.setswitchinterval(switch)
+            try:
+                got, got_warned, pools = self._run(monkeypatch, 2, f, n,
+                                                   order)
+            finally:
+                sys.setswitchinterval(interval)
+            assert pools[:1] == (["sample_slab"] if n > 1 else [])
+            assert (got, got_warned) == (want, want_warned)
+
+
 class TestSolveHelper:
     """Large design stacks solved on the calling thread and one helper give
     the serial jet, bit for bit, and the serial error."""
 
     @staticmethod
     def _jet(monkeypatch, workers, f, n, order, switch=None, **kw):
-        """The jet with ``workers`` threads allowed, and the number of
-        helper pools started."""
+        """The jet with ``workers`` threads allowed, and the tasks of the
+        helpers started."""
         import sys
 
         from forelli_lab import jets
@@ -702,7 +768,7 @@ class TestSolveHelper:
                 jet = extract_jet(f, n, order, **kw)
             finally:
                 sys.setswitchinterval(interval)
-        return jet, len(pools)
+        return jet, pools
 
     @pytest.mark.parametrize("f,n,order,kw", [
         *[("exp(z1+z2)", 2, order, {"rho_max": rho_max})
@@ -714,13 +780,17 @@ class TestSolveHelper:
         (lambda z: np.exp(z[0] + z[1] * z[2]), 3, 8, {}),
     ])
     def test_helper_matches_serial(self, monkeypatch, f, n, order, kw):
+        from forelli_lab.expr import Expr
         if isinstance(f, str):
             f = parse(f, dim=n)
         want, serial_pools = self._jet(monkeypatch, 1, f, n, order, **kw)
-        assert serial_pools == 0
+        assert serial_pools == []
+        # an Expr's slabs are sampled on the two threads too (callables on
+        # the calling thread), one helper at a time
+        sampled = ["sample_slab"] if isinstance(f, Expr) else []
         for switch in (None, 1e-6):
             got, pools = self._jet(monkeypatch, 2, f, n, order, switch, **kw)
-            assert pools == 1
+            assert pools == sampled + ["solve"]
             assert got.verdict_text() == want.verdict_text()
             assert got.series.graded.exponents.tobytes() == \
                 want.series.graded.exponents.tobytes()
@@ -749,11 +819,14 @@ class TestSolveHelper:
 
     @pytest.mark.parametrize("f,n,order", [
         ("exp(z1)", 1, 22),
-        ("exp(z1+z2)", 2, 12),
-        ("1+z1*z2+z1^3-2*z2^2", 2, 12),
+        ("exp(z1+z2)", 2, 6),
+        ("1+z1*z2+z1^3-2*z2^2", 2, 6),
         ("z1^2*z2*conj(z1)/normsq(z)", 2, 4),
     ])
     def test_small_jets_start_no_thread(self, monkeypatch, f, n, order):
+        # n = 1 at grid 64: one slab of at most 12 tori of 64 points; n = 2
+        # up to order 6: slabs of at most 4 tori of 64^2 points, half of
+        # POOL_MIN_POINTS, and at most 1 280 stack entries
         from forelli_lab import jets
 
         def no_pool(*args):
@@ -767,10 +840,24 @@ class TestSolveHelper:
     def test_helper_starts_after_order_12(self, monkeypatch, order, pools):
         # the n = 2 stacks hold 45 * 588 = 26 460 entries at order 12,
         # 56 * 756 = 42 336 at order 13 and 56 * 960 = 53 760 at order 14,
-        # against POOL_MIN_POINTS = 32 768
+        # against POOL_MIN_POINTS = 32 768; the slabs are sampled on two
+        # threads at all three orders
         jet, started = self._jet(monkeypatch, 2, parse("exp(z1+z2)"), 2,
                                  order)
-        assert started == pools
+        assert started == ["sample_slab"] + ["solve"] * pools
+        assert jet.verdict == FULL_JET
+
+    @pytest.mark.parametrize("order,sampled", [(4, 0), (6, 0), (7, 1),
+                                               (8, 1)])
+    def test_sampling_helper_starts_at_order_7(self, monkeypatch, order,
+                                               sampled):
+        # n = 2 at grid 64: slabs of up to 8 tori of 4 096 points.  Orders
+        # 4 and 6 have 3 and 4 slabs of 3 and 4 tori (12 288 and 16 384
+        # points, no more than half of POOL_MIN_POINTS); order 7 has 5 of
+        # 5 tori (20 480 points).  Two slabs of more than half start it
+        jet, started = self._jet(monkeypatch, 2, parse("exp(z1+z2)"), 2,
+                                 order)
+        assert started == ["sample_slab"] * sampled
         assert jet.verdict == FULL_JET
 
     @pytest.mark.parametrize("workers", [1, 2])

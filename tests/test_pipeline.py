@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -191,33 +192,74 @@ class TestReportShape:
 
 
 class TestCapacityBesideTheJet:
-    """The capacity check runs on a thread that every exit joins."""
+    """The capacity stage reads only the directions: its normality check
+    runs on the calling thread, once per direction set, when the stage is
+    reached, and only a result is kept."""
+
+    @staticmethod
+    def _checks(monkeypatch):
+        """Count the calls of ``pipeline.normality_check``."""
+        from forelli_lab import pipeline
+        calls, check = [], pipeline.normality_check
+
+        def counted(U):
+            calls.append(U.shape)
+            return check(U)
+
+        monkeypatch.setattr(pipeline, "normality_check", counted)
+        return calls
 
     @staticmethod
     def _threads_after(run):
-        import threading
         before = threading.active_count()
         result = run()
         assert threading.active_count() == before
         return result
 
-    def test_pass(self):
+    def test_pass(self, monkeypatch):
+        calls = self._checks(monkeypatch)
         U = cap_directions(3, 0.3, 150, seed=5)
         rep = self._threads_after(lambda: forelli_analyze(
             parse("exp(z1+z2+z3)", dim=3), U, AnalyzeConfig(order=6)))
         assert rep.passed
         assert rep.stage("direction_capacity").status == "pass"
+        assert calls == [(150, 3)]
 
-    def test_holomorphic_type_failure(self):
+    def test_one_check_per_direction_set(self, monkeypatch):
+        # two functions on one set, the second from an equal copy of its
+        # rows, share one check and report the same capacity stage
+        calls = self._checks(monkeypatch)
+        U = cap_directions(2, 0.3, 120, seed=5)
+        reps = [self._threads_after(lambda: forelli_analyze(
+                    parse(expr), rows, AnalyzeConfig(order=8)))
+                for expr, rows in (("exp(z1+z2)", U),
+                                   ("1+z1*z2+z1^3", U.copy()))]
+        assert calls == [(120, 2)]
+        first, second = (rep.stage("direction_capacity") for rep in reps)
+        assert first.status == "pass"
+        assert first.to_dict() == second.to_dict()
+
+    def test_rows_in_another_order_are_another_set(self, monkeypatch):
+        calls = self._checks(monkeypatch)
+        U = cap_directions(2, 0.3, 120, seed=5)
+        for rows in (U, U[::-1], U):
+            forelli_analyze(parse("exp(z1+z2)"), rows, AnalyzeConfig(order=8))
+        assert calls == [(120, 2), (120, 2)]
+
+    def test_holomorphic_type_failure(self, monkeypatch):
+        # the stage is skipped, so the check never runs
+        calls = self._checks(monkeypatch)
         S = (FormalSeries.variable(1, 2, 8)
              + FormalSeries.monomial((1, 0), (0, 1), 1.0, 8))
         U = sphere_directions(2, 150, seed=8)
         rep = self._threads_after(lambda: forelli_analyze(S, U))
         assert rep.stage("holomorphic_type").status == "fail"
         assert rep.stage("direction_capacity").status == "skipped"
+        assert calls == []
 
-    def test_escaping_jet_error(self):
+    def test_escaping_jet_error(self, monkeypatch):
         from forelli_lab import JetExtractionError
+        calls = self._checks(monkeypatch)
         U = cap_directions(3, 0.3, 150, seed=5)
 
         def run():
@@ -227,20 +269,27 @@ class TestCapacityBesideTheJet:
                                 AnalyzeConfig(order=4))
 
         self._threads_after(run)
+        assert calls == []
 
-    def test_too_few_directions(self):
+    def test_too_few_directions(self, monkeypatch):
+        # an error is not kept: every analysis checks again and records it
+        calls = self._checks(monkeypatch)
         U = sphere_directions(2, 60, seed=3)
-        rep = self._threads_after(lambda: forelli_analyze(
-            parse("exp(z1+z2)"), U, AnalyzeConfig(order=8)))
-        stage = rep.stage("direction_capacity")
-        assert stage.status == "fail"
-        assert stage.details == {
-            "error": "normality check needs >= 100 sampled directions"}
+        for _ in range(2):
+            rep = self._threads_after(lambda: forelli_analyze(
+                parse("exp(z1+z2)"), U, AnalyzeConfig(order=8)))
+            stage = rep.stage("direction_capacity")
+            assert stage.status == "fail"
+            assert stage.details == {
+                "error": "normality check needs >= 100 sampled directions"}
+        assert calls == [(60, 2), (60, 2)]
 
     def test_other_errors_are_raised(self, monkeypatch):
         from forelli_lab import pipeline
+        calls = []
 
         def broken(U):
+            calls.append(U.shape)
             raise RuntimeError("broken capacity check")
 
         monkeypatch.setattr(pipeline, "normality_check", broken)
@@ -251,7 +300,9 @@ class TestCapacityBesideTheJet:
                 forelli_analyze(parse("exp(z1+z2)"), U,
                                 AnalyzeConfig(order=8))
 
-        self._threads_after(run)
+        for _ in range(2):
+            self._threads_after(run)
+        assert calls == [(120, 2), (120, 2)]
 
 
 class TestCertificateDiagnostics:
