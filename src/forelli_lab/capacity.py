@@ -247,17 +247,36 @@ def _trial_family(E: np.ndarray, degree: int, trials: int, seed: int):
         a = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
         c0 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.3
         forms.append(((a, c0), float(np.abs(E @ a + c0).max())))
+    if nv == 1:
+        P = np.zeros((trials - trials // 2, d + 1), dtype=complex)
+        degs = np.empty(len(P), dtype=int)
+        for i, p in enumerate(P):
+            deg = degs[i] = int(rng.integers(1, d + 1))
+            p[:deg + 1] = (rng.standard_normal(deg + 1)
+                           + 1j * rng.standard_normal(deg + 1))
+        # every trial at once by polyval's Horner recurrence.  Sorted by
+        # falling degree, the trials of degree >= j are the first
+        # active[j]; each joins at its leading coefficient, from a zero
+        # start as in polyval.  The points are tiled to the shape of the
+        # values so that each product takes numpy's same-shape loop, the
+        # loop of polyval's one-trial product: a broadcast product of
+        # one row and one point rounds differently
+        by_deg = np.argsort(-degs, kind="stable")
+        Q = P[by_deg]
+        active = np.searchsorted(-degs[by_deg], -np.arange(d + 1),
+                                 side="right")
+        x = np.tile(E[:, 0], (len(Q), 1))
+        on_E = np.zeros_like(x)
+        for j in range(d, -1, -1):
+            k = active[j]
+            on_E[:k] = Q[:k, j:j + 1] + on_E[:k] * x[:k]
+        sup = np.empty(len(P))
+        sup[by_deg] = np.abs(on_E).max(axis=1)
+        return d, forms, list(zip(P, sup.tolist()))
     polys = []
     for _ in range(trials - trials // 2):
-        if nv == 1:
-            deg = int(rng.integers(1, d + 1))
-            p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], p))
-            p = np.concatenate([p, np.zeros(d - deg)])
-        else:
-            p = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
-            on_E = np.abs(np.prod(E @ p.T, axis=1))
-        polys.append((p, float(on_E.max())))
+        p = rng.standard_normal((d, nv)) + 1j * rng.standard_normal((d, nv))
+        polys.append((p, float(np.abs(np.prod(E @ p.T, axis=1)).max())))
     return d, forms, polys
 
 

@@ -20,16 +20,23 @@ homogeneous non-polynomial behaviour (for instance quotients by normsq)
 leaves a misfit whose decay order locates the first inconsistent jet
 order.
 
-The design matrix of mode mu depends only on the componentwise |mu|, so
-the 2^k sign variants of a |mu| class share one factorisation and are
-solved as one multi-right-hand-side product.  Classes with the same
+The design matrix of mode mu depends only on the componentwise |mu|, and
+the sampled radius rows are closed under permuting coordinates, so the
+matrix of a |mu| class is that of its representative, |mu| sorted in
+descending order, with its rows and unknowns permuted (the symmetry
+reduction of a least-squares problem).  Each representative is factored
+once, and the modes of its orbit, the 2^k sign variants of each of its
+up to n! orderings, are solved as one multi-right-hand-side product:
+144 factorisations for the 276 classes at n = 2, order 22, and 67 for
+the 286 at n = 3, order 10.  Representatives with the same
 dmax = (order - |mu|_1) // 2 give systems of the same shape, and each
-such stack is factored by a single batched SVD: about order/2 + 1 SVD
-calls per jet instead of one per mode.
+such stack is factored by a single batched SVD: order/2 + 1 SVD calls
+per jet instead of one per mode.
 
 The stacks of design matrices are built one torus axis at a time, and
-the mode layout (the modes, their |mu| classes and the L simplices) by
-array arithmetic; the modes become tuples once, for the mode table.
+the mode layout (the modes, their representatives, permutations and
+slots, and the L simplices) by array arithmetic; the modes become tuples
+once, for the mode table.
 
 The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
 each torus is transformed only on the band |mu_k| <= order, and an Expr
@@ -42,8 +49,9 @@ release the GIL, and each task writes only its own rows.  Each phase
 decides alone: the slabs run on it when at least two hold more than
 POOL_MIN_POINTS / 2 points (n = 2 from order 7 on at grid 64; at grid 32
 every n = 3 torus is a slab of POOL_MIN_POINTS), the dmax groups when
-the stacks hold POOL_MIN_POINTS entries or more in total (n = 2 from
-order 13 on, n = 3 from order 8).  Sampling ends before solving starts,
+the factored stacks and their right-hand sides hold 2 * POOL_MIN_POINTS
+entries or more in total, POOL_MIN_POINTS for each thread (n = 2 from
+order 15 on, n = 3 from order 7).  Sampling ends before solving starts,
 so at most one helper is alive.  The jet, its error and its warnings are
 those of one task at a time.
 """
@@ -77,8 +85,8 @@ COND_LIMIT = 1e14
 # below this many entries the GIL hand-off between short numpy calls costs
 # more than a second core gains.  Expr tori are sampled in slabs of up to
 # this many points, on two threads when at least two slabs hold more than
-# half of it, and design stacks of this many entries in all are solved on
-# two
+# half of it, and the factored design stacks are solved on two when they
+# and their right-hand sides hold this many entries per thread
 POOL_MIN_POINTS = 32 ** 3
 # n = 2 tori keep the radius-index pairs t_1 + t_2 <= m + N2_SLACK (m radii)
 # and the diagonal: 112 of the 144 pairs at order 22
@@ -229,20 +237,36 @@ def extract_jet(f, n: int, order: int, *,
     noise_floor = 1e-13 * max(1.0, global_scale)
 
     # pass 1: tensor-Vandermonde solves.  The design matrix of mode mu
-    # depends only on |mu|, so each |mu| class is factored once for all of
-    # its sign variants, and classes with the same dmax = (order - |mu|_1)//2
-    # have the same shape and are factored by one stacked SVD.  The classes
-    # run in lexicographic order of |mu|, which is the order of its C-order
-    # ravel.
+    # depends only on |mu|, and the radius rows are closed under permuting
+    # coordinates, so the class of |mu| is the class of its representative,
+    # |mu| sorted in descending order, with rows and unknowns permuted: a
+    # mode whose |mu| reaches its representative through the permutation p
+    # has row r where the representative has the row of row_idx[r, p], and
+    # unknown L where it has Ls[:, p].  Each representative is factored
+    # once for every mode of its orbit, and the representatives with the
+    # same dmax = (order - |mu|_1)//2 have the same shape and are factored
+    # by one stacked SVD.  They run in lexicographic order, which is the
+    # order of their C-order ravel.
     class_shape = (order + 1,) * n
-    keys, mode_class = np.unique(
-        np.ravel_multi_index(tuple(np.abs(mus).T), class_shape),
+    to_rep = np.argsort(-np.abs(mus), axis=1, kind="stable")
+    keys, mode_rep = np.unique(
+        np.ravel_multi_index(tuple(np.take_along_axis(
+            np.abs(mus), to_rep, axis=1).T), class_shape),
         return_inverse=True)
-    classes = np.stack(np.unravel_index(keys, class_shape), axis=1)
-    class_dmax = (order - classes.sum(axis=1)) // 2
-    # a mode's sign variant within its class: the bitmask of its negative
-    # entries
-    variant = (mus < 0) @ (1 << np.arange(n))
+    reps = np.stack(np.unravel_index(keys, class_shape), axis=1)
+    rep_dmax = (order - reps.sum(axis=1)) // 2
+    # each mode's permutation p, as an index into ``perms``
+    perms = np.array(list(itertools.permutations(range(n))))
+    mode_perm = np.searchsorted(
+        np.ravel_multi_index(tuple(perms.T), (n,) * n),
+        np.ravel_multi_index(tuple(to_rep.T), (n,) * n))
+    # row_perm[p, r]: the representative's row for row r under perms[p]
+    row_perm = _permuted_index(row_idx, perms, len(radii))
+    # a mode's slot: its rank among the modes of its orbit
+    by_rep = np.argsort(mode_rep, kind="stable")
+    mode_slot = np.empty(len(mus), dtype=int)
+    mode_slot[by_rep] = (np.arange(len(mus))
+                         - np.searchsorted(mode_rep[by_rep], mode_rep[by_rep]))
     power = radii[:, None] ** np.arange(order + 1)     # power[t, e] = rho_t^e
 
     mu_plus = np.maximum(mus, 0)
@@ -256,57 +280,68 @@ def extract_jet(f, n: int, order: int, *,
                 + math.sqrt(len(rows)) * noise_floor)
     res_abs = np.empty(len(mus))            # each mode's largest |misfit|
     res_diag = np.empty((len(mus), len(radii)), dtype=complex)
-    class_cond = np.empty(len(classes))
+    rep_cond = np.empty(len(reps))
     kept = {}                   # dmax: (I + J exponent rows, coefficient)
     simplex = _simplex(n, order // 2)
-    L_order, mode_dmax = simplex.sum(axis=1), class_dmax[mode_class]
+    L_order, mode_dmax = simplex.sum(axis=1), rep_dmax[mode_rep]
     groups = range(order // 2 + 1)      # every dmax: |mu| runs over 0..order
+    width = np.zeros(len(groups), dtype=int)    # per dmax, the slots
+    np.maximum.at(width, mode_dmax, mode_slot + 1)
 
-    def solve(dmax):            # writes the rows of its classes and modes
+    def solve(dmax):            # writes the rows of its orbits and modes
         Ls = simplex[L_order <= dmax]
-        cls = np.flatnonzero(class_dmax == dmax)
-        expo = classes[cls][:, None, :] + 2 * Ls[None, :, :]   # (K, #L, n)
+        rep = np.flatnonzero(rep_dmax == dmax)
+        expo = reps[rep][:, None, :] + 2 * Ls[None, :, :]     # (K, #L, n)
         A = _design_stack(power, row_idx, expo)                # (K, rows, #L)
         col_scale = np.linalg.norm(A, axis=1)
         col_scale[col_scale == 0] = 1.0
         Um, sv, Vt = np.linalg.svd(A / col_scale[:, None, :],
                                    full_matrices=False)
-        cond = np.full(len(cls), np.inf)
+        cond = np.full(len(rep), np.inf)
         np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 0)
-        class_cond[cls] = cond
+        rep_cond[rep] = cond
         if np.any(cond > COND_LIMIT):
             return              # reported below, at the first such mode
 
         sel = np.flatnonzero(mode_dmax == dmax)
-        k, v = np.searchsorted(cls, mode_class[sel]), variant[sel]
-        # right-hand sides as (class, rows, sign variant), zero-padded
-        B = np.zeros((len(cls), len(rows), 2 ** n), dtype=complex)
-        B[k, :, v] = mode_vals[:, sel].T
+        k = np.searchsorted(rep, mode_rep[sel])[:, None]
+        slot = mode_slot[sel, None]
+        # right-hand sides as (representative, rows, slot), zero-padded:
+        # each mode's samples go to its representative's rows, and ``at``
+        # holds their flat positions
+        b = mode_vals[:, sel].T                                # (modes, rows)
+        at = (k * len(rows) + row_perm[mode_perm[sel]]) * width[dmax] + slot
+        B = np.zeros(len(rep) * len(rows) * width[dmax], dtype=complex)
+        B[at] = b
+        B = B.reshape(len(rep), len(rows), width[dmax])
         x_eq = Vt.transpose(0, 2, 1) @ (
             (Um.transpose(0, 2, 1) @ B) / sv[:, :, None])
         X = x_eq / col_scale[:, :, None]
-        misfit = (A @ X - B)[k, :, v]                          # (modes, rows)
+        misfit = (A @ X).reshape(-1)[at] - b                   # (modes, rows)
         res_abs[sel] = np.abs(misfit).max(axis=1)
         res_diag[sel] = misfit[:, diag_rows]
-        x = X[k, :, v]                                         # (modes, #L)
+        # each mode's unknowns at their positions among the representative's
+        c = _permuted_index(Ls, perms, dmax + 1)[mode_perm[sel]]
+        x = X[k, c, slot]                                      # (modes, #L)
         pinv_rows = np.sqrt(np.sum((Vt / sv[:, :, None]) ** 2, axis=1))
-        noise = data_unc[sel, None] * pinv_rows[k] / col_scale[k]
+        noise = data_unc[sel, None] * pinv_rows[k, c] / col_scale[k, c]
         mi, li = np.nonzero(np.abs(x) > np.maximum(COEFF_FLOOR, noise))
         m = sel[mi]
         kept[dmax] = (np.concatenate([mu_plus[m] + Ls[li],
                                       mu_minus[m] + Ls[li]], axis=1),
                       x[mi, li])
 
-    # per dmax, the classes and unknowns #L of its stack (see POOL_MIN_POINTS)
-    n_cls, n_unk = np.bincount(class_dmax), np.cumsum(np.bincount(L_order))
-    if two and len(rows) * (n_cls @ n_unk) >= POOL_MIN_POINTS:
+    # per dmax, the representatives and unknowns #L of its stack (see
+    # POOL_MIN_POINTS; the slots of its right-hand sides are ``width``)
+    n_rep, n_unk = np.bincount(rep_dmax), np.cumsum(np.bincount(L_order))
+    if two and len(rows) * (n_rep @ (n_unk + width)) >= 2 * POOL_MIN_POINTS:
         _on_two_threads(solve, sorted(      # largest SVD work first
-            groups, key=lambda d: -n_cls[d] * n_unk[d] ** 2))
+            groups, key=lambda d: -n_rep[d] * n_unk[d] ** 2))
     else:
         for dmax in groups:
             solve(dmax)
 
-    mode_cond = class_cond[mode_class]
+    mode_cond = rep_cond[mode_rep]
     bad = np.flatnonzero(mode_cond > COND_LIMIT)
     if bad.size:
         raise JetExtractionError(
@@ -394,6 +429,16 @@ def _design_stack(power, row_idx, expo) -> np.ndarray:
     for k in range(1, expo.shape[2]):
         A *= power[row_idx[None, :, None, k], expo[:, None, :, k]]
     return A
+
+
+def _permuted_index(rows, perms, size) -> np.ndarray:
+    """index[p, r]: the position in ``rows`` of rows[r, perms[p]], for
+    index rows below ``size`` in ascending C-order ravel (product order)
+    and closed under every permutation of ``perms``."""
+    shape = (size,) * rows.shape[1]
+    return np.searchsorted(np.ravel_multi_index(tuple(rows.T), shape),
+                           np.ravel_multi_index(tuple(rows[:, perms].T),
+                                                shape))
 
 
 def _on_two_threads(task, items) -> None:

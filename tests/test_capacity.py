@@ -225,6 +225,71 @@ class TestSiciakSharedTrials:
             cap_siciak(self.cloud(2), degree=0)
 
 
+def trial_family_one_at_a_time(E, degree, trials, seed):
+    """The one-variable ``_trial_family`` that the batched Horner
+    recurrence replaced: one ``polyval`` per trial polynomial."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for _ in range(trials // 2):
+        a = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        c0 = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.3
+        forms.append(((a, c0), float(np.abs(E @ a + c0).max())))
+    polys = []
+    for _ in range(trials - trials // 2):
+        deg = int(rng.integers(1, degree + 1))
+        p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        on_E = np.abs(np.polynomial.polynomial.polyval(E[:, 0], p))
+        polys.append((np.concatenate([p, np.zeros(degree - deg)]),
+                      float(on_E.max())))
+    return degree, forms, polys
+
+
+class TestTrialFamilyAtOnce:
+    """The one-variable trial polynomials evaluated on E all at once give
+    the per-trial ``polyval`` bits."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[0] == want[0]
+        for (g, g_sup), (w, w_sup) in zip(got[1], want[1]):
+            assert g[0].tobytes() == w[0].tobytes() and g[1] == w[1]
+            assert g_sup == w_sup
+        assert len(got[2]) == len(want[2])
+        for (g, g_sup), (w, w_sup) in zip(got[2], want[2]):
+            assert g.tobytes() == w.tobytes()
+            assert g_sup == w_sup
+
+    def test_cli_ball(self):
+        # the input of `capacity --siciak-ball 0.7`
+        E = torus((0.7,), 256)[0][:, None]
+        self.assert_same(_trial_family(E, 32, 200, 42),
+                         trial_family_one_at_a_time(E, 32, 200, 42))
+
+    @pytest.mark.parametrize("draw", range(20))
+    def test_random_draws(self, draw):
+        rng = np.random.default_rng([draw, 11])
+        size = int(rng.choice([1, 2, 3, 7, 64, 300]))
+        E = ((rng.standard_normal((size, 1))
+              + 1j * rng.standard_normal((size, 1))) * rng.uniform(0.1, 3.0))
+        degree, trials = int(rng.integers(1, 40)), int(rng.integers(0, 60))
+        seed = int(rng.integers(0, 1000))
+        self.assert_same(_trial_family(E, degree, trials, seed),
+                         trial_family_one_at_a_time(E, degree, trials, seed))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+    def test_few_points_and_trials(self, size, trials):
+        # one point and one trial of the top degree: numpy rounds the
+        # broadcast product of a (1, 1) block and one point otherwise than
+        # polyval's (1,) * (1,)
+        rng = np.random.default_rng([size, trials])
+        E = rng.standard_normal((size, 1)) + 1j * rng.standard_normal(
+            (size, 1))
+        for seed in range(40):
+            self.assert_same(_trial_family(E, 38, trials, seed),
+                             trial_family_one_at_a_time(E, 38, trials, seed))
+
+
 def per_probe_gamma(E, degree, trials, probe_radii, directions, seed):
     """cap_siciak's gamma with one siciak_one_probe call per probe."""
     nv = E.shape[1]

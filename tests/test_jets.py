@@ -284,6 +284,15 @@ class TestBatchedSolverMatchesReference:
         ("1/((1-z1)*(1-z2))", 2, 12, 64),
         ("exp(z1+z2+z3)", 3, 6, 32),
         ("z1^2*z2*conj(z1)/normsq(z)", 3, 4, 32),
+        # no coordinate symmetry: (a, b) and (b, a), and the orderings of
+        # (a, b, c), carry different data, so a wrong row permutation of a
+        # class's representative shows here; the conj factors put terms
+        # at unknowns L != 0 of unsorted classes, where a wrong unknown
+        # permutation shows
+        ("exp(2*z1+z2)", 2, 10, 64),
+        ("exp(z1+2*z2-z3)", 3, 6, 32),
+        ("exp(2*z1-z2)*(1+conj(z1))", 2, 8, 64),
+        ("exp(z1+2*z2+3*z3)*(1+conj(z3))", 3, 5, 32),
     ]
 
     @pytest.mark.parametrize("expr,n,order,grid", CASES)
@@ -317,6 +326,43 @@ class TestBatchedSolverMatchesReference:
                            match=r"ill-conditioned radius schedule: "
                                  r"mode \(-6, 0\) condition"):
             extract_jet(parse("exp(z1+z2)"), 2, 24)
+
+
+class TestOrbitFactorization:
+    """Each permutation orbit of |mu| classes is factored once, through its
+    representative, which needs radius rows closed under permutations."""
+
+    @pytest.mark.parametrize("n,order,matrices", [
+        (1, 22, 23), (2, 22, 144), (3, 10, 67)])
+    def test_stacked_matrices(self, monkeypatch, n, order, matrices):
+        # one stacked SVD per dmax group; at n = 2 the representatives
+        # a >= b of a + b <= 22 (144 of 276 classes), at n = 3 the
+        # partitions of 0..10 into at most three parts (67 of 286)
+        from forelli_lab import jets
+        svd, stacks = np.linalg.svd, []
+
+        def counted(a, *args, **kw):
+            stacks.append(a.shape[0])
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(jets, "_sample_workers", lambda: 1)
+        f = parse("+".join(f"exp(z{k + 1})" for k in range(n)), dim=n)
+        assert extract_jet(f, n, order).verdict == FULL_JET
+        assert (len(stacks), sum(stacks)) == (order // 2 + 1, matrices)
+
+    @pytest.mark.parametrize("n,grid", [(1, 64), (2, 64), (3, 32)])
+    def test_radius_rows_closed_under_permutations(self, n, grid):
+        # every order the default grid allows (2 * order + 1 <= grid)
+        import itertools
+
+        from forelli_lab.jets import _radius_rows
+        for order in range((grid - 1) // 2 + 1):
+            m = max((order + 1) // 2 + 1, 2)
+            rows = set(_radius_rows(n, m, m))
+            for p in itertools.permutations(range(n)):
+                assert {tuple(t[k] for k in p) for t in rows} == rows, \
+                    (order, p)
 
 
 def _reference_sample_modes(func, compact, radii, rows, mus, grid, order,
@@ -518,8 +564,9 @@ class TestSamplingThreads:
     def test_pool_matches_one_worker(self, monkeypatch, expr, order, center):
         # two CPUs: the calling thread and one helper sample the tori (every
         # n = 3 torus at grid 32 is a slab of 32^3 points), then solve the
-        # design stacks if they hold 32^3 entries in all: 41 552 at order 8,
-        # 8 806 at order 6 and 1 278 at order 4
+        # design stacks if they and their right-hand sides hold 2 * 32^3
+        # entries in all: 105 056 at order 8, 29 614 at order 6 and 4 212
+        # at order 4
         f = parse(expr, dim=3)
         got, got_modes, threads, pools = self._jet(monkeypatch, 2, f, 3,
                                                    order, center)
@@ -826,7 +873,8 @@ class TestSolveHelper:
     def test_small_jets_start_no_thread(self, monkeypatch, f, n, order):
         # n = 1 at grid 64: one slab of at most 12 tori of 64 points; n = 2
         # up to order 6: slabs of at most 4 tori of 64^2 points, half of
-        # POOL_MIN_POINTS, and at most 1 280 stack entries
+        # POOL_MIN_POINTS, and at most 2 544 entries of stacks and
+        # right-hand sides
         from forelli_lab import jets
 
         def no_pool(*args):
@@ -836,14 +884,17 @@ class TestSolveHelper:
         monkeypatch.setattr(jets, "ThreadPoolExecutor", no_pool)
         extract_jet(parse(f, dim=n), n, order)
 
-    @pytest.mark.parametrize("order,pools", [(12, 0), (13, 1), (14, 1)])
-    def test_helper_starts_after_order_12(self, monkeypatch, order, pools):
-        # the n = 2 stacks hold 45 * 588 = 26 460 entries at order 12,
-        # 56 * 756 = 42 336 at order 13 and 56 * 960 = 53 760 at order 14,
-        # against POOL_MIN_POINTS = 32 768; the slabs are sampled on two
-        # threads at all three orders
-        jet, started = self._jet(monkeypatch, 2, parse("exp(z1+z2)"), 2,
-                                 order)
+    @pytest.mark.parametrize("f,n,order,pools", [
+        ("exp(z1+z2)", 2, 14, 0), ("exp(z1+z2)", 2, 15, 1),
+        ("exp(z1+z2)", 2, 16, 1), ("exp(z1+z2+z3)", 3, 6, 0),
+        ("exp(z1+z2+z3)", 3, 7, 1)])
+    def test_solve_helper_start_orders(self, monkeypatch, f, n, order,
+                                       pools):
+        # the factored stacks and their right-hand sides hold 57 848
+        # entries at n = 2, order 14 and 84 732 at order 15, 29 614 at
+        # n = 3, order 6 and 67 704 at order 7, against 2 * POOL_MIN_POINTS
+        # = 65 536; the slabs are sampled on two threads in every case
+        jet, started = self._jet(monkeypatch, 2, parse(f, dim=n), n, order)
         assert started == ["sample_slab"] + ["solve"] * pools
         assert jet.verdict == FULL_JET
 
