@@ -425,13 +425,13 @@ def max_var_index(e: Expr) -> int:
 
 
 def as_callable(f, n: int):
-    """Coerce an Expr or callable into a vectorized function on C^n points."""
-    if isinstance(f, Expr):
-        top = max_var_index(f)
-        if top >= n:
-            raise EvalError(
-                f"expression uses z{top + 1} but the ambient dimension is {n}")
-        return lambda z: evaluate(f, z)
-    if callable(f):
-        return f
-    raise TypeError(f"expected an Expr or a callable, got {type(f).__name__}")
+    """The Expr f as a vectorized function on C^n points.  Anything that
+    is not an Expr raises TypeError, and an Expr in more than n variables
+    EvalError."""
+    if not isinstance(f, Expr):
+        raise TypeError(f"expected an Expr, got {type(f).__name__}")
+    top = max_var_index(f)
+    if top >= n:
+        raise EvalError(
+            f"expression uses z{top + 1} but the ambient dimension is {n}")
+    return lambda z: evaluate(f, z)

@@ -39,11 +39,11 @@ slots, and the L simplices) by array arithmetic; the modes become tuples
 once, for the mode table.
 
 The solve reads only the modes with |mu_1| + ... + |mu_n| <= order, so
-each torus is transformed only on the band |mu_k| <= order, and an Expr
-is evaluated on broadcastable torus axes rather than full arrays.  An
-Expr is sampled in slabs, the tori that differ only in their last radius
-up to POOL_MIN_POINTS points, each in one evaluation and one band
-transform.  One runner, _on_two_threads, shares independent tasks
+each torus is transformed only on the band |mu_k| <= order, and the
+function, an Expr, is evaluated on broadcastable torus axes rather than
+full arrays.  It is sampled in slabs, the tori that differ only in their
+last radius up to POOL_MIN_POINTS points, each in one evaluation and one
+band transform.  One runner, _on_two_threads, shares independent tasks
 between the calling thread and one helper; numpy's loops and FFTs
 release the GIL, and each task writes only its own rows.  Each phase
 decides alone: the slabs run on it when at least two hold more than
@@ -70,7 +70,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, as_callable
+from .expr import as_callable
 from .series import FormalSeries, torus, torus_modes
 
 FULL_JET = "FullJet"
@@ -83,7 +83,7 @@ COEFF_FLOOR = 1e-10
 # this for some mode is refused
 COND_LIMIT = 1e14
 # below this many entries the GIL hand-off between short numpy calls costs
-# more than a second core gains.  Expr tori are sampled in slabs of up to
+# more than a second core gains.  Tori are sampled in slabs of up to
 # this many points, on two threads when at least two slabs hold more than
 # half of it, and the factored design stacks are solved on two when they
 # and their right-hand sides hold this many entries per thread
@@ -187,12 +187,11 @@ def extract_jet(f, n: int, order: int, *,
                 center: Optional[Sequence[complex]] = None) -> JetResult:
     """Extract the order-``order`` formal Taylor jet of f at the origin.
 
-    f is an Expr or a callable taking a tuple of n complex arrays.  An
-    Expr is evaluated on compact torus axes: component k has shape
-    (G,) on axis k and 1 elsewhere, so a subexpression in fewer than n
-    variables runs on fewer points.  A callable gets fresh, writeable
-    arrays of the full shape (G,) * n, which it may stack or write into.
-    The tori have the ceil(order/2) + 1 radii of ``radius_schedule(rho0,
+    f is an Expr in at most n variables; anything else raises TypeError
+    before any sampling.  It is evaluated on compact torus axes:
+    component k has shape (G,) on axis k and 1 elsewhere, so a
+    subexpression in fewer than n variables runs on fewer points.  The
+    tori have the ceil(order/2) + 1 radii of ``radius_schedule(rho0,
     sigma, rho_max)``, which must be positive and distinct, and the
     angular grid at least 2*order + 1 points per dimension.  A nonzero
     ``center``, n finite components, translates the expansion point.
@@ -224,8 +223,7 @@ def extract_jet(f, n: int, order: int, *,
     mus = _modes(n, order)
     rows = _radius_rows(n, len(radii), m_needed)
     two = _sample_workers() > 1
-    mode_vals = _sample_modes(func, isinstance(f, Expr), radii, rows, mus,
-                              grid, order, two)
+    mode_vals = _sample_modes(func, radii, rows, mus, grid, order, two)
 
     row_idx = np.array(rows, dtype=int).reshape(len(rows), n)
     # the indices of the rows (t, ..., t), in ascending t
@@ -480,19 +478,17 @@ def _sample_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_modes(func, compact, radii, rows, mus, grid, order,
-                  two_threads):
+def _sample_modes(func, radii, rows, mus, grid, order, two_threads):
     """The Fourier modes ``mus`` of func on the torus of radii[row], for
     each radius-index row of ``rows`` (``_radius_rows``, in
     itertools.product order), as an array (rows, modes).
 
-    With ``compact`` (Expr inputs) component k of a torus has shape (G,)
-    on axis k and 1 elsewhere; otherwise each component is a fresh full
-    (G,) * n array, one torus per call, on the calling thread (a callable
-    may keep state).  The band |m_k| <= order of modes is transformed and
-    the modes gathered with one flat index array.
+    Component k of a torus has shape (G,) on axis k and 1 elsewhere, and
+    func (an Expr's evaluation) broadcasts them.  The band |m_k| <= order
+    of modes is transformed and the modes gathered with one flat index
+    array.
 
-    Compact tori are sampled in slabs: the tori that share every radius
+    The tori are sampled in slabs: the tori that share every radius
     index but the last, up to POOL_MIN_POINTS points together, get one
     evaluation (the last component carries a leading slab axis) and one
     band transform, under an np.errstate in which numpy's floating-point
@@ -505,12 +501,9 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
     the calling thread.
     """
     n = mus.shape[1]
-    if compact:
-        circle = torus((1.0,), grid)[0]
-        unit = tuple(circle.reshape((grid,) + (1,) * (n - 1 - k))
-                     for k in range(n))
-    else:
-        unit = torus((1.0,) * n, grid)
+    circle = torus((1.0,), grid)[0]
+    unit = tuple(circle.reshape((grid,) + (1,) * (n - 1 - k))
+                 for k in range(n))
     band_index = np.ravel_multi_index(tuple((mus + order).T),
                                       (2 * order + 1,) * n)
     mode_vals = np.empty((len(rows), len(mus)), dtype=complex)
@@ -529,11 +522,6 @@ def _sample_modes(func, compact, radii, rows, mus, grid, order,
                 f"non-finite samples on torus rho={tuple(rho.tolist())}")
         vals = np.broadcast_to(vals, (grid,) * n)
         mode_vals[ri] = torus_modes(vals, n, order).ravel()[band_index]
-
-    if not compact:
-        for ri in range(len(rows)):
-            sample(ri)
-        return mode_vals
 
     strict = {kind: "ignore" if mode == "ignore" else "raise"
               for kind, mode in np.geterr().items()}

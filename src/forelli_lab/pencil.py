@@ -11,12 +11,13 @@ residual checks measure.
 Residuals are Fourier based: a function of one complex variable sampled
 on a circle is holomorphic iff its negative-index Fourier content
 vanishes; the circles and their modes come from ``series.torus`` and
-``series.torus_modes``.  Every derivative of an expression is exact:
-the pencil map's (the standard map in closed form, a general map by
-forward-mode evaluation, ``expr.evaluate_jvp``) and the Wirtinger
-derivatives of an ambient ``Expr`` function, which give the
-Cauchy-Riemann residuals, the normalization and its invariants.  Only a
-plain callable passed through the API is differenced (``_wirtinger``).
+``series.torus_modes``.  The function under test is an ``Expr``; the
+disc check, the subpencil search, the normalization invariants and the
+Wirtinger derivatives refuse anything else with TypeError.  Every
+derivative is exact: the pencil map's (the standard map in closed form,
+a general map by forward-mode evaluation, ``expr.evaluate_jvp``) and the
+Wirtinger derivatives of the function, which give the Cauchy-Riemann
+residuals, the normalization and its invariants.
 
 The direction sample carries an angular nearest-neighbour graph; "open
 subsets" of U are connected graph patches with their neighbourhoods, and
@@ -69,7 +70,6 @@ _NEWTON_ITERS = 30           # the inversion's iterations and tolerance,
 _NEWTON_TOL = 1e-10
 _R_FLOOR = 1e-6              # and the radius below which no r is verified
 _SUBPENCIL_PHASES = 8        # find_subpencil: disc phases per ring
-_WIRTINGER_STEP = 1e-5       # _wirtinger: central-difference step, callables
 
 
 # -- direction sampling --------------------------------------------------------
@@ -454,12 +454,14 @@ def _disc_error(res, rho) -> EvalError:
 def disc_holo_residual(g: Callable, rho: float) -> float:
     """Antiholomorphic Fourier content of lambda -> g(lambda) on |lambda|=rho.
 
-    Samples _DISC_SAMPLES = 64 points; the residual is the largest modulus
-    over negative-index Fourier coefficients, normalized by max(1, largest
-    coefficient).  Zero (to quadrature accuracy) iff the samples come
-    from a holomorphic function of lambda.  Raises EvalError when a
-    sample is not finite, or when the samples are but their transform
-    overflows.
+    g is one disc's profile, a function of lambda alone (such as lambda
+    -> f(map(lambda, u)) for one direction u) taking an array of samples,
+    not the function f under test.  Samples _DISC_SAMPLES = 64 points;
+    the residual is the largest modulus over negative-index Fourier
+    coefficients, normalized by max(1, largest coefficient).  Zero (to
+    quadrature accuracy) iff the samples come from a holomorphic function
+    of lambda.  Raises EvalError when a sample is not finite, or when the
+    samples are but their transform overflows.
     """
     res = _holo_residuals(g, rho)
     if not np.isfinite(res):
@@ -517,10 +519,11 @@ def check_holo_along_pencil(f, P: PencilSpec,
     ``disc_holo_residual`` gives on that disc alone.  The directions are
     evaluated in chunks of at most DISC_CHUNK_SAMPLES samples, every
     radius of a direction in the same chunk: one map call, one f call
-    and one row FFT per chunk, on a (directions, radii, samples) array,
-    so f must act pointwise on coordinate arrays of any shape.  A disc
-    whose chunk raises, or whose residual is not finite, is redone on its
-    own, so an error stays with its own disc and keeps its message.
+    and one row FFT per chunk, on a (directions, radii, samples) array.
+    f is an Expr in at most P.n variables, checked before any disc is
+    sampled.  A disc whose chunk raises, or whose residual is not finite,
+    is redone on its own, so an error stays with its own disc and keeps
+    its message.
     """
     radii = np.asarray(rho_schedule, dtype=float)
     outside = radii[~((radii > 0) & (radii < 1))]     # a nan is outside too
@@ -557,36 +560,27 @@ def check_holo_along_pencil(f, P: PencilSpec,
 # -- Wirtinger derivatives of ambient functions --------------------------------
 
 def _wirtinger(f, points: np.ndarray):
-    """d/dz_j and d/dzbar_j of f at an array of points (..., n).
+    """d/dz_j and d/dzbar_j of the Expr f at an array of points (..., n).
 
     Returns two arrays (..., n), (D_x - i D_y)/2 and (D_x + i D_y)/2 from
-    the derivatives along the real and imaginary axis of each z_j.  An
-    ``Expr`` gets them exactly, from one ``evaluate_jvp`` call along the
-    2n coordinate tangents on one leading axis; a callable by central
-    differences with step _WIRTINGER_STEP, the module's one difference step.
+    the derivatives along the real and imaginary axis of each z_j, exact,
+    from one ``evaluate_jvp`` call along the 2n coordinate tangents on
+    one leading axis.  An f that is not an Expr in at most n variables
+    raises before it is evaluated.
     """
     points = np.asarray(points, dtype=complex)
     n = points.shape[-1]
-    if isinstance(f, Expr):
-        eye = np.kron(np.eye(n), [[1.0], [1j]])      # rows: x_1, y_1, x_2, ..
-        D = evaluate_jvp(f, tuple(np.moveaxis(points, -1, 0)), tuple(
-            eye.T.reshape((n, 2 * n) + (1,) * (points.ndim - 1))))[1]
-    else:
-        def shifted(j, step):
-            q = points.copy()
-            q[..., j] = q[..., j] + step
-            return np.broadcast_to(np.asarray(f(tuple(np.moveaxis(q, -1, 0))),
-                                              dtype=complex), points.shape[:-1])
-        h = _WIRTINGER_STEP
-        D = np.stack([(shifted(j, s * h) - shifted(j, -s * h)) / (2.0 * h)
-                      for j in range(n) for s in (1, 1j)])
+    as_callable(f, n)          # refuses all but an Expr in z1..zn
+    eye = np.kron(np.eye(n), [[1.0], [1j]])          # rows: x_1, y_1, x_2, ..
+    D = evaluate_jvp(f, tuple(np.moveaxis(points, -1, 0)), tuple(
+        eye.T.reshape((n, 2 * n) + (1,) * (points.ndim - 1))))[1]
     dx, dy = np.moveaxis(D[0::2], 0, -1), np.moveaxis(D[1::2], 0, -1)
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
 def wirtinger_dbar(f, points: np.ndarray) -> np.ndarray:
-    """d/dzbar_j of f at an array of points (..., n), as an array (..., n):
-    the second half of ``_wirtinger``, exact for an ``Expr``."""
+    """d/dzbar_j of the Expr f at an array of points (..., n), as an array
+    (..., n): the second half of ``_wirtinger``."""
     return _wirtinger(f, points)[1]
 
 
@@ -742,7 +736,7 @@ def compute_H_G(f, kdata: KData, z1_grid, *, tol_G: float = 1e-6) -> HGResult:
     if not np.isfinite(z1).all():
         raise ValueError("z1 grid points must be finite, not "
                          f"{z1[~np.isfinite(z1)][0]}")
-    as_callable(f, 2)          # checks an Expr's variables
+    as_callable(f, 2)          # refuses all but an Expr in z1, z2
     _, k_z2, k_z2bar = kdata.dk(z1, 0.0)
     H = np.abs(k_z2bar) ** 2 - np.abs(k_z2) ** 2
 
@@ -801,16 +795,17 @@ def find_subpencil(f, P: PencilSpec, tol: float = 1e-6,
     workable ell.  Empty result (with the residual table) when no
     direction passes at ell_max.
 
-    The directions are evaluated in chunks of at most DISC_CHUNK_SAMPLES
-    disc samples: one map call and one ``wirtinger_dbar`` per chunk, so f
-    must act pointwise on coordinate arrays of any shape.  A chunk whose
-    evaluation raises is redone one direction at a time, and a direction
-    that fails there keeps residual inf; every table entry is what the
-    direction gives on its own.
+    f is an Expr in at most P.n variables, checked before the search
+    starts.  The directions are evaluated in chunks of at most
+    DISC_CHUNK_SAMPLES disc samples: one map call and one
+    ``wirtinger_dbar`` per chunk.  A chunk whose evaluation raises is
+    redone one direction at a time, and a direction that fails there
+    keeps residual inf; every table entry is what the direction gives on
+    its own.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be at least 1, not {ell_max}")
-    as_callable(f, P.n)        # checks an Expr's variables
+    as_callable(f, P.n)        # refuses all but an Expr in z1..zn
     M = P.num_directions
     # master disc sample: one ring per ell plus deep interior points, so the
     # points with |lam| <= 1/ell sample every smaller disc as well

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .capacity import ChartUndecidableError, normality_check
+from .expr import as_callable
 from .jets import JetResult, extract_jet, jet_of_series
 from .pencil import PencilSpec, check_holo_along_pencil, standard_pencil
 from .report import build_report
@@ -241,20 +242,24 @@ def _capacity_stage(U: np.ndarray) -> Stage:
 
 def forelli_analyze(f, directions, config: Optional[AnalyzeConfig] = None
                     ) -> AnalysisReport:
-    """Run the full pipeline on an Expr/callable or an explicit series.
+    """Run the full pipeline on an Expr or an explicit series.
 
     ``directions`` is an array of vectors sampling an open subset of the
-    sphere in C^n, where n is the series' dimension or, for a function,
-    the rows' length.  The standard pencil through them checks the set
-    and gives the unit rows that every later stage reads.  Function
-    inputs get the straight-disc holomorphy check and jet extraction;
-    series inputs start at the holomorphic-type stage.
+    sphere in C^n, where n is the series' dimension or, for an Expr, the
+    rows' length.  The standard pencil through them checks the set and
+    gives the unit rows that every later stage reads.  Expr inputs get
+    the straight-disc holomorphy check and jet extraction; series inputs
+    start at the holomorphic-type stage.  Any other f raises TypeError
+    before any stage runs.
     """
     cfg = config or AnalyzeConfig()
     U = np.atleast_2d(np.asarray(directions, dtype=complex))
-    pencil = standard_pencil(f.n if isinstance(f, FormalSeries)
-                             else U.shape[1], U)
-    return run_stages(f, pencil.n, cfg, (pencil, U))
+    if isinstance(f, FormalSeries):
+        n = f.n
+    else:
+        n = U.shape[1]
+        as_callable(f, n)           # refuses all but an Expr in z1..zn
+    return run_stages(f, n, cfg, (standard_pencil(n, U), U))
 
 
 def run_stages(f, n: int, cfg: AnalyzeConfig,

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from forelli_lab import FormalSeries, pipeline
+from forelli_lab import FormalSeries, parse, pipeline
 
 try:
     from hypothesis import settings
@@ -65,3 +65,20 @@ def geometric_product_series(n_max=6, max_order=12):
              for i in range(n_max + 1) for j in range(n_max + 1)
              if i + j <= max_order}
     return FormalSeries(2, max_order, terms)
+
+
+def series_text(S):
+    """The series as expression text, (re+im*i)*z1^a*conj(z2)^b+...: the
+    repr of each coefficient's parts parses back exactly."""
+    terms = []
+    for (I, J), c in S.items():
+        factors = [f"({c.real!r}+{c.imag!r}*i)"]
+        factors += [f"z{k + 1}^{a}" for k, a in enumerate(I) if a]
+        factors += [f"conj(z{k + 1})^{b}" for k, b in enumerate(J) if b]
+        terms.append("*".join(factors))
+    return "+".join(terms) or "0"
+
+
+def series_expr(S):
+    """The Expr of the series S, from ``series_text``."""
+    return parse(series_text(S), dim=S.n)

@@ -13,13 +13,27 @@ monkeypatch.  A value the code can work out from its other inputs, as
 ``radius_root_test`` reads K from its values and ``upper_envelope`` from
 its family, is derived there and is not a setting either.  So a change
 to either pin below is a change to this file and to CHANGES.md.
+
+The input rule is the same rule for input types: the function under test
+is an ``Expr``, the one kind of f that the command line, ``demos/`` and
+``bench/`` pass.  ``extract_jet``, ``check_holo_along_pencil``,
+``find_subpencil``, ``compute_H_G`` and ``wirtinger_dbar`` take only an
+``Expr``, ``forelli_analyze`` an ``Expr`` or a ``FormalSeries``, and
+anything else (a Python function, or a series given to the first five)
+raises TypeError before any work is done.
 """
 
 import dataclasses
 import inspect
 
+import numpy as np
+import pytest
+
 import forelli_lab
-from forelli_lab import AnalyzeConfig
+from forelli_lab import (AnalyzeConfig, FormalSeries, check_holo_along_pencil,
+                         compute_H_G, extract_jet, find_subpencil,
+                         forelli_analyze, sphere_directions, standard_pencil,
+                         tilde_normalize, wirtinger_dbar)
 
 PUBLIC_NAMES = [
     "AnalysisReport", "AnalyzeConfig", "CapacityEstimate", "CertificateError",
@@ -99,3 +113,61 @@ def test_public_names():
 def test_settings():
     assert public_settings() == SETTINGS
     assert sum(map(len, SETTINGS.values())) == 43
+
+
+# the directions of the contract tests: e1 and 30 more on the sphere
+DIRECTIONS = np.vstack([[1.0, 0.0], sphere_directions(2, 30, seed=3)])
+
+
+def _holo(f):
+    return check_holo_along_pencil(f, standard_pencil(2, DIRECTIONS))
+
+
+def _subpencil(f):
+    return find_subpencil(f, standard_pencil(2, DIRECTIONS), ell_max=2)
+
+
+def _H_G(f):
+    kd = tilde_normalize(standard_pencil(2, DIRECTIONS), (1.0, 0.0))
+    return compute_H_G(f, kd, [0.1, 0.2j])
+
+
+FUNCTION_ENTRY_POINTS = {
+    "extract_jet": lambda f: extract_jet(f, 2, 4),
+    "check_holo_along_pencil": _holo,
+    "find_subpencil": _subpencil,
+    "compute_H_G": _H_G,
+    "wirtinger_dbar": lambda f: wirtinger_dbar(f, DIRECTIONS[:3]),
+}
+ENTRY_POINTS = {**FUNCTION_ENTRY_POINTS,
+                "forelli_analyze": lambda f: forelli_analyze(f, DIRECTIONS)}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_plain_functions_refused(name):
+    # refused before the first evaluation; find_subpencil, which turns
+    # the errors of its chunks into inf rows, raises instead of
+    # returning an empty patch
+    seen = []
+    f = lambda z: seen.append(z) or z[0]
+    with pytest.raises(TypeError, match="^expected an Expr, got function$"):
+        ENTRY_POINTS[name](f)
+    assert seen == []
+
+
+@pytest.mark.parametrize("name", FUNCTION_ENTRY_POINTS)
+def test_series_refused_by_the_function_entry_points(name):
+    with pytest.raises(TypeError,
+                       match="^expected an Expr, got FormalSeries$"):
+        FUNCTION_ENTRY_POINTS[name](FormalSeries.variable(1, 2, 4))
+
+
+def test_forelli_analyze_takes_the_series_route():
+    S = FormalSeries.variable(1, 2, 4)
+    report = forelli_analyze(S, DIRECTIONS)
+    skipped = {"reason": "input is an explicit series"}
+    for name in ("disc_holomorphy", "jet"):
+        stage = report.stage(name)
+        assert (stage.status, stage.details) == ("skipped", skipped)
+    assert report.jet.series is S
+    assert report.stage("holomorphic_type").status == "pass"

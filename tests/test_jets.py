@@ -7,7 +7,7 @@ import pytest
 from forelli_lab import (FULL_JET, JET_UP_TO, NO_JET, FormalSeries,
                          extract_jet, parse)
 
-from conftest import random_series
+from conftest import random_series, series_expr, series_text
 
 
 class TestPolynomialRecovery:
@@ -28,7 +28,7 @@ class TestPolynomialRecovery:
         for _ in range(5):
             S = random_series(rng, 2, 6, num_terms=10)
             S = S * (1.0 / max(1.0, S.max_abs_coefficient()))
-            jet = extract_jet(lambda z, S=S: S.evaluate(z), 2, 6)
+            jet = extract_jet(series_expr(S), 2, 6)
             assert jet.verdict == FULL_JET
             for key, c in S.items():
                 assert abs(jet.series.coefficient(*key) - c) <= 1e-10
@@ -75,8 +75,8 @@ class TestJetFailureDetection:
 
     def test_conjugation_symmetry(self, rng):
         S = random_series(rng, 2, 4, num_terms=8)
-        f = lambda z: S.evaluate(z)
-        g = lambda z: np.conj(S.evaluate(z))
+        f = series_expr(S)
+        g = parse(f"conj({series_text(S)})", dim=2)
         jf = extract_jet(f, 2, 4)
         jg = extract_jet(g, 2, 4)
         for (I, J), c in jf.series.items():
@@ -365,7 +365,7 @@ class TestOrbitFactorization:
                     (order, p)
 
 
-def _reference_sample_modes(func, compact, radii, rows, mus, grid, order,
+def _reference_sample_modes(func, radii, rows, mus, grid, order,
                             two_threads=False):
     """The sampling loop the compact axes and the mode band replaced: full
     ``torus`` components for every input, ``np.fft.fftn`` of the whole
@@ -433,31 +433,6 @@ class TestSamplingMatchesFullTorusReference:
             assert row["misfit"] == ref["misfit"]
             assert abs(row["magnitude"] - ref["magnitude"]) <= 1e-15
             assert row.get("failure_order") == ref.get("failure_order")
-
-
-class TestCallableInputs:
-    def test_callable_gets_fresh_full_arrays(self):
-        n, order, grid = 2, 4, 64
-        seen = []
-
-        def f(z):
-            stacked = np.stack(z)     # every component has the same shape
-            w = z[0]
-            w *= 2.0                  # writes into its own input
-            seen.append(z)
-            return w * stacked[1] + stacked[0]
-
-        jet = extract_jet(f, n, order)
-        want = extract_jet(parse("2*z1*z2+z1"), n, order)
-        assert jet.verdict == FULL_JET
-        assert jet.series.graded.coeffs.tobytes() == \
-            want.series.graded.coeffs.tobytes()
-        arrays = [c for z in seen for c in z]
-        assert len(arrays) == n * len(jet.diagnostics["radii"]) ** n
-        assert all(c.shape == (grid,) * n and c.flags.writeable
-                   for c in arrays)
-        assert not any(np.shares_memory(a, b)
-                       for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 class TestOffenders:
@@ -608,21 +583,6 @@ class TestSamplingThreads:
         assert str(info.value) == ("evaluation failed on torus "
                                    "rho=(0.2, 0.2, 0.25): division by zero "
                                    "in 'z3-0.25'")
-
-    def test_callable_runs_on_the_calling_thread(self, monkeypatch):
-        import threading
-
-        from forelli_lab import jets
-        monkeypatch.setattr(jets, "_sample_workers", lambda: 2)
-        idents = set()
-
-        def f(z):
-            idents.add(threading.get_ident())
-            return z[0] * z[1] * z[2]
-
-        jet = extract_jet(f, 3, 4)
-        assert jet.verdict == FULL_JET
-        assert idents == {threading.get_ident()}
 
     def test_pool_keeps_the_callers_error_state(self, monkeypatch):
         # without the caller's errstate the pool threads would only warn,
@@ -824,20 +784,16 @@ class TestSolveHelper:
         ("conj(z1)+z2", 2, 20, {}),
         # JetUpTo(1): failure orders read the diagonal misfits
         ("z1^2*z2*conj(z1)/normsq(z)", 2, 16, {}),
-        (lambda z: np.exp(z[0] + z[1] * z[2]), 3, 8, {}),
+        ("exp(z1+z2*z3)", 3, 8, {}),
     ])
     def test_helper_matches_serial(self, monkeypatch, f, n, order, kw):
-        from forelli_lab.expr import Expr
-        if isinstance(f, str):
-            f = parse(f, dim=n)
+        f = parse(f, dim=n)
         want, serial_pools = self._jet(monkeypatch, 1, f, n, order, **kw)
         assert serial_pools == []
-        # an Expr's slabs are sampled on the two threads too (callables on
-        # the calling thread), one helper at a time
-        sampled = ["sample_slab"] if isinstance(f, Expr) else []
+        # the slabs are sampled on the two threads too, one helper at a time
         for switch in (None, 1e-6):
             got, pools = self._jet(monkeypatch, 2, f, n, order, switch, **kw)
-            assert pools == sampled + ["solve"]
+            assert pools == ["sample_slab", "solve"]
             assert got.verdict_text() == want.verdict_text()
             assert got.series.graded.exponents.tobytes() == \
                 want.series.graded.exponents.tobytes()
@@ -1004,25 +960,30 @@ class TestLowerSetRows:
 
     def test_n3_callable_sees_each_torus_once_in_row_order(self,
                                                             monkeypatch):
-        # the calling thread samples callables, and with one worker Expr
-        # tori, in runs that share all but the last radius index
-        from forelli_lab import jets
+        # with one worker the calling thread evaluates the Expr on slabs,
+        # runs of tori that share all but the last radius index, in row
+        # order; a slab's last component holds one circle per torus
+        from forelli_lab import expr, jets
         from forelli_lab.jets import _radius_rows
-        seen = []
+        f = parse("z1*z2+z3", dim=3)
+        evaluate, seen = expr.evaluate, []
 
-        def f(z):
-            seen.append(tuple(float(abs(c.flat[0])) for c in z))
-            return z[0] * z[1] + z[2]
+        def spy(e, z):
+            lead = tuple(float(abs(c.flat[0])) for c in z[:-1])
+            last = np.abs(z[-1]).reshape(-1, z[-1].shape[-1])[:, 0]
+            seen.extend(lead + (float(r),) for r in last)
+            return evaluate(e, z)
 
-        jet = extract_jet(f, 3, 6)
-        radii = jet.diagnostics["radii"]
+        with monkeypatch.context() as patch:
+            patch.setattr(jets, "_sample_workers", lambda: 1)
+            patch.setattr(expr, "evaluate", spy)
+            serial = extract_jet(f, 3, 6)
+        radii = serial.diagnostics["radii"]
         want = [tuple(radii[t] for t in row)
                 for row in _radius_rows(3, len(radii), len(radii))]
         assert seen == pytest.approx(want, rel=1e-15)
-        monkeypatch.setattr(jets, "_sample_workers", lambda: 1)
-        serial = extract_jet(parse("z1*z2+z3", dim=3), 3, 6)
-        assert serial.series.graded.coeffs.tobytes() == \
-            jet.series.graded.coeffs.tobytes()
+        assert extract_jet(f, 3, 6).series.graded.coeffs.tobytes() == \
+            serial.series.graded.coeffs.tobytes()
 
     @pytest.mark.parametrize("order", range(1, 16))
     def test_n3_every_class_has_full_rank(self, order):
@@ -1086,7 +1047,7 @@ class TestLowerSetRows:
         ("1+z1*z2*z3+z1^3-2*z2^2*z3", 8, {}),
         ("z1*conj(z2)+z3^2", 6, {}),
         ("exp(z1*z2+z3)", 6, {"center": (0.1, -0.2j, 0.05)}),
-        (lambda z: np.exp(z[0] + z[1] * z[2]), 8, {}),
+        ("exp(z1+z2*z3)", 8, {}),
         ("z1^3*conj(z2)^2/normsq(z)", 6, {}),
         ("1/(z3-0.25)", 4, {}),
         # the jets of the n = 3 benchmark workload
@@ -1101,8 +1062,7 @@ class TestLowerSetRows:
 
         def outcome():
             try:
-                jet = extract_jet(parse(f, dim=3) if isinstance(f, str)
-                                  else f, 3, order, **kw)
+                jet = extract_jet(parse(f, dim=3), 3, order, **kw)
             except JetExtractionError as exc:
                 return str(exc)
             first = jet.diagnostics["first_failing_mode"]

@@ -7,6 +7,9 @@ import pytest
 from forelli_lab import (AnalyzeConfig, FormalSeries, cap_directions,
                          forelli_analyze, parse, sphere_directions,
                          standard_pencil)
+from forelli_lab.pipeline import run_stages
+
+from test_slices import undersample
 
 
 class TestEntireFunction:
@@ -312,3 +315,39 @@ class TestCertificateDiagnostics:
         details = rep.stage("certificate").details
         assert details["diagnostics"] == rep.certificate.diagnostics
         assert 0 < details["diagnostics"]["max_block_ratio"] < 1
+
+
+class TestCertificateRefused:
+    """A refused certificate fails its stage with the refusal as evidence,
+    as ``analyze`` and ``certify`` run it.  With one boundary sample and
+    no margin, M of z1 - z2 is understated and check (b) refuses it."""
+
+    ERROR = ("order-1 block sum 0.75 > k^n 2^-k = 0.5 at the corner "
+             "|z| = r'; certificate refused")
+
+    @staticmethod
+    def series():
+        return FormalSeries.variable(1, 2, 8) - FormalSeries.variable(2, 2, 8)
+
+    def check(self, rep):
+        stage = rep.stage("certificate")
+        assert stage.status == "fail"
+        assert stage.details == {"error": self.ERROR}
+        assert not rep.passed and rep.certificate is None
+        assert rep.summary()["certificate"] is None
+        assert rep.final_verdict == f"certificate refused: {self.ERROR}"
+        assert [s.name for s in rep.stages if s.status == "fail"] == [
+            "certificate"]
+
+    def test_forelli_analyze(self, monkeypatch):
+        undersample(monkeypatch)
+        self.check(forelli_analyze(self.series(),
+                                   cap_directions(2, 0.3, 120, seed=5),
+                                   AnalyzeConfig(order=8)))
+
+    def test_run_stages_without_directions(self, monkeypatch):
+        undersample(monkeypatch)
+        rep = run_stages(self.series(), 2, AnalyzeConfig(order=8))
+        self.check(rep)
+        assert [s.name for s in rep.stages] == [
+            "jet", "holomorphic_type", "certificate"]
